@@ -210,27 +210,38 @@ class JsonlLogWriter:
         self.lines += 1
 
     def close(self):
+        """Write the end-of-log marker and close: the log is complete."""
         self.write({"kind": "eof", "lines": self.lines})
         self._fh.close()
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()  # no eof marker: the log must not verify as complete
 
 
 def read_log(path) -> list:
     """Read and verify a JSONL run log; returns the records (without the eof
-    marker). Raises LogChecksumError or TruncatedLog."""
+    marker). Raises LogChecksumError, or TruncatedLog for a missing eof
+    marker or a line that cannot be decoded (a log cut off mid-line)."""
     records = []
     prev = ""
-    with open(path, encoding="utf-8") as fh:
+    # invalid UTF-8 decodes to U+FFFD and then fails its checksum
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as err:
+                raise TruncatedLog(f"{path}:{lineno}: undecodable line ({err})") from None
+            if not isinstance(rec, dict):
+                raise LogChecksumError(f"{path}:{lineno}: not a log record")
             chk = rec.pop("checksum", None)
             want = hashlib.sha256((prev + _canonical(rec)).encode()).hexdigest()[:16]
             if chk != want:

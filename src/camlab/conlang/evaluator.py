@@ -74,6 +74,16 @@ class EvalContext:
         idx = len(h) - 1 - back
         return np.asarray(h[max(idx, 0)], dtype=np.float64)
 
+    def centroids(self, eids: tuple, back: int) -> np.ndarray:
+        """(len(eids), 3) element centroids `back` ticks ago, with the same
+        oldest-entry clamping as points_at. A history that packs all
+        elements (the tracker's PointRing) computes them in one pass;
+        plain mappings fall back to per-element means."""
+        packed = getattr(self.histories, "centroids", None)
+        if packed is not None:
+            return packed(eids, back)
+        return np.array([self.points_at(eid, back).mean(axis=0) for eid in eids]).reshape(-1, 3)
+
     def kind_of(self, eid: int) -> str:
         et = self.element_types.get(eid)
         if et is None:
@@ -213,7 +223,7 @@ class _Evaluator:
                 raise EvalError(f"pos index {idx} out of range for e({eid})")
             return pts[idx]
         if fn == "centroid":
-            return ctx.points_at(self.eval(args[0], back), back).mean(axis=0)
+            return ctx.centroids((self.eval(args[0], back),), back)[0]
         if fn == "normal":
             eid = self.eval(args[0], back)
             if ctx.kind_of(eid) != "surface":
@@ -238,8 +248,8 @@ class _Evaluator:
         if fn == "displacement":
             eid = self.eval(args[0], back)
             delta = int(self.eval(args[1], back))
-            now = ctx.points_at(eid, back).mean(axis=0)
-            then = ctx.points_at(eid, back + delta).mean(axis=0)
+            now = ctx.centroids((eid,), back)[0]
+            then = ctx.centroids((eid,), back + delta)[0]
             return float(np.linalg.norm(now - then))
         if fn == "rotation":
             eid = self.eval(args[0], back)
@@ -257,8 +267,9 @@ class _Evaluator:
         if fn == "count_within":
             eids = self.eval(args[0], back)
             box = self.eval(args[1], back)
-            n = sum(1 for eid in eids if _inside(ctx.points_at(eid, back).mean(axis=0), box))
-            return float(n)
+            lo, hi = box
+            c = ctx.centroids(eids, back)
+            return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
         if fn == "inside":
             return _inside(self.eval(args[0], back), self.eval(args[1], back))
         if fn == "above":

@@ -24,6 +24,7 @@ line, column, and the expected-token set.
 
 from __future__ import annotations
 
+import math
 import re
 
 from camlab.errors import CamlabError
@@ -222,7 +223,11 @@ class _Parser:
         if unit_tok.text not in UNITS:
             raise DslSyntaxError(unit_tok.line, unit_tok.col, "a unit (m/cm/mm/rad/deg/count)", unit_tok.text)
         dim, factor = UNITS[unit_tok.text]
-        decl = ToleranceDecl(name=name, value=sign * float(num.text) * factor, dim=dim)
+        value = sign * float(num.text) * factor
+        # an infinite tolerance would silently make its comparison always true
+        if not math.isfinite(value) or value < 0:
+            raise DslSyntaxError(num.line, num.col, "a finite non-negative tolerance", num.text)
+        decl = ToleranceDecl(name=name, value=value, dim=dim)
         self.tolerances[name] = decl
         return decl
 
@@ -293,7 +298,7 @@ class _Parser:
     def int_literal(self) -> int:
         tok = self.expect_kind("number")
         value = float(tok.text)
-        if value != int(value) or value < 0:
+        if not math.isfinite(value) or value != int(value) or value < 0:
             raise DslSyntaxError(tok.line, tok.col, "a non-negative integer", tok.text)
         return int(value)
 
@@ -302,6 +307,8 @@ class _Parser:
         if tok.kind == "number":
             self.next()
             value = float(tok.text)
+            if not math.isfinite(value):
+                raise DslSyntaxError(tok.line, tok.col, "a finite number", tok.text)
             nxt = self.peek()
             if nxt.kind == "ident" and nxt.text in UNITS:
                 self.next()

@@ -38,7 +38,8 @@ class TrackError(CamlabError):
 
 
 class TruncatedLog(CamlabError):
-    """A JSONL run log is missing its end-of-file marker."""
+    """A JSONL run log is missing its end-of-file marker or holds a line that
+    cannot be decoded (a write cut off mid-line)."""
 
 
 class LogChecksumError(CamlabError):

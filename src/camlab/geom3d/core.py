@@ -167,15 +167,23 @@ def quat_slerp(a, b, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: x_world = R(q) @ x_local + t."""
+    """Rigid transform: x_world = R(q) @ x_local + t.
+
+    q and t are private read-only copies, so a Pose never changes after
+    construction: moving something means giving it a new Pose. Ground-truth
+    caches rely on this (an unchanged Pose object means unchanged points)."""
 
     q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
-        if abs(float(np.linalg.norm(self.q)) - 1.0) > 1e-9:
+        q = np.array(self.q, dtype=np.float64)
+        t = np.array(self.t, dtype=np.float64)
+        q.setflags(write=False)
+        t.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+        if abs(math.sqrt(q.dot(q)) - 1.0) > 1e-9:  # what np.linalg.norm computes, without its overhead
             raise ValueError("Pose quaternion must be unit norm")
 
     @staticmethod

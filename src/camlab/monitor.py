@@ -3,7 +3,9 @@
 A SimTracker stands in for a learned visual tracker: ground truth plus
 isotropic Gaussian noise, per-point dropout (hold last value, flag invalid),
 and a periodic resync snap to truth that models re-detection. Elements
-sourced from forward kinematics are served noiselessly.
+sourced from forward kinematics are served noiselessly. All elements' point
+histories live in one packed ring (PointRing), so centroids of many
+elements are one gather and sum per tick.
 
 The RealTimeMonitor evaluates DURING programs every tick with a K-tick
 debounce (a single noise spike never trips a violation) and ON_COMPLETION
@@ -15,7 +17,7 @@ evaluation errors surface as violations (fail-safe), never as skipped ticks.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +29,7 @@ from camlab.errors import TrackError
 __all__ = [
     "TrackerConfig",
     "ElementTrack",
+    "PointRing",
     "SimTracker",
     "DebouncePolicy",
     "VerdictKind",
@@ -52,29 +55,130 @@ class TrackerConfig:
 
 
 class ElementTrack:
-    """Ring buffer of (tick, points, valid) for one element.
+    """One element's span of the tracker's point ring.
 
-    Indexing returns the point array (oldest first) so a track can be used
-    directly as an EvalContext history."""
+    Indexing returns the element's points at one ring entry (oldest first),
+    so a track can be used directly as an EvalContext history. The arrays
+    are read-only views into the ring, valid until the ring wraps over
+    their entry."""
 
-    def __init__(self, eid: int, capacity: int = 256):
+    def __init__(self, ring: "PointRing", eid: int, lo: int, hi: int):
+        self.ring = ring
         self.eid = eid
-        self.capacity = capacity
-        self.entries: deque = deque(maxlen=capacity)
-
-    def append(self, tick: int, points: np.ndarray, valid: np.ndarray):
-        if self.entries and tick <= self.entries[-1][0]:
-            raise TrackError(f"ticks must increase, got {tick} after {self.entries[-1][0]}")
-        self.entries.append((tick, points, valid))
+        self._span = slice(lo, hi)
 
     def latest(self):
-        return self.entries[-1]
+        """(tick, points, valid) of the newest entry."""
+        ring, head = self.ring, self.ring.head
+        return int(ring.ticks[head]), ring.view[head, self._span], ring.valid_view[head, self._span]
 
     def __len__(self):
-        return len(self.entries)
+        return self.ring.count
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.entries[i][1]
+        n = self.ring.count
+        if not -n <= i < n:
+            raise IndexError(f"track index {i} out of range for {n} entries")
+        return self.ring.view[self.ring.slot(n - 1 - i % n), self._span]
+
+
+class PointRing(Mapping):
+    """Packed history of every tracked element: element id -> ElementTrack.
+
+    One preallocated (capacity, P + 1, 3) point ring and one (capacity, P)
+    valid ring hold all P tracked points; each element owns a contiguous
+    span of the P points. Column P is a constant -0.0 pad point, the
+    additive identity used by the padded centroid sums. Spans are laid out
+    in id order with forward-kinematics elements first, so the noisy points
+    form one span [noisy_lo, P)."""
+
+    def __init__(self, elements=(), capacity: int = 256, fk_eids=()):
+        if capacity < 1:
+            raise ValueError("ring capacity must be >= 1")
+        order = sorted(elements, key=lambda el: (el.eid not in fk_eids, el.eid))
+        offsets = np.cumsum([0] + [len(el.points) for el in order]).tolist()
+        spans = {el.eid: (offsets[i], offsets[i + 1]) for i, el in enumerate(order)}
+        n_points = offsets[-1]
+        self.capacity = capacity
+        self.n_points = n_points
+        self.order = [el.eid for el in order]
+        self.sizes = [len(el.points) for el in order]
+        self.noisy_spans = [spans[el.eid] for el in order if el.eid not in fk_eids]
+        self.noisy_lo = self.noisy_spans[0][0] if self.noisy_spans else n_points
+        self.points = np.empty((capacity, n_points + 1, 3))
+        self.points[:, n_points] = -0.0
+        self.valid = np.ones((capacity, n_points), dtype=bool)
+        self.view = self.points.view()
+        self.view.flags.writeable = False
+        self.valid_view = self.valid.view()
+        self.valid_view.flags.writeable = False
+        self.ticks = np.zeros(capacity, dtype=np.int64)
+        self.head = -1  # slot of the newest entry
+        self.count = 0
+        self._spans = spans
+        self._tracks = {el.eid: ElementTrack(self, el.eid, *spans[el.eid]) for el in elements}
+        self._gathers: dict = {}
+
+    # -- Mapping protocol: eid -> ElementTrack, in registration order
+
+    def __getitem__(self, eid):
+        return self._tracks[eid]
+
+    def __contains__(self, eid):
+        return eid in self._tracks
+
+    def __iter__(self):
+        return iter(self._tracks)
+
+    def __len__(self):
+        return len(self._tracks)
+
+    def keys(self):
+        return self._tracks.keys()
+
+    # -- ring
+
+    def slot(self, back: int) -> int:
+        """Ring slot `back` entries before the newest, clamped to the oldest."""
+        return (self.head - min(back, self.count - 1)) % self.capacity
+
+    def push(self, tick: int, points) -> np.ndarray:
+        """Append an entry at `tick` holding `points` (one array per element,
+        in `order`), all valid; returns the new (P, 3) row for in-place
+        noise. Raises TrackError unless ticks increase."""
+        if self.count and tick <= self.ticks[self.head]:
+            raise TrackError(f"ticks must increase, got {tick} after {int(self.ticks[self.head])}")
+        self.head = (self.head + 1) % self.capacity
+        self.count = min(self.count + 1, self.capacity)
+        self.ticks[self.head] = tick
+        row = self.points[self.head, :-1]
+        np.concatenate(points, axis=0, out=row)
+        self.valid[self.head] = True
+        return row
+
+    def centroids(self, eids, back: int) -> np.ndarray:
+        """(len(eids), 3) centroids `back` entries before the newest.
+
+        Each element's points are gathered into one row padded with -0.0 to
+        the longest element and summed along the row. That adds them in the
+        same order as points.mean(axis=0), so the result is bit-identical
+        to the per-element mean."""
+        gather = self._gathers.get(eids)
+        if gather is None:
+            gather = self._gathers[eids] = self._gather(eids)
+        index, counts = gather
+        return self.points[self.slot(back)][index].sum(axis=1) / counts
+
+    def _gather(self, eids):
+        for eid in eids:
+            if eid not in self._spans:
+                raise EvalError(f"unknown element e({eid})")
+        spans = [self._spans[eid] for eid in eids]
+        index = np.full((len(spans), max((hi - lo for lo, hi in spans), default=0)), self.n_points)
+        for row, (lo, hi) in zip(index, spans):
+            row[: hi - lo] = np.arange(lo, hi)
+        counts = np.array([hi - lo for lo, hi in spans], dtype=np.float64).reshape(-1, 1)
+        return index, counts
 
 
 class SimTracker:
@@ -84,20 +188,21 @@ class SimTracker:
         self.cfg = cfg
         self.capacity = capacity
         self.rng = np.random.default_rng(cfg.seed)
-        self.tracks: dict = {}
-        self.fk_eids: set = set()
+        self.tracks = PointRing(capacity=capacity)
         self.element_types: dict = {}
 
     def register(self, element_set, tick: int, fk_eids=()):
         """Start tracks for a fresh element set, seeded with the extraction
         snapshot (exact, all points valid)."""
-        self.tracks = {}
-        self.fk_eids = set(fk_eids)
         self.element_types = {e.eid: e.etype for e in element_set.elements}
-        for el in element_set.elements:
-            tr = ElementTrack(el.eid, self.capacity)
-            tr.append(tick, el.points.copy(), np.ones(len(el.points), dtype=bool))
-            self.tracks[el.eid] = tr
+        ring = PointRing(element_set.elements, self.capacity, set(fk_eids))
+        points = {e.eid: e.points for e in element_set.elements}
+        ring.push(tick, [points[eid] for eid in ring.order])
+        self.tracks = ring
+        self._uniform = np.empty(ring.n_points)
+        self._normal = np.empty((ring.n_points, 3))
+        # per noisy element, in draw order: its slices of the two buffers
+        self._draws = [(self._uniform[a:b], self._normal[a:b]) for a, b in ring.noisy_spans]
 
     def step(self, truth: dict, tick: int):
         """Advance every track one tick from ground-truth points.
@@ -105,24 +210,40 @@ class SimTracker:
         Per point: with probability dropout hold the previous value and mark
         it invalid, otherwise truth + N(0, sigma^2 I3). Every resync interval
         the track snaps to truth exactly. FK-sourced elements are always
-        exact. Raises TrackError for id mismatches."""
-        unknown = set(truth) - set(self.tracks)
-        missing = set(self.tracks) - set(truth)
-        if unknown or missing:
+        exact. Raises TrackError for id mismatches.
+
+        Each noisy element draws its dropout uniforms, then its normals, in
+        element id order. That order fixes the random stream, so it is part
+        of the determinism contract."""
+        ring = self.tracks
+        if truth.keys() != ring.keys():
+            unknown = set(truth) - set(ring)
+            missing = set(ring) - set(truth)
             raise TrackError(f"unknown ids {sorted(unknown)}, missing ids {sorted(missing)}")
-        for eid in sorted(self.tracks):
-            tr = self.tracks[eid]
-            pts = np.asarray(truth[eid], dtype=np.float64)
-            k = len(pts)
-            if eid in self.fk_eids or tick % self.cfg.resync_interval == 0:
-                tr.append(tick, pts.copy(), np.ones(k, dtype=bool))
-                continue
-            drop = self.rng.random(k) < self.cfg.dropout
-            noise = self.rng.normal(0.0, self.cfg.sigma, size=(k, 3)) if self.cfg.sigma > 0 else np.zeros((k, 3))
-            prev = tr.latest()[1]
-            new = np.where(drop[:, None], prev, pts + noise)
-            tr.append(tick, new, ~drop)
-        return self.tracks
+        if not ring:
+            return ring
+        points = [truth[eid] for eid in ring.order]
+        if [len(p) for p in points] != ring.sizes:
+            raise TrackError("truth point counts differ from the registered elements")
+        lo = ring.noisy_lo
+        prev = ring.points[ring.head, lo:-1]
+        if ring.capacity == 1:
+            prev = prev.copy()  # the new entry overwrites the only slot
+        row = ring.push(tick, points)
+        if not ring.noisy_spans or tick % self.cfg.resync_interval == 0:
+            return ring
+        sigma, uniform, normal = self.cfg.sigma, self.rng.random, self.rng.standard_normal
+        for u, z in self._draws:
+            uniform(out=u)
+            if sigma > 0:
+                normal(out=z)
+        noisy = row[lo:]
+        # the same doubles as truth + rng.normal(0, sigma), or truth + zeros
+        noisy += self._normal[lo:] * sigma if sigma > 0 else 0.0
+        drop = self._uniform[lo:] < self.cfg.dropout
+        np.copyto(noisy, prev, where=drop[:, None])
+        np.logical_not(drop, out=ring.valid[ring.head, lo:])
+        return ring
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,28 @@ class _Bound:
         self.tracker = tracker
         self.truth_specs = truth_specs  # (eid, oid-or-None, local points)
         self.element_set = element_set
+        # per spec: [pose the world points were computed from, world points]
+        self._world = [[None, None] for _ in truth_specs]
 
     def truth(self, sim: Simulation) -> dict:
+        """Ground-truth world points per element id.
+
+        An element's world points are recomputed only when its object holds
+        a different Pose object than last tick. Poses are frozen with
+        read-only arrays and a moved object always gets a new Pose, so an
+        unchanged Pose means unchanged points."""
+        state = sim.state
         out = {}
-        for eid, oid, local in self.truth_specs:
+        for (eid, oid, local), cached in zip(self.truth_specs, self._world):
             if oid is None:
-                out[eid] = sim.state.ee_pose.t.reshape(1, 3)
-            else:
-                out[eid] = sim.state.objects[oid].pose.apply(local)
+                out[eid] = state.ee_pose.t.reshape(1, 3)
+                continue
+            pose = state.objects[oid].pose
+            if cached[0] is not pose:
+                cached[0] = pose
+                cached[1] = pose.apply(local)
+                cached[1].flags.writeable = False
+            out[eid] = cached[1]
         return out
 
 

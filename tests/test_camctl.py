@@ -98,6 +98,51 @@ def test_truncated_log_detected(run_dir, tmp_path):
         read_log(trunc)
 
 
+def test_cut_off_line_is_truncated_log(run_dir, tmp_path, capsys):
+    out, _ = run_dir
+    text = (out / "run.jsonl").read_text()
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])  # half of the eof line
+    with pytest.raises(TruncatedLog):
+        read_log(cut)
+    assert main(["replay", str(cut)]) == 2
+    assert "undecodable line" in capsys.readouterr().err
+
+
+def test_garbled_bytes_fail_checksum(run_dir, tmp_path):
+    out, _ = run_dir
+    raw = (out / "run.jsonl").read_bytes()
+    bad = tmp_path / "garbled.jsonl"
+    bad.write_bytes(raw.replace(b'"kind"', b'"k\xff\xfend"', 1))
+    with pytest.raises(LogChecksumError):
+        read_log(bad)
+    assert main(["replay", str(bad)]) == 2
+
+
+def test_crashed_run_leaves_incomplete_log(tmp_path, monkeypatch):
+    import camlab.camctl as camctl
+
+    real = camctl.run_episode
+    calls = []
+
+    def crash_on_second(cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise RuntimeError("simulated crash")
+        return real(cfg)
+
+    monkeypatch.setattr(camctl, "run_episode", crash_on_second)
+    spec = ExperimentSpec.loads("task = stack_in_order\nepisodes = 2\nseed_base = 3\nmodes = off\n")
+    log_path = tmp_path / "run.jsonl"
+    with pytest.raises(RuntimeError):
+        with JsonlLogWriter(log_path) as w:
+            run_spec(spec, w)
+    assert log_path.read_text().count("\n") > 1  # the first episode was written
+    with pytest.raises(TruncatedLog):
+        read_log(log_path)
+    assert main(["replay", str(log_path)]) == 2
+
+
 def test_tampered_log_detected(run_dir, tmp_path):
     out, _ = run_dir
     lines = (out / "run.jsonl").read_text().splitlines()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlab.conlang import (
     At,
@@ -140,6 +142,64 @@ def test_parse_within_and_lists():
     p = parse(src)
     assert isinstance(p.body, BinOp)
     assert isinstance(p.body.lhs, Within)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["dist(centroid(e(1e309)), centroid(e(0))) <= 1", "at(dist(pos(e(0), 0), pos(e(0), 0)), 1e999) <= 1", "1e309 > 1"],
+)
+def test_parse_non_finite_number_is_syntax_error(body):
+    with pytest.raises(DslSyntaxError):
+        parse(f'constraint "x" mode during {{ {body} }} fail "r"')
+
+
+@pytest.mark.parametrize("decl", ["1e309 m", "1e400 deg", "-1 m", "-0.5 cm"])
+def test_parse_rejects_non_finite_or_negative_tolerance(decl):
+    # an infinite tolerance would make the comparison always true
+    with pytest.raises(DslSyntaxError) as err:
+        parse(f'constraint "x" mode during tol a = {decl} {{ dist(pos(e(0), 0), pos(e(1), 0)) <= a }} fail "r"')
+    assert "finite non-negative tolerance" in str(err.value)
+
+
+_FUZZ_SEEDS = (
+    LEVEL_SRC,
+    'constraint "x" mode during tol t = 2 cm tol n = 3 count '
+    "{ centroid(e(0)) within t of centroid(e(1)) and count_within([e(0), e(1)], "
+    'box(0, 0, 0, 1, 1, 1)) >= n } fail "r {within}"',
+    'constraint "y" mode on_completion tol s = 3 cm '
+    "{ if above(pos(e(1), 0), proj_xy(pos(e(2), 1)), 0.01 m) then displacement(e(1), 250) <= s "
+    'else not (at(dist(centroid(e(1)), vec(0, 0, 1)), 5) > -s / 2) } fail "moved {displacement}"',
+)
+_FUZZ_TOKENS = (
+    "(", ")", "[", "]", ",", "{", "}", '"', "=", "-", "/", "e", "at", "tol", "m", "deg", "count",
+    "within", "of", "if", "then", "else", "not", "and", "1e309", "-1", "0.5", "1e-400", "inf",
+    "nan", "9" * 400, "#", "\n", "1.5e", ".", "e(", "tol t = 1 m",
+)
+
+
+@st.composite
+def _mutated_program(draw):
+    text = draw(st.sampled_from(_FUZZ_SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text = text[:pos] + draw(st.sampled_from(_FUZZ_TOKENS)) + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[draw(st.integers(pos, min(len(text), pos + 8))):]
+        else:
+            text = text[:pos] + draw(st.text(max_size=3)) + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_program())
+def test_parse_fails_only_with_documented_errors(text):
+    try:
+        prog = parse(text)
+    except (DslSyntaxError, DuplicateTolerance):
+        return
+    assert all(math.isfinite(t.value) and t.value >= 0 for t in prog.tolerances)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""The packed PointRing tracker against a reference per-element deque tracker.
+
+The reference is the original tracker: one deque of (tick, points, valid)
+per element, two RNG calls per noisy element in id order. The packed ring
+must give the same bytes for every entry, every history lookup and every
+centroid, including lookups clamped to the oldest entry.
+"""
+
+from collections import deque
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from camlab.conlang import EvalContext
+from camlab.errors import TrackError
+from camlab.monitor import SimTracker, TrackerConfig
+
+
+class ReferenceTracker:
+    def __init__(self, cfg, capacity):
+        self.cfg, self.capacity = cfg, capacity
+        self.rng = np.random.default_rng(cfg.seed)
+
+    def register(self, element_set, tick, fk_eids=()):
+        self.fk_eids = set(fk_eids)
+        self.tracks = {}
+        for el in element_set.elements:
+            self.tracks[el.eid] = deque([(tick, el.points.copy(), np.ones(len(el.points), bool))], self.capacity)
+
+    def step(self, truth, tick):
+        for eid in sorted(self.tracks):
+            tr, pts = self.tracks[eid], np.asarray(truth[eid], dtype=np.float64)
+            k = len(pts)
+            if eid in self.fk_eids or tick % self.cfg.resync_interval == 0:
+                tr.append((tick, pts.copy(), np.ones(k, dtype=bool)))
+                continue
+            drop = self.rng.random(k) < self.cfg.dropout
+            noise = self.rng.normal(0.0, self.cfg.sigma, size=(k, 3)) if self.cfg.sigma > 0 else np.zeros((k, 3))
+            tr.append((tick, np.where(drop[:, None], tr[-1][1], pts + noise), ~drop))
+
+    def histories(self):
+        return {eid: [e[1] for e in tr] for eid, tr in self.tracks.items()}
+
+
+def element_set(sizes, rng):
+    eids = rng.permutation(3 * len(sizes))[: len(sizes)]  # registration order is not id order
+    els = [SimpleNamespace(eid=int(e), etype=None, points=rng.normal(0, 0.1, (k, 3))) for e, k in zip(eids, sizes)]
+    return SimpleNamespace(elements=els)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    fk_mask=st.integers(0, 63),
+    sigma=st.sampled_from([0.0, 0.003]),
+    dropout=st.sampled_from([0.0, 0.3, 0.9]),
+    resync=st.integers(1, 7),
+    capacity=st.integers(4, 16),
+    extra_ticks=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity, extra_ticks, seed):
+    rng = np.random.default_rng(seed)
+    es = element_set(sizes, rng)
+    eids = [el.eid for el in es.elements]
+    fk = [e for i, e in enumerate(eids) if fk_mask >> i & 1]
+    cfg = TrackerConfig(sigma=sigma, dropout=dropout, resync_interval=resync, seed=seed)
+    ring, ref = SimTracker(cfg, capacity), ReferenceTracker(cfg, capacity)
+    ring.register(es, 3, fk_eids=fk)
+    ref.register(es, 3, fk_eids=fk)
+    truth = {el.eid: el.points for el in es.elements}
+    groups = [tuple(eids), tuple(eids[::-1]), tuple(eids[:1]), tuple(eids[1::2])]
+    for tick in range(4, 4 + capacity + extra_ticks):
+        truth = {eid: p + rng.normal(0, 0.01, p.shape) for eid, p in truth.items()}
+        ring.step(truth, tick)
+        ref.step(truth, tick)
+        assert list(ring.tracks) == list(ref.tracks)
+        for eid in eids:
+            got, want = ring.tracks[eid].latest(), ref.tracks[eid][-1]
+            assert got[0] == want[0]
+            assert same_bytes(got[1], want[1]) and same_bytes(got[2], want[2])
+            assert len(ring.tracks[eid]) == len(ref.tracks[eid])
+        packed = EvalContext(tick, ring.tracks, {})
+        plain = EvalContext(tick, ref.histories(), {})
+        for back in range(capacity + 3):
+            for eid in eids:
+                assert same_bytes(packed.points_at(eid, back), plain.points_at(eid, back))
+            for group in groups:
+                assert same_bytes(packed.centroids(group, back), plain.centroids(group, back))
+
+
+def test_track_errors():
+    rng = np.random.default_rng(0)
+    es = element_set([1, 2], rng)
+    tr = SimTracker(TrackerConfig(seed=1), capacity=4)
+    tr.register(es, 5)
+    truth = {el.eid: el.points for el in es.elements}
+    with pytest.raises(TrackError):
+        tr.step({**truth, 99: np.zeros((1, 3))}, 6)  # unknown id
+    with pytest.raises(TrackError):
+        tr.step({es.elements[0].eid: es.elements[0].points}, 6)  # missing id
+    for tick in (5, 4):  # ticks must increase
+        with pytest.raises(TrackError):
+            tr.step(truth, tick)
+    tr.step(truth, 6)
+    with pytest.raises(TrackError):
+        tr.step(truth, 6)
