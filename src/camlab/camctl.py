@@ -66,12 +66,52 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _floats(value: str):
-    return tuple(float(v.strip()) for v in value.split(","))
+# One row per spec field: text key (also its dotted path in as_dict()) ->
+# (ExperimentSpec attribute path, value type). A tuple type such as (float,)
+# is a comma-separated list in text and a JSON list in as_dict().
+_FIELDS = {
+    "task": ("task", str),
+    "episodes": ("episodes", int),
+    "seed_base": ("seed_base", int),
+    "modes": ("modes", (str,)),
+    "drop_p": ("drop_p", (float,)),
+    "place_noise_cm": ("place_noise_cm", (float,)),
+    "disturbances": ("disturbances", (str,)),
+    "budget_ticks": ("budget_ticks", int),
+    "tracker.sigma": ("tracker.sigma", float),
+    "tracker.dropout": ("tracker.dropout", float),
+    "tracker.resync": ("tracker.resync_interval", int),
+    "debounce.k": ("debounce.k", int),
+    "debounce.h": ("debounce.h", int),
+    "max_retries": ("max_retries", int),
+}
 
 
-def _strs(value: str):
-    return tuple(v.strip() for v in value.split(","))
+def _from_text(kind, text: str):
+    if isinstance(kind, tuple):
+        return tuple(kind[0](v.strip()) for v in text.split(","))
+    return kind(text)
+
+
+def _from_json(key: str, kind, value):
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"spec field '{key}' must be a list, got {value!r}")
+        return tuple(_from_json(key, kind[0], v) for v in value)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"spec field '{key}' must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _flatten(d: dict, prefix: str = "") -> dict:
+    out = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            out.update(_flatten(v, f"{prefix}{k}."))
+        else:
+            out[prefix + k] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,53 +128,45 @@ class ExperimentSpec:
     debounce: DebouncePolicy = DebouncePolicy()
     max_retries: int = 5
 
+    def __post_init__(self):
+        if self.task not in TEMPLATES:
+            raise ValueError(f"spec needs task = one of {TEMPLATES}, got {self.task!r}")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+
+    @classmethod
+    def _build(cls, values: dict) -> "ExperimentSpec":
+        """Spec from {text key: typed value}; absent keys keep their defaults."""
+        kwargs: dict = {}
+        nested: dict = {"tracker": {}, "debounce": {}}
+        for key, value in values.items():
+            owner, _, name = _FIELDS[key][0].rpartition(".")
+            (nested[owner] if owner else kwargs)[name] = value
+        return cls(**kwargs, tracker=TrackerConfig(**nested["tracker"]), debounce=DebouncePolicy(**nested["debounce"]))
+
     @classmethod
     def loads(cls, text: str) -> "ExperimentSpec":
+        """Parse flat `key = value` text; CAM_SEED overrides seed_base."""
         kv = _parse_kv(text)
-        task = kv.pop("task", None)
-        if task not in TEMPLATES:
-            raise ValueError(f"spec needs task = one of {TEMPLATES}, got {task!r}")
-        kwargs = {"task": task}
-        if "episodes" in kv:
-            kwargs["episodes"] = int(kv.pop("episodes"))
-        if "seed_base" in kv:
-            kwargs["seed_base"] = int(kv.pop("seed_base"))
-        if "modes" in kv:
-            kwargs["modes"] = _strs(kv.pop("modes"))
-        if "drop_p" in kv:
-            kwargs["drop_p"] = _floats(kv.pop("drop_p"))
-        if "place_noise_cm" in kv:
-            kwargs["place_noise_cm"] = _floats(kv.pop("place_noise_cm"))
-        if "disturbances" in kv:
-            kwargs["disturbances"] = _strs(kv.pop("disturbances"))
-        if "budget_ticks" in kv:
-            kwargs["budget_ticks"] = int(kv.pop("budget_ticks"))
-        tr = {}
-        if "tracker.sigma" in kv:
-            tr["sigma"] = float(kv.pop("tracker.sigma"))
-        if "tracker.dropout" in kv:
-            tr["dropout"] = float(kv.pop("tracker.dropout"))
-        if "tracker.resync" in kv:
-            tr["resync_interval"] = int(kv.pop("tracker.resync"))
-        if tr:
-            kwargs["tracker"] = TrackerConfig(**tr)
-        db = {}
-        if "debounce.k" in kv:
-            db["k"] = int(kv.pop("debounce.k"))
-        if "debounce.h" in kv:
-            db["h"] = int(kv.pop("debounce.h"))
-        if db:
-            kwargs["debounce"] = DebouncePolicy(**db)
-        if "max_retries" in kv:
-            kwargs["max_retries"] = int(kv.pop("max_retries"))
-        if kv:
-            raise ValueError(f"unknown spec keys: {sorted(kv)}")
-        if kwargs.get("episodes", 1) < 1:
-            raise ValueError("episodes must be >= 1")
+        unknown = sorted(set(kv) - set(_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown spec keys: {unknown}")
+        if "task" not in kv:
+            raise ValueError(f"spec needs task = one of {TEMPLATES}")
+        values = {key: _from_text(_FIELDS[key][1], text) for key, text in kv.items()}
         seed_env = os.environ.get("CAM_SEED")
         if seed_env is not None:
-            kwargs["seed_base"] = int(seed_env)
-        return cls(**kwargs)
+            values["seed_base"] = int(seed_env)
+        return cls._build(values)
+
+    @classmethod
+    def from_dict(cls, d) -> "ExperimentSpec":
+        """Inverse of as_dict (CAM_SEED does not apply). Raises ValueError
+        unless `d` holds exactly the as_dict fields, each of its type."""
+        flat = _flatten(d) if isinstance(d, dict) else {}
+        if flat.keys() != _FIELDS.keys():
+            raise ValueError(f"spec dict: missing or unknown fields {sorted(flat.keys() ^ _FIELDS.keys())}")
+        return cls._build({key: _from_json(key, _FIELDS[key][1], flat[key]) for key in _FIELDS})
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
@@ -151,23 +183,17 @@ class ExperimentSpec:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "episodes": self.episodes,
-            "seed_base": self.seed_base,
-            "modes": list(self.modes),
-            "drop_p": list(self.drop_p),
-            "place_noise_cm": list(self.place_noise_cm),
-            "disturbances": list(self.disturbances),
-            "budget_ticks": self.budget_ticks,
-            "tracker": {
-                "sigma": self.tracker.sigma,
-                "dropout": self.tracker.dropout,
-                "resync": self.tracker.resync_interval,
-            },
-            "debounce": {"k": self.debounce.k, "h": self.debounce.h},
-            "max_retries": self.max_retries,
-        }
+        out: dict = {}
+        for key, (attr, _) in _FIELDS.items():
+            value = self
+            for name in attr.split("."):
+                value = getattr(value, name)
+            *groups, name = key.split(".")
+            node = out
+            for group in groups:
+                node = node.setdefault(group, {})
+            node[name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +292,9 @@ def _ci95(successes: int, n: int):
     return [max(p - half, 0.0), min(p + half, 1.0)]
 
 
-def _metrics_from_events(spec_dict: dict, episode_rows: dict) -> dict:
-    """episode_rows: (cell idx) -> list of per-episode event lists."""
+def _metrics_from_events(episode_rows: dict) -> list:
+    """Per-cell metrics; episode_rows: (cell idx) -> list of per-episode
+    event lists. Raises CamlabError for an episode without episode_end."""
     cells = []
     for idx in sorted(episode_rows):
         runs = episode_rows[idx]
@@ -278,8 +305,10 @@ def _metrics_from_events(spec_dict: dict, episode_rows: dict) -> dict:
         latencies = []
         false_pos = 0
         verdict_hist: dict = {}
-        for events in runs:
-            end = next(e for e in events if e["kind"] == "episode_end")
+        for j, events in enumerate(runs):
+            end = next((e for e in events if e["kind"] == "episode_end"), None)
+            if end is None:
+                raise CamlabError(f"cell {idx} episode {j} has no episode_end")
             ok = bool(end["payload"]["success"])
             successes += ok
             ticks.append(end["payload"]["ticks"])
@@ -307,7 +336,14 @@ def _metrics_from_events(spec_dict: dict, episode_rows: dict) -> dict:
                 "verdicts": dict(sorted(verdict_hist.items())),
             }
         )
-    return {"schema": SCHEMA_VERSION, "spec": spec_dict}, cells
+    return cells
+
+
+def _report(spec_dict: dict, cells: list, episode_rows: dict) -> dict:
+    cell_metrics = _metrics_from_events(episode_rows)
+    for metrics, key in zip(cell_metrics, cells):
+        metrics["key"] = key
+    return {"schema": SCHEMA_VERSION, "spec": spec_dict, "cells": cell_metrics}
 
 
 def report_bytes(report: dict) -> bytes:
@@ -354,51 +390,42 @@ def run_spec(spec: ExperimentSpec, log_writer: JsonlLogWriter | None = None, pro
             if progress is not None and (j + 1) % 20 == 0:
                 progress(f"cell {idx + 1}/{len(cells)} episode {j + 1}/{spec.episodes}")
         episode_rows[idx] = runs
-    _, cell_metrics = _metrics_from_events(spec_dict, episode_rows)
-    for idx, cell in enumerate(cells):
-        cell_metrics[idx]["key"] = cell
-    return {"schema": SCHEMA_VERSION, "spec": spec_dict, "cells": cell_metrics}
+    return _report(spec_dict, cells, episode_rows)
 
 
 def replay_log(path) -> dict:
-    """Recompute the metrics report from a run log (no re-simulation)."""
+    """Recompute the metrics report from a run log (no re-simulation).
+
+    Raises CamlabError unless the log's meta spec is readable and the log
+    holds, for every cell of that spec, exactly its episodes, each with an
+    episode_end event."""
     records = read_log(path)
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
     meta = records[0]
     if meta.get("schema") != SCHEMA_VERSION:
         raise CamlabError(f"{path}: log schema {meta.get('schema')} != {SCHEMA_VERSION}")
-    spec_dict = meta["spec"]
-    episode_rows: dict = {}
+    try:
+        spec = ExperimentSpec.from_dict(meta.get("spec"))
+    except ValueError as err:
+        raise CamlabError(f"{path}: bad meta spec: {err}") from None
+    runs: dict = {}
     for rec in records[1:]:
-        idx = rec["cell"]
-        j = rec["episode"]
-        episode_rows.setdefault(idx, {}).setdefault(j, []).append(
-            {k: v for k, v in rec.items() if k not in ("cell", "episode")}
-        )
-    rows = {idx: [events for _, events in sorted(eps.items())] for idx, eps in episode_rows.items()}
-    _, cell_metrics = _metrics_from_events(spec_dict, rows)
-    spec = ExperimentSpec(
-        task=spec_dict["task"],
-        episodes=spec_dict["episodes"],
-        seed_base=spec_dict["seed_base"],
-        modes=tuple(spec_dict["modes"]),
-        drop_p=tuple(spec_dict["drop_p"]),
-        place_noise_cm=tuple(spec_dict["place_noise_cm"]),
-        disturbances=tuple(spec_dict["disturbances"]),
-        budget_ticks=spec_dict["budget_ticks"],
-        tracker=TrackerConfig(
-            sigma=spec_dict["tracker"]["sigma"],
-            dropout=spec_dict["tracker"]["dropout"],
-            resync_interval=spec_dict["tracker"]["resync"],
-        ),
-        debounce=DebouncePolicy(**spec_dict["debounce"]),
-        max_retries=spec_dict["max_retries"],
-    )
-    for idx, cell in enumerate(spec.cells()):
-        if idx in rows:
-            cell_metrics[idx]["key"] = cell
-    return {"schema": SCHEMA_VERSION, "spec": spec_dict, "cells": cell_metrics}
+        key = (rec.get("cell"), rec.get("episode"))
+        runs.setdefault(key, []).append({k: v for k, v in rec.items() if k not in ("cell", "episode")})
+    cells = spec.cells()
+    n_cells = len(cells)
+    for idx, j in runs:
+        if type(idx) is not int or type(j) is not int or not (0 <= idx < n_cells and 0 <= j < spec.episodes):
+            raise CamlabError(
+                f"{path}: records for cell {idx!r} episode {j!r} are outside the spec's "
+                f"{n_cells} cells x {spec.episodes} episodes"
+            )
+    rows = {idx: [runs[idx, j] for j in range(spec.episodes) if (idx, j) in runs] for idx in range(n_cells)}
+    for idx, eps in rows.items():
+        if len(eps) != spec.episodes:
+            raise CamlabError(f"{path}: cell {idx} has {len(eps)} episodes, the spec has {spec.episodes}")
+    return _report(meta["spec"], cells, rows)
 
 
 def _print_table(report: dict, out=sys.stdout):

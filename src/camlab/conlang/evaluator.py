@@ -53,19 +53,18 @@ class EvalContext:
 
     histories maps element id -> an indexable sequence of (k, 3) arrays,
     oldest first, newest last (the current tick). element_types maps id ->
-    ElementType. tolerances may extend/override the program's own bindings.
+    ElementType. Tolerances come only from the program's own declarations.
     """
 
-    def __init__(self, tick: int, histories, element_types, tolerances=None):
+    def __init__(self, tick: int, histories, element_types):
         self.tick = tick
         self.histories = histories
         self.element_types = element_types
-        self.tolerances = dict(tolerances or {})
 
     @classmethod
-    def from_points(cls, tick, points_by_eid, element_types, tolerances=None):
+    def from_points(cls, tick, points_by_eid, element_types):
         """Context with a single-snapshot history per element."""
-        return cls(tick, {k: [v] for k, v in points_by_eid.items()}, element_types, tolerances)
+        return cls(tick, {k: [v] for k, v in points_by_eid.items()}, element_types)
 
     def points_at(self, eid: int, back: int) -> np.ndarray:
         if eid not in self.histories:
@@ -124,7 +123,7 @@ class _Evaluator:
     def __init__(self, program: MonitorProgram, ctx: EvalContext, forced: bool = False):
         self.ctx = ctx
         self.forced = forced
-        self.env = {**program.tolerance_env(), **ctx.tolerances}
+        self.env = program.tolerance_env()
         self.measured: dict = {}
 
     # -- dispatch

@@ -21,12 +21,10 @@ import numpy as np
 
 from camlab.errors import EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
-    CameraModel,
     as_points,
     dbscan,
     fit_line,
     fit_plane,
-    project,
     unit,
     unproject,
     voxelize,
@@ -51,7 +49,6 @@ __all__ = [
     "extract_element",
     "end_effector_element",
     "make_element_set",
-    "annotate",
     "element_set_fingerprint",
 ]
 
@@ -459,57 +456,6 @@ def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintE
         part="fk",
         constraint="",
     )
-
-
-# ---------------------------------------------------------------------------
-# annotation (debug/log output only)
-
-
-def annotate(element_set: ElementSet, cams):
-    """Project every element into every view.
-
-    Returns a list (one entry per view) of stamp dicts {eid, color, pixels};
-    points behind a camera are dropped, so an element fully behind a view
-    simply leaves no stamp there.
-    """
-    out = []
-    for cam in cams:
-        stamps = []
-        for el in element_set.elements:
-            px, front = project(el.points, cam)
-            vis = px[front]
-            if len(vis) == 0:
-                continue
-            stamps.append({"eid": el.eid, "color": el.color, "pixels": np.round(vis).astype(int)})
-        out.append(stamps)
-    return out
-
-
-def write_annotation_ppm(path, depth_image, stamps, cam: CameraModel):
-    """Dump a depth render with element stamps burned in as a debug PPM."""
-    depth = np.asarray(depth_image, dtype=np.float64)
-    finite = depth[depth > 0]
-    top = finite.max() if len(finite) else 1.0
-    gray = np.where(depth > 0, (200 * (1.0 - depth / (top * 1.2))).astype(np.uint8) + 40, 0)
-    img = np.stack([gray] * 3, axis=-1).astype(np.uint8)
-    palette = {
-        "red": (255, 64, 64),
-        "green": (64, 220, 64),
-        "blue": (80, 80, 255),
-        "yellow": (230, 230, 40),
-        "magenta": (230, 60, 230),
-        "cyan": (60, 220, 220),
-        "orange": (255, 160, 40),
-        "purple": (160, 60, 220),
-    }
-    for stamp in stamps:
-        rgb = palette.get(stamp["color"], (255, 255, 255))
-        for u, v in stamp["pixels"]:
-            if 0 <= v < cam.height and 0 <= u < cam.width:
-                img[max(v - 1, 0) : v + 2, max(u - 1, 0) : u + 2] = rgb
-    with open(path, "wb") as fh:
-        fh.write(f"P6 {cam.width} {cam.height} 255\n".encode())
-        fh.write(img.tobytes())
 
 
 def element_set_fingerprint(element_set: ElementSet) -> str:

@@ -28,9 +28,6 @@ class VoxelGrid:
     cells: dict  # (i, j, k) -> np.ndarray of point indices, keys sorted
     points: np.ndarray  # the (n, 3) cloud the indices refer to
 
-    def cell_points(self, key) -> np.ndarray:
-        return self.points[self.cells[key]]
-
 
 def voxelize(points, cells_per_axis) -> VoxelGrid:
     """Partition points into an axis-aligned grid over their bounding box.

@@ -238,16 +238,6 @@ def project(points, cam: CameraModel):
     return np.stack([u, v], axis=-1), in_front
 
 
-def serialize_image(img) -> dict:
-    """Flat row-major form of a depth/id image for scenario logs."""
-    arr = np.asarray(img)
-    return {"width": arr.shape[1], "height": arr.shape[0], "data": arr.ravel().tolist()}
-
-
-def deserialize_image(obj) -> np.ndarray:
-    return np.asarray(obj["data"]).reshape(obj["height"], obj["width"])
-
-
 def surface_distance(point, prim) -> float:
     """Unsigned distance from a point to the primitive's surface (test oracle)."""
     p = prim.pose.inverse().apply(np.asarray(point, dtype=np.float64))

@@ -7,12 +7,16 @@ sourced from forward kinematics are served noiselessly. All elements' point
 histories live in one packed ring (PointRing), so centroids of many
 elements are one gather and sum per tick.
 
-The RealTimeMonitor evaluates DURING programs every tick with a K-tick
-debounce (a single noise spike never trips a violation) and ON_COMPLETION
-programs after the policy motion ends, requiring an H-tick hold within a
-3H-tick timeout. A persistent violation is reported once per constraint
-until the planner acknowledges, so there are no verdict storms. Runtime
-evaluation errors surface as violations (fail-safe), never as skipped ticks.
+The RealTimeMonitor gives one verdict per tick (next_verdict). While the
+policy moves it evaluates DURING programs with a K-tick debounce (a single
+noise spike never trips a violation); a halt-on-completion subgoal gets HALT
+once all its ON_COMPLETION programs hold K ticks in a row (a false tick
+resets the count, an evaluation error counts as false, a DURING violation
+wins). After motion ends it requires an H-tick hold of the ON_COMPLETION
+programs within a 3H-tick timeout. A persistent violation is reported once
+per constraint until the planner acknowledges, so there are no verdict
+storms. Runtime evaluation errors surface as violations (fail-safe), never
+as skipped ticks.
 """
 
 from __future__ import annotations
@@ -261,10 +265,14 @@ class VerdictKind(str, Enum):
     VIOLATION = "violation"
     SUBGOAL_COMPLETE = "subgoal_complete"
     NOT_YET = "not_yet"
+    HALT = "halt"  # entered the completion region while moving: halt now
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """One tick's verdict. A SUBGOAL_COMPLETE carries mode ON_COMPLETION when
+    completion programs confirmed it, None when motion end alone did."""
+
     tick: int
     kind: VerdictKind
     cid: str = ""
@@ -279,14 +287,17 @@ class Verdict:
 class RealTimeMonitor:
     """Evaluates a subgoal's programs against tracked element state."""
 
-    def __init__(self, programs, tracker: SimTracker, policy: DebouncePolicy = DebouncePolicy(), tolerances=None):
+    def __init__(
+        self, programs, tracker: SimTracker, policy: DebouncePolicy = DebouncePolicy(), halt_on_completion=False
+    ):
         self.during = [p for p in programs if p.mode is Mode.DURING]
         self.completion = [p for p in programs if p.mode is Mode.ON_COMPLETION]
         self.tracker = tracker
         self.policy = policy
-        self.tolerances = dict(tolerances or {})
+        self.halt_on_completion = halt_on_completion
         self._false_streak = {p.cid: 0 for p in self.during}
         self._reported: set = set()
+        self._entered_streak = 0
         self._motion_end: int | None = None
         self._hold_streak = 0
         for p in programs:
@@ -297,7 +308,7 @@ class RealTimeMonitor:
                 )
 
     def context(self, tick: int) -> EvalContext:
-        return EvalContext(tick, self.tracker.tracks, self.tracker.element_types, self.tolerances)
+        return EvalContext(tick, self.tracker.tracks, self.tracker.element_types)
 
     def acknowledge(self):
         """Planner acknowledgment: re-arm violation reporting."""
@@ -335,17 +346,37 @@ class RealTimeMonitor:
             self._motion_end = tick
             self._hold_streak = 0
 
-    def next_verdict(self, tick: int, motion_done: bool = False) -> Verdict:
-        """Pull API for the planner: one verdict for the current tick state.
+    def next_verdict(self, tick: int, motion_done: bool) -> Verdict:
+        """The verdict for this tick, given whether policy motion has ended.
 
-        While the policy is moving this runs the DURING checks; after motion
-        ends it drives the completion hold."""
-        if motion_done and self.completion:
+        In motion: a DURING violation, else HALT once a halt-on-completion
+        subgoal has entered its completion region, else OK. After motion:
+        the completion hold (check_completion), or SUBGOAL_COMPLETE at once
+        when there are no ON_COMPLETION programs."""
+        if motion_done:
+            if not self.completion:
+                return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE)
             self.note_motion_end(tick)
             return self.check_completion(tick)
-        if motion_done:
-            return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE)
-        return self.monitor_tick(tick)
+        verdict = self.monitor_tick(tick) if self.during else Verdict(tick, VerdictKind.OK)
+        if verdict.is_violation:
+            return verdict
+        if self.halt_on_completion and self.completion and self._entered(tick):
+            self.note_motion_end(tick)
+            return Verdict(tick, VerdictKind.HALT)
+        return verdict
+
+    def _entered(self, tick: int) -> bool:
+        """Entry check: every ON_COMPLETION program true for K ticks in a row,
+        so objects still crossing the region boundary settle clearly inside.
+        An evaluation error counts as not entered."""
+        ctx = self.context(tick)
+        try:
+            entered = all(evaluate(p, ctx)[0] for p in self.completion)
+        except EvalError:
+            entered = False
+        self._entered_streak = self._entered_streak + 1 if entered else 0
+        return self._entered_streak >= self.policy.k
 
     def check_completion(self, tick: int) -> Verdict:
         """After motion end: SUBGOAL_COMPLETE once every ON_COMPLETION program
@@ -365,7 +396,7 @@ class RealTimeMonitor:
         if first_bad is None:
             self._hold_streak += 1
             if self._hold_streak >= self.policy.h:
-                return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE)
+                return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE, mode=Mode.ON_COMPLETION)
         else:
             self._hold_streak = 0
             if tick - self._motion_end >= 3 * self.policy.h:
@@ -379,7 +410,6 @@ class RealTimeMonitor:
 class LatencyReport:
     pairs: list = field(default_factory=list)  # (injection_tick, verdict_tick, latency)
     false_positives: int = 0
-    unmatched_injections: list = field(default_factory=list)
 
     @property
     def latencies(self):
@@ -407,5 +437,4 @@ def latency_report(events) -> LatencyReport:
                 report.pairs.append((inj, tick, tick - inj))
             else:
                 report.false_positives += 1
-    report.unmatched_injections = sorted(open_injections)
     return report

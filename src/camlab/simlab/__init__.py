@@ -16,11 +16,8 @@ from camlab.simlab.scenes import (
     scene_summary,
 )
 from camlab.simlab.world import (
-    CONTINUE,
-    DONE,
     DT,
     END_EFFECTOR,
-    HALT_AND_REPLAN,
     TICK_HZ,
     WORLD,
     PolicyRuntime,
@@ -35,11 +32,8 @@ from camlab.simlab.world import (
 
 __all__ = [
     "CARRY_REF_TICKS",
-    "CONTINUE",
-    "DONE",
     "DT",
     "END_EFFECTOR",
-    "HALT_AND_REPLAN",
     "MONITOR_MODES",
     "TEMPLATES",
     "TICK_HZ",

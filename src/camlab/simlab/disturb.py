@@ -86,10 +86,6 @@ class DisturbanceInjector:
         ang = self.rng.uniform(0.0, 2 * np.pi)
         return np.array([mag * np.cos(ang), mag * np.sin(ang)])
 
-    def note_placement_noise(self, sim, offset: np.ndarray):
-        if float(np.linalg.norm(offset)) > 0:
-            self._log(sim, "placement_noise", offset=[float(offset[0]), float(offset[1])])
-
     # -- per-tick application
 
     def apply(self, sim):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from camlab.conlang import EvalContext, EvalError, evaluate, load_default_kb, parse, typecheck, whitebox_validate
+# evaluate is unused here; perfbench's tracer patches it by name in this module
+from camlab.conlang import EvalContext, evaluate, load_default_kb, parse, typecheck, whitebox_validate
 from camlab.conlang.check import ValidationFailure
 from camlab.elementizer import (
     ExtractParams,
@@ -32,7 +33,7 @@ from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerC
 from camlab.simlab.disturb import DisturbanceInjector
 from camlab.simlab.policy import build_script
 from camlab.simlab.scenes import TaskBookkeeper, build_scene, mask_bundle, oracle_success, render, scene_summary
-from camlab.simlab.world import CONTINUE, HALT_AND_REPLAN, Simulation
+from camlab.simlab.world import Simulation
 from camlab.taskgen import FailureFeedback, Planner, Subgoal, TaskAbort, TaskDone
 
 __all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "MONITOR_MODES"]
@@ -66,23 +67,13 @@ class EpisodeResult:
     planner_done: bool
     aborted: str | None = None
 
-    @property
-    def verdicts(self):
-        return [e for e in self.events if e["kind"] == "verdict"]
-
-    @property
-    def injections(self):
-        return [e for e in self.events if e["kind"] == "injection"]
-
 
 class _Bound:
     """Everything the monitor needs for one subgoal."""
 
-    def __init__(self, monitor, tracker, truth_specs, element_set):
+    def __init__(self, monitor, truth_specs):
         self.monitor = monitor
-        self.tracker = tracker
         self.truth_specs = truth_specs  # (eid, oid-or-None, local points)
-        self.element_set = element_set
         # per spec: [pose the world points were computed from, world points]
         self._world = [[None, None] for _ in truth_specs]
 
@@ -108,7 +99,7 @@ class _Bound:
         return out
 
 
-def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, use_during, use_completion, tracker_seed):
+def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
     """Extract elements, validate programs, start tracker + monitor.
 
     Raises ValidationFailure/CamlabError on any extraction or validation
@@ -135,7 +126,10 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, use_during, use_c
         fingerprint=element_set_fingerprint(es),
     )
 
-    specs = list(sg.during if use_during else ()) + list(sg.completion if use_completion else ())
+    mode = cfg.monitor_mode
+    specs = (sg.during if mode in ("proactive_only", "full") else ()) + (
+        sg.completion if mode in ("reactive_only", "full") else ()
+    )
     programs = []
     ctx = EvalContext.from_points(
         state.tick,
@@ -153,65 +147,41 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, use_during, use_c
 
     tracker = SimTracker(replace(cfg.tracker, seed=tracker_seed))
     tracker.register(es, state.tick, fk_eids=(0,))
-    monitor = RealTimeMonitor(programs, tracker, cfg.debounce)
+    monitor = RealTimeMonitor(programs, tracker, cfg.debounce, halt_on_completion=sg.halt_on_completion)
     truth_specs = [(0, None, None)] + [
         (i + 1, locals_[i + 1][0], locals_[i + 1][1]) for i in range(len(sg.element_specs))
     ]
-    return _Bound(monitor, tracker, truth_specs, es)
+    return _Bound(monitor, truth_specs)
 
 
-def _run_subgoal(sg: Subgoal, sim, scene, bound, book, cfg, use_during, use_completion):
-    """Tick until the subgoal resolves.
+def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
+    """Tick until the subgoal resolves, asking the monitor for one verdict
+    per tick.
 
     Returns "complete", "budget", or a FailureFeedback."""
     state = sim.state
-    halted = False
-    entered_streak = 0
     while state.tick < cfg.budget_ticks:
-        sim.step(HALT_AND_REPLAN if halted else CONTINUE)
+        sim.step()
         book.after_tick(state)
         if bound is None:
             if sim.motion_done:
                 state.log("subgoal_complete", sid=sg.sid)
                 return "complete"
             continue
-        bound.tracker.step(bound.truth(sim), state.tick)
-        mon = bound.monitor
-        in_motion = not sim.motion_done and not halted
-        if in_motion:
-            if use_during and mon.during:
-                v = mon.monitor_tick(state.tick)
-                if v.is_violation:
-                    state.log("verdict", outcome="violation", cid=v.cid, mode=v.mode.value, reason=v.reason)
-                    return FailureFeedback(sg.sid, v.reason, v.cid, v.mode)
-            if sg.halt_on_completion and use_completion and mon.completion:
-                ctx = mon.context(state.tick)
-                try:
-                    entered = all(evaluate(p, ctx)[0] for p in mon.completion)
-                except EvalError:
-                    entered = False
-                # debounce the halt trigger (same K as violations) so objects
-                # still moving across the region boundary settle clearly inside
-                entered_streak = entered_streak + 1 if entered else 0
-                if entered_streak >= cfg.debounce.k:
-                    halted = True
-                    sim.policy.halt()
-                    sim.detach_all()
-                    mon.note_motion_end(state.tick)
-                    state.log("halt", sid=sg.sid)
-            continue
-        # motion finished (or halted): completion phase
-        if use_completion and mon.completion:
-            mon.note_motion_end(state.tick)
-            v = mon.check_completion(state.tick)
-            if v.kind is VerdictKind.SUBGOAL_COMPLETE:
+        bound.monitor.tracker.step(bound.truth(sim), state.tick)
+        v = bound.monitor.next_verdict(state.tick, sim.motion_done)
+        if v.kind is VerdictKind.HALT:
+            sim.policy.halt()
+            sim.detach_all()
+            state.log("halt", sid=sg.sid)
+        elif v.is_violation:
+            state.log("verdict", outcome="violation", cid=v.cid, mode=v.mode.value, reason=v.reason)
+            return FailureFeedback(sg.sid, v.reason, v.cid, v.mode)
+        elif v.kind is VerdictKind.SUBGOAL_COMPLETE:
+            if v.mode is None:  # no completion programs confirmed it
+                state.log("subgoal_complete", sid=sg.sid)
+            else:
                 state.log("verdict", outcome="subgoal_complete", sid=sg.sid)
-                return "complete"
-            if v.is_violation:
-                state.log("verdict", outcome="violation", cid=v.cid, mode=v.mode.value, reason=v.reason)
-                return FailureFeedback(sg.sid, v.reason, v.cid, v.mode)
-        else:
-            state.log("subgoal_complete", sid=sg.sid)
             return "complete"
     return "budget"
 
@@ -228,8 +198,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
     tracker_seeds = tracker_ss.generate_state(64)
 
     monitored = cfg.monitor_mode != "off"
-    use_during = cfg.monitor_mode in ("proactive_only", "full")
-    use_completion = cfg.monitor_mode in ("reactive_only", "full")
 
     state.log("episode_start", template=cfg.template, mode=cfg.monitor_mode, seed=cfg.seed)
     l_pre, f_pre = None, None
@@ -257,19 +225,19 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
             seed = int(tracker_seeds[subgoal_n % len(tracker_seeds)])
             subgoal_n += 1
             try:
-                bound = _bind_monitor(sg, sim, scene, cfg, use_during, use_completion, seed)
+                bound = _bind_monitor(sg, sim, scene, cfg, seed)
             except (ValidationFailure, CamlabError) as err:
                 state.log("validation_failure", sid=sg.sid, error=str(err))
                 sg = planner.rebuild_relaxed(scene_summary(state, scene))
                 sim.set_policy(build_script(sim, scene, sg.script_id, sg.script_params, injector))
                 try:
-                    bound = _bind_monitor(sg, sim, scene, cfg, use_during, use_completion, seed)
+                    bound = _bind_monitor(sg, sim, scene, cfg, seed)
                 except (ValidationFailure, CamlabError) as err2:
                     aborted = f"program regeneration failed for '{sg.sid}': {err2}"
                     state.log("abort", reason=aborted)
                     break
 
-        outcome = _run_subgoal(sg, sim, scene, bound, book, cfg, use_during, use_completion)
+        outcome = _run_subgoal(sg, sim, bound, book, cfg)
         if outcome == "complete":
             l_pre, f_pre = sg.sid, None
         elif outcome == "budget":

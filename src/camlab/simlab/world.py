@@ -29,9 +29,6 @@ __all__ = [
     "PolicyScript",
     "PolicyRuntime",
     "Simulation",
-    "CONTINUE",
-    "HALT_AND_REPLAN",
-    "DONE",
 ]
 
 TICK_HZ = 20
@@ -39,10 +36,6 @@ DT = 1.0 / TICK_HZ
 
 WORLD = "world"
 END_EFFECTOR = "end_effector"
-
-CONTINUE = "continue"
-HALT_AND_REPLAN = "halt_and_replan"
-DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,6 @@ class Waypoint:
 class PolicyScript:
     script_id: str
     waypoints: list
-    open_loop: bool = True
 
 
 class PolicyRuntime:
@@ -168,14 +160,16 @@ class PolicyRuntime:
 
     @property
     def motion_done(self) -> bool:
-        return self.index >= len(self.script.waypoints)
+        """The script ran to its end or the policy was halted."""
+        return self.halted or self.index >= len(self.script.waypoints)
 
     def halt(self):
+        """Freeze the policy for good: advance no longer moves the EE."""
         self.halted = True
 
     def advance(self, sim: "Simulation"):
         """Move the EE toward the active waypoint; run its action on arrival."""
-        if self.halted or self.motion_done:
+        if self.motion_done:
             return
         state = sim.state
         wp = self.script.waypoints[self.index]
@@ -335,14 +329,13 @@ class Simulation:
 
     # -- the tick
 
-    def step(self, control: str = CONTINUE):
-        """Advance one tick.
+    def step(self):
+        """Advance one tick: run the policy, then pending disturbances.
 
-        CONTINUE runs the policy; HALT_AND_REPLAN/DONE freeze policy motion
-        but time and pending disturbances continue either way.
-        """
+        A halted or finished policy stays frozen, but time and disturbances
+        continue."""
         self.state.tick += 1
-        if control == CONTINUE and self.policy is not None:
+        if self.policy is not None:
             self.policy.advance(self)
         if self.injector is not None:
             self.injector.apply(self)

@@ -19,7 +19,7 @@ from importlib import resources
 
 from camlab.elementizer import LINE, POINT, SURFACE, ElementType
 from camlab.conlang import Mode, kb_lookup
-from camlab.monitor import INTERNAL_ERROR_REASON, Verdict, VerdictKind
+from camlab.monitor import INTERNAL_ERROR_REASON
 
 __all__ = [
     "ElementSpec",
@@ -31,16 +31,7 @@ __all__ = [
     "Planner",
     "RecoveryRules",
     "load_default_rules",
-    "halt_policy_hook",
-    "CONTINUE",
-    "HALT_AND_REPLAN",
-    "DONE",
 ]
-
-CONTINUE = "continue"
-HALT_AND_REPLAN = "halt_and_replan"
-DONE = "done"
-
 
 @dataclass(frozen=True)
 class ElementSpec:
@@ -141,15 +132,6 @@ class RecoveryRules:
 def load_default_rules() -> RecoveryRules:
     text = resources.files("camlab").joinpath("data/recovery_rules.txt").read_text(encoding="utf-8")
     return RecoveryRules.loads(text)
-
-
-def halt_policy_hook(verdict: Verdict, last_subgoal: bool = False) -> str:
-    """Map a monitor verdict to the control signal for the policy loop."""
-    if verdict.kind is VerdictKind.VIOLATION:
-        return HALT_AND_REPLAN
-    if verdict.kind is VerdictKind.SUBGOAL_COMPLETE and last_subgoal:
-        return DONE
-    return CONTINUE
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +573,3 @@ class Planner:
 
         return relevel
 
-    # -- constraint emission (the sources are already built per subgoal)
-
-    @staticmethod
-    def emit_constraints(subgoal: Subgoal):
-        """DSL sources for a subgoal as (during, on-completion) tuples."""
-        return (
-            tuple(p.source for p in subgoal.during),
-            tuple(p.source for p in subgoal.completion),
-        )

@@ -1,7 +1,10 @@
 import json
+import operator
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlab.camctl import (
     ExperimentSpec,
@@ -14,7 +17,9 @@ from camlab.camctl import (
     run_spec,
     validate_dsl,
 )
-from camlab.errors import LogChecksumError, TruncatedLog
+from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
+from camlab.monitor import DebouncePolicy, TrackerConfig
+from camlab.simlab import MONITOR_MODES, TEMPLATES
 
 SPEC_TEXT = """
 task = stack_in_order
@@ -52,6 +57,67 @@ def test_cam_seed_env_override(monkeypatch):
     monkeypatch.setenv("CAM_SEED", "777")
     spec = ExperimentSpec.loads(SPEC_TEXT)
     assert spec.seed_base == 777
+    d = spec.as_dict()
+    d["seed_base"] = 3
+    assert ExperimentSpec.from_dict(d).seed_base == 3  # from_dict reads the dict as it is
+
+
+@pytest.mark.parametrize(
+    "line, attr, want",
+    [
+        ("episodes = 3", "episodes", 3),
+        ("seed_base = 9", "seed_base", 9),
+        ("modes = off, reactive_only", "modes", ("off", "reactive_only")),
+        ("drop_p = 0.1, 0.25", "drop_p", (0.1, 0.25)),
+        ("place_noise_cm = 2", "place_noise_cm", (2.0,)),
+        ("disturbances = none, abc", "disturbances", ("none", "abc")),
+        ("budget_ticks = 300", "budget_ticks", 300),
+        ("tracker.sigma = 0.004", "tracker.sigma", 0.004),
+        ("tracker.dropout = 0.05", "tracker.dropout", 0.05),
+        ("tracker.resync = 7", "tracker.resync_interval", 7),
+        ("debounce.k = 4", "debounce.k", 4),
+        ("debounce.h = 6", "debounce.h", 6),
+        ("max_retries = 2", "max_retries", 2),
+    ],
+)
+def test_spec_accepts_every_key(line, attr, want):
+    spec = ExperimentSpec.loads(f"task = pour_tea\n{line}\n")
+    assert operator.attrgetter(attr)(spec) == want
+    assert ExperimentSpec.from_dict(spec.as_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "text", ["episodes = 0\n", "task = stack_in_order\nepisodes = 0\n", "task = stack_in_order\nepisodes = two\n"]
+)
+def test_spec_rejects_bad_values(text):
+    with pytest.raises(ValueError):
+        ExperimentSpec.loads(text)
+
+
+_floats = st.floats(0.0, 1.0, allow_nan=False)
+_specs = st.builds(
+    ExperimentSpec,
+    task=st.sampled_from(TEMPLATES),
+    episodes=st.integers(1, 500),
+    seed_base=st.integers(0, 2**31),
+    modes=st.lists(st.sampled_from(MONITOR_MODES), min_size=1, max_size=4).map(tuple),
+    drop_p=st.lists(_floats, min_size=1, max_size=3).map(tuple),
+    place_noise_cm=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3).map(tuple),
+    disturbances=st.lists(st.sampled_from(["none", "a", "bc", "abc"]), min_size=1, max_size=3).map(tuple),
+    budget_ticks=st.integers(1, 5000),
+    tracker=st.builds(
+        TrackerConfig, sigma=_floats, dropout=st.floats(0.0, 0.99), resync_interval=st.integers(1, 100)
+    ),
+    debounce=st.builds(DebouncePolicy, k=st.integers(1, 10), h=st.integers(1, 10)),
+    max_retries=st.integers(0, 10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_spec_dict_round_trip(spec):
+    assert ExperimentSpec.from_dict(spec.as_dict()) == spec
+    assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.as_dict()))) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +207,45 @@ def test_crashed_run_leaves_incomplete_log(tmp_path, monkeypatch):
     with pytest.raises(TruncatedLog):
         read_log(log_path)
     assert main(["replay", str(log_path)]) == 2
+
+
+def _drop_tracker(records):
+    del records[0]["spec"]["tracker"]
+
+
+def _one_cell_spec(records):
+    records[0]["spec"]["modes"] = ["off"]  # the log still holds cell 1
+
+
+def _drop_episode(records):
+    records[:] = [r for r in records if (r.get("cell"), r.get("episode")) != (0, 1)]
+
+
+def _drop_episode_end(records):
+    records[:] = [r for r in records if (r.get("cell"), r.get("episode"), r["kind"]) != (0, 0, "episode_end")]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_drop_tracker, "bad meta spec"),
+        (_one_cell_spec, "outside the spec"),
+        (_drop_episode, "cell 0 has 1 episodes, the spec has 2"),
+        (_drop_episode_end, "cell 0 episode 0 has no episode_end"),
+    ],
+)
+def test_replay_rejects_log_that_disagrees_with_its_spec(run_dir, tmp_path, capsys, damage, message):
+    out, _ = run_dir
+    records = read_log(out / "run.jsonl")
+    damage(records)
+    bad = tmp_path / "bad.jsonl"
+    with JsonlLogWriter(bad) as w:  # correctly checksummed
+        for rec in records:
+            w.write(rec)
+    with pytest.raises(CamlabError, match=message):
+        replay_log(bad)
+    assert main(["replay", str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_tampered_log_detected(run_dir, tmp_path):

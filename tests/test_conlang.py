@@ -72,12 +72,11 @@ def level_elements(tilt=0.0):
     return ElementSet(els, "sg")
 
 
-def ctx_for(es, tick=0, tolerances=None):
+def ctx_for(es, tick=0):
     return EvalContext.from_points(
         tick,
         {e.eid: e.points for e in es.elements},
         {e.eid: e.etype for e in es.elements},
-        tolerances,
     )
 
 

@@ -12,7 +12,6 @@ from camlab.elementizer import (
     ExtractParams,
     MaskBundle,
     ViewMask,
-    annotate,
     cells_for_type,
     element_from_cloud,
     element_set_fingerprint,
@@ -319,30 +318,13 @@ def test_ee_empty():
 
 
 # ---------------------------------------------------------------------------
-# annotation
-
-
-def test_annotate_principal_point_and_behind():
-    c = cam()
-    front = end_effector_element([(0, 0, 1.0)])
-    behind = end_effector_element([(0, 0, -1.0)])
-    es = make_element_set([front, behind], "sg0")
-    stamps = annotate(es, [c])[0]
-    assert len(stamps) == 1  # element behind the camera leaves no stamp
-    assert stamps[0]["eid"] == 0
-    assert tuple(stamps[0]["pixels"][0]) == (c.cx, c.cy)
-
-
-def test_annotate_unique_ids():
-    c = cam()
-    els = [end_effector_element([(0.01 * i, 0, 0.5)]) for i in range(3)]
-    es = make_element_set(els, "sg0")
-    stamps = annotate(es, [c])[0]
-    assert sorted(s["eid"] for s in stamps) == [0, 1, 2]
-    assert len({s["color"] for s in stamps}) == 3
+# element sets
 
 
 def test_element_set_ids_contiguous():
+    es = make_element_set([end_effector_element([(0.01 * i, 0, 0.5)]) for i in range(3)], "sg0")
+    assert [e.eid for e in es.elements] == [0, 1, 2]
+    assert len({e.color for e in es.elements}) == 3
     with pytest.raises(ValueError):
         from camlab.elementizer import ElementSet
 
@@ -352,22 +334,6 @@ def test_element_set_ids_contiguous():
             ),
             "sg",
         )
-
-
-def test_ppm_debug_dump(tmp_path):
-    from camlab.elementizer import write_annotation_ppm
-    from camlab.geom3d import Box, Pose, raycast_depth, vec3
-
-    c = cam()
-    box = Box(Pose(t=vec3(0, 0, 0.6)), extents=vec3(0.1, 0.1, 0.04), instance_id=1)
-    depth, _, _ = raycast_depth([box], c)
-    el = end_effector_element([(0.0, 0.0, 0.6)])
-    es = make_element_set([el], "sg")
-    stamps = annotate(es, [c])[0]
-    path = tmp_path / "view.ppm"
-    write_annotation_ppm(path, depth, stamps, c)
-    head = path.read_bytes()[:20]
-    assert head.startswith(b"P6")
 
 
 def test_extraction_invariants_random_clouds():

@@ -393,15 +393,3 @@ def test_voxelize_partition_property(seed):
     grid = voxelize(pts, n)
     all_idx = np.concatenate([v for v in grid.cells.values()])
     assert sorted(all_idx.tolist()) == list(range(len(pts)))
-
-
-def test_image_serialization_round_trip():
-    from camlab.geom3d import deserialize_image, serialize_image
-
-    cam = cam_identity()
-    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=1)
-    depth, inst, _ = raycast_depth([box], cam)
-    flat = serialize_image(depth)
-    assert flat["width"] == cam.width and flat["height"] == cam.height
-    assert np.array_equal(deserialize_image(flat), depth)
-    assert np.array_equal(deserialize_image(serialize_image(inst)), inst)

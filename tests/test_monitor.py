@@ -348,12 +348,91 @@ def test_noise_robustness_no_false_positives():
 
 def test_next_verdict_pull_api():
     es = two_point_set()
+    good = truth_of(es)
+    bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
+    # in motion the DURING checks run; after motion end the H-tick hold
     tr = tracker_for(es, fk=(0, 1))
     mon = RealTimeMonitor([parse(HOLD_SRC), parse(DONE_SRC)], tr, DebouncePolicy(k=1, h=2))
-    good = truth_of(es)
     tr.step(good, 1)
-    assert mon.next_verdict(1).kind is VerdictKind.OK  # during phase
+    assert mon.next_verdict(1, False).kind is VerdictKind.OK
+    vs = []
     for t in (2, 3):
         tr.step(good, t)
-        v = mon.next_verdict(t, motion_done=True)  # completion phase
-    assert v.kind is VerdictKind.SUBGOAL_COMPLETE
+        vs.append(mon.next_verdict(t, True))
+    assert [v.kind for v in vs] == [VerdictKind.NOT_YET, VerdictKind.SUBGOAL_COMPLETE]
+    assert vs[1].mode is Mode.ON_COMPLETION
+    # still false 3H ticks after motion end: a completion violation
+    tr = tracker_for(es, fk=(0, 1))
+    mon = RealTimeMonitor([parse(DONE_SRC)], tr, DebouncePolicy(h=2))
+    for t in range(1, 20):
+        tr.step(bad, t)
+        v = mon.next_verdict(t, True)
+        if v.kind is not VerdictKind.NOT_YET:
+            break
+    assert v.is_violation and v.mode is Mode.ON_COMPLETION and v.tick == 1 + 3 * 2
+    # no ON_COMPLETION programs: the subgoal completes at motion end
+    tr = tracker_for(es, fk=(0, 1))
+    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy())
+    tr.step(bad, 1)
+    v = mon.next_verdict(1, True)
+    assert v.kind is VerdictKind.SUBGOAL_COMPLETE and v.mode is None
+
+
+# ---------------------------------------------------------------------------
+# halt-on-completion entry check (in motion)
+
+FAR_SRC = 'constraint "far" mode during { dist(centroid(e(1)), centroid(e(0))) >= 1 m } fail "r"'
+BOOM_DONE_SRC = 'constraint "boom" mode on_completion { 1 / 0 < 2 } fail "r"'
+
+
+def moving_verdicts(mon, tr, truths, start=1):
+    out = []
+    for t, truth in enumerate(truths, start):
+        tr.step(truth, t)
+        out.append(mon.next_verdict(t, False))
+    return out
+
+
+def entry_monitor(es, sources, k, halt=True):
+    tr = tracker_for(es, fk=(0, 1))
+    mon = RealTimeMonitor([parse(src) for src in sources], tr, DebouncePolicy(k=k, h=2), halt_on_completion=halt)
+    return tr, mon
+
+
+def test_entry_needs_k_consecutive_true_ticks():
+    es = two_point_set()
+    good = truth_of(es)
+    bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
+    seq = [good, good, bad, good, good, good]
+    tr, mon = entry_monitor(es, [DONE_SRC], k=3)
+    vs = moving_verdicts(mon, tr, seq)
+    # the false tick 3 resets the streak: K = 3 true ticks again end at tick 6
+    assert [v.kind for v in vs] == [VerdictKind.OK] * 5 + [VerdictKind.HALT]
+    assert vs[5].tick == 6
+    # the halt tick is the motion end: the 3H timeout (H = 2) counts from it
+    for t in range(7, 20):
+        tr.step(bad, t)
+        v = mon.next_verdict(t, True)
+        if v.kind is not VerdictKind.NOT_YET:
+            break
+    assert v.is_violation and v.tick == 6 + 3 * 2
+    # a subgoal without halt_on_completion never halts
+    tr, mon = entry_monitor(es, [DONE_SRC], k=3, halt=False)
+    assert all(v.kind is VerdictKind.OK for v in moving_verdicts(mon, tr, seq))
+
+
+def test_entry_eval_error_means_not_entered():
+    es = two_point_set()
+    for sources in ([DONE_SRC, BOOM_DONE_SRC], [BOOM_DONE_SRC, DONE_SRC]):
+        tr, mon = entry_monitor(es, sources, k=1)
+        vs = moving_verdicts(mon, tr, [truth_of(es)] * 5)
+        assert all(v.kind is VerdictKind.OK for v in vs), sources
+
+
+def test_during_violation_beats_entry_on_the_same_tick():
+    es = two_point_set()
+    tr, mon = entry_monitor(es, [FAR_SRC, DONE_SRC], k=1)
+    vs = moving_verdicts(mon, tr, [truth_of(es)] * 2)
+    assert vs[0].is_violation and vs[0].cid == "far" and vs[0].mode is Mode.DURING
+    # reported once; the entry check runs on the next tick
+    assert vs[1].kind is VerdictKind.HALT

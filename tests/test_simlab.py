@@ -6,8 +6,6 @@ import pytest
 
 from camlab.geom3d import Pose, vec3
 from camlab.simlab import (
-    CONTINUE,
-    HALT_AND_REPLAN,
     Disturbance,
     DisturbanceInjector,
     EpisodeConfig,
@@ -44,7 +42,7 @@ def simple_world():
 def test_step_without_policy_only_ticks():
     sim = simple_world()
     before = {oid: o.pose.t.copy() for oid, o in sim.state.objects.items()}
-    sim.step(CONTINUE)
+    sim.step()
     assert sim.state.tick == 1
     for oid, o in sim.state.objects.items():
         assert np.array_equal(o.pose.t, before[oid])
@@ -119,7 +117,7 @@ def test_policy_moves_and_grasps():
         Waypoint(target, speed=0.5, action=("grasp", "blk")),
     ]))
     for _ in range(100):
-        sim.step(CONTINUE)
+        sim.step()
         if sim.motion_done:
             break
     assert "blk" in sim.state.held
@@ -134,10 +132,14 @@ def test_halt_freezes_policy_but_disturbances_continue():
     )
     sim.injector = inj
     start_blk = sim.state.objects["blk"].pose.t.copy()
-    ee0 = sim.state.ee_pose.t.copy()
+    sim.step()
+    ee1 = sim.state.ee_pose.t.copy()
+    sim.policy.halt()
+    assert sim.motion_done
     for _ in range(5):
-        sim.step(HALT_AND_REPLAN)
-    assert np.array_equal(sim.state.ee_pose.t, ee0)  # frozen
+        sim.step()
+    assert not np.array_equal(ee1, vec3(0, 0, 0.2))  # moved before the halt
+    assert np.array_equal(sim.state.ee_pose.t, ee1)  # frozen
     assert sim.state.objects["blk"].pose.t[0] == pytest.approx(start_blk[0] + 0.05)
     assert len(inj.injections) == 1
 
@@ -149,7 +151,7 @@ def test_drop_with_prob_one_releases_this_tick():
     sim.injector = DisturbanceInjector(
         [Disturbance(kind="drop_with_prob", p=1.0)], np.random.default_rng(1)
     )
-    sim.step(CONTINUE)
+    sim.step()
     assert sim.state.held == []
     kinds = [e["payload"]["kind"] for e in sim.injector.injections]
     assert kinds == ["drop"]
@@ -166,7 +168,7 @@ def test_injections_logged_exactly_once():
     )
     sim.injector = inj
     for _ in range(10):
-        sim.step(CONTINUE)
+        sim.step()
     recorded = [e for e in sim.state.events if e["kind"] == "injection"]
     assert len(recorded) == 2
     assert [e["tick"] for e in recorded] == [2, 4]
@@ -180,11 +182,11 @@ def test_phase_anchored_disturbance():
     )
     sim.injector = inj
     for _ in range(5):
-        sim.step(CONTINUE)
+        sim.step()
     assert inj.injections == []  # phase never started
     inj.on_script_start("pick", sim.state.tick)
     for _ in range(5):
-        sim.step(CONTINUE)
+        sim.step()
     assert len(inj.injections) == 1
     assert inj.injections[0]["tick"] == 8  # 5 + offset 3
 

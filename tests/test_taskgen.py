@@ -3,19 +3,14 @@ import pytest
 
 from camlab.conlang import EvalContext, Mode, load_default_kb, parse, typecheck, whitebox_validate
 from camlab.elementizer import end_effector_element, extract_element, make_element_set
-from camlab.monitor import Verdict, VerdictKind
 from camlab.simlab import build_scene, mask_bundle, render, scene_summary
 from camlab.taskgen import (
-    CONTINUE,
-    DONE,
-    HALT_AND_REPLAN,
     FailureFeedback,
     Planner,
     RecoveryRules,
     Subgoal,
     TaskAbort,
     TaskDone,
-    halt_policy_hook,
     load_default_rules,
 )
 
@@ -136,25 +131,6 @@ def test_closedness_every_emitted_kind_has_a_rule():
 
 
 # ---------------------------------------------------------------------------
-# halt hook (spec contract)
-
-
-def test_halt_hook_ok_continue():
-    assert halt_policy_hook(Verdict(1, VerdictKind.OK)) == CONTINUE
-
-
-def test_halt_hook_violation_halts():
-    v = Verdict(1, VerdictKind.VIOLATION, "c", Mode.DURING, "r")
-    assert halt_policy_hook(v) == HALT_AND_REPLAN
-
-
-def test_halt_hook_complete_midplan_continues():
-    v = Verdict(1, VerdictKind.SUBGOAL_COMPLETE)
-    assert halt_policy_hook(v, last_subgoal=False) == CONTINUE
-    assert halt_policy_hook(v, last_subgoal=True) == DONE
-
-
-# ---------------------------------------------------------------------------
 # emitted programs validate on a real scene
 
 
@@ -176,10 +152,9 @@ def test_first_subgoal_programs_validate(template):
     ctx = EvalContext.from_points(
         0, {e.eid: e.points for e in es.elements}, {e.eid: e.etype for e in es.elements}
     )
-    c_d, c_u = Planner.emit_constraints(sg)
-    assert len(c_d) == len(sg.during) and len(c_u) == len(sg.completion)
-    for ps in sg.during + sg.completion:
+    for ps, mode in [(ps, Mode.DURING) for ps in sg.during] + [(ps, Mode.ON_COMPLETION) for ps in sg.completion]:
         prog = parse(ps.source, cid=ps.cid)
+        assert prog.mode is ps.mode is mode  # the monitor splits programs by parsed mode
         assert typecheck(prog, es) == [], ps.source
         whitebox_validate(prog, ctx)
 
