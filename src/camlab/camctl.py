@@ -398,7 +398,8 @@ def replay_log(path) -> dict:
 
     Raises CamlabError unless the log's meta spec is readable and the log
     holds, for every cell of that spec, exactly its episodes, each with an
-    episode_end event."""
+    episode_end event that has success and ticks, and every record has a
+    kind, a tick and a payload."""
     records = read_log(path)
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
@@ -412,6 +413,11 @@ def replay_log(path) -> dict:
     runs: dict = {}
     for rec in records[1:]:
         key = (rec.get("cell"), rec.get("episode"))
+        if not ("kind" in rec and "tick" in rec and "payload" in rec):
+            missing = ", ".join(sorted({"kind", "tick", "payload"} - rec.keys()))
+            raise CamlabError(f"{path}: a record of cell {key[0]!r} episode {key[1]!r} has no {missing}")
+        if rec["kind"] == "episode_end" and not ("success" in rec["payload"] and "ticks" in rec["payload"]):
+            raise CamlabError(f"{path}: the episode_end of cell {key[0]!r} episode {key[1]!r} lacks success or ticks")
         runs.setdefault(key, []).append({k: v for k, v in rec.items() if k not in ("cell", "episode")})
     cells = spec.cells()
     n_cells = len(cells)
@@ -454,42 +460,29 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
     """Parse/typecheck/whitebox a DSL source file against a scene snapshot.
 
     Binds e(0) to the end-effector and e(1..) to the task's first-subgoal
-    elements, extracted from a seed-0 scene. Returns a list of problem
-    strings (empty when the program validates)."""
-    from camlab.conlang import EvalContext, load_default_kb, parse, typecheck, whitebox_validate
+    elements, extracted from a seed-0 scene as the episode loop extracts
+    them. Returns a list of problem strings (empty when the program
+    validates)."""
+    from camlab.conlang import load_default_kb, parse, typecheck, whitebox_validate
     from camlab.conlang.check import ValidationFailure
     from camlab.conlang.parser import DslSyntaxError, DuplicateTolerance
-    from camlab.elementizer import end_effector_element, extract_element, make_element_set
-    from camlab.simlab import Simulation, build_scene, mask_bundle, render, scene_summary
+    from camlab.monitor import PointRing
+    from camlab.simlab import build_scene, extract_elements, scene_summary
     from camlab.taskgen import Planner
 
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     state, scene = build_scene(task, np.random.default_rng(0))
-    sim = Simulation(state)
-    planner = Planner(task, load_default_kb(), scene.meta)
-    sg = planner.plan_next(scene_summary(state, scene))
-    views = render(state, scene)
-    protos = [end_effector_element([state.ee_pose.t])]
-    for espec in sg.element_specs:
-        protos.append(
-            extract_element(
-                mask_bundle(scene, views, espec.oid, espec.part, espec.etype), [v[0] for v in views], scene.cameras
-            )
-        )
-    es = make_element_set(protos, "validate")
-    problems = []
+    sg = Planner(task, load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    es, _ = extract_elements(sg, state, scene)
     try:
         prog = parse(source)
     except (DslSyntaxError, DuplicateTolerance) as err:
         return [f"parse: {err}"]
-    problems.extend(f"typecheck: {i}" for i in typecheck(prog, es))
+    problems = [f"typecheck: {i}" for i in typecheck(prog, es)]
     if not problems:
-        ctx = EvalContext.from_points(
-            0, {e.eid: e.points for e in es.elements}, {e.eid: e.etype for e in es.elements}
-        )
         try:
-            whitebox_validate(prog, ctx)
+            whitebox_validate(prog, PointRing(es.elements, state.tick))
         except ValidationFailure as err:
             problems.append(f"whitebox: {err}")
     return problems
@@ -515,7 +508,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
             f'fail "r"'
         )
         programs.append(parse(src, cid=f"c{i}"))
-    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01, seed=1))
+    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), seed=1)
     tracker.register(es, 0)
     mon = RealTimeMonitor(programs, tracker, DebouncePolicy())
     truth = {e.eid: e.points for e in es.elements}

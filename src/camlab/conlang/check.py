@@ -33,7 +33,7 @@ from camlab.conlang.ast import (
     Within,
     _print,
 )
-from camlab.conlang.evaluator import EvalContext, EvalError, evaluate, forced_walk, _PLACEHOLDER_RE
+from camlab.conlang.evaluator import EvalError, evaluate, forced_walk, _PLACEHOLDER_RE
 
 __all__ = ["TypeIssue", "typecheck", "ValidationFailure", "whitebox_validate"]
 
@@ -62,13 +62,6 @@ _ERR = ("error",)
 
 def _scalar(dim: str):
     return ("scalar", dim)
-
-
-def _elem_info(elems) -> dict:
-    """Accept an ElementSet or a plain {eid: (kind, n_points)} mapping."""
-    if hasattr(elems, "elements"):
-        return {e.eid: (e.etype.kind.value, len(e.points)) for e in elems.elements}
-    return dict(elems)
 
 
 def _join_dims(a: str, b: str):
@@ -264,10 +257,11 @@ class _Checker:
         return _BOOL
 
 
-def typecheck(program: MonitorProgram, elems) -> list:
+def typecheck(program: MonitorProgram, element_set) -> list:
     """Check a program against an element set; returns a list of TypeIssue
     (empty means ok)."""
-    checker = _Checker(program, _elem_info(elems))
+    info = {e.eid: (e.etype.kind.value, len(e.points)) for e in element_set.elements}
+    checker = _Checker(program, info)
     body_type = checker.type_of(program.body)
     if body_type not in (_BOOL, _ERR):
         checker.issue("program body must evaluate to a boolean", program.body)
@@ -283,8 +277,9 @@ def typecheck(program: MonitorProgram, elems) -> list:
     return checker.issues
 
 
-def whitebox_validate(program: MonitorProgram, ctx: EvalContext) -> None:
-    """Path-coverage validation against the subgoal's first-tick state.
+def whitebox_validate(program: MonitorProgram, ctx) -> None:
+    """Path-coverage validation against the subgoal's first-tick state
+    (an evaluation context, see conlang.evaluator).
 
     Forces both branches of every conditional and requires that no path
     errors; a DURING program must additionally be satisfied on this state

@@ -1,11 +1,17 @@
 """Evaluation of monitor programs over element state + history.
 
-The context serves per-element point histories (newest last); `at(expr, n)`
-shifts the whole subexpression n ticks into the past. History access clamps
-to the oldest available entry so programs stay total right after a subgoal
-starts. Runtime problems (division by zero, degenerate geometry, unknown
-elements) raise EvalError; the monitor converts those into fail-safe
-violations instead of skipping the tick.
+Programs are evaluated on a context with three methods, which the tracker's
+point ring (monitor.PointRing) provides:
+
+  points_at(eid, back)  (k, 3) points of element eid, back ticks ago
+  centroids(eids, back) (len(eids), 3) centroids of those elements
+  kind_of(eid)          "point", "point_set", "line" or "surface"
+
+`at(expr, n)` shifts the whole subexpression n ticks into the past. History
+access clamps to the oldest available entry so programs stay total right
+after a subgoal starts. An unknown element raises EvalError, as do other
+runtime problems (division by zero, degenerate geometry); the monitor
+converts those into fail-safe violations instead of skipping the tick.
 
 Both operands of and/or are always evaluated: reason placeholders record the
 last measured value of each builtin, and full evaluation keeps that record
@@ -35,7 +41,7 @@ from camlab.conlang.ast import (
 )
 from camlab.geom3d import angle_between, fit_line, fit_plane
 
-__all__ = ["EvalError", "EvalContext", "evaluate", "forced_walk", "format_measured"]
+__all__ = ["EvalError", "evaluate", "forced_walk", "format_measured"]
 
 _AXIS_VECS = {
     "axis_x": np.array([1.0, 0.0, 0.0]),
@@ -46,48 +52,6 @@ _AXIS_VECS = {
 
 class EvalError(CamlabError):
     """Raised when a program cannot be evaluated on the current state."""
-
-
-class EvalContext:
-    """Element state bound to one tick.
-
-    histories maps element id -> an indexable sequence of (k, 3) arrays,
-    oldest first, newest last (the current tick). element_types maps id ->
-    ElementType. Tolerances come only from the program's own declarations.
-    """
-
-    def __init__(self, tick: int, histories, element_types):
-        self.tick = tick
-        self.histories = histories
-        self.element_types = element_types
-
-    @classmethod
-    def from_points(cls, tick, points_by_eid, element_types):
-        """Context with a single-snapshot history per element."""
-        return cls(tick, {k: [v] for k, v in points_by_eid.items()}, element_types)
-
-    def points_at(self, eid: int, back: int) -> np.ndarray:
-        if eid not in self.histories:
-            raise EvalError(f"unknown element e({eid})")
-        h = self.histories[eid]
-        idx = len(h) - 1 - back
-        return np.asarray(h[max(idx, 0)], dtype=np.float64)
-
-    def centroids(self, eids: tuple, back: int) -> np.ndarray:
-        """(len(eids), 3) element centroids `back` ticks ago, with the same
-        oldest-entry clamping as points_at. A history that packs all
-        elements (the tracker's PointRing) computes them in one pass;
-        plain mappings fall back to per-element means."""
-        packed = getattr(self.histories, "centroids", None)
-        if packed is not None:
-            return packed(eids, back)
-        return np.array([self.points_at(eid, back).mean(axis=0) for eid in eids]).reshape(-1, 3)
-
-    def kind_of(self, eid: int) -> str:
-        et = self.element_types.get(eid)
-        if et is None:
-            raise EvalError(f"no type for element e({eid})")
-        return et.kind.value
 
 
 def _oriented_direction(points: np.ndarray) -> np.ndarray:
@@ -120,7 +84,7 @@ def _inside(p, box) -> bool:
 
 
 class _Evaluator:
-    def __init__(self, program: MonitorProgram, ctx: EvalContext, forced: bool = False):
+    def __init__(self, program: MonitorProgram, ctx, forced: bool = False):
         self.ctx = ctx
         self.forced = forced
         self.env = program.tolerance_env()
@@ -299,7 +263,7 @@ def format_measured(template: str, values: dict) -> str:
     return _PLACEHOLDER_RE.sub(sub, template)
 
 
-def evaluate(program: MonitorProgram, ctx: EvalContext):
+def evaluate(program: MonitorProgram, ctx):
     """Evaluate a program; returns (satisfied, reason-or-None).
 
     The reason string is the program's template with placeholders replaced by
@@ -315,7 +279,7 @@ def evaluate(program: MonitorProgram, ctx: EvalContext):
     return False, format_measured(program.reason_template, {**ev.env, **ev.measured})
 
 
-def forced_walk(program: MonitorProgram, ctx: EvalContext):
+def forced_walk(program: MonitorProgram, ctx):
     """Evaluate with both branches of every conditional forced (white-box
     path coverage). Returns the program's value; raises EvalError with a
     branch-path prefix if any path fails."""

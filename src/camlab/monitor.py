@@ -1,11 +1,12 @@
 """Real-time monitoring loop: element tracking, histories, verdicts.
 
 A SimTracker stands in for a learned visual tracker: ground truth plus
-isotropic Gaussian noise, per-point dropout (hold last value, flag invalid),
-and a periodic resync snap to truth that models re-detection. Elements
-sourced from forward kinematics are served noiselessly. All elements' point
+isotropic Gaussian noise, per-point dropout (hold the last value), and a
+periodic resync snap to truth that models re-detection. Elements sourced
+from forward kinematics are served noiselessly. All elements' point
 histories live in one packed ring (PointRing), so centroids of many
-elements are one gather and sum per tick.
+elements are one gather and sum per tick. The ring is also what programs
+are evaluated on, both at white-box validation and on every tick.
 
 The RealTimeMonitor gives one verdict per tick (next_verdict). While the
 policy moves it evaluates DURING programs with a K-tick debounce (a single
@@ -21,18 +22,16 @@ as skipped ticks.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from camlab.conlang import EvalContext, EvalError, Mode, evaluate, max_history_ticks
+from camlab.conlang import EvalError, Mode, evaluate, max_history_ticks
 from camlab.errors import TrackError
 
 __all__ = [
     "TrackerConfig",
-    "ElementTrack",
     "PointRing",
     "SimTracker",
     "DebouncePolicy",
@@ -51,96 +50,49 @@ class TrackerConfig:
     sigma: float = 0.002  # meters, isotropic per point
     dropout: float = 0.01  # per point per tick
     resync_interval: int = 20  # ticks; snap to truth exactly
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0 or not (0.0 <= self.dropout < 1.0) or self.resync_interval < 1:
             raise ValueError("bad tracker config")
 
 
-class ElementTrack:
-    """One element's span of the tracker's point ring.
+class PointRing:
+    """Packed point history of every tracked element, and the context that
+    programs are evaluated on (points_at, centroids, kind_of).
 
-    Indexing returns the element's points at one ring entry (oldest first),
-    so a track can be used directly as an EvalContext history. The arrays
-    are read-only views into the ring, valid until the ring wraps over
-    their entry."""
+    One preallocated (capacity, P + 1, 3) ring holds all P tracked points;
+    each element owns a contiguous span of the P points. Column P is a
+    constant -0.0 pad point, the additive identity used by the padded
+    centroid sums. Spans are laid out in id order with forward-kinematics
+    elements first, so the noisy points form one span [noisy_lo, P). The
+    first entry, at `tick`, is the elements' own points (the extraction
+    snapshot). History lookups `back` entries before the newest clamp to
+    the oldest entry, and return read-only views into the ring, valid until
+    the ring wraps over their entry."""
 
-    def __init__(self, ring: "PointRing", eid: int, lo: int, hi: int):
-        self.ring = ring
-        self.eid = eid
-        self._span = slice(lo, hi)
-
-    def latest(self):
-        """(tick, points, valid) of the newest entry."""
-        ring, head = self.ring, self.ring.head
-        return int(ring.ticks[head]), ring.view[head, self._span], ring.valid_view[head, self._span]
-
-    def __len__(self):
-        return self.ring.count
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        n = self.ring.count
-        if not -n <= i < n:
-            raise IndexError(f"track index {i} out of range for {n} entries")
-        return self.ring.view[self.ring.slot(n - 1 - i % n), self._span]
-
-
-class PointRing(Mapping):
-    """Packed history of every tracked element: element id -> ElementTrack.
-
-    One preallocated (capacity, P + 1, 3) point ring and one (capacity, P)
-    valid ring hold all P tracked points; each element owns a contiguous
-    span of the P points. Column P is a constant -0.0 pad point, the
-    additive identity used by the padded centroid sums. Spans are laid out
-    in id order with forward-kinematics elements first, so the noisy points
-    form one span [noisy_lo, P)."""
-
-    def __init__(self, elements=(), capacity: int = 256, fk_eids=()):
+    def __init__(self, elements, tick: int, capacity: int = 256, fk_eids=()):
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1")
         order = sorted(elements, key=lambda el: (el.eid not in fk_eids, el.eid))
         offsets = np.cumsum([0] + [len(el.points) for el in order]).tolist()
-        spans = {el.eid: (offsets[i], offsets[i + 1]) for i, el in enumerate(order)}
+        self.spans = {el.eid: (offsets[i], offsets[i + 1]) for i, el in enumerate(order)}
+        self.types = {el.eid: el.etype for el in order}
         n_points = offsets[-1]
         self.capacity = capacity
         self.n_points = n_points
         self.order = [el.eid for el in order]
         self.sizes = [len(el.points) for el in order]
-        self.noisy_spans = [spans[el.eid] for el in order if el.eid not in fk_eids]
+        self.noisy_spans = [self.spans[el.eid] for el in order if el.eid not in fk_eids]
         self.noisy_lo = self.noisy_spans[0][0] if self.noisy_spans else n_points
         self.points = np.empty((capacity, n_points + 1, 3))
         self.points[:, n_points] = -0.0
-        self.valid = np.ones((capacity, n_points), dtype=bool)
         self.view = self.points.view()
         self.view.flags.writeable = False
-        self.valid_view = self.valid.view()
-        self.valid_view.flags.writeable = False
-        self.ticks = np.zeros(capacity, dtype=np.int64)
+        self.tick = None  # of the newest entry
         self.head = -1  # slot of the newest entry
         self.count = 0
-        self._spans = spans
-        self._tracks = {el.eid: ElementTrack(self, el.eid, *spans[el.eid]) for el in elements}
         self._gathers: dict = {}
-
-    # -- Mapping protocol: eid -> ElementTrack, in registration order
-
-    def __getitem__(self, eid):
-        return self._tracks[eid]
-
-    def __contains__(self, eid):
-        return eid in self._tracks
-
-    def __iter__(self):
-        return iter(self._tracks)
-
-    def __len__(self):
-        return len(self._tracks)
-
-    def keys(self):
-        return self._tracks.keys()
-
-    # -- ring
+        self.push(tick, [el.points for el in order])
 
     def slot(self, back: int) -> int:
         """Ring slot `back` entries before the newest, clamped to the oldest."""
@@ -148,17 +100,23 @@ class PointRing(Mapping):
 
     def push(self, tick: int, points) -> np.ndarray:
         """Append an entry at `tick` holding `points` (one array per element,
-        in `order`), all valid; returns the new (P, 3) row for in-place
-        noise. Raises TrackError unless ticks increase."""
-        if self.count and tick <= self.ticks[self.head]:
-            raise TrackError(f"ticks must increase, got {tick} after {int(self.ticks[self.head])}")
+        in `order`); returns the new (P, 3) row for in-place noise. Raises
+        TrackError unless ticks increase."""
+        if self.count and tick <= self.tick:
+            raise TrackError(f"ticks must increase, got {tick} after {self.tick}")
         self.head = (self.head + 1) % self.capacity
         self.count = min(self.count + 1, self.capacity)
-        self.ticks[self.head] = tick
+        self.tick = tick
         row = self.points[self.head, :-1]
         np.concatenate(points, axis=0, out=row)
-        self.valid[self.head] = True
         return row
+
+    def points_at(self, eid: int, back: int) -> np.ndarray:
+        """(k, 3) points of element `eid`, `back` entries before the newest."""
+        span = self.spans.get(eid)
+        if span is None:
+            raise EvalError(f"unknown element e({eid})")
+        return self.view[self.slot(back), span[0] : span[1]]
 
     def centroids(self, eids, back: int) -> np.ndarray:
         """(len(eids), 3) centroids `back` entries before the newest.
@@ -173,11 +131,17 @@ class PointRing(Mapping):
         index, counts = gather
         return self.points[self.slot(back)][index].sum(axis=1) / counts
 
+    def kind_of(self, eid: int) -> str:
+        et = self.types.get(eid)
+        if et is None:
+            raise EvalError(f"no type for element e({eid})")
+        return et.kind.value
+
     def _gather(self, eids):
         for eid in eids:
-            if eid not in self._spans:
+            if eid not in self.spans:
                 raise EvalError(f"unknown element e({eid})")
-        spans = [self._spans[eid] for eid in eids]
+        spans = [self.spans[eid] for eid in eids]
         index = np.full((len(spans), max((hi - lo for lo, hi in spans), default=0)), self.n_points)
         for row, (lo, hi) in zip(index, spans):
             row[: hi - lo] = np.arange(lo, hi)
@@ -188,21 +152,17 @@ class PointRing(Mapping):
 class SimTracker:
     """Noisy tracker over ground-truth element points."""
 
-    def __init__(self, cfg: TrackerConfig = TrackerConfig(), capacity: int = 256):
+    def __init__(self, cfg: TrackerConfig = TrackerConfig(), seed: int = 0, capacity: int = 256):
         self.cfg = cfg
         self.capacity = capacity
-        self.rng = np.random.default_rng(cfg.seed)
-        self.tracks = PointRing(capacity=capacity)
-        self.element_types: dict = {}
+        self.rng = np.random.default_rng(seed)
+        self.ring: PointRing | None = None  # set by register
 
     def register(self, element_set, tick: int, fk_eids=()):
         """Start tracks for a fresh element set, seeded with the extraction
-        snapshot (exact, all points valid)."""
-        self.element_types = {e.eid: e.etype for e in element_set.elements}
-        ring = PointRing(element_set.elements, self.capacity, set(fk_eids))
-        points = {e.eid: e.points for e in element_set.elements}
-        ring.push(tick, [points[eid] for eid in ring.order])
-        self.tracks = ring
+        snapshot (exact)."""
+        ring = PointRing(element_set.elements, tick, self.capacity, set(fk_eids))
+        self.ring = ring
         self._uniform = np.empty(ring.n_points)
         self._normal = np.empty((ring.n_points, 3))
         # per noisy element, in draw order: its slices of the two buffers
@@ -211,21 +171,19 @@ class SimTracker:
     def step(self, truth: dict, tick: int):
         """Advance every track one tick from ground-truth points.
 
-        Per point: with probability dropout hold the previous value and mark
-        it invalid, otherwise truth + N(0, sigma^2 I3). Every resync interval
-        the track snaps to truth exactly. FK-sourced elements are always
-        exact. Raises TrackError for id mismatches.
+        Per point: with probability dropout hold the previous value,
+        otherwise truth + N(0, sigma^2 I3). Every resync interval the track
+        snaps to truth exactly. FK-sourced elements are always exact.
+        Raises TrackError for id mismatches.
 
         Each noisy element draws its dropout uniforms, then its normals, in
         element id order. That order fixes the random stream, so it is part
         of the determinism contract."""
-        ring = self.tracks
-        if truth.keys() != ring.keys():
-            unknown = set(truth) - set(ring)
-            missing = set(ring) - set(truth)
+        ring = self.ring
+        if truth.keys() != ring.spans.keys():
+            unknown = truth.keys() - ring.spans.keys()
+            missing = ring.spans.keys() - truth.keys()
             raise TrackError(f"unknown ids {sorted(unknown)}, missing ids {sorted(missing)}")
-        if not ring:
-            return ring
         points = [truth[eid] for eid in ring.order]
         if [len(p) for p in points] != ring.sizes:
             raise TrackError("truth point counts differ from the registered elements")
@@ -246,7 +204,6 @@ class SimTracker:
         noisy += self._normal[lo:] * sigma if sigma > 0 else 0.0
         drop = self._uniform[lo:] < self.cfg.dropout
         np.copyto(noisy, prev, where=drop[:, None])
-        np.logical_not(drop, out=ring.valid[ring.head, lo:])
         return ring
 
 
@@ -307,9 +264,6 @@ class RealTimeMonitor:
                     f"program '{p.cid}' reaches {need} ticks back, capacity {tracker.capacity}"
                 )
 
-    def context(self, tick: int) -> EvalContext:
-        return EvalContext(tick, self.tracker.tracks, self.tracker.element_types)
-
     def acknowledge(self):
         """Planner acknowledgment: re-arm violation reporting."""
         self._reported.clear()
@@ -319,7 +273,7 @@ class RealTimeMonitor:
     def monitor_tick(self, tick: int) -> Verdict:
         """Evaluate all DURING programs; a program false K ticks in a row
         yields a Violation (first program in id order wins the tick)."""
-        ctx = self.context(tick)
+        ctx = self.tracker.ring
         verdict = None
         for prog in self.during:
             try:
@@ -361,16 +315,16 @@ class RealTimeMonitor:
         verdict = self.monitor_tick(tick) if self.during else Verdict(tick, VerdictKind.OK)
         if verdict.is_violation:
             return verdict
-        if self.halt_on_completion and self.completion and self._entered(tick):
+        if self.halt_on_completion and self.completion and self._entered():
             self.note_motion_end(tick)
             return Verdict(tick, VerdictKind.HALT)
         return verdict
 
-    def _entered(self, tick: int) -> bool:
+    def _entered(self) -> bool:
         """Entry check: every ON_COMPLETION program true for K ticks in a row,
         so objects still crossing the region boundary settle clearly inside.
         An evaluation error counts as not entered."""
-        ctx = self.context(tick)
+        ctx = self.tracker.ring
         try:
             entered = all(evaluate(p, ctx)[0] for p in self.completion)
         except EvalError:
@@ -384,7 +338,7 @@ class RealTimeMonitor:
         3H ticks after motion end; NOT_YET in between."""
         if self._motion_end is None:
             raise ValueError("check_completion before motion end")
-        ctx = self.context(tick)
+        ctx = self.tracker.ring
         first_bad = None
         for prog in self.completion:
             try:

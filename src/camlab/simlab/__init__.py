@@ -2,7 +2,7 @@
 rendering, and the closed-loop episode runner."""
 
 from camlab.simlab.disturb import CARRY_REF_TICKS, Disturbance, DisturbanceInjector
-from camlab.simlab.episode import MONITOR_MODES, EpisodeConfig, EpisodeResult, run_episode
+from camlab.simlab.episode import MONITOR_MODES, EpisodeConfig, EpisodeResult, extract_elements, run_episode
 from camlab.simlab.policy import build_script
 from camlab.simlab.scenes import (
     TEMPLATES,
@@ -55,6 +55,7 @@ __all__ = [
     "build_script",
     "cylinder_shape",
     "default_cameras",
+    "extract_elements",
     "mask_bundle",
     "oracle_success",
     "render",

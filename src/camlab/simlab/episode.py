@@ -14,12 +14,12 @@ planner; completion is confirmed with a settle hold. Monitor modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # evaluate is unused here; perfbench's tracer patches it by name in this module
-from camlab.conlang import EvalContext, evaluate, load_default_kb, parse, typecheck, whitebox_validate
+from camlab.conlang import evaluate, load_default_kb, parse, typecheck, whitebox_validate
 from camlab.conlang.check import ValidationFailure
 from camlab.elementizer import (
     ExtractParams,
@@ -36,9 +36,10 @@ from camlab.simlab.scenes import TaskBookkeeper, build_scene, mask_bundle, oracl
 from camlab.simlab.world import Simulation
 from camlab.taskgen import FailureFeedback, Planner, Subgoal, TaskAbort, TaskDone
 
-__all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "MONITOR_MODES"]
+__all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "extract_elements", "MONITOR_MODES"]
 
 MONITOR_MODES = ("off", "reactive_only", "proactive_only", "full")
+EXTRACT_PARAMS = ExtractParams(max_cloud_points=500)  # every subgoal start, and camctl validate
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class EpisodeConfig:
     tracker: TrackerConfig = TrackerConfig()
     debounce: DebouncePolicy = DebouncePolicy()
     max_retries: int = 5
-    extract: ExtractParams = ExtractParams(max_cloud_points=500)
 
     def __post_init__(self):
         if self.monitor_mode not in MONITOR_MODES:
@@ -99,25 +99,34 @@ class _Bound:
         return out
 
 
+def extract_elements(sg: Subgoal, state, scene):
+    """Render the scene and extract the subgoal's elements: e(0) is the
+    end-effector, e(i) binds sg.element_specs[i - 1].
+
+    Returns the element set and, per element, (eid, oid-or-None, points in
+    the object's frame) for the ground truth. Raises CamlabError when an
+    element cannot be extracted."""
+    views = render(state, scene)
+    depths = [v[0] for v in views]
+    protos = [end_effector_element([state.ee_pose.t])]
+    truth_specs = [(0, None, None)]
+    for eid, spec in enumerate(sg.element_specs, 1):
+        bundle = mask_bundle(scene, views, spec.oid, spec.part, spec.etype, sg.text)
+        el = extract_element(bundle, depths, scene.cameras, EXTRACT_PARAMS)
+        protos.append(el)
+        truth_specs.append((eid, spec.oid, state.objects[spec.oid].pose.inverse().apply(el.points)))
+    return make_element_set(protos, sg.sid), truth_specs
+
+
 def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
-    """Extract elements, validate programs, start tracker + monitor.
+    """Extract elements, start the tracker on them, validate programs on its
+    ring, start the monitor.
 
     Raises ValidationFailure/CamlabError on any extraction or validation
     problem; the caller gets one relaxed retry before aborting the episode.
     """
     state = sim.state
-    views = render(state, scene)
-    depths = [v[0] for v in views]
-    cams = scene.cameras
-    protos = [end_effector_element([state.ee_pose.t])]
-    locals_ = [None]
-    for spec in sg.element_specs:
-        bundle = mask_bundle(scene, views, spec.oid, spec.part, spec.etype, sg.text)
-        el = extract_element(bundle, depths, cams, cfg.extract)
-        protos.append(el)
-        obj = state.objects[spec.oid]
-        locals_.append((spec.oid, obj.pose.inverse().apply(el.points)))
-    es = make_element_set(protos, sg.sid)
+    es, truth_specs = extract_elements(sg, state, scene)
     state.log(
         "element_extract",
         sid=sg.sid,
@@ -130,27 +139,19 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
     specs = (sg.during if mode in ("proactive_only", "full") else ()) + (
         sg.completion if mode in ("reactive_only", "full") else ()
     )
+    tracker = SimTracker(cfg.tracker, tracker_seed)
+    tracker.register(es, state.tick, fk_eids=(0,))
     programs = []
-    ctx = EvalContext.from_points(
-        state.tick,
-        {e.eid: e.points for e in es.elements},
-        {e.eid: e.etype for e in es.elements},
-    )
     for ps in specs:
         prog = parse(ps.source, cid=ps.cid)
         issues = typecheck(prog, es)
         if issues:
             raise ValidationFailure(f"typecheck of '{ps.cid}'", "; ".join(str(i) for i in issues))
-        whitebox_validate(prog, ctx)
+        whitebox_validate(prog, tracker.ring)
         programs.append(prog)
     state.log("programs", sid=sg.sid, sources=[ps.source for ps in specs])
 
-    tracker = SimTracker(replace(cfg.tracker, seed=tracker_seed))
-    tracker.register(es, state.tick, fk_eids=(0,))
     monitor = RealTimeMonitor(programs, tracker, cfg.debounce, halt_on_completion=sg.halt_on_completion)
-    truth_specs = [(0, None, None)] + [
-        (i + 1, locals_[i + 1][0], locals_[i + 1][1]) for i in range(len(sg.element_specs))
-    ]
     return _Bound(monitor, truth_specs)
 
 

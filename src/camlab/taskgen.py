@@ -199,13 +199,13 @@ class _ProgramFactory:
         )
         return ProgramSpec(f"{sid}.orient_still", "orient_still", src, Mode.DURING)
 
-    def level(self, sid, ei) -> ProgramSpec:
+    def level(self, sid, ei, mode="during") -> ProgramSpec:
         src = _prog(
-            "level", "during", [_tol_line("lmax", self.tol("level_surface"), "rad")],
+            "level", mode, [_tol_line("lmax", self.tol("level_surface"), "rad")],
             f"angle(normal(e({ei})), axis_z) <= lmax",
             "held surface tilted {angle} rad",
         )
-        return ProgramSpec(f"{sid}.level", "level_surface", src, Mode.DURING)
+        return ProgramSpec(f"{sid}.level", "level_surface", src, Mode(mode))
 
     def vertical(self, sid, ei, mode="during") -> ProgramSpec:
         src = _prog(
@@ -460,8 +460,8 @@ _GRASP_SID = {
 _ORIENT_SID = {"stow_book": "lift_book", "slot_pen": "lift_pen"}
 
 _RELEVEL_PROGRAM = {
-    "pour_tea": ("level", ("teapot", "lid", SURFACE)),
-    "stow_book": ("vertical", ("book", "spine", LINE)),
+    "pour_tea": (_ProgramFactory.level, ("teapot", "lid", SURFACE)),
+    "stow_book": (_ProgramFactory.vertical, ("book", "spine", LINE)),
 }
 
 
@@ -556,19 +556,14 @@ class Planner:
         return None
 
     def _relevel_builder(self):
-        kind, (oid, part, etype) = _RELEVEL_PROGRAM[self.template]
+        program, (oid, part, etype) = _RELEVEL_PROGRAM[self.template]
 
-        def relevel(scene, pf, sid, kind=kind, oid=oid, part=part, etype=etype):
-            prog = pf.level(sid, 2) if kind == "level" else pf.vertical(sid, 2, "on_completion")
-            if kind == "level":
-                # completion variant of the level check
-                src = prog.source.replace("mode during", "mode on_completion")
-                prog = ProgramSpec(prog.cid, prog.kind, src, Mode.ON_COMPLETION)
+        def relevel(scene, pf, sid, program=program, oid=oid, part=part, etype=etype):
             return Subgoal(
                 sid, "re-level the held object", "relevel", {"oid": oid},
                 (ElementSpec(oid, "body", POINT), ElementSpec(oid, part, etype)),
                 during=(),
-                completion=(prog,),
+                completion=(program(pf, sid, 2, "on_completion"),),
             )
 
         return relevel

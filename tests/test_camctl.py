@@ -2,6 +2,7 @@ import json
 import operator
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from camlab.camctl import (
     run_spec,
     validate_dsl,
 )
+from camlab.conlang import load_default_kb
 from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
 from camlab.monitor import DebouncePolicy, TrackerConfig
-from camlab.simlab import MONITOR_MODES, TEMPLATES
+from camlab.simlab import MONITOR_MODES, TEMPLATES, build_scene, scene_summary
+from camlab.taskgen import Planner
 
 SPEC_TEXT = """
 task = stack_in_order
@@ -236,7 +239,10 @@ def _drop_episode_end(records):
 )
 def test_replay_rejects_log_that_disagrees_with_its_spec(run_dir, tmp_path, capsys, damage, message):
     out, _ = run_dir
-    records = read_log(out / "run.jsonl")
+    _assert_replay_rejects(read_log(out / "run.jsonl"), damage, message, tmp_path, capsys)
+
+
+def _assert_replay_rejects(records, damage, message, tmp_path, capsys):
     damage(records)
     bad = tmp_path / "bad.jsonl"
     with JsonlLogWriter(bad) as w:  # correctly checksummed
@@ -246,6 +252,32 @@ def test_replay_rejects_log_that_disagrees_with_its_spec(run_dir, tmp_path, caps
         replay_log(bad)
     assert main(["replay", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_episode_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("camctl") / "run.jsonl"
+    with JsonlLogWriter(path) as w:  # one disturbance, so the log holds an injection
+        run_spec(ExperimentSpec(task="pour_tea", episodes=1, modes=("off",), disturbances=("a",)), w)
+    return path
+
+
+def _end_payload(records):
+    return next(r for r in records if r.get("kind") == "episode_end")["payload"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda records: records[1].pop("kind"), "cell 0 episode 0 has no kind"),
+        (lambda records: next(r for r in records if r.get("kind") == "injection").pop("tick"), "has no tick"),
+        (lambda records: _end_payload(records).pop("ticks"), "episode_end of cell 0 episode 0 lacks success or ticks"),
+        (lambda records: _end_payload(records).pop("success"), "episode_end of cell 0 episode 0 lacks success or ticks"),
+    ],
+    ids=["kind", "tick", "ticks", "success"],
+)
+def test_replay_rejects_record_missing_a_field(one_episode_log, tmp_path, capsys, damage, message):
+    _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)
 
 
 def test_tampered_log_detected(run_dir, tmp_path):
@@ -336,6 +368,16 @@ def test_validate_good_program(tmp_path):
         'fail "too far ({dist} m)"\n'
     )
     assert validate_dsl(f, "stack_in_order") == []
+
+
+@pytest.mark.parametrize("task", TEMPLATES)
+def test_validate_accepts_generated_first_subgoal_programs(task, tmp_path):
+    state, scene = build_scene(task, np.random.default_rng(0))  # the scene validate_dsl binds against
+    sg = Planner(task, load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    for ps in sg.during + sg.completion:
+        f = tmp_path / f"{ps.cid}.cam"
+        f.write_text(ps.source)
+        assert validate_dsl(f, task) == [], ps.source
 
 
 def test_validate_bad_element(tmp_path):

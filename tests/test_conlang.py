@@ -14,7 +14,6 @@ from camlab.conlang import (
     DuplicateTolerance,
     ElemList,
     ElemRef,
-    EvalContext,
     EvalError,
     IfElse,
     Mode,
@@ -36,6 +35,7 @@ from camlab.conlang import (
     whitebox_validate,
 )
 from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement, ElementSet
+from camlab.monitor import PointRing
 
 LEVEL_SRC = (
     'constraint "level" mode during\n'
@@ -73,11 +73,17 @@ def level_elements(tilt=0.0):
 
 
 def ctx_for(es, tick=0):
-    return EvalContext.from_points(
-        tick,
-        {e.eid: e.points for e in es.elements},
-        {e.eid: e.etype for e in es.elements},
-    )
+    """Evaluation context holding one snapshot of the element set."""
+    return PointRing(es.elements, tick)
+
+
+def history_ctx(hist, etype):
+    """Evaluation context for one element e(0) whose points were hist[0],
+    hist[1], ..., hist[-1] (the newest) on consecutive ticks."""
+    ring = PointRing([element(0, etype, hist[0])], 0)
+    for tick, points in enumerate(hist[1:], 1):
+        ring.push(tick, [points])
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,7 @@ def test_evaluate_level_tilted_20deg_reason():
 def test_evaluate_displacement_2cm():
     # scripted +2 cm x-translation over 10 ticks
     hist = [np.array([[0.002 * i, 0.0, 0.1]]) for i in range(11)]
-    ctx = EvalContext(10, {0: hist}, {0: POINT})
+    ctx = history_ctx(hist, POINT)
     src = 'constraint "moved" mode during tol dmin = 2 cm { displacement(e(0), 10) >= dmin } fail "r"'
     ok, _ = evaluate(parse(src), ctx)
     assert ok
@@ -365,7 +371,7 @@ def test_evaluate_rotation_half_turn():
     # line rotates 180 degrees about z; tracked point identity keeps the sign
     a = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
     b = np.array([[0.0, 0.0, 0.0], [-0.1, 0.0, 0.0]])
-    ctx = EvalContext(5, {0: [a, b]}, {0: LINE})
+    ctx = history_ctx([a, b], LINE)
     src = 'constraint "turn" mode during { rotation(e(0), 1) >= 3.14 } fail "r"'
     ok, _ = evaluate(parse(src), ctx)
     assert ok
@@ -391,11 +397,7 @@ def test_evaluate_determinism_bytes():
 def test_evaluate_scale_consistency():
     es = level_elements(tilt=math.radians(12))
     base = ctx_for(es)
-    scaled = EvalContext.from_points(
-        0,
-        {e.eid: e.points * 3.0 for e in es.elements},
-        {e.eid: e.etype for e in es.elements},
-    )
+    scaled = ctx_for(ElementSet(tuple(element(e.eid, e.etype, e.points * 3.0) for e in es.elements), "sg"))
     dist_src = 'constraint "d" mode during { dist(centroid(e(0)), centroid(e(2))) < 1000 } fail "{dist}"'
     ang_src = 'constraint "a" mode during { angle(normal(e(2)), axis_z) < 0.01 } fail "{angle}"'
     _, d1 = evaluate(parse(dist_src.replace("< 1000", "< 0")), base)
@@ -439,7 +441,7 @@ def test_evaluate_count_within():
 
 def test_evaluate_at_shifts_history():
     hist = [np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]])]
-    ctx = EvalContext(1, {0: hist}, {0: POINT})
+    ctx = history_ctx(hist, POINT)
     src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) = 1.0 } fail "r"'
     assert evaluate(parse(src), ctx)[0]
 

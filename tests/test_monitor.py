@@ -37,8 +37,8 @@ DONE_SRC = (
 )
 
 
-def tracker_for(es, cfg=None, fk=(0,)):
-    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0, seed=1))
+def tracker_for(es, cfg=None, fk=(0,), seed=1):
+    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed)
     tr.register(es, tick=0, fk_eids=fk)
     return tr
 
@@ -53,63 +53,61 @@ def truth_of(es):
 
 def test_tracker_noiseless_identity():
     es = two_point_set()
-    tr = tracker_for(es, TrackerConfig(sigma=0.0, dropout=0.0, seed=3), fk=())
+    tr = tracker_for(es, TrackerConfig(sigma=0.0, dropout=0.0), fk=(), seed=3)
     truth = truth_of(es)
     for t in range(1, 10):
         tr.step(truth, t)
-    for eid, track in tr.tracks.items():
-        assert np.array_equal(track.latest()[1], truth[eid])
+    for eid in truth:
+        assert np.array_equal(tr.ring.points_at(eid, 0), truth[eid])
 
 
 def test_tracker_full_dropout_holds_first_value():
     es = two_point_set()
-    tr = tracker_for(es, TrackerConfig(sigma=0.001, dropout=0.999999, resync_interval=10**9, seed=3), fk=())
-    first = {eid: trk.latest()[1].copy() for eid, trk in tr.tracks.items()}
+    tr = tracker_for(es, TrackerConfig(sigma=0.001, dropout=0.999999, resync_interval=10**9), fk=(), seed=3)
+    first = {eid: tr.ring.points_at(eid, 0).copy() for eid in tr.ring.order}
     moved = {eid: pts + 0.05 for eid, pts in truth_of(es).items()}
     for t in range(1, 8):
         tr.step(moved, t)
-    for eid, trk in tr.tracks.items():
-        tick, pts, valid = trk.latest()
-        assert np.array_equal(pts, first[eid])
-        assert not valid.any()
+    for eid in tr.ring.order:
+        assert np.array_equal(tr.ring.points_at(eid, 0), first[eid])
 
 
 def test_tracker_rms_error_band():
     # sigma 0.002, 1000 ticks: per-axis RMS error lands around sigma
-    cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20, seed=7)
+    cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20)
     es = two_point_set()
-    tr = tracker_for(es, cfg, fk=())
+    tr = tracker_for(es, cfg, fk=(), seed=7)
     truth = truth_of(es)
     errs = []
     for t in range(1, 1001):
         tr.step(truth, t)
-        errs.append(tr.tracks[1].latest()[1] - truth[1])
+        errs.append(tr.ring.points_at(1, 0) - truth[1])
     rms = float(np.sqrt(np.mean(np.square(np.concatenate(errs)))))
     assert 0.0015 <= rms <= 0.0025
 
 
 def test_tracker_unbiased():
-    cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20, seed=11)
+    cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20)
     es = two_point_set()
-    tr = tracker_for(es, cfg, fk=())
+    tr = tracker_for(es, cfg, fk=(), seed=11)
     truth = truth_of(es)
     errs = []
     for t in range(1, 10001):
         tr.step(truth, t)
-        errs.append(tr.tracks[1].latest()[1] - truth[1])
+        errs.append(tr.ring.points_at(1, 0) - truth[1])
     mean = np.mean(np.vstack(errs), axis=0)
     bound = 3 * cfg.sigma / math.sqrt(10000)
     assert np.all(np.abs(mean) < bound)
 
 
 def test_tracker_resync_snaps_exactly():
-    cfg = TrackerConfig(sigma=0.01, dropout=0.0, resync_interval=5, seed=2)
+    cfg = TrackerConfig(sigma=0.01, dropout=0.0, resync_interval=5)
     es = two_point_set()
-    tr = tracker_for(es, cfg, fk=())
+    tr = tracker_for(es, cfg, fk=(), seed=2)
     truth = truth_of(es)
     for t in range(1, 6):
         tr.step(truth, t)
-    assert np.array_equal(tr.tracks[1].latest()[1], truth[1])  # tick 5 is a resync
+    assert np.array_equal(tr.ring.points_at(1, 0), truth[1])  # tick 5 is a resync
 
 
 def test_tracker_unknown_id_rejected():
@@ -122,13 +120,13 @@ def test_tracker_unknown_id_rejected():
 
 
 def test_fk_elements_are_noiseless():
-    cfg = TrackerConfig(sigma=0.01, dropout=0.5, resync_interval=10**6, seed=5)
+    cfg = TrackerConfig(sigma=0.01, dropout=0.5, resync_interval=10**6)
     es = two_point_set()
-    tr = tracker_for(es, cfg, fk=(0,))
+    tr = tracker_for(es, cfg, fk=(0,), seed=5)
     truth = truth_of(es)
     for t in range(1, 20):
         tr.step(truth, t)
-    assert np.array_equal(tr.tracks[0].latest()[1], truth[0])
+    assert np.array_equal(tr.ring.points_at(0, 0), truth[0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +332,9 @@ def test_latency_matches_most_recent():
 
 def test_noise_robustness_no_false_positives():
     for seed in range(20):
-        cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20, seed=seed)
+        cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20)
         es = two_point_set()
-        tr = SimTracker(cfg)
+        tr = SimTracker(cfg, seed)
         tr.register(es, 0, fk_eids=(0,))
         mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=3))
         truth = truth_of(es)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from camlab.conlang import EvalContext, Mode, load_default_kb, parse, typecheck, whitebox_validate
-from camlab.elementizer import end_effector_element, extract_element, make_element_set
-from camlab.simlab import build_scene, mask_bundle, render, scene_summary
+from camlab.conlang import Mode, load_default_kb, parse, typecheck, whitebox_validate
+from camlab.monitor import PointRing
+from camlab.simlab import build_scene, extract_elements, scene_summary
 from camlab.taskgen import (
     FailureFeedback,
     Planner,
@@ -138,20 +138,8 @@ def test_closedness_every_emitted_kind_has_a_rule():
 def test_first_subgoal_programs_validate(template):
     planner, state, scene = planner_for(template, seed=4)
     sg = planner.plan_next(summary_of(state, scene))
-    views = render(state, scene)
-    protos = [end_effector_element([state.ee_pose.t])]
-    for espec in sg.element_specs:
-        protos.append(
-            extract_element(
-                mask_bundle(scene, views, espec.oid, espec.part, espec.etype),
-                [v[0] for v in views],
-                scene.cameras,
-            )
-        )
-    es = make_element_set(protos, sg.sid)
-    ctx = EvalContext.from_points(
-        0, {e.eid: e.points for e in es.elements}, {e.eid: e.etype for e in es.elements}
-    )
+    es, _ = extract_elements(sg, state, scene)
+    ctx = PointRing(es.elements, state.tick)
     for ps, mode in [(ps, Mode.DURING) for ps in sg.during] + [(ps, Mode.ON_COMPLETION) for ps in sg.completion]:
         prog = parse(ps.source, cid=ps.cid)
         assert prog.mode is ps.mode is mode  # the monitor splits programs by parsed mode

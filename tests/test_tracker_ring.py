@@ -1,9 +1,9 @@
 """The packed PointRing tracker against a reference per-element deque tracker.
 
-The reference is the original tracker: one deque of (tick, points, valid)
-per element, two RNG calls per noisy element in id order. The packed ring
-must give the same bytes for every entry, every history lookup and every
-centroid, including lookups clamped to the oldest entry.
+The reference is the original tracker: one deque of points per element, two
+RNG calls per noisy element in id order. The packed ring must give the same
+bytes for every history lookup and every centroid (the deque entry's
+mean(axis=0)), including lookups clamped to the oldest entry.
 """
 
 from collections import deque
@@ -14,35 +14,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camlab.conlang import EvalContext
 from camlab.errors import TrackError
 from camlab.monitor import SimTracker, TrackerConfig
 
 
 class ReferenceTracker:
-    def __init__(self, cfg, capacity):
+    def __init__(self, cfg, seed, capacity):
         self.cfg, self.capacity = cfg, capacity
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = np.random.default_rng(seed)
 
     def register(self, element_set, tick, fk_eids=()):
         self.fk_eids = set(fk_eids)
-        self.tracks = {}
-        for el in element_set.elements:
-            self.tracks[el.eid] = deque([(tick, el.points.copy(), np.ones(len(el.points), bool))], self.capacity)
+        self.tracks = {el.eid: deque([el.points.copy()], self.capacity) for el in element_set.elements}
 
     def step(self, truth, tick):
         for eid in sorted(self.tracks):
             tr, pts = self.tracks[eid], np.asarray(truth[eid], dtype=np.float64)
             k = len(pts)
             if eid in self.fk_eids or tick % self.cfg.resync_interval == 0:
-                tr.append((tick, pts.copy(), np.ones(k, dtype=bool)))
+                tr.append(pts.copy())
                 continue
             drop = self.rng.random(k) < self.cfg.dropout
             noise = self.rng.normal(0.0, self.cfg.sigma, size=(k, 3)) if self.cfg.sigma > 0 else np.zeros((k, 3))
-            tr.append((tick, np.where(drop[:, None], tr[-1][1], pts + noise), ~drop))
+            tr.append(np.where(drop[:, None], tr[-1], pts + noise))
 
-    def histories(self):
-        return {eid: [e[1] for e in tr] for eid, tr in self.tracks.items()}
+    def points_at(self, eid, back):
+        tr = self.tracks[eid]
+        return tr[max(len(tr) - 1 - back, 0)]
 
 
 def element_set(sizes, rng):
@@ -72,35 +70,30 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
     es = element_set(sizes, rng)
     eids = [el.eid for el in es.elements]
     fk = [e for i, e in enumerate(eids) if fk_mask >> i & 1]
-    cfg = TrackerConfig(sigma=sigma, dropout=dropout, resync_interval=resync, seed=seed)
-    ring, ref = SimTracker(cfg, capacity), ReferenceTracker(cfg, capacity)
-    ring.register(es, 3, fk_eids=fk)
+    cfg = TrackerConfig(sigma=sigma, dropout=dropout, resync_interval=resync)
+    tracker, ref = SimTracker(cfg, seed, capacity), ReferenceTracker(cfg, seed, capacity)
+    tracker.register(es, 3, fk_eids=fk)
     ref.register(es, 3, fk_eids=fk)
     truth = {el.eid: el.points for el in es.elements}
     groups = [tuple(eids), tuple(eids[::-1]), tuple(eids[:1]), tuple(eids[1::2])]
     for tick in range(4, 4 + capacity + extra_ticks):
         truth = {eid: p + rng.normal(0, 0.01, p.shape) for eid, p in truth.items()}
-        ring.step(truth, tick)
+        tracker.step(truth, tick)
         ref.step(truth, tick)
-        assert list(ring.tracks) == list(ref.tracks)
-        for eid in eids:
-            got, want = ring.tracks[eid].latest(), ref.tracks[eid][-1]
-            assert got[0] == want[0]
-            assert same_bytes(got[1], want[1]) and same_bytes(got[2], want[2])
-            assert len(ring.tracks[eid]) == len(ref.tracks[eid])
-        packed = EvalContext(tick, ring.tracks, {})
-        plain = EvalContext(tick, ref.histories(), {})
+        ring = tracker.ring
+        assert (ring.tick, ring.count) == (tick, len(ref.tracks[eids[0]]))
         for back in range(capacity + 3):
             for eid in eids:
-                assert same_bytes(packed.points_at(eid, back), plain.points_at(eid, back))
+                assert same_bytes(ring.points_at(eid, back), ref.points_at(eid, back))
             for group in groups:
-                assert same_bytes(packed.centroids(group, back), plain.centroids(group, back))
+                want = np.array([ref.points_at(eid, back).mean(axis=0) for eid in group]).reshape(-1, 3)
+                assert same_bytes(ring.centroids(group, back), want)
 
 
 def test_track_errors():
     rng = np.random.default_rng(0)
     es = element_set([1, 2], rng)
-    tr = SimTracker(TrackerConfig(seed=1), capacity=4)
+    tr = SimTracker(TrackerConfig(), seed=1, capacity=4)
     tr.register(es, 5)
     truth = {el.eid: el.points for el in es.elements}
     with pytest.raises(TrackError):
