@@ -3,8 +3,8 @@
     camctl run <spec> [--out DIR]     run an experiment grid, write JSONL log
                                       + machine report, print a summary table
     camctl replay <log>               recompute the report from the log only
-    camctl validate <file> [--task T] parse/typecheck/whitebox a DSL file
-                                      against a scene snapshot
+    camctl validate <file> [--task T] load a DSL file as the episode loop
+                                      does, against a scene snapshot
     camctl bench                      monitor_tick latency benchmark
 
 Spec files are flat `key = value` text; comma-separated values of modes /
@@ -33,9 +33,11 @@ import numpy as np
 
 from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
 from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerConfig, latency_report
-from camlab.simlab import EpisodeConfig, run_episode
+from camlab.simlab import TICK_HZ, EpisodeConfig, run_episode
 from camlab.simlab.disturb import standard_disturbances
+from camlab.simlab.episode import BUDGET_TICKS
 from camlab.simlab.scenes import TEMPLATES
+from camlab.taskgen import MAX_RETRIES
 
 __all__ = [
     "ExperimentSpec",
@@ -123,10 +125,10 @@ class ExperimentSpec:
     drop_p: tuple = (0.0,)
     place_noise_cm: tuple = (0.0,)
     disturbances: tuple = ("none",)
-    budget_ticks: int = 1400
+    budget_ticks: int = BUDGET_TICKS
     tracker: TrackerConfig = TrackerConfig()
     debounce: DebouncePolicy = DebouncePolicy()
-    max_retries: int = 5
+    max_retries: int = MAX_RETRIES
 
     def __post_init__(self):
         if self.task not in TEMPLATES:
@@ -329,7 +331,7 @@ def _metrics_from_events(episode_rows: dict) -> list:
                 "success_rate": successes / n,
                 "ci95": _ci95(successes, n),
                 "mean_ticks": sum(ticks) / n,
-                "mean_seconds": sum(ticks) / n / 20.0,
+                "mean_seconds": sum(ticks) / n / TICK_HZ,
                 "mean_ticks_success": (sum(ticks_success) / len(ticks_success)) if ticks_success else None,
                 "mean_detection_latency": (sum(latencies) / len(latencies)) if latencies else None,
                 "false_positives": false_pos,
@@ -393,13 +395,21 @@ def run_spec(spec: ExperimentSpec, log_writer: JsonlLogWriter | None = None, pro
     return _report(spec_dict, cells, episode_rows)
 
 
+def _bad_fields(d: dict, **types) -> str:
+    """'no tick', 'a non-int tick', ...: the fields of d that are missing or
+    not exactly of their type."""
+    return ", ".join(
+        f"no {k}" if k not in d else f"a non-{t.__name__} {k}" for k, t in types.items() if type(d.get(k)) is not t
+    )
+
+
 def replay_log(path) -> dict:
     """Recompute the metrics report from a run log (no re-simulation).
 
     Raises CamlabError unless the log's meta spec is readable and the log
     holds, for every cell of that spec, exactly its episodes, each with an
-    episode_end event that has success and ticks, and every record has a
-    kind, a tick and a payload."""
+    episode_end event whose payload has a bool success and int ticks, and
+    every record has a str kind, an int tick and a dict payload."""
     records = read_log(path)
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
@@ -413,11 +423,17 @@ def replay_log(path) -> dict:
     runs: dict = {}
     for rec in records[1:]:
         key = (rec.get("cell"), rec.get("episode"))
-        if not ("kind" in rec and "tick" in rec and "payload" in rec):
-            missing = ", ".join(sorted({"kind", "tick", "payload"} - rec.keys()))
-            raise CamlabError(f"{path}: a record of cell {key[0]!r} episode {key[1]!r} has no {missing}")
-        if rec["kind"] == "episode_end" and not ("success" in rec["payload"] and "ticks" in rec["payload"]):
-            raise CamlabError(f"{path}: the episode_end of cell {key[0]!r} episode {key[1]!r} lacks success or ticks")
+        kind, payload = rec.get("kind"), rec.get("payload")
+        if type(kind) is not str or type(rec.get("tick")) is not int or type(payload) is not dict:
+            bad = _bad_fields(rec, kind=str, tick=int, payload=dict)
+            raise CamlabError(f"{path}: a record of cell {key[0]!r} episode {key[1]!r} has {bad}")
+        if kind == "episode_end" and (
+            type(payload.get("success")) is not bool or type(payload.get("ticks")) is not int
+        ):
+            bad = _bad_fields(payload, success=bool, ticks=int)
+            raise CamlabError(
+                f"{path}: the episode_end of cell {key[0]!r} episode {key[1]!r} lacks success or ticks, it has {bad}"
+            )
         runs.setdefault(key, []).append({k: v for k, v in rec.items() if k not in ("cell", "episode")})
     cells = spec.cells()
     n_cells = len(cells)
@@ -457,17 +473,16 @@ def _print_table(report: dict, out=sys.stdout):
 
 
 def validate_dsl(path, task: str = "stack_in_order") -> list:
-    """Parse/typecheck/whitebox a DSL source file against a scene snapshot.
+    """Load a DSL source file as the episode loop does (load_program).
 
     Binds e(0) to the end-effector and e(1..) to the task's first-subgoal
     elements, extracted from a seed-0 scene as the episode loop extracts
-    them. Returns a list of problem strings (empty when the program
-    validates)."""
-    from camlab.conlang import load_default_kb, parse, typecheck, whitebox_validate
-    from camlab.conlang.check import ValidationFailure
-    from camlab.conlang.parser import DslSyntaxError, DuplicateTolerance
+    them. Returns [] when the program loads, else [the text a
+    validation_failure event would carry]."""
+    from camlab.conlang import load_default_kb
     from camlab.monitor import PointRing
     from camlab.simlab import build_scene, extract_elements, scene_summary
+    from camlab.simlab.episode import load_program
     from camlab.taskgen import Planner
 
     with open(path, encoding="utf-8") as fh:
@@ -476,16 +491,10 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
     sg = Planner(task, load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
     es, _ = extract_elements(sg, state, scene)
     try:
-        prog = parse(source)
-    except (DslSyntaxError, DuplicateTolerance) as err:
-        return [f"parse: {err}"]
-    problems = [f"typecheck: {i}" for i in typecheck(prog, es)]
-    if not problems:
-        try:
-            whitebox_validate(prog, PointRing(es.elements, state.tick))
-        except ValidationFailure as err:
-            problems.append(f"whitebox: {err}")
-    return problems
+        load_program(source, None, PointRing(es.elements, state.tick))
+    except CamlabError as err:
+        return [str(err)]
+    return []
 
 
 def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 8) -> dict:

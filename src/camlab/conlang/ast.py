@@ -35,8 +35,9 @@ __all__ = [
     "CANONICAL_UNIT",
     "BUILTINS",
     "AXES",
+    "ELEMENT_KINDS",
+    "kind_mismatch",
     "pretty",
-    "max_history_ticks",
 ]
 
 
@@ -60,7 +61,9 @@ CANONICAL_UNIT = {"len": "m", "ang": "rad", "count": "count"}
 AXES = ("axis_x", "axis_y", "axis_z")
 
 # builtin name -> (argument spec, result kind); argument/result kinds are
-# checked in conlang.check, this table also freezes the callable vocabulary
+# checked in conlang.check, this table also freezes the callable vocabulary.
+# An "intlit" is a non-negative integer literal; "ticks" is one that reaches
+# that many ticks into the element history.
 BUILTINS = {
     "pos": (("elem", "intlit"), "vec"),
     "centroid": (("elem",), "vec"),
@@ -69,14 +72,27 @@ BUILTINS = {
     "dist": (("vec", "vec"), ("scalar", "len")),
     "angle": (("vec", "vec"), ("scalar", "ang")),
     "proj_xy": (("vec",), "vec"),
-    "displacement": (("elem", "intlit"), ("scalar", "len")),
-    "rotation": (("elem", "intlit"), ("scalar", "ang")),
+    "displacement": (("elem", "ticks"), ("scalar", "len")),
+    "rotation": (("elem", "ticks"), ("scalar", "ang")),
     "count_within": (("elemlist", "box"), ("scalar", "count")),
     "inside": (("vec", "box"), "bool"),
     "above": (("vec", "vec", ("scalar", "len")), "bool"),
     "vec": ((("scalar", "len"), ("scalar", "len"), ("scalar", "len")), "vec"),
     "box": (tuple([("scalar", "len")] * 6), "box"),
 }
+
+# builtin -> element kinds its element argument may have; conlang.check
+# rejects any other kind before load and conlang.evaluator at run time
+ELEMENT_KINDS = {"normal": ("surface",), "dir": ("line",), "rotation": ("line", "surface")}
+
+
+def kind_mismatch(fn: str, eid: int, kind: str) -> str | None:
+    """The message when builtin `fn` gets element e(eid) of a kind it does
+    not take (see ELEMENT_KINDS), else None."""
+    allowed = ELEMENT_KINDS.get(fn)
+    if allowed is None or kind in allowed:
+        return None
+    return f"{fn} requires {' or '.join(k.upper() for k in allowed)}, e({eid}) is {kind.upper()}"
 
 
 @dataclass(frozen=True)
@@ -250,30 +266,3 @@ def pretty(program: MonitorProgram) -> str:
     lines.append("{ " + _print(program.body, 0) + " }")
     lines.append(f'fail "{program.reason_template}"')
     return "\n".join(lines)
-
-
-def max_history_ticks(node) -> int:
-    """Largest history offset the expression can reach (at / displacement /
-    rotation), used to validate ring-buffer capacity at load time."""
-    if isinstance(node, At):
-        return node.ticks + max_history_ticks(node.expr)
-    if isinstance(node, Call):
-        own = 0
-        if node.fn in ("displacement", "rotation") and isinstance(node.args[1], Num):
-            own = int(node.args[1].value)
-        return own + max((max_history_ticks(a) for a in node.args), default=0)
-    if isinstance(node, Unary):
-        return max_history_ticks(node.operand)
-    if isinstance(node, BinOp):
-        return max(max_history_ticks(node.lhs), max_history_ticks(node.rhs))
-    if isinstance(node, Within):
-        return max(
-            max_history_ticks(node.lhs), max_history_ticks(node.tol), max_history_ticks(node.rhs)
-        )
-    if isinstance(node, IfElse):
-        return max(
-            max_history_ticks(node.cond),
-            max_history_ticks(node.then),
-            max_history_ticks(node.other),
-        )
-    return 0

@@ -1,9 +1,9 @@
 """Static type/unit checking and white-box validation of monitor programs.
 
-typecheck verifies element references against the bound element set, builtin
-arities and argument kinds (normal needs a surface, dir needs a line), unit
-consistency (an angle is never compared to meters), and that the body is
-boolean. Issues come back in-band as a list.
+Both run on the tracker's point ring. typecheck verifies element references,
+builtin arities and argument kinds (ast.ELEMENT_KINDS), unit consistency (an
+angle is never compared to meters), that the body is boolean, and that the
+history reach stays below the ring's capacity. Issues come back in-band.
 
 whitebox_validate exercises every conditional branch against the subgoal's
 first-tick state; any runtime error on any path, or a during-constraint that
@@ -32,6 +32,7 @@ from camlab.conlang.ast import (
     Unary,
     Within,
     _print,
+    kind_mismatch,
 )
 from camlab.conlang.evaluator import EvalError, evaluate, forced_walk, _PLACEHOLDER_RE
 
@@ -73,12 +74,13 @@ def _join_dims(a: str, b: str):
 
 
 class _Checker:
-    def __init__(self, program: MonitorProgram, info: dict):
-        self.program = program
-        self.info = info
+    def __init__(self, program: MonitorProgram, ring):
+        self.ring = ring
         self.tols = {t.name: t.dim for t in program.tolerances}
         self.issues: list = []
         self.scalar_fns: set = set()
+        self.back = 0  # history offset of the node being checked
+        self.reach = 0  # largest history offset seen
 
     def issue(self, message: str, node):
         self.issues.append(TypeIssue(message, _print(node, 0)))
@@ -94,16 +96,20 @@ class _Checker:
         if isinstance(node, AxisRef):
             return _VEC
         if isinstance(node, ElemRef):
-            if node.eid not in self.info:
+            if node.eid not in self.ring.spans:
                 return self.issue(f"element e({node.eid}) is not in the bound element set", node)
             return ("elem", node.eid)
         if isinstance(node, ElemList):
             for eid in node.eids:
-                if eid not in self.info:
+                if eid not in self.ring.spans:
                     self.issue(f"element e({eid}) is not in the bound element set", node)
             return ("elemlist", node.eids)
         if isinstance(node, At):
-            return self.type_of(node.expr)
+            self.back += node.ticks
+            self.reach = max(self.reach, self.back)
+            t = self.type_of(node.expr)
+            self.back -= node.ticks
+            return t
         if isinstance(node, Unary):
             t = self.type_of(node.operand)
             if t == _ERR:
@@ -209,9 +215,11 @@ class _Checker:
             )
         elem_args = []
         for want, arg in zip(arg_spec, node.args):
-            if want == "intlit":
+            if want in ("intlit", "ticks"):
                 if not (isinstance(arg, Num) and arg.dim == "none" and arg.value == int(arg.value) and arg.value >= 0):
                     self.issue(f"{node.fn} needs a non-negative integer literal here", node)
+                elif want == "ticks":
+                    self.reach = max(self.reach, self.back + int(arg.value))
                 continue
             got = self.type_of(arg)
             if got == _ERR:
@@ -233,19 +241,14 @@ class _Checker:
             elif isinstance(want, tuple) and want[0] == "scalar":
                 if got[0] != "scalar" or _join_dims(got[1], want[1]) is None:
                     self.issue(f"{node.fn} needs a {want[1]} scalar here", node)
-        # element-kind restrictions
         if elem_args:
             eid = elem_args[0]
-            kind = self.info[eid][0]
-            if node.fn == "normal" and kind != "surface":
-                self.issue(f"normal requires SURFACE, e({eid}) is {kind.upper()}", node)
-            if node.fn == "dir" and kind != "line":
-                self.issue(f"dir requires LINE, e({eid}) is {kind.upper()}", node)
-            if node.fn == "rotation" and kind not in ("line", "surface"):
-                self.issue(f"rotation requires LINE or SURFACE, e({eid}) is {kind.upper()}", node)
+            mismatch = kind_mismatch(node.fn, eid, self.ring.kind_of(eid))
+            if mismatch:
+                self.issue(mismatch, node)
             if node.fn == "pos" and isinstance(node.args[1], Num):
                 idx = int(node.args[1].value)
-                if idx >= self.info[eid][1]:
+                if idx >= len(self.ring.points_at(eid, 0)):
                     self.issue(f"pos index {idx} out of range for e({eid})", node)
         if isinstance(result, tuple) and result[0] == "scalar":
             self.scalar_fns.add(node.fn)
@@ -257,14 +260,17 @@ class _Checker:
         return _BOOL
 
 
-def typecheck(program: MonitorProgram, element_set) -> list:
-    """Check a program against an element set; returns a list of TypeIssue
-    (empty means ok)."""
-    info = {e.eid: (e.etype.kind.value, len(e.points)) for e in element_set.elements}
-    checker = _Checker(program, info)
+def typecheck(program: MonitorProgram, ring) -> list:
+    """Check a program against a point ring; returns a list of TypeIssue
+    (empty means ok). The history reach (largest sum of at() shifts and
+    displacement/rotation ticks on a path) must be below the ring capacity:
+    beyond it history clamps, so the meaning would depend on the capacity."""
+    checker = _Checker(program, ring)
     body_type = checker.type_of(program.body)
     if body_type not in (_BOOL, _ERR):
         checker.issue("program body must evaluate to a boolean", program.body)
+    if checker.reach >= ring.capacity:
+        checker.issue(f"reaches {checker.reach} ticks back, ring capacity {ring.capacity}", program.body)
     known = checker.scalar_fns | set(checker.tols) | {"within"}
     for name in _PLACEHOLDER_RE.findall(program.reason_template):
         if name not in known:

@@ -26,6 +26,7 @@ import numpy as np
 
 from camlab.errors import CamlabError, DegenerateGeometry
 from camlab.conlang.ast import (
+    ELEMENT_KINDS,
     At,
     AxisRef,
     BinOp,
@@ -38,6 +39,7 @@ from camlab.conlang.ast import (
     TolRef,
     Unary,
     Within,
+    kind_mismatch,
 )
 from camlab.geom3d import angle_between, fit_line, fit_plane
 
@@ -176,6 +178,15 @@ class _Evaluator:
             self.measured[fn] = value
         return value
 
+    def _typed_elem(self, fn: str, arg, back: int):
+        """(eid, kind) of an element argument; EvalError with the checker's
+        message when `fn` does not take that kind."""
+        eid = self.eval(arg, back)
+        kind = self.ctx.kind_of(eid)
+        if kind not in ELEMENT_KINDS[fn]:
+            raise EvalError(kind_mismatch(fn, eid, kind))
+        return eid, kind
+
     def _call_inner(self, fn: str, args, back: int):
         ctx = self.ctx
         if fn == "pos":
@@ -188,15 +199,11 @@ class _Evaluator:
         if fn == "centroid":
             return ctx.centroids((self.eval(args[0], back),), back)[0]
         if fn == "normal":
-            eid = self.eval(args[0], back)
-            if ctx.kind_of(eid) != "surface":
-                raise EvalError(f"normal requires a surface element, e({eid}) is {ctx.kind_of(eid)}")
+            eid, _ = self._typed_elem(fn, args[0], back)
             n, _, _ = fit_plane(ctx.points_at(eid, back))
             return n
         if fn == "dir":
-            eid = self.eval(args[0], back)
-            if ctx.kind_of(eid) != "line":
-                raise EvalError(f"dir requires a line element, e({eid}) is {ctx.kind_of(eid)}")
+            eid, _ = self._typed_elem(fn, args[0], back)
             d, _, _ = fit_line(ctx.points_at(eid, back))
             return d
         if fn == "dist":
@@ -215,17 +222,11 @@ class _Evaluator:
             then = ctx.centroids((eid,), back + delta)[0]
             return float(np.linalg.norm(now - then))
         if fn == "rotation":
-            eid = self.eval(args[0], back)
+            eid, kind = self._typed_elem(fn, args[0], back)
             delta = int(self.eval(args[1], back))
-            kind = ctx.kind_of(eid)
-            if kind == "line":
-                a = _oriented_direction(ctx.points_at(eid, back))
-                b = _oriented_direction(ctx.points_at(eid, back + delta))
-            elif kind == "surface":
-                a = _oriented_normal(ctx.points_at(eid, back))
-                b = _oriented_normal(ctx.points_at(eid, back + delta))
-            else:
-                raise EvalError(f"rotation requires a line or surface element, e({eid}) is {kind}")
+            orient = _oriented_direction if kind == "line" else _oriented_normal
+            a = orient(ctx.points_at(eid, back))
+            b = orient(ctx.points_at(eid, back + delta))
             return float(angle_between(a, b))
         if fn == "count_within":
             eids = self.eval(args[0], back)

@@ -41,7 +41,6 @@ __all__ = [
     "MaskBundle",
     "ConstraintElement",
     "ElementSet",
-    "ExtractParams",
     "fuse_views",
     "filter_outliers",
     "cells_for_type",
@@ -183,14 +182,14 @@ def make_element_set(protos, subgoal_id: str) -> ElementSet:
     return ElementSet(tuple(out), subgoal_id)
 
 
-@dataclass(frozen=True)
-class ExtractParams:
-    outlier_k: int = 8
-    outlier_std_ratio: float = 2.0
-    dbscan_eps: float | None = None  # None -> eps_factor x the p90 nearest-neighbor gap
-    eps_factor: float = 2.0  # tolerates pixel-aliasing gaps in thin masks
-    dbscan_min_pts: int = 3
-    max_cloud_points: int = 4000
+# extraction constants: outlier filter, DBSCAN per cell (eps = EPS_FACTOR x
+# the p90 nearest-neighbor gap, which tolerates pixel-aliasing gaps in thin
+# masks), and the cap on fused cloud points (evenly subsampled above it)
+OUTLIER_K = 8
+OUTLIER_STD_RATIO = 2.0
+EPS_FACTOR = 2.0
+DBSCAN_MIN_PTS = 3
+MAX_CLOUD_POINTS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def _pairwise_dist(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def filter_outliers(points, k: int = 8, std_ratio: float = 2.0) -> np.ndarray:
+def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> np.ndarray:
     """Statistical outlier removal: drop points whose mean distance to their k
     nearest neighbors exceeds mean + std_ratio * std of that statistic.
     Returns the input unchanged when n <= k."""
@@ -285,13 +284,11 @@ def _nn_scale(pts: np.ndarray) -> float:
     return float(np.percentile(d.min(axis=1), 90))
 
 
-def _representative(members: np.ndarray, params: ExtractParams) -> np.ndarray:
+def _representative(members: np.ndarray) -> np.ndarray:
     """Centroid of the largest DBSCAN cluster (ties: lowest label); if every
     member is noise, fall back to the centroid of the whole cell."""
-    eps = params.dbscan_eps
-    if eps is None:
-        eps = params.eps_factor * _nn_scale(members)
-    lab = dbscan(members, eps=max(eps, 1e-9), min_pts=params.dbscan_min_pts)
+    eps = EPS_FACTOR * _nn_scale(members)
+    lab = dbscan(members, eps=max(eps, 1e-9), min_pts=DBSCAN_MIN_PTS)
     if lab.n_clusters == 0:
         return members.mean(axis=0)
     sizes = [(int(np.sum(lab.labels == c)), c) for c in range(lab.n_clusters)]
@@ -376,7 +373,6 @@ def element_from_cloud(
     entity: str = "",
     part: str = "",
     constraint: str = "",
-    params: ExtractParams = ExtractParams(),
 ) -> ConstraintElement:
     """Turn an already-fused, already-filtered cloud into an element.
 
@@ -405,7 +401,7 @@ def element_from_cloud(
         else:
             raise IrreducibleCloud(f"{entity}/{part}: cloud collapsed below {target} separable cells")
 
-    reps = np.vstack([_representative(b, params) for b in bins])
+    reps = np.vstack([_representative(b) for b in bins])
     if len(reps) > target:
         reps = _downselect(reps, target)
     reps = reps @ rot  # back to the world frame
@@ -424,20 +420,19 @@ def element_from_cloud(
     return element
 
 
-def extract_element(bundle: MaskBundle, depths, cams, params: ExtractParams = ExtractParams()) -> ConstraintElement:
-    """Run the full pipeline for one mask bundle.
+def extract_element(bundle: MaskBundle, depths, cams) -> ConstraintElement:
+    """Run the full pipeline for one mask bundle, on at most MAX_CLOUD_POINTS
+    fused points.
 
     Raises EmptyPointSet (nothing visible), DegenerateGeometry, or
     IrreducibleCloud; see element_from_cloud.
     """
     cloud = fuse_views(bundle, depths, cams)
-    if len(cloud) > params.max_cloud_points:
-        idx = np.unique(np.linspace(0, len(cloud) - 1, params.max_cloud_points).astype(np.int64))
+    if len(cloud) > MAX_CLOUD_POINTS:
+        idx = np.unique(np.linspace(0, len(cloud) - 1, MAX_CLOUD_POINTS).astype(np.int64))
         cloud = cloud[idx]
-    cloud = filter_outliers(cloud, params.outlier_k, params.outlier_std_ratio)
-    return element_from_cloud(
-        cloud, bundle.element_type, bundle.entity, bundle.part, bundle.constraint, params
-    )
+    cloud = filter_outliers(cloud)
+    return element_from_cloud(cloud, bundle.element_type, bundle.entity, bundle.part, bundle.constraint)
 
 
 def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintElement:

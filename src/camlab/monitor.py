@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from camlab.conlang import EvalError, Mode, evaluate, max_history_ticks
+from camlab.conlang import EvalError, Mode, evaluate
 from camlab.errors import TrackError
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 INTERNAL_ERROR_REASON = "monitor internal error"
+RING_CAPACITY = 256  # ticks of point history per tracked element
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class PointRing:
     the oldest entry, and return read-only views into the ring, valid until
     the ring wraps over their entry."""
 
-    def __init__(self, elements, tick: int, capacity: int = 256, fk_eids=()):
+    def __init__(self, elements, tick: int, capacity: int = RING_CAPACITY, fk_eids=()):
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1")
         order = sorted(elements, key=lambda el: (el.eid not in fk_eids, el.eid))
@@ -152,7 +153,7 @@ class PointRing:
 class SimTracker:
     """Noisy tracker over ground-truth element points."""
 
-    def __init__(self, cfg: TrackerConfig = TrackerConfig(), seed: int = 0, capacity: int = 256):
+    def __init__(self, cfg: TrackerConfig = TrackerConfig(), seed: int = 0, capacity: int = RING_CAPACITY):
         self.cfg = cfg
         self.capacity = capacity
         self.rng = np.random.default_rng(seed)
@@ -241,6 +242,15 @@ class Verdict:
         return self.kind is VerdictKind.VIOLATION
 
 
+def _fail_safe(program, ring) -> tuple:
+    """evaluate(program, ring), with an evaluation error read as a violation
+    with INTERNAL_ERROR_REASON (fail-safe) rather than a skipped tick."""
+    try:
+        return evaluate(program, ring)
+    except EvalError:
+        return False, INTERNAL_ERROR_REASON
+
+
 class RealTimeMonitor:
     """Evaluates a subgoal's programs against tracked element state."""
 
@@ -257,12 +267,6 @@ class RealTimeMonitor:
         self._entered_streak = 0
         self._motion_end: int | None = None
         self._hold_streak = 0
-        for p in programs:
-            need = max_history_ticks(p.body)
-            if need >= tracker.capacity:
-                raise ValueError(
-                    f"program '{p.cid}' reaches {need} ticks back, capacity {tracker.capacity}"
-                )
 
     def acknowledge(self):
         """Planner acknowledgment: re-arm violation reporting."""
@@ -276,10 +280,7 @@ class RealTimeMonitor:
         ctx = self.tracker.ring
         verdict = None
         for prog in self.during:
-            try:
-                ok, reason = evaluate(prog, ctx)
-            except EvalError:
-                ok, reason = False, INTERNAL_ERROR_REASON  # fail-safe
+            ok, reason = _fail_safe(prog, ctx)
             if ok:
                 self._false_streak[prog.cid] = 0
                 continue
@@ -325,10 +326,7 @@ class RealTimeMonitor:
         so objects still crossing the region boundary settle clearly inside.
         An evaluation error counts as not entered."""
         ctx = self.tracker.ring
-        try:
-            entered = all(evaluate(p, ctx)[0] for p in self.completion)
-        except EvalError:
-            entered = False
+        entered = all(_fail_safe(p, ctx)[0] for p in self.completion)
         self._entered_streak = self._entered_streak + 1 if entered else 0
         return self._entered_streak >= self.policy.k
 
@@ -341,10 +339,7 @@ class RealTimeMonitor:
         ctx = self.tracker.ring
         first_bad = None
         for prog in self.completion:
-            try:
-                ok, reason = evaluate(prog, ctx)
-            except EvalError:
-                ok, reason = False, INTERNAL_ERROR_REASON
+            ok, reason = _fail_safe(prog, ctx)
             if not ok and first_bad is None:
                 first_bad = (prog.cid, reason)
         if first_bad is None:

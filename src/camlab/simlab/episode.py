@@ -21,25 +21,19 @@ import numpy as np
 # evaluate is unused here; perfbench's tracer patches it by name in this module
 from camlab.conlang import evaluate, load_default_kb, parse, typecheck, whitebox_validate
 from camlab.conlang.check import ValidationFailure
-from camlab.elementizer import (
-    ExtractParams,
-    element_set_fingerprint,
-    end_effector_element,
-    extract_element,
-    make_element_set,
-)
+from camlab.elementizer import element_set_fingerprint, end_effector_element, extract_element, make_element_set
 from camlab.errors import CamlabError
 from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerConfig, VerdictKind
 from camlab.simlab.disturb import DisturbanceInjector
 from camlab.simlab.policy import build_script
 from camlab.simlab.scenes import TaskBookkeeper, build_scene, mask_bundle, oracle_success, render, scene_summary
 from camlab.simlab.world import Simulation
-from camlab.taskgen import FailureFeedback, Planner, Subgoal, TaskAbort, TaskDone
+from camlab.taskgen import MAX_RETRIES, FailureFeedback, Planner, Subgoal, TaskAbort, TaskDone
 
-__all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "extract_elements", "MONITOR_MODES"]
+__all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "extract_elements", "load_program", "MONITOR_MODES"]
 
 MONITOR_MODES = ("off", "reactive_only", "proactive_only", "full")
-EXTRACT_PARAMS = ExtractParams(max_cloud_points=500)  # every subgoal start, and camctl validate
+BUDGET_TICKS = 1400  # per episode
 
 
 @dataclass(frozen=True)
@@ -48,10 +42,10 @@ class EpisodeConfig:
     monitor_mode: str = "full"
     disturbances: tuple = ()
     seed: int = 0
-    budget_ticks: int = 1400
+    budget_ticks: int = BUDGET_TICKS
     tracker: TrackerConfig = TrackerConfig()
     debounce: DebouncePolicy = DebouncePolicy()
-    max_retries: int = 5
+    max_retries: int = MAX_RETRIES
 
     def __post_init__(self):
         if self.monitor_mode not in MONITOR_MODES:
@@ -112,18 +106,31 @@ def extract_elements(sg: Subgoal, state, scene):
     truth_specs = [(0, None, None)]
     for eid, spec in enumerate(sg.element_specs, 1):
         bundle = mask_bundle(scene, views, spec.oid, spec.part, spec.etype, sg.text)
-        el = extract_element(bundle, depths, scene.cameras, EXTRACT_PARAMS)
+        el = extract_element(bundle, depths, scene.cameras)
         protos.append(el)
         truth_specs.append((eid, spec.oid, state.objects[spec.oid].pose.inverse().apply(el.points)))
     return make_element_set(protos, sg.sid), truth_specs
 
 
+def load_program(source: str, cid: str | None, ring):
+    """Parse, type-check and white-box validate one program on the tracker's
+    ring (cid None: the constraint name); the one load path of the episode
+    loop and `camctl validate`. Raises the first failure: DslSyntaxError,
+    DuplicateTolerance or ValidationFailure."""
+    prog = parse(source, cid=cid)
+    issues = typecheck(prog, ring)
+    if issues:
+        raise ValidationFailure(f"typecheck of '{prog.cid}'", "; ".join(str(i) for i in issues))
+    whitebox_validate(prog, ring)
+    return prog
+
+
 def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
-    """Extract elements, start the tracker on them, validate programs on its
+    """Extract elements, start the tracker on them, load programs on its
     ring, start the monitor.
 
-    Raises ValidationFailure/CamlabError on any extraction or validation
-    problem; the caller gets one relaxed retry before aborting the episode.
+    Raises CamlabError on any extraction or load problem; the caller gets
+    one relaxed retry before aborting the episode.
     """
     state = sim.state
     es, truth_specs = extract_elements(sg, state, scene)
@@ -141,14 +148,7 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
     )
     tracker = SimTracker(cfg.tracker, tracker_seed)
     tracker.register(es, state.tick, fk_eids=(0,))
-    programs = []
-    for ps in specs:
-        prog = parse(ps.source, cid=ps.cid)
-        issues = typecheck(prog, es)
-        if issues:
-            raise ValidationFailure(f"typecheck of '{ps.cid}'", "; ".join(str(i) for i in issues))
-        whitebox_validate(prog, tracker.ring)
-        programs.append(prog)
+    programs = [load_program(ps.source, ps.cid, tracker.ring) for ps in specs]
     state.log("programs", sid=sg.sid, sources=[ps.source for ps in specs])
 
     monitor = RealTimeMonitor(programs, tracker, cfg.debounce, halt_on_completion=sg.halt_on_completion)
@@ -227,13 +227,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
             subgoal_n += 1
             try:
                 bound = _bind_monitor(sg, sim, scene, cfg, seed)
-            except (ValidationFailure, CamlabError) as err:
+            except CamlabError as err:
                 state.log("validation_failure", sid=sg.sid, error=str(err))
                 sg = planner.rebuild_relaxed(scene_summary(state, scene))
                 sim.set_policy(build_script(sim, scene, sg.script_id, sg.script_params, injector))
                 try:
                     bound = _bind_monitor(sg, sim, scene, cfg, seed)
-                except (ValidationFailure, CamlabError) as err2:
+                except CamlabError as err2:
                     aborted = f"program regeneration failed for '{sg.sid}': {err2}"
                     state.log("abort", reason=aborted)
                     break

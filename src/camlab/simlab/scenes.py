@@ -46,7 +46,6 @@ TEMPLATES = ("stack_in_order", "sweep_half", "slot_pen", "stow_book", "pour_tea"
 
 BLOCK = 0.04  # stacking block side
 MINI = 0.02  # sweep block side
-SWEEP_TOTAL = 40
 SWEEP_BAND = (16, 24)
 
 

@@ -33,6 +33,9 @@ __all__ = [
     "load_default_rules",
 ]
 
+MAX_RETRIES = 5  # recoveries per subgoal before the task aborts
+
+
 @dataclass(frozen=True)
 class ElementSpec:
     oid: str
@@ -45,7 +48,6 @@ class ProgramSpec:
     cid: str
     kind: str
     source: str
-    mode: Mode
 
 
 @dataclass
@@ -166,7 +168,7 @@ class _ProgramFactory:
             f"dist(centroid(e({ei})), centroid(e(0))) <= hmax",
             "object left the gripper ({dist} m)",
         )
-        return ProgramSpec(f"{sid}.hold", "hold", src, Mode(mode))
+        return ProgramSpec(f"{sid}.hold", "hold", src)
 
     def grasp_hold(self, sid, ei) -> ProgramSpec:
         """At-grasp check: the object sits under the gripper (tight in xy)
@@ -179,7 +181,7 @@ class _ProgramFactory:
             f" and dist(centroid(e({ei})), centroid(e(0))) <= hmax",
             "grasp missed ({within} m off the gripper axis)",
         )
-        return ProgramSpec(f"{sid}.grasp_hold", "grasp_hold", src, Mode.ON_COMPLETION)
+        return ProgramSpec(f"{sid}.grasp_hold", "grasp_hold", src)
 
     def still(self, sid, ei) -> ProgramSpec:
         # displacement against the (clamped) oldest history entry, i.e. the
@@ -189,7 +191,7 @@ class _ProgramFactory:
             f"displacement(e({ei}), 250) <= smax",
             "object moved {displacement} m during approach",
         )
-        return ProgramSpec(f"{sid}.still", "still", src, Mode.DURING)
+        return ProgramSpec(f"{sid}.still", "still", src)
 
     def orient_still(self, sid, ei) -> ProgramSpec:
         src = _prog(
@@ -197,7 +199,7 @@ class _ProgramFactory:
             f"rotation(e({ei}), 250) <= omax",
             "object rotated {rotation} rad during approach",
         )
-        return ProgramSpec(f"{sid}.orient_still", "orient_still", src, Mode.DURING)
+        return ProgramSpec(f"{sid}.orient_still", "orient_still", src)
 
     def level(self, sid, ei, mode="during") -> ProgramSpec:
         src = _prog(
@@ -205,7 +207,7 @@ class _ProgramFactory:
             f"angle(normal(e({ei})), axis_z) <= lmax",
             "held surface tilted {angle} rad",
         )
-        return ProgramSpec(f"{sid}.level", "level_surface", src, Mode(mode))
+        return ProgramSpec(f"{sid}.level", "level_surface", src)
 
     def vertical(self, sid, ei, mode="during") -> ProgramSpec:
         src = _prog(
@@ -213,7 +215,7 @@ class _ProgramFactory:
             f"angle(dir(e({ei})), axis_z) <= vmax",
             "spine off vertical by {angle} rad",
         )
-        return ProgramSpec(f"{sid}.vertical", "verticality", src, Mode(mode))
+        return ProgramSpec(f"{sid}.vertical", "verticality", src)
 
     def placed_on(self, sid, ei, esup, dz) -> ProgramSpec:
         src = _prog(
@@ -221,7 +223,7 @@ class _ProgramFactory:
             f"centroid(e({ei})) within near of centroid(e({esup})) + vec(0.0, 0.0, {_f(dz)})",
             "block not on support ({within} m)",
         )
-        return ProgramSpec(f"{sid}.placed", "point_coincidence", src, Mode.ON_COMPLETION)
+        return ProgramSpec(f"{sid}.placed", "point_coincidence", src)
 
     def align_xy(self, sid, ei, etarget) -> ProgramSpec:
         src = _prog(
@@ -229,7 +231,7 @@ class _ProgramFactory:
             f"proj_xy(centroid(e({ei}))) within amax of proj_xy(centroid(e({etarget})))",
             "not above the target ({within} m off)",
         )
-        return ProgramSpec(f"{sid}.aligned", "align_xy", src, Mode.ON_COMPLETION)
+        return ProgramSpec(f"{sid}.aligned", "align_xy", src)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,7 @@ def _sweep_builders(meta):
             script_params={},
             element_specs=tuple(ElementSpec(b, "body", POINT) for b in blocks),
             during=(),
-            completion=(ProgramSpec(f"{sid}.band", "region_band", src, Mode.ON_COMPLETION),),
+            completion=(ProgramSpec(f"{sid}.band", "region_band", src),),
             halt_on_completion=True,
         )
 
@@ -341,7 +343,7 @@ def _slot_pen_builders(meta):
                 ElementSpec("holder", "body", POINT),
             ),
             during=(pf.hold(sid, 2),),
-            completion=(ProgramSpec(f"{sid}.tip_in_bore", "point_coincidence", src, Mode.ON_COMPLETION),),
+            completion=(ProgramSpec(f"{sid}.tip_in_bore", "point_coincidence", src),),
         )
 
     return [("reach_pen", reach), ("lift_pen", lift), ("move_pen", transport), ("insert_pen", insert)]
@@ -385,7 +387,7 @@ def _stow_book_builders(meta):
             sid, "place the book upright on the shelf", "place_book", {"oid": "book"},
             (ElementSpec("book", "body", POINT), ElementSpec("book", "spine", LINE)),
             during=(pf.hold(sid, 1), pf.vertical(sid, 2)),
-            completion=(ProgramSpec(f"{sid}.stowed", "verticality", src, Mode.ON_COMPLETION),),
+            completion=(ProgramSpec(f"{sid}.stowed", "verticality", src),),
         )
 
     return [("reach_book", reach), ("lift_book", lift), ("move_book", transport), ("place_book", place)]
@@ -435,7 +437,7 @@ def _pour_tea_builders(meta):
             sid, "tilt to pour, then return level", "pour", {"oid": "teapot"},
             (ElementSpec("teapot", "lid", SURFACE),),
             during=(),
-            completion=(ProgramSpec(f"{sid}.poured", "pour_done", src, Mode.ON_COMPLETION),),
+            completion=(ProgramSpec(f"{sid}.poured", "pour_done", src),),
         )
 
     return [("reach_pot", reach), ("lift_pot", lift), ("move_pot", transport), ("pour", pour)]
@@ -468,7 +470,9 @@ _RELEVEL_PROGRAM = {
 class Planner:
     """Per-episode subgoal state machine (Constraint Generator stand-in)."""
 
-    def __init__(self, template: str, kb, scene_meta: dict, rules: RecoveryRules | None = None, max_retries: int = 5):
+    def __init__(
+        self, template: str, kb, scene_meta: dict, rules: RecoveryRules | None = None, max_retries: int = MAX_RETRIES
+    ):
         if template not in _BUILDERS:
             raise ValueError(f"unknown template '{template}'")
         self.template = template

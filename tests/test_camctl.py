@@ -257,8 +257,8 @@ def _assert_replay_rejects(records, damage, message, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def one_episode_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("camctl") / "run.jsonl"
-    with JsonlLogWriter(path) as w:  # one disturbance, so the log holds an injection
-        run_spec(ExperimentSpec(task="pour_tea", episodes=1, modes=("off",), disturbances=("a",)), w)
+    with JsonlLogWriter(path) as w:  # monitored, one disturbance: the log holds verdicts and an injection
+        run_spec(ExperimentSpec(task="pour_tea", episodes=1, modes=("full",), disturbances=("a",)), w)
     return path
 
 
@@ -277,6 +277,25 @@ def _end_payload(records):
     ids=["kind", "tick", "ticks", "success"],
 )
 def test_replay_rejects_record_missing_a_field(one_episode_log, tmp_path, capsys, damage, message):
+    _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)
+
+
+def _first(records, kind):
+    return next(r for r in records if r.get("kind") == kind)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda records: records[1].update(kind=7), "cell 0 episode 0 has a non-str kind"),
+        (lambda records: _first(records, "injection").update(tick="x"), "has a non-int tick"),
+        (lambda records: _first(records, "verdict").update(payload=["violation"]), "has a non-dict payload"),
+        (lambda records: _end_payload(records).update(ticks="many"), "lacks success or ticks, it has a non-int ticks"),
+        (lambda records: _end_payload(records).update(success="yes"), "it has a non-bool success"),
+    ],
+    ids=["kind", "tick", "payload", "ticks", "success"],
+)
+def test_replay_rejects_ill_typed_field(one_episode_log, tmp_path, capsys, damage, message):
     _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)
 
 

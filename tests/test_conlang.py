@@ -28,7 +28,6 @@ from camlab.conlang import (
     evaluate,
     kb_lookup,
     load_default_kb,
-    max_history_ticks,
     parse,
     pretty,
     typecheck,
@@ -288,7 +287,7 @@ def test_round_trip_of_parsed_source():
 
 def test_typecheck_normal_requires_surface():
     src = 'constraint "x" mode during tol a = 1 rad { angle(normal(e(0)), axis_z) <= a } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("requires SURFACE" in str(i) for i in issues)
 
 
@@ -298,42 +297,60 @@ def test_typecheck_ok_program():
         "{ dist(centroid(e(0)), centroid(e(0))) <= d } "
         'fail "off by {dist}"'
     )
-    assert typecheck(parse(src), level_elements()) == []
+    assert typecheck(parse(src), ctx_for(level_elements())) == []
 
 
 def test_typecheck_unit_mismatch():
     src = 'constraint "x" mode during tol d = 3 cm { angle(normal(e(2)), axis_z) <= d } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("compare" in str(i) for i in issues)
 
 
 def test_typecheck_unknown_element():
     src = 'constraint "x" mode during { dist(centroid(e(9)), centroid(e(0))) <= 1 } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("e(9)" in str(i) for i in issues)
 
 
 def test_typecheck_dir_requires_line():
     src = 'constraint "x" mode during { angle(dir(e(2)), axis_z) <= 1 } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("requires LINE" in str(i) for i in issues)
 
 
 def test_typecheck_body_must_be_bool():
     src = 'constraint "x" mode during { dist(centroid(e(0)), centroid(e(1))) } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("boolean" in str(i) for i in issues)
 
 
 def test_typecheck_bad_placeholder():
     src = 'constraint "x" mode during { 1 < 2 } fail "oops {nope}"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("placeholder" in str(i) for i in issues)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("angle(normal(e(1)), axis_z) <= 1", "normal requires SURFACE, e(1) is LINE"),
+        ("angle(dir(e(2)), axis_z) <= 1", "dir requires LINE, e(2) is SURFACE"),
+        ("rotation(e(0), 1) <= 1", "rotation requires LINE or SURFACE, e(0) is POINT"),
+    ],
+    ids=["normal", "dir", "rotation"],
+)
+def test_kind_violation_same_message_from_typecheck_and_evaluate(body, message):
+    prog = parse(f'constraint "x" mode during {{ {body} }} fail "r"')
+    ctx = ctx_for(level_elements())
+    assert [i.message for i in typecheck(prog, ctx)] == [message]
+    with pytest.raises(EvalError) as err:
+        evaluate(prog, ctx)
+    assert str(err.value) == message
 
 
 def test_typecheck_pos_index_range():
     src = 'constraint "x" mode during { dist(pos(e(0), 5), centroid(e(0))) <= 1 } fail "r"'
-    issues = typecheck(parse(src), level_elements())
+    issues = typecheck(parse(src), ctx_for(level_elements()))
     assert any("out of range" in str(i) for i in issues)
 
 
@@ -495,12 +512,16 @@ def test_whitebox_ok_implies_evaluate_never_raises():
 
 
 # ---------------------------------------------------------------------------
-# history bounds helper
+# history reach
 
 
 def test_max_history_ticks():
-    src = 'constraint "x" mode during { at(displacement(e(0), 30), 7) <= 1 m } fail "r"'
-    assert max_history_ticks(parse(src).body) == 37
+    # at() shifts add to displacement's ticks: 37 back needs 38 ring entries
+    prog = parse('constraint "x" mode during { at(displacement(e(0), 30), 7) <= 1 m } fail "r"')
+    es = level_elements()
+    assert typecheck(prog, PointRing(es.elements, 0, capacity=38)) == []
+    issues = typecheck(prog, PointRing(es.elements, 0, capacity=37))
+    assert [i.message for i in issues] == ["reaches 37 ticks back, ring capacity 37"]
 
 
 # ---------------------------------------------------------------------------

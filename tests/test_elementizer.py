@@ -9,7 +9,6 @@ from camlab.elementizer import (
     SURFACE,
     ConstraintElement,
     ElementKind,
-    ExtractParams,
     MaskBundle,
     ViewMask,
     cells_for_type,

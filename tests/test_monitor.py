@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camlab.conlang import Mode, parse
+from camlab.conlang import Mode, ValidationFailure, parse
 from camlab.elementizer import POINT, ConstraintElement, ElementSet, end_effector_element, make_element_set
 from camlab.errors import TrackError
 from camlab.monitor import (
@@ -16,6 +16,7 @@ from camlab.monitor import (
     VerdictKind,
     latency_report,
 )
+from camlab.simlab.episode import load_program
 
 
 def two_point_set(d=0.02):
@@ -285,8 +286,17 @@ def test_history_capacity_enforced_at_load():
     tr = SimTracker(TrackerConfig(), capacity=16)
     tr.register(es, 0, fk_eids=(0, 1))
     src = 'constraint "x" mode during { displacement(e(1), 200) <= 1 m } fail "r"'
-    with pytest.raises(ValueError):
-        RealTimeMonitor([parse(src)], tr, DebouncePolicy())
+    with pytest.raises(ValidationFailure, match="reaches 200 ticks back, ring capacity 16"):
+        load_program(src, "x", tr.ring)
+
+
+def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
+    tr = SimTracker(TrackerConfig(), capacity=16)
+    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    src = 'constraint "x" mode during {{ at(displacement(e(1), 10), {}) <= 1 m }} fail "r"'
+    assert load_program(src.format(5), "x", tr.ring).cid == "x"  # 15 ticks back
+    with pytest.raises(ValidationFailure, match="reaches 16 ticks back, ring capacity 16"):
+        load_program(src.format(6), "x", tr.ring)
 
 
 # ---------------------------------------------------------------------------

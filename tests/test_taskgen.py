@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from camlab.conlang import Mode, load_default_kb, parse, typecheck, whitebox_validate
+from camlab.conlang import Mode, load_default_kb, parse
 from camlab.monitor import PointRing
 from camlab.simlab import build_scene, extract_elements, scene_summary
+from camlab.simlab.episode import load_program
 from camlab.taskgen import (
     FailureFeedback,
     Planner,
@@ -123,9 +124,10 @@ def test_closedness_every_emitted_kind_has_a_rule():
         s = summary_of(state, scene)
         sg = planner.plan_next(s)
         while isinstance(sg, Subgoal):
-            for spec in sg.during + sg.completion:
-                action = rules.lookup(template, spec.kind, spec.mode)
-                assert action is not None, (template, spec.kind, spec.mode)
+            for specs, mode in ((sg.during, Mode.DURING), (sg.completion, Mode.ON_COMPLETION)):
+                for spec in specs:
+                    action = rules.lookup(template, spec.kind, mode)
+                    assert action is not None, (template, spec.kind, mode)
             sg = planner.plan_next(s, sg.sid)
         assert rules.lookup(template, "internal", Mode.DURING) is not None
 
@@ -139,12 +141,9 @@ def test_first_subgoal_programs_validate(template):
     planner, state, scene = planner_for(template, seed=4)
     sg = planner.plan_next(summary_of(state, scene))
     es, _ = extract_elements(sg, state, scene)
-    ctx = PointRing(es.elements, state.tick)
+    ring = PointRing(es.elements, state.tick)
     for ps, mode in [(ps, Mode.DURING) for ps in sg.during] + [(ps, Mode.ON_COMPLETION) for ps in sg.completion]:
-        prog = parse(ps.source, cid=ps.cid)
-        assert prog.mode is ps.mode is mode  # the monitor splits programs by parsed mode
-        assert typecheck(prog, es) == [], ps.source
-        whitebox_validate(prog, ctx)
+        assert load_program(ps.source, ps.cid, ring).mode is mode  # the monitor splits programs by parsed mode
 
 
 def test_relaxed_rebuild_doubles_tolerances():
