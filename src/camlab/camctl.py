@@ -408,8 +408,9 @@ def replay_log(path) -> dict:
 
     Raises CamlabError unless the log's meta spec is readable and the log
     holds, for every cell of that spec, exactly its episodes, each with an
-    episode_end event whose payload has a bool success and int ticks, and
-    every record has a str kind, an int tick and a dict payload."""
+    episode_end event whose payload has a bool success and int ticks, every
+    record has a str kind, an int tick and a dict payload, and no verdict
+    payload has an outcome other than a str."""
     records = read_log(path)
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
@@ -433,6 +434,10 @@ def replay_log(path) -> dict:
             bad = _bad_fields(payload, success=bool, ticks=int)
             raise CamlabError(
                 f"{path}: the episode_end of cell {key[0]!r} episode {key[1]!r} lacks success or ticks, it has {bad}"
+            )
+        if kind == "verdict" and type(payload.get("outcome", "")) is not str:
+            raise CamlabError(
+                f"{path}: the verdict of cell {key[0]!r} episode {key[1]!r} has {_bad_fields(payload, outcome=str)}"
             )
         runs.setdefault(key, []).append({k: v for k, v in rec.items() if k not in ("cell", "episode")})
     cells = spec.cells()

@@ -2,8 +2,9 @@
 
 Both run on the tracker's point ring. typecheck verifies element references,
 builtin arities and argument kinds (ast.ELEMENT_KINDS), unit consistency (an
-angle is never compared to meters), that the body is boolean, and that the
-history reach stays below the ring's capacity. Issues come back in-band.
+angle is never compared to meters), that the body is boolean, that at()
+shifts a builtin rather than a bare element reference, and that the history
+reach stays below the ring's capacity. Issues come back in-band.
 
 whitebox_validate exercises every conditional branch against the subgoal's
 first-tick state; any runtime error on any path, or a during-constraint that
@@ -105,6 +106,14 @@ class _Checker:
                     self.issue(f"element e({eid}) is not in the bound element set", node)
             return ("elemlist", node.eids)
         if isinstance(node, At):
+            if isinstance(node.expr, (ElemRef, ElemList)):
+                # builtins read an element's points at their own offset, so a
+                # shift around the reference itself would be ignored
+                return self.issue(
+                    f"at() cannot shift an element reference; wrap the builtin instead, "
+                    f"e.g. at(centroid(e(0)), {node.ticks})",
+                    node,
+                )
             self.back += node.ticks
             self.reach = max(self.reach, self.back)
             t = self.type_of(node.expr)

@@ -210,10 +210,22 @@ def fuse_views(bundle: MaskBundle, depths, cams) -> np.ndarray:
     return cloud
 
 
+# rows of |a|^2 + |b|^2 built at a time in _pairwise_dist: a 500-point
+# cloud's (n, n) matrix stays the only large array alive
+_ROW_BLOCK = 64
+
+
 def _pairwise_dist(pts: np.ndarray) -> np.ndarray:
+    """(n, n) distances as sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)), built in
+    place in one (n, n) array, row block by row block."""
     sq = np.sum(pts * pts, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    return np.sqrt(np.clip(d2, 0.0, None))
+    d = pts @ pts.T
+    d *= 2.0
+    for lo in range(0, len(pts), _ROW_BLOCK):
+        blk = d[lo : lo + _ROW_BLOCK]
+        np.subtract(np.add.outer(sq[lo : lo + _ROW_BLOCK], sq), blk, out=blk)
+    np.clip(d, 0.0, None, out=d)
+    return np.sqrt(d, out=d)
 
 
 def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> np.ndarray:
@@ -227,8 +239,9 @@ def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_R
     if n <= k:
         return pts
     d = _pairwise_dist(pts)
-    d_sorted = np.sort(d, axis=1)
-    stat = d_sorted[:, 1 : k + 1].mean(axis=1)  # column 0 is self-distance
+    d.partition(k, axis=1)  # each row's k + 1 smallest first, then sort only those
+    d[:, : k + 1].sort(axis=1)
+    stat = d[:, 1 : k + 1].mean(axis=1)  # column 0 is self-distance
     thresh = stat.mean() + std_ratio * stat.std()
     return pts[stat <= thresh]
 

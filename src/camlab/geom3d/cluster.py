@@ -1,13 +1,13 @@
 """Voxel grids and deterministic DBSCAN.
 
-Both operations fix every iteration order (input order, ascending neighbor
-indices, lexicographic cell keys) so the element pipeline downstream is
-bit-reproducible.
+Both fix every order in their output (cells by lexicographic key with
+ascending point indices; clusters by lowest core index, ties to the lowest
+cluster) so the element pipeline downstream is bit-reproducible. Neither
+runs a per-point Python loop.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +15,9 @@ import numpy as np
 from camlab.errors import EmptyPointSet
 from camlab.geom3d.core import as_points
 
-__all__ = ["NOISE", "VoxelGrid", "voxelize", "ClusterLabeling", "dbscan"]
+__all__ = ["NOISE", "VoxelGrid", "voxelize", "ClusterLabeling", "squared_distances", "dbscan"]
 
 NOISE = -1
-_UNLABELED = -2
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
 
     The box is inflated by 1e-6 m so boundary points index inside the grid;
     axes with zero extent get cell size 1e-6 m. Every point lands in exactly
-    one cell.
+    one cell; each cell holds its point indices in ascending order.
     """
     pts = as_points(points)
     if len(pts) == 0:
@@ -47,11 +46,13 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
     cell = np.where(extent > 0, (extent + 1e-6) / n, 1e-6)
     idx = np.floor((pts - lo) / cell).astype(np.int64)
     idx = np.clip(idx, 0, n - 1)
-    cells: dict = {}
-    for i, key in enumerate(map(tuple, idx)):
-        cells.setdefault(key, []).append(i)
-    ordered = {k: np.array(cells[k], dtype=np.int64) for k in sorted(cells)}
-    return VoxelGrid(origin=lo, cell_size=cell, cells=ordered, points=pts)
+    # stable sort by (i, j, k): cells in key order, indices ascending within
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    keys = idx[order]
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    groups = np.split(order, starts)
+    cells = dict(zip(map(tuple, keys[np.r_[0, starts]]), groups))
+    return VoxelGrid(origin=lo, cell_size=cell, cells=cells, points=pts)
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,53 @@ class ClusterLabeling:
         return int(self.labels.max()) + 1 if np.any(self.labels >= 0) else 0
 
 
+def squared_distances(points) -> np.ndarray:
+    """(n, n) squared Euclidean distances, summed per coordinate as
+    (dx*dx + dy*dy) + dz*dz: the bits of np.sum(diff ** 2, axis=-1) over the
+    (n, n, 3) differences, with at most two (n, n) arrays alive."""
+    x, y, z = as_points(points).T.copy()  # contiguous coordinate columns
+    d2 = np.subtract.outer(x, x)
+    d2 *= d2
+    t = np.subtract.outer(y, y)
+    t *= t
+    d2 += t
+    np.subtract.outer(z, z, out=t)
+    t *= t
+    d2 += t
+    return d2
+
+
+def _component_roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node of each node's connected component, for n nodes and a
+    symmetric edge list (rows[i], cols[i]).
+
+    Min-label propagation with pointer jumping (Shiloach & Vishkin 1982):
+    every root is hooked to the smallest label next to its tree, then each
+    tree is flattened to a star. Labels only decrease and always name a node
+    of the same component, so at the fixed point each label is its
+    component's smallest node."""
+    parent = np.arange(n)
+    while True:
+        np.minimum.at(parent, parent[rows], parent[cols])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        if np.array_equal(parent[rows], parent[cols]):
+            return parent
+
+
 def dbscan(points, eps: float, min_pts: int) -> ClusterLabeling:
     """Standard DBSCAN with fixed tie-breaking.
 
-    Points are processed in input order, neighborhoods (distance <= eps,
-    self included) are scanned in ascending index order, and a border point
-    joins the first core cluster that reaches it.
+    Neighborhoods are distance <= eps, self included; a core point has at
+    least min_pts neighbors. Clusters are the connected components of the
+    core points' neighbor graph, numbered by their lowest core index. A
+    border point (not core, next to a core point) joins the smallest
+    cluster among its core neighbors; every other point is NOISE. These are
+    the labels of a breadth-first expansion that starts clusters in input
+    order and lets the first cluster to reach a border point keep it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -78,34 +120,19 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabeling:
         raise ValueError("min_pts must be >= 1")
     pts = as_points(points)
     n = len(pts)
-    labels = np.full(n, _UNLABELED, dtype=np.int64)
-
-    # one vectorized adjacency precompute; rows give ascending neighbor indices
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= eps * eps
-
-    def neighborhood(i: int) -> np.ndarray:
-        return np.nonzero(adj[i])[0]
-
-    cluster = 0
-    for i in range(n):
-        if labels[i] != _UNLABELED:
-            continue
-        nb = neighborhood(i)
-        if len(nb) < min_pts:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        queue = deque(int(j) for j in nb if j != i)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point claimed by first cluster
-            if labels[j] != _UNLABELED:
-                continue
-            labels[j] = cluster
-            nbj = neighborhood(j)
-            if len(nbj) >= min_pts:
-                queue.extend(int(k) for k in nbj if labels[k] in (_UNLABELED, NOISE))
-        cluster += 1
+    adj = squared_distances(pts) <= eps * eps
+    core = np.count_nonzero(adj, axis=1) >= min_pts
+    rows, cols = np.divmod(np.flatnonzero(adj), n)  # neighbor pairs, row-major
+    to_core = core[cols]
+    inner = core[rows] & to_core
+    root = _component_roots(rows[inner], cols[inner], n)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    ci = np.flatnonzero(core)
+    labels[ci] = np.unique(root[ci], return_inverse=True)[1]
+    border = to_core & ~core[rows]
+    rows, cols = rows[border], cols[border]
+    if len(rows):
+        # rows ascend, so each border point's core neighbors are one run
+        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        labels[rows[first]] = np.minimum.reduceat(labels[cols], first)
     return ClusterLabeling(labels=labels, eps=float(eps), min_pts=int(min_pts))

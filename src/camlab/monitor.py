@@ -15,9 +15,10 @@ once all its ON_COMPLETION programs hold K ticks in a row (a false tick
 resets the count, an evaluation error counts as false, a DURING violation
 wins). After motion ends it requires an H-tick hold of the ON_COMPLETION
 programs within a 3H-tick timeout. A persistent violation is reported once
-per constraint until the planner acknowledges, so there are no verdict
-storms. Runtime evaluation errors surface as violations (fail-safe), never
-as skipped ticks.
+per constraint over the monitor's life, so there are no verdict storms (the
+episode loop ends the subgoal on the first one and binds a new monitor for
+the replanned subgoal). Runtime evaluation errors surface as violations
+(fail-safe), never as skipped ticks.
 """
 
 from __future__ import annotations
@@ -268,15 +269,10 @@ class RealTimeMonitor:
         self._motion_end: int | None = None
         self._hold_streak = 0
 
-    def acknowledge(self):
-        """Planner acknowledgment: re-arm violation reporting."""
-        self._reported.clear()
-        for cid in self._false_streak:
-            self._false_streak[cid] = 0
-
     def monitor_tick(self, tick: int) -> Verdict:
         """Evaluate all DURING programs; a program false K ticks in a row
-        yields a Violation (first program in id order wins the tick)."""
+        yields a Violation (first program in id order wins the tick), once
+        per program over the monitor's life."""
         ctx = self.tracker.ring
         verdict = None
         for prog in self.during:
@@ -370,14 +366,14 @@ def latency_report(events) -> LatencyReport:
 
     Each violation is paired with the most recent unmatched injection at or
     before its tick; a violation with no available injection counts as a
-    false positive. Events are dicts with at least {kind, tick}."""
+    false positive. Events are dicts with at least {kind, tick, payload}, as
+    SimState.log writes them; a verdict's outcome is payload["outcome"]."""
     report = LatencyReport()
     open_injections: list = []
     for ev in events:
-        outcome = ev.get("outcome") or ev.get("payload", {}).get("outcome")
         if ev["kind"] == "injection":
             open_injections.append(int(ev["tick"]))
-        elif ev["kind"] == "verdict" and outcome == "violation":
+        elif ev["kind"] == "verdict" and ev["payload"].get("outcome") == "violation":
             tick = int(ev["tick"])
             candidates = [t for t in open_injections if t <= tick]
             if candidates:

@@ -292,8 +292,10 @@ def _first(records, kind):
         (lambda records: _first(records, "verdict").update(payload=["violation"]), "has a non-dict payload"),
         (lambda records: _end_payload(records).update(ticks="many"), "lacks success or ticks, it has a non-int ticks"),
         (lambda records: _end_payload(records).update(success="yes"), "it has a non-bool success"),
+        (lambda records: _first(records, "verdict")["payload"].update(outcome=["violation"]), "has a non-str outcome"),
+        (lambda records: _first(records, "verdict")["payload"].update(outcome={"v": 1}), "has a non-str outcome"),
     ],
-    ids=["kind", "tick", "payload", "ticks", "success"],
+    ids=["kind", "tick", "payload", "ticks", "success", "outcome-list", "outcome-dict"],
 )
 def test_replay_rejects_ill_typed_field(one_episode_log, tmp_path, capsys, damage, message):
     _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from camlab import elementizer
 from camlab.elementizer import (
     LINE,
     POINT,
@@ -134,6 +137,42 @@ def test_filter_outliers_loose_ratio_keeps_all():
     pts = rng.uniform(0, 0.1, size=(30, 3))
     kept = filter_outliers(pts, k=5, std_ratio=10.0)
     assert len(kept) == 30
+
+
+def reference_pairwise_dist(pts):
+    """The original out-of-place form of elementizer._pairwise_dist."""
+    sq = np.sum(pts * pts, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    return np.sqrt(np.clip(d2, 0.0, None))
+
+
+def reference_filter_outliers(pts, k=8, std_ratio=2.0):
+    """The original filter_outliers: full row sort of the distance matrix."""
+    if len(pts) <= k:
+        return pts
+    stat = np.sort(reference_pairwise_dist(pts), axis=1)[:, 1 : k + 1].mean(axis=1)
+    return pts[stat <= stat.mean() + std_ratio * stat.std()]
+
+
+@st.composite
+def clouds(draw):
+    """Gaussian blobs with a few far points, optionally quantised so rows
+    hold duplicate points and tied distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 200))
+    pts = rng.normal(0, draw(st.floats(0.001, 0.5)), size=(n, 3)) + rng.uniform(-1, 1, size=3)
+    far = rng.random(n) < 0.05
+    pts[far] += rng.normal(0, 2.0, size=(int(far.sum()), 3))
+    if draw(st.booleans()):
+        pts = np.round(pts * 20) / 20
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(), st.integers(1, 12), st.floats(0.0, 3.0))
+def test_distance_kernels_match_out_of_place_forms(pts, k, std_ratio):
+    assert np.array_equal(elementizer._pairwise_dist(pts), reference_pairwise_dist(pts))
+    assert np.array_equal(filter_outliers(pts, k, std_ratio), reference_filter_outliers(pts, k, std_ratio))
 
 
 # ---------------------------------------------------------------------------

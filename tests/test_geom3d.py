@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from camlab.geom3d import (
     quat_from_axis_angle,
     quat_rotate,
     raycast_depth,
+    squared_distances,
     surface_distance,
     unproject,
     vec3,
@@ -176,6 +179,37 @@ def test_voxelize_empty_rejected():
         voxelize(np.zeros((0, 3)), (1, 1, 1))
 
 
+def reference_voxel_cells(grid, cells_per_axis) -> dict:
+    """The original per-point loop over the same grid: one dict entry per
+    occupied cell, keys sorted, indices ascending."""
+    n = np.asarray(cells_per_axis, dtype=np.int64)
+    idx = np.clip(np.floor((grid.points - grid.origin) / grid.cell_size).astype(np.int64), 0, n - 1)
+    cells: dict = {}
+    for i, key in enumerate(map(tuple, idx)):
+        cells.setdefault(key, []).append(i)
+    return {k: np.array(cells[k], dtype=np.int64) for k in sorted(cells)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 120),
+    cells=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    quantised=st.booleans(),
+)
+def test_voxelize_matches_reference_loop(seed, n, cells, quantised):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0, 1, size=(n, 3))
+    if quantised:  # duplicates and points on cell boundaries
+        pts = np.round(pts * 2) / 2
+    grid = voxelize(pts, cells)
+    want = reference_voxel_cells(grid, cells)
+    assert list(grid.cells) == list(want)
+    assert [tuple(map(type, k)) for k in grid.cells] == [tuple(map(type, k)) for k in want]
+    for key, members in grid.cells.items():
+        assert members.dtype == np.int64 and np.array_equal(members, want[key])
+
+
 # ---------------------------------------------------------------------------
 # dbscan vs brute-force density-connectivity oracle
 
@@ -212,6 +246,101 @@ def oracle_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if reach:
             labels[i] = min(reach)
     return labels
+
+
+def reference_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """The original breadth-first DBSCAN: clusters start at unlabeled core
+    points in input order, neighborhoods are scanned in ascending index
+    order, and the first cluster to reach a border point keeps it."""
+    unlabeled = -2
+    n = len(pts)
+    labels = np.full(n, unlabeled, dtype=np.int64)
+    adj = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) <= eps * eps
+    cluster = 0
+    for i in range(n):
+        if labels[i] != unlabeled:
+            continue
+        nb = np.nonzero(adj[i])[0]
+        if len(nb) < min_pts:
+            labels[i] = NOISE
+            continue
+        labels[i] = cluster
+        queue = deque(int(j) for j in nb if j != i)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = cluster
+            if labels[j] != unlabeled:
+                continue
+            labels[j] = cluster
+            nbj = np.nonzero(adj[j])[0]
+            if len(nbj) >= min_pts:
+                queue.extend(int(k) for k in nbj if labels[k] in (unlabeled, NOISE))
+        cluster += 1
+    return labels
+
+
+@st.composite
+def dbscan_inputs(draw):
+    """Random clouds, line-like chains (cumsum of small steps) and quantised
+    clouds whose duplicates and grid spacing put distances exactly at eps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 90))
+    kind = draw(st.sampled_from(["random", "chain", "quantised"]))
+    if kind == "random":
+        pts = rng.uniform(0, 1, size=(n, 3)) * rng.uniform(0.3, 2.0)
+        eps = draw(st.floats(0.02, 0.6))
+    elif kind == "chain":
+        pts = np.cumsum(rng.normal(0, 0.05, size=(n, 3)), axis=0)
+        eps = draw(st.floats(0.02, 0.2))
+    else:
+        pts = rng.integers(0, 5, size=(n, 3)) * 0.25
+        eps = draw(st.sampled_from([0.25, 0.5, 0.6]))
+    return pts, eps, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dbscan_inputs())
+def test_dbscan_labels_match_reference_bfs(case):
+    pts, eps, min_pts = case
+    assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
+
+
+@pytest.mark.parametrize(
+    "pts, eps, min_pts",
+    [
+        (np.array([[0.0, 0.0, 0.0]]), 0.5, 1),  # n = 1, core by itself
+        (np.array([[0.0, 0.0, 0.0]]), 0.5, 2),  # n = 1, noise
+        (np.arange(30.0).reshape(10, 3), 0.5, 2),  # all noise
+        (np.arange(30.0).reshape(10, 3), 0.5, 1),  # min_pts 1: every point its own cluster
+        (np.repeat([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 3, axis=0)[::-1], 1.0, 4),  # ties at eps
+    ],
+    ids=["single-core", "single-noise", "all-noise", "min-pts-1", "ties"],
+)
+def test_dbscan_edge_cases_match_reference_bfs(pts, eps, min_pts):
+    assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dbscan_inputs())
+def test_squared_distances_bits_match_broadcast_sum(case):
+    pts = case[0]
+    assert np.array_equal(squared_distances(pts), np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+
+
+def test_dbscan_keeps_at_most_two_square_temporaries():
+    # the (n, n, 3) difference array of a broadcast distance sum would take
+    # the peak to ~4 n^2 doubles; two (n, n) arrays are ~2
+    n = 490
+    pts = np.random.default_rng(5).uniform(0, 1, size=(n, 3))
+    dbscan(pts, 0.08, 3)
+    tracemalloc.start()
+    try:
+        dbscan(pts, 0.08, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_dbscan_two_pairs():

@@ -179,19 +179,6 @@ def test_monitor_single_tick_spike_silent():
     assert all(v.kind is VerdictKind.OK for v in vs)
 
 
-def test_monitor_acknowledge_rearms():
-    es = two_point_set()
-    tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=1))
-    good = truth_of(es)
-    bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
-    vs = run_ticks(mon, tr, [bad, bad])
-    assert vs[0].is_violation and not vs[1].is_violation
-    mon.acknowledge()
-    tr.step(bad, 10)
-    assert mon.monitor_tick(10).is_violation
-
-
 def test_monitor_internal_error_fail_safe():
     # a program whose runtime errors (division by zero) must violate, not skip
     src = 'constraint "boom" mode during { 1 / (centroid(e(0)) - centroid(e(0))) < 2 } fail "r"'
@@ -299,14 +286,36 @@ def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
         load_program(src.format(6), "x", tr.ring)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "dist(centroid(at(e(0), 1)), centroid(e(0))) <= 1 m",
+        "count_within(at([e(0), e(1)], 2), box(-1, -1, -1, 1, 1, 1)) >= 1",
+    ],
+    ids=["elem", "elemlist"],
+)
+def test_at_around_element_reference_is_rejected_at_load(body):
+    tr = SimTracker(TrackerConfig(), capacity=16)
+    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    with pytest.raises(ValidationFailure, match=r"at\(\) cannot shift an element reference; wrap the builtin"):
+        load_program(f'constraint "x" mode during {{ {body} }} fail "r"', "x", tr.ring)
+
+
+def test_at_around_builtin_loads():
+    tr = SimTracker(TrackerConfig(), capacity=16)
+    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) <= 1 m } fail "r"'
+    assert load_program(src, "x", tr.ring).cid == "x"
+
+
 # ---------------------------------------------------------------------------
 # latency report
 
 
 def test_latency_simple_match():
     events = [
-        {"kind": "injection", "tick": 100},
-        {"kind": "verdict", "tick": 104, "outcome": "violation"},
+        {"kind": "injection", "tick": 100, "payload": {}},
+        {"kind": "verdict", "tick": 104, "payload": {"outcome": "violation"}},
     ]
     rep = latency_report(events)
     assert rep.pairs == [(100, 104, 4)]
@@ -319,17 +328,17 @@ def test_latency_empty():
 
 
 def test_latency_false_positive_flagged():
-    events = [{"kind": "verdict", "tick": 50, "outcome": "violation"}]
+    events = [{"kind": "verdict", "tick": 50, "payload": {"outcome": "violation"}}]
     rep = latency_report(events)
     assert rep.false_positives == 1
 
 
 def test_latency_matches_most_recent():
     events = [
-        {"kind": "injection", "tick": 10},
-        {"kind": "injection", "tick": 40},
-        {"kind": "verdict", "tick": 44, "outcome": "violation"},
-        {"kind": "verdict", "tick": 60, "outcome": "violation"},
+        {"kind": "injection", "tick": 10, "payload": {}},
+        {"kind": "injection", "tick": 40, "payload": {}},
+        {"kind": "verdict", "tick": 44, "payload": {"outcome": "violation"}},
+        {"kind": "verdict", "tick": 60, "payload": {"outcome": "violation"}},
     ]
     rep = latency_report(events)
     assert (40, 44, 4) in rep.pairs
