@@ -289,9 +289,14 @@ def read_log(path) -> list:
 
 
 def _ci95(successes: int, n: int):
+    """Wilson score interval (Wilson 1927) at z = 1.96. Unlike the Wald
+    interval it does not collapse to a point at 0 or n successes."""
+    z = 1.96
     p = successes / n
-    half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / n)
-    return [max(p - half, 0.0), min(p + half, 1.0)]
+    denom = 1 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return [max(center - half, 0.0), min(center + half, 1.0)]
 
 
 def _metrics_from_events(episode_rows: dict) -> list:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +85,7 @@ class PointRing:
         self.n_points = n_points
         self.order = [el.eid for el in order]
         self.sizes = [len(el.points) for el in order]
-        self.noisy_spans = [self.spans[el.eid] for el in order if el.eid not in fk_eids]
-        self.noisy_lo = self.noisy_spans[0][0] if self.noisy_spans else n_points
+        self.noisy_lo = offsets[sum(el.eid in fk_eids for el in order)]
         self.points = np.empty((capacity, n_points + 1, 3))
         self.points[:, n_points] = -0.0
         self.view = self.points.view()
@@ -165,10 +165,9 @@ class SimTracker:
         snapshot (exact)."""
         ring = PointRing(element_set.elements, tick, self.capacity, set(fk_eids))
         self.ring = ring
-        self._uniform = np.empty(ring.n_points)
-        self._normal = np.empty((ring.n_points, 3))
-        # per noisy element, in draw order: its slices of the two buffers
-        self._draws = [(self._uniform[a:b], self._normal[a:b]) for a, b in ring.noisy_spans]
+        n_noisy = ring.n_points - ring.noisy_lo
+        self._uniform = np.empty(n_noisy)
+        self._normal = np.empty((n_noisy, 3))
 
     def step(self, truth: dict, tick: int):
         """Advance every track one tick from ground-truth points.
@@ -178,9 +177,11 @@ class SimTracker:
         snaps to truth exactly. FK-sourced elements are always exact.
         Raises TrackError for id mismatches.
 
-        Each noisy element draws its dropout uniforms, then its normals, in
-        element id order. That order fixes the random stream, so it is part
-        of the determinism contract."""
+        A noisy tick makes one call for the dropout uniforms of every noisy
+        point, then, when sigma > 0, one call for their normals, both over
+        the noisy span in element id order; a resync tick draws nothing.
+        That order fixes the random stream, so it is part of the
+        determinism contract."""
         ring = self.ring
         if truth.keys() != ring.spans.keys():
             unknown = truth.keys() - ring.spans.keys()
@@ -194,17 +195,16 @@ class SimTracker:
         if ring.capacity == 1:
             prev = prev.copy()  # the new entry overwrites the only slot
         row = ring.push(tick, points)
-        if not ring.noisy_spans or tick % self.cfg.resync_interval == 0:
+        if lo == ring.n_points or tick % self.cfg.resync_interval == 0:
             return ring
-        sigma, uniform, normal = self.cfg.sigma, self.rng.random, self.rng.standard_normal
-        for u, z in self._draws:
-            uniform(out=u)
-            if sigma > 0:
-                normal(out=z)
+        sigma = self.cfg.sigma
+        self.rng.random(out=self._uniform)
+        if sigma > 0:
+            self.rng.standard_normal(out=self._normal)
         noisy = row[lo:]
         # the same doubles as truth + rng.normal(0, sigma), or truth + zeros
-        noisy += self._normal[lo:] * sigma if sigma > 0 else 0.0
-        drop = self._uniform[lo:] < self.cfg.dropout
+        noisy += self._normal * sigma if sigma > 0 else 0.0
+        drop = self._uniform < self.cfg.dropout
         np.copyto(noisy, prev, where=drop[:, None])
         return ring
 
@@ -227,10 +227,11 @@ class VerdictKind(str, Enum):
     HALT = "halt"  # entered the completion region while moving: halt now
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One tick's verdict. A SUBGOAL_COMPLETE carries mode ON_COMPLETION when
-    completion programs confirmed it, None when motion end alone did."""
+    completion programs confirmed it, None when motion end alone did. A
+    NamedTuple, not a frozen dataclass, because one is built every monitored
+    tick and a tuple costs about half as much to build."""
 
     tick: int
     kind: VerdictKind

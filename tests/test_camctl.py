@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import os
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from camlab.camctl import (
     ExperimentSpec,
     JsonlLogWriter,
+    _ci95,
     bench_monitor,
     main,
     read_log,
@@ -360,6 +362,19 @@ def test_rerun_identical_report():
     r1 = run_spec(spec)
     r2 = run_spec(spec)
     assert report_bytes(r1) == report_bytes(r2)
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (0, 3), (5, 8)])
+def test_ci95_is_the_wilson_interval(k, n):
+    # closed form of the Wilson (1927) score interval: (2k + z^2 -/+ z sqrt(z^2 + 4k(n-k)/n)) / (2(n + z^2))
+    z = 1.96
+    root = z * math.sqrt(z * z + 4 * k * (n - k) / n)
+    want = [(2 * k + z * z - root) / (2 * (n + z * z)), (2 * k + z * z + root) / (2 * (n + z * z))]
+    lo, hi = _ci95(k, n)
+    assert [lo, hi] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert 0.0 <= lo < hi <= 1.0  # never a point, even at 0 or n successes
+    if (k, n) == (3, 3):
+        assert lo == pytest.approx(0.4385, abs=1e-4)  # the Wald interval gave [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ from camlab.simlab.disturb import standard_disturbances
 PINS = {
     ("stack_in_order", "none", "full"): "a5fb346958c681a4cd3e6aa233a1cce1ac91a4f30bff58ebc5dbcac1875778ce",
     ("sweep_half", "none", "full"): "8bb4d0d8b640dff560f8edad8cfcf136fdad94c6a12adecf07af33d7d77d4e3a",
-    ("slot_pen", "abc", "full"): "59490da6bb204ae9978892c87d03f673a73c3abe5158f85f4528b874d4c3e0b4",
-    ("stow_book", "abc", "full"): "6495bf7efa9ec39b233c3b84067f78a46081d101ace31d490235cb12538d8170",
+    ("slot_pen", "abc", "full"): "abf5a824046ed758518728894e7151bcc5e4802940c649cd173ba11516ad3b01",
+    ("stow_book", "abc", "full"): "dcf171f33f12496931b22bd4b6651b1663857788d5cf30eea3c344d0dab4bf68",
     ("pour_tea", "abc", "full"): "0d7f841e91ce8944f9a4d1435f252ba028592eaeb91c90de2b0d91e9f1856a3c",
     ("sweep_half", "none", "reactive_only"): "1663b651f0e2ca55bd0043b6eb1e958ac0e4c95ffaa98c15ae8b2ee30e8f95fb",
-    ("pour_tea", "abc", "proactive_only"): "42b8e3f6451929e252a72dfeae8bba879da968869899b929b9c274b39259956a",
-    ("stow_book", "abc", "proactive_only"): "a4c570aca348b32dad021a300e42b3c7bee5be8fc2db38ac01cdf934eb42953c",
+    ("pour_tea", "abc", "proactive_only"): "0aa443e73ba6dc3a61fe64616156d7f9b833d54fe2f2a0e20a7a18768c2cd7f8",
+    ("stow_book", "abc", "proactive_only"): "d68894e258b2928e14e6e7cbacf83dc29fbac663ab553d17aa480a7ce295b062",
 }
 
-REPORT_PIN = "370e5b2a92d550c27041e7593a99d902ce0df79d60e1766816c3b453b9e06140"
+REPORT_PIN = "7f851c499cec6c2034ad62c64b70a29a706dba3de06fe0fa2ad03c3ce2d8847e"
 
 
 def _canon(obj):

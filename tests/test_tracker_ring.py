@@ -1,9 +1,11 @@
 """The packed PointRing tracker against a reference per-element deque tracker.
 
-The reference is the original tracker: one deque of points per element, two
-RNG calls per noisy element in id order. The packed ring must give the same
-bytes for every history lookup and every centroid (the deque entry's
-mean(axis=0)), including lookups clamped to the oldest entry.
+The reference keeps one deque of points per element. On every noisy tick it
+draws random(n_noisy) over all noisy points in element id order, then
+normal(0, sigma, (n_noisy, 3)) when sigma > 0, and gives each element its
+slice of both. The packed ring must give the same bytes for every history
+lookup and every centroid (the deque entry's mean(axis=0)), including
+lookups clamped to the oldest entry.
 """
 
 from collections import deque
@@ -28,15 +30,22 @@ class ReferenceTracker:
         self.tracks = {el.eid: deque([el.points.copy()], self.capacity) for el in element_set.elements}
 
     def step(self, truth, tick):
+        if tick % self.cfg.resync_interval == 0:  # draws nothing
+            for eid, tr in self.tracks.items():
+                tr.append(np.asarray(truth[eid], dtype=np.float64).copy())
+            return
+        n = sum(len(truth[eid]) for eid in self.tracks if eid not in self.fk_eids)
+        drop = self.rng.random(n) < self.cfg.dropout
+        noise = self.rng.normal(0.0, self.cfg.sigma, size=(n, 3)) if self.cfg.sigma > 0 else np.zeros((n, 3))
+        lo = 0
         for eid in sorted(self.tracks):
             tr, pts = self.tracks[eid], np.asarray(truth[eid], dtype=np.float64)
-            k = len(pts)
-            if eid in self.fk_eids or tick % self.cfg.resync_interval == 0:
+            if eid in self.fk_eids:
                 tr.append(pts.copy())
                 continue
-            drop = self.rng.random(k) < self.cfg.dropout
-            noise = self.rng.normal(0.0, self.cfg.sigma, size=(k, 3)) if self.cfg.sigma > 0 else np.zeros((k, 3))
-            tr.append(np.where(drop[:, None], tr[-1], pts + noise))
+            hi = lo + len(pts)
+            tr.append(np.where(drop[lo:hi, None], tr[-1], pts + noise[lo:hi]))
+            lo = hi
 
     def points_at(self, eid, back):
         tr = self.tracks[eid]
@@ -106,3 +115,17 @@ def test_track_errors():
     tr.step(truth, 6)
     with pytest.raises(TrackError):
         tr.step(truth, 6)
+
+
+def test_sigma_zero_turns_negative_zero_into_positive_zero():
+    # truth + zeros, as the reference adds: the noisy tick gives +0.0, a resync tick keeps the exact -0.0
+    pts = np.array([[-0.0, 1.0, -0.0], [0.5, -0.0, 2.0]])
+    es = SimpleNamespace(elements=[SimpleNamespace(eid=0, etype=None, points=pts)])
+    tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), seed=0, capacity=4)
+    tr.register(es, 3)
+    tr.step({0: pts}, 4)
+    noisy = tr.ring.points_at(0, 0)
+    assert same_bytes(noisy, pts + 0.0)
+    assert not np.signbit(noisy).any() and np.signbit(pts).sum() == 3
+    tr.step({0: pts}, 5)
+    assert same_bytes(tr.ring.points_at(0, 0), pts)

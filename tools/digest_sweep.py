@@ -1,15 +1,21 @@
-"""Print one events digest per episode of a fixed sweep, to prove that a
-change keeps every event log byte-identical.
+"""Print one events digest per episode of a fixed sweep, then one report
+digest per fixed experiment grid, to prove that a change keeps every event
+log and every report byte-identical.
 
     python3 tools/digest_sweep.py > after.txt
 
 Run it in two checkouts (it imports camlab from the checkout's own src/) and
-`diff` the outputs. Each line is `template mode disturbances seed
+`diff` the outputs. Each episode line is `template mode disturbances seed
 events_digest`, the digest being the sha256 of the episode's events as
 canonical JSON (sorted keys, compact separators). The sweep is seeds 0-9 x
 the four monitor modes x every template with no disturbances, the three
 catalog tasks also with disturbances "abc", and stack_in_order also with
 drop probability 0.3 and 2 cm placement noise: 360 episodes.
+
+Then come five lines `report name report_digest`, the sha256 of
+`report_bytes(run_spec(spec))` for each grid in GRIDS: all five tasks, 2-3
+episodes per cell, mixing monitor modes, drop probability, placement noise
+and disturbances (53 more episodes).
 """
 
 import hashlib
@@ -21,6 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from camlab.camctl import ExperimentSpec, report_bytes, run_spec  # noqa: E402
 from camlab.simlab import MONITOR_MODES, EpisodeConfig, run_episode  # noqa: E402
 from camlab.simlab.disturb import standard_disturbances  # noqa: E402
 
@@ -36,6 +43,15 @@ CONFIGS = (
     ("stow_book", "abc", {"selector": "abc"}),
     ("pour_tea", "none", {}),
     ("pour_tea", "abc", {"selector": "abc"}),
+)
+
+# (name, ExperimentSpec keyword arguments)
+GRIDS = (
+    ("stack", dict(task="stack_in_order", episodes=3, drop_p=(0.0, 0.3), place_noise_cm=(0.0, 2.0))),
+    ("sweep", dict(task="sweep_half", episodes=2, seed_base=3, modes=("off", "reactive_only", "full"))),
+    ("slot", dict(task="slot_pen", episodes=2, modes=("proactive_only", "full"), disturbances=("none", "abc"))),
+    ("stow", dict(task="stow_book", episodes=3, seed_base=5, modes=("reactive_only",), disturbances=("abc",))),
+    ("pour", dict(task="pour_tea", episodes=2, modes=("off", "proactive_only", "full"), disturbances=("a", "abc"))),
 )
 
 
@@ -60,6 +76,9 @@ def main():
                 cfg = EpisodeConfig(template=template, monitor_mode=mode, disturbances=disturbances, seed=seed)
                 digest = events_digest(run_episode(cfg).events)
                 print(template, mode, label, seed, digest, flush=True)
+    for name, kwargs in GRIDS:
+        report = run_spec(ExperimentSpec(**kwargs))
+        print("report", name, hashlib.sha256(report_bytes(report)).hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
