@@ -135,6 +135,8 @@ class ExperimentSpec:
             raise ValueError(f"spec needs task = one of {TEMPLATES}, got {self.task!r}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        for cell in self.cells():  # every cell must make a valid episode
+            _episode_config(self, cell, self.seed_base)
 
     @classmethod
     def _build(cls, values: dict) -> "ExperimentSpec":
@@ -509,14 +511,16 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
 
 def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 8) -> dict:
     """monitor_tick latency benchmark (median/p95 over n_ticks)."""
-    from camlab.conlang import parse
     from camlab.elementizer import end_effector_element, make_element_set
+    from camlab.simlab.episode import load_program
 
     rng = np.random.default_rng(0)
     protos = [end_effector_element([(0.0, 0.0, 0.1)])]
     for i in range(n_elements - 1):
         protos.append(end_effector_element(rng.uniform(-0.2, 0.2, size=(1, 3)), entity=f"obj{i}"))
     es = make_element_set(protos, "bench")
+    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), seed=1)
+    tracker.register(es, 0)
     programs = []
     for i in range(n_programs):
         a = i % n_elements
@@ -526,9 +530,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
             f"{{ dist(centroid(e({a})), centroid(e({b}))) <= lim and displacement(e({a}), 8) <= lim }} "
             f'fail "r"'
         )
-        programs.append(parse(src, cid=f"c{i}"))
-    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), seed=1)
-    tracker.register(es, 0)
+        programs.append(load_program(src, f"c{i}", tracker.ring))
     mon = RealTimeMonitor(programs, tracker, DebouncePolicy())
     truth = {e.eid: e.points for e in es.elements}
     samples = []
@@ -597,22 +599,25 @@ def main(argv=None) -> int:
     if args.cmd == "replay":
         try:
             report = replay_log(args.log)
-        except (TruncatedLog, LogChecksumError, CamlabError) as err:
+            original = None
+            if args.report:
+                with open(args.report, "rb") as fh:
+                    original = fh.read()
+        except (OSError, CamlabError) as err:
             print(f"camctl: {err}", file=sys.stderr)
             return 2
         _print_table(report)
-        if args.report:
-            with open(args.report, "rb") as fh:
-                if fh.read() != report_bytes(report):
-                    print("camctl: replayed report differs from the original", file=sys.stderr)
-                    return 3
+        if original is not None:
+            if original != report_bytes(report):
+                print("camctl: replayed report differs from the original", file=sys.stderr)
+                return 3
             print("replay matches the original report", file=sys.stderr)
         return 0
 
     if args.cmd == "validate":
         try:
             problems = validate_dsl(args.file, args.task)
-        except (OSError, CamlabError) as err:
+        except (OSError, UnicodeDecodeError, CamlabError) as err:
             print(f"camctl: {err}", file=sys.stderr)
             return 2
         if problems:

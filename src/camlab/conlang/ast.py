@@ -36,7 +36,6 @@ __all__ = [
     "BUILTINS",
     "AXES",
     "ELEMENT_KINDS",
-    "kind_mismatch",
     "pretty",
 ]
 
@@ -82,17 +81,8 @@ BUILTINS = {
 }
 
 # builtin -> element kinds its element argument may have; conlang.check
-# rejects any other kind before load and conlang.evaluator at run time
+# rejects any other kind before load, so evaluation never sees one
 ELEMENT_KINDS = {"normal": ("surface",), "dir": ("line",), "rotation": ("line", "surface")}
-
-
-def kind_mismatch(fn: str, eid: int, kind: str) -> str | None:
-    """The message when builtin `fn` gets element e(eid) of a kind it does
-    not take (see ELEMENT_KINDS), else None."""
-    allowed = ELEMENT_KINDS.get(fn)
-    if allowed is None or kind in allowed:
-        return None
-    return f"{fn} requires {' or '.join(k.upper() for k in allowed)}, e({eid}) is {kind.upper()}"
 
 
 @dataclass(frozen=True)
@@ -175,9 +165,6 @@ class MonitorProgram:
     body: object
     reason_template: str
     cid: str = ""
-
-    def tolerance_env(self) -> dict:
-        return {t.name: t.value for t in self.tolerances}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Static type/unit checking and white-box validation of monitor programs.
+"""Static type/unit checking, compilation and white-box validation of
+monitor programs.
 
-Both run on the tracker's point ring. typecheck verifies element references,
-builtin arities and argument kinds (ast.ELEMENT_KINDS), unit consistency (an
-angle is never compared to meters), that the body is boolean, that at()
-shifts a builtin rather than a bare element reference, and that the history
-reach stays below the ring's capacity. Issues come back in-band.
+typecheck walks a program once against the tracker's point ring. It checks
+element references, builtin arities and argument kinds (ast.ELEMENT_KINDS),
+units (an angle is never compared to meters), that the body is boolean,
+that at() shifts a builtin rather than a bare element reference, and that
+the history reach stays below the ring's capacity; issues come back
+in-band. The same walk compiles each accepted node into a closure bound to
+that ring (conlang.evaluator), so evaluation never revisits the AST.
 
-whitebox_validate exercises every conditional branch against the subgoal's
-first-tick state; any runtime error on any path, or a during-constraint that
-is already false before motion starts, fails validation so the caller can
+whitebox_validate calls the cond, then and else closures of every
+conditional (branch coverage), then the body, on the subgoal's first-tick
+state; any runtime error on any path, or a during-constraint that is
+already false before motion starts, fails validation so the caller can
 regenerate the program.
 """
 
@@ -17,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from camlab.errors import CamlabError
+from camlab.conlang import evaluator as ev
 from camlab.conlang.ast import (
     BUILTINS,
+    ELEMENT_KINDS,
     At,
     AxisRef,
     BinOp,
@@ -33,9 +39,8 @@ from camlab.conlang.ast import (
     Unary,
     Within,
     _print,
-    kind_mismatch,
 )
-from camlab.conlang.evaluator import EvalError, evaluate, forced_walk, _PLACEHOLDER_RE
+from camlab.conlang.evaluator import CompiledProgram, EvalError, evaluate, _PLACEHOLDER_RE
 
 __all__ = ["TypeIssue", "typecheck", "ValidationFailure", "whitebox_validate"]
 
@@ -75,36 +80,45 @@ def _join_dims(a: str, b: str):
 
 
 class _Checker:
+    """compile(node) returns (type, closure); an element reference gives its
+    id and an element list its id tuple in place of a closure. The closure
+    is None for a node with an issue (type _ERR), or whose arguments had one."""
+
     def __init__(self, program: MonitorProgram, ring):
         self.ring = ring
-        self.tols = {t.name: t.dim for t in program.tolerances}
+        self.tols = {t.name: t for t in program.tolerances}
         self.issues: list = []
         self.scalar_fns: set = set()
+        self.measured: dict = {}
+        self.branches: list = []
         self.back = 0  # history offset of the node being checked
         self.reach = 0  # largest history offset seen
 
     def issue(self, message: str, node):
         self.issues.append(TypeIssue(message, _print(node, 0)))
-        return _ERR
+        return _ERR, None
 
-    def type_of(self, node):
+    def compile(self, node):
         if isinstance(node, Num):
-            return _scalar(node.dim)
+            return _scalar(node.dim), ev.const(node.value)
         if isinstance(node, TolRef):
             if node.name not in self.tols:
                 return self.issue(f"unbound tolerance '{node.name}'", node)
-            return _scalar(self.tols[node.name])
+            tol = self.tols[node.name]
+            return _scalar(tol.dim), ev.const(tol.value)
         if isinstance(node, AxisRef):
-            return _VEC
+            if node.name not in ev.AXIS_VECS:
+                return self.issue(f"unknown axis '{node.name}'", node)
+            return _VEC, ev.const(ev.AXIS_VECS[node.name])
         if isinstance(node, ElemRef):
             if node.eid not in self.ring.spans:
                 return self.issue(f"element e({node.eid}) is not in the bound element set", node)
-            return ("elem", node.eid)
+            return ("elem", node.eid), node.eid
         if isinstance(node, ElemList):
             for eid in node.eids:
                 if eid not in self.ring.spans:
                     self.issue(f"element e({eid}) is not in the bound element set", node)
-            return ("elemlist", node.eids)
+            return ("elemlist", node.eids), node.eids
         if isinstance(node, At):
             if isinstance(node.expr, (ElemRef, ElemList)):
                 # builtins read an element's points at their own offset, so a
@@ -116,102 +130,107 @@ class _Checker:
                 )
             self.back += node.ticks
             self.reach = max(self.reach, self.back)
-            t = self.type_of(node.expr)
+            compiled = self.compile(node.expr)
             self.back -= node.ticks
-            return t
+            return compiled
         if isinstance(node, Unary):
-            t = self.type_of(node.operand)
+            t, f = self.compile(node.operand)
             if t == _ERR:
-                return _ERR
+                return _ERR, None
             if node.op == "not":
                 if t != _BOOL:
                     return self.issue("'not' needs a boolean operand", node)
-                return _BOOL
+                return _BOOL, ev.unary("not", f)
             if t == _VEC or t[0] == "scalar":
-                return t
+                return t, ev.unary("-", f)
             return self.issue("unary '-' needs a scalar or vector", node)
         if isinstance(node, BinOp):
             return self._binop(node)
         if isinstance(node, Within):
             return self._within(node)
         if isinstance(node, IfElse):
-            tc = self.type_of(node.cond)
-            if tc not in (_BOOL, _ERR):
-                self.issue("if-condition must be boolean", node.cond)
-            tt = self.type_of(node.then)
-            te = self.type_of(node.other)
-            if _ERR in (tt, te):
-                return _ERR
-            if tt[0] == "scalar" and te[0] == "scalar":
-                dim = _join_dims(tt[1], te[1])
-                if dim is None:
-                    return self.issue("if-branches have incompatible units", node)
-                return _scalar(dim)
-            if tt != te:
-                return self.issue("if-branches have different types", node)
-            return tt
+            return self._if_else(node)
         if isinstance(node, Call):
             return self._call(node)
         return self.issue(f"unknown node {type(node).__name__}", node)
 
+    def _if_else(self, node: IfElse):
+        tc, fc = self.compile(node.cond)
+        if tc not in (_BOOL, _ERR):
+            self.issue("if-condition must be boolean", node.cond)
+        tt, ft = self.compile(node.then)
+        te, fe = self.compile(node.other)
+        if _ERR in (tt, te):
+            return _ERR, None
+        if tt[0] == "scalar" and te[0] == "scalar":
+            dim = _join_dims(tt[1], te[1])
+            if dim is None:
+                return self.issue("if-branches have incompatible units", node)
+            t = _scalar(dim)
+        elif tt != te:
+            return self.issue("if-branches have different types", node)
+        else:
+            t = tt
+        self.branches += [("if.cond", fc), ("if.then", ft), ("if.else", fe)]
+        return t, ev.if_else(fc, ft, fe)
+
     def _binop(self, node: BinOp):
         op = node.op
-        lt = self.type_of(node.lhs)
-        rt = self.type_of(node.rhs)
+        (lt, lf), (rt, rf) = self.compile(node.lhs), self.compile(node.rhs)
         if _ERR in (lt, rt):
-            return _ERR
+            return _ERR, None
+        scalars = lt[0] == "scalar" and rt[0] == "scalar"
         if op in ("and", "or"):
             if lt != _BOOL or rt != _BOOL:
                 return self.issue(f"'{op}' needs boolean operands", node)
-            return _BOOL
-        if op in ("+", "-"):
+            t = _BOOL
+        elif op in ("+", "-"):
             if lt == _VEC and rt == _VEC:
-                return _VEC
-            if lt[0] == "scalar" and rt[0] == "scalar":
-                dim = _join_dims(lt[1], rt[1])
-                if dim is None:
-                    return self.issue(f"cannot {op} {lt[1]} and {rt[1]}", node)
-                return _scalar(dim)
-            return self.issue(f"'{op}' needs two scalars or two vectors", node)
-        if op == "*":
-            if lt[0] == "scalar" and rt[0] == "scalar":
-                if lt[1] != "none" and rt[1] != "none":
-                    return self.issue("products of two dimensioned values are not supported", node)
-                return _scalar(_join_dims(lt[1], rt[1]))
-            return self.issue("'*' needs scalar operands", node)
-        if op == "/":
-            if lt[0] == "scalar" and rt[0] == "scalar":
-                if lt[1] == rt[1]:
-                    return _scalar("none")
-                if rt[1] == "none":
-                    return _scalar(lt[1])
+                t = _VEC
+            elif not scalars:
+                return self.issue(f"'{op}' needs two scalars or two vectors", node)
+            elif _join_dims(lt[1], rt[1]) is None:
+                return self.issue(f"cannot {op} {lt[1]} and {rt[1]}", node)
+            else:
+                t = _scalar(_join_dims(lt[1], rt[1]))
+        elif op == "*":
+            if not scalars:
+                return self.issue("'*' needs scalar operands", node)
+            if lt[1] != "none" and rt[1] != "none":
+                return self.issue("products of two dimensioned values are not supported", node)
+            t = _scalar(_join_dims(lt[1], rt[1]))
+        elif op == "/":
+            if not scalars:
+                return self.issue("'/' needs scalar operands", node)
+            if lt[1] != rt[1] and rt[1] != "none":
                 return self.issue(f"cannot divide {lt[1]} by {rt[1]}", node)
-            return self.issue("'/' needs scalar operands", node)
-        # comparisons
-        if lt[0] == "scalar" and rt[0] == "scalar":
-            if _join_dims(lt[1], rt[1]) is None:
-                return self.issue(f"cannot compare {lt[1]} with {rt[1]}", node)
-            return _BOOL
-        return self.issue(f"'{op}' compares scalars only", node)
+            t = _scalar("none" if lt[1] == rt[1] else lt[1])
+        elif op not in ("<", "<=", ">", ">=", "="):
+            return self.issue(f"unknown operator '{op}'", node)
+        elif not scalars:
+            return self.issue(f"'{op}' compares scalars only", node)
+        elif _join_dims(lt[1], rt[1]) is None:
+            return self.issue(f"cannot compare {lt[1]} with {rt[1]}", node)
+        else:
+            t = _BOOL
+        return t, ev.binop(op, lf, rf)
 
     def _within(self, node: Within):
-        lt = self.type_of(node.lhs)
-        tt = self.type_of(node.tol)
-        rt = self.type_of(node.rhs)
+        (lt, lf), (tt, tf), (rt, rf) = self.compile(node.lhs), self.compile(node.tol), self.compile(node.rhs)
         if _ERR in (lt, tt, rt):
-            return _ERR
+            return _ERR, None
         if tt[0] != "scalar":
             return self.issue("within-tolerance must be a scalar", node)
         if lt == _VEC and rt == _VEC:
             if _join_dims(tt[1], "len") is None:
                 return self.issue("vector within needs a length tolerance", node)
-            return _BOOL
-        if lt[0] == "scalar" and rt[0] == "scalar":
+        elif lt[0] == "scalar" and rt[0] == "scalar":
             dim = _join_dims(lt[1], rt[1])
             if dim is None or _join_dims(tt[1], dim) is None:
                 return self.issue("within operands/tolerance have incompatible units", node)
-            return _BOOL
-        return self.issue("within needs two scalars or two vectors", node)
+        else:
+            return self.issue("within needs two scalars or two vectors", node)
+        return _BOOL, ev.within(lf, tf, rf, lt == _VEC, self.measured)
 
     def _call(self, node: Call):
         spec = BUILTINS.get(node.fn)
@@ -222,17 +241,22 @@ class _Checker:
             return self.issue(
                 f"{node.fn} takes {len(arg_spec)} argument(s), got {len(node.args)}", node
             )
+        n_issues = len(self.issues)
         elem_args = []
+        args = []
         for want, arg in zip(arg_spec, node.args):
             if want in ("intlit", "ticks"):
                 if not (isinstance(arg, Num) and arg.dim == "none" and arg.value == int(arg.value) and arg.value >= 0):
                     self.issue(f"{node.fn} needs a non-negative integer literal here", node)
-                elif want == "ticks":
+                    continue
+                if want == "ticks":
                     self.reach = max(self.reach, self.back + int(arg.value))
+                args.append(int(arg.value))
                 continue
-            got = self.type_of(arg)
+            got, f = self.compile(arg)
             if got == _ERR:
-                return _ERR
+                return _ERR, None
+            args.append(f)
             if want == "elem":
                 if got[0] != "elem":
                     self.issue(f"{node.fn} needs an element reference", node)
@@ -252,30 +276,35 @@ class _Checker:
                     self.issue(f"{node.fn} needs a {want[1]} scalar here", node)
         if elem_args:
             eid = elem_args[0]
-            mismatch = kind_mismatch(node.fn, eid, self.ring.kind_of(eid))
-            if mismatch:
-                self.issue(mismatch, node)
+            kind = self.ring.kind_of(eid)
+            allowed = ELEMENT_KINDS.get(node.fn, (kind,))
+            if kind not in allowed:
+                wanted = " or ".join(k.upper() for k in allowed)
+                self.issue(f"{node.fn} requires {wanted}, e({eid}) is {kind.upper()}", node)
             if node.fn == "pos" and isinstance(node.args[1], Num):
                 idx = int(node.args[1].value)
                 if idx >= len(self.ring.points_at(eid, 0)):
                     self.issue(f"pos index {idx} out of range for e({eid})", node)
+        measured = None
         if isinstance(result, tuple) and result[0] == "scalar":
             self.scalar_fns.add(node.fn)
-            return result
-        if result == "vec":
-            return _VEC
-        if result == "box":
-            return _BOX
-        return _BOOL
+            t, measured = result, self.measured
+        else:
+            t = {"vec": _VEC, "box": _BOX}.get(result, _BOOL)
+        if len(self.issues) > n_issues:
+            return t, None
+        return t, ev.call(node.fn, self.ring, self.back, args, measured)
 
 
-def typecheck(program: MonitorProgram, ring) -> list:
-    """Check a program against a point ring; returns a list of TypeIssue
-    (empty means ok). The history reach (largest sum of at() shifts and
+def typecheck(program: MonitorProgram, ring) -> CompiledProgram:
+    """Check a program against a point ring and compile it onto that ring.
+
+    The result's `issues` lists every TypeIssue (empty means ok); only then
+    may it be evaluated. The history reach (largest sum of at() shifts and
     displacement/rotation ticks on a path) must be below the ring capacity:
     beyond it history clamps, so the meaning would depend on the capacity."""
     checker = _Checker(program, ring)
-    body_type = checker.type_of(program.body)
+    body_type, body = checker.compile(program.body)
     if body_type not in (_BOOL, _ERR):
         checker.issue("program body must evaluate to a boolean", program.body)
     if checker.reach >= ring.capacity:
@@ -289,25 +318,38 @@ def typecheck(program: MonitorProgram, ring) -> list:
                     program.reason_template,
                 )
             )
-    return checker.issues
+    return CompiledProgram(
+        cid=program.cid,
+        mode=program.mode,
+        reason_template=program.reason_template,
+        issues=checker.issues,
+        body=None if checker.issues else body,
+        branches=tuple(checker.branches),
+        tolerances={name: t.value for name, t in checker.tols.items()},
+        measured=checker.measured,
+    )
 
 
-def whitebox_validate(program: MonitorProgram, ctx) -> None:
-    """Path-coverage validation against the subgoal's first-tick state
-    (an evaluation context, see conlang.evaluator).
+def whitebox_validate(program: CompiledProgram) -> None:
+    """Path-coverage validation of a compiled program against its ring, which
+    holds the subgoal's first-tick state.
 
-    Forces both branches of every conditional and requires that no path
-    errors; a DURING program must additionally be satisfied on this state
-    (violated-before-motion means bad program or bad elements). Raises
-    ValidationFailure; returns None when the program is good to load.
+    Calls the cond, then and else closure of every conditional, then the
+    body, and requires that none errors; a DURING program must additionally
+    be satisfied on this state (violated-before-motion means bad program or
+    bad elements). Raises ValidationFailure; returns None when the program
+    is good to load.
     """
     try:
-        value = forced_walk(program, ctx)
+        for label, branch in program.branches:
+            try:
+                branch()
+            except EvalError as err:
+                raise EvalError(f"{label}: {err}") from err
+        program.body()
     except EvalError as err:
         raise ValidationFailure("branch coverage", err) from err
-    if not isinstance(value, (bool,)) and value not in (True, False):
-        raise ValidationFailure("branch coverage", f"body is {type(value).__name__}, not bool")
     if program.mode is Mode.DURING:
-        ok, reason = evaluate(program, ctx)
+        ok, reason = evaluate(program)
         if not ok:
             raise ValidationFailure("during constraint false at subgoal start", reason)

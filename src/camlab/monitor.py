@@ -244,17 +244,19 @@ class Verdict(NamedTuple):
         return self.kind is VerdictKind.VIOLATION
 
 
-def _fail_safe(program, ring) -> tuple:
-    """evaluate(program, ring), with an evaluation error read as a violation
-    with INTERNAL_ERROR_REASON (fail-safe) rather than a skipped tick."""
+def _fail_safe(program) -> tuple:
+    """evaluate(program), with an evaluation error read as a violation with
+    INTERNAL_ERROR_REASON (fail-safe) rather than a skipped tick."""
     try:
-        return evaluate(program, ring)
+        return evaluate(program)
     except EvalError:
         return False, INTERNAL_ERROR_REASON
 
 
 class RealTimeMonitor:
-    """Evaluates a subgoal's programs against tracked element state."""
+    """Evaluates a subgoal's programs, compiled onto the tracker's ring
+    (conlang.typecheck, as simlab.episode.load_program does), against the
+    tracked element state."""
 
     def __init__(
         self, programs, tracker: SimTracker, policy: DebouncePolicy = DebouncePolicy(), halt_on_completion=False
@@ -274,10 +276,9 @@ class RealTimeMonitor:
         """Evaluate all DURING programs; a program false K ticks in a row
         yields a Violation (first program in id order wins the tick), once
         per program over the monitor's life."""
-        ctx = self.tracker.ring
         verdict = None
         for prog in self.during:
-            ok, reason = _fail_safe(prog, ctx)
+            ok, reason = _fail_safe(prog)
             if ok:
                 self._false_streak[prog.cid] = 0
                 continue
@@ -322,8 +323,7 @@ class RealTimeMonitor:
         """Entry check: every ON_COMPLETION program true for K ticks in a row,
         so objects still crossing the region boundary settle clearly inside.
         An evaluation error counts as not entered."""
-        ctx = self.tracker.ring
-        entered = all(_fail_safe(p, ctx)[0] for p in self.completion)
+        entered = all(_fail_safe(p)[0] for p in self.completion)
         self._entered_streak = self._entered_streak + 1 if entered else 0
         return self._entered_streak >= self.policy.k
 
@@ -333,10 +333,9 @@ class RealTimeMonitor:
         3H ticks after motion end; NOT_YET in between."""
         if self._motion_end is None:
             raise ValueError("check_completion before motion end")
-        ctx = self.tracker.ring
         first_bad = None
         for prog in self.completion:
-            ok, reason = _fail_safe(prog, ctx)
+            ok, reason = _fail_safe(prog)
             if not ok and first_bad is None:
                 first_bad = (prog.cid, reason)
         if first_bad is None:

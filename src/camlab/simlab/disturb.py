@@ -44,7 +44,7 @@ class Disturbance:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
-        if self.q_cm < 0:
+        if not self.q_cm >= 0:
             raise ValueError("placement noise bound must be >= 0")
 
 
@@ -206,12 +206,13 @@ def standard_disturbances(template: str, selector: str = "none", p: float = 0.0,
 
     For stack_in_order pass the drop probability p and placement noise q;
     for the other tasks the selector picks letters from the task's catalog
-    ('a', 'bc', 'abc', ...) or 'none'.
+    ('a', 'bc', 'abc', ...) or 'none'. Raises ValueError for an unknown
+    letter, or a p or q_cm that Disturbance rejects (a zero adds nothing).
     """
     out = []
-    if p > 0:
+    if p != 0:
         out.append(Disturbance(kind="drop_with_prob", p=p))
-    if q_cm > 0:
+    if q_cm != 0:
         out.append(Disturbance(kind="placement_noise", q_cm=q_cm))
     if selector and selector != "none":
         catalog = _CATALOG.get(template, {})

@@ -49,7 +49,7 @@ class EpisodeConfig:
 
     def __post_init__(self):
         if self.monitor_mode not in MONITOR_MODES:
-            raise ValueError(f"monitor_mode must be one of {MONITOR_MODES}")
+            raise ValueError(f"monitor_mode must be one of {MONITOR_MODES}, got {self.monitor_mode!r}")
 
 
 @dataclass
@@ -115,14 +115,14 @@ def extract_elements(sg: Subgoal, state, scene):
 def load_program(source: str, cid: str | None, ring):
     """Parse, type-check and white-box validate one program on the tracker's
     ring (cid None: the constraint name); the one load path of the episode
-    loop and `camctl validate`. Raises the first failure: DslSyntaxError,
+    loop and `camctl validate`. Returns the program compiled onto the ring
+    (conlang.CompiledProgram). Raises the first failure: DslSyntaxError,
     DuplicateTolerance or ValidationFailure."""
-    prog = parse(source, cid=cid)
-    issues = typecheck(prog, ring)
-    if issues:
-        raise ValidationFailure(f"typecheck of '{prog.cid}'", "; ".join(str(i) for i in issues))
-    whitebox_validate(prog, ring)
-    return prog
+    compiled = typecheck(parse(source, cid=cid), ring)
+    if compiled.issues:
+        raise ValidationFailure(f"typecheck of '{compiled.cid}'", "; ".join(str(i) for i in compiled.issues))
+    whitebox_validate(compiled)
+    return compiled
 
 
 def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):

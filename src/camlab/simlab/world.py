@@ -230,9 +230,15 @@ class Simulation:
         return self.policy is None or self.policy.motion_done
 
     def refresh_attached(self):
+        """Move every held object with the end-effector. An object keeps its
+        Pose object when the composed q and t are bit-for-bit those it
+        already has (bytes, so -0.0 and 0.0 differ): ground-truth caches
+        keyed on Pose identity then skip it."""
         for oid in self.state.held:
             obj = self.state.objects[oid]
-            obj.pose = self.state.ee_pose.compose(obj.attach_offset)
+            pose = self.state.ee_pose.compose(obj.attach_offset)
+            if pose.q.tobytes() != obj.pose.q.tobytes() or pose.t.tobytes() != obj.pose.t.tobytes():
+                obj.pose = pose
 
     def attach(self, oid: str):
         obj = self.state.objects[oid]

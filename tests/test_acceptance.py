@@ -266,7 +266,7 @@ def test_P3_fit_accuracy_and_invariance():
 
 def test_P4_round_trip_and_eval_determinism():
     sys.path.insert(0, os.path.dirname(__file__))
-    from test_conlang import _gen_program, ctx_for, level_elements
+    from test_conlang import _gen_program, compiled, ctx_for, level_elements
 
     rng = np.random.default_rng(404)
     for _ in range(1000):
@@ -278,8 +278,8 @@ def test_P4_round_trip_and_eval_determinism():
         "{ angle(normal(e(2)), axis_z) <= amax } "
         'fail "tilted {angle}"'
     )
-    ctx = ctx_for(level_elements(tilt=math.radians(20)))
-    outs = {evaluate(p, ctx) for _ in range(5)}
+    c = compiled(p, ctx_for(level_elements(tilt=math.radians(20))))
+    outs = {evaluate(c) for _ in range(5)}
     assert len(outs) == 1
     print("\nP4 PASS: 1000 round trips structurally equal; evaluation byte-deterministic")
 

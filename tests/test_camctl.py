@@ -100,22 +100,25 @@ def test_spec_rejects_bad_values(text):
 
 
 _floats = st.floats(0.0, 1.0, allow_nan=False)
-_specs = st.builds(
+# only the catalog tasks take disturbance letters (simlab.disturb)
+_selectors = {task: ["none", "a", "bc", "abc"] if task in ("slot_pen", "stow_book", "pour_tea") else ["none"]
+              for task in TEMPLATES}
+_specs = st.sampled_from(TEMPLATES).flatmap(lambda task: st.builds(
     ExperimentSpec,
-    task=st.sampled_from(TEMPLATES),
+    task=st.just(task),
     episodes=st.integers(1, 500),
     seed_base=st.integers(0, 2**31),
     modes=st.lists(st.sampled_from(MONITOR_MODES), min_size=1, max_size=4).map(tuple),
     drop_p=st.lists(_floats, min_size=1, max_size=3).map(tuple),
     place_noise_cm=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3).map(tuple),
-    disturbances=st.lists(st.sampled_from(["none", "a", "bc", "abc"]), min_size=1, max_size=3).map(tuple),
+    disturbances=st.lists(st.sampled_from(_selectors[task]), min_size=1, max_size=3).map(tuple),
     budget_ticks=st.integers(1, 5000),
     tracker=st.builds(
         TrackerConfig, sigma=_floats, dropout=st.floats(0.0, 0.99), resync_interval=st.integers(1, 100)
     ),
     debounce=st.builds(DebouncePolicy, k=st.integers(1, 10), h=st.integers(1, 10)),
     max_retries=st.integers(0, 10),
-)
+))
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,6 +388,48 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("task = nope\n")
     assert main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "line, field, value",
+    [
+        ("modes = bogus", "modes", ["bogus"]),
+        ("drop_p = 1.5", "drop_p", [1.5]),
+        ("place_noise_cm = -1", "place_noise_cm", [-1.0]),
+        ("disturbances = z", "disturbances", ["z"]),
+    ],
+)
+def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, value):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"task = slot_pen\nepisodes = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "camctl: bad spec" in capsys.readouterr().err
+    assert not (out / "run.jsonl").exists()
+    # a log whose meta spec holds the value is refused by replay
+    d = ExperimentSpec.loads("task = slot_pen\nepisodes = 1\n").as_dict()
+    d[field] = value
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_dict(d)
+    log = tmp_path / "bad.jsonl"
+    with JsonlLogWriter(log) as w:
+        w.write({"kind": "meta", "schema": 1, "spec": d})
+    assert main(["replay", str(log)]) == 2
+    assert "bad meta spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["replay-missing-log", "replay-missing-report", "validate-not-utf8"])
+def test_main_io_error_exits_2(run_dir, tmp_path, capsys, case):
+    out, _ = run_dir
+    bad_utf8 = tmp_path / "latin1.cam"
+    bad_utf8.write_bytes(b'constraint "caf\xe9" mode during { 1 < 2 } fail "r"\n')
+    argv = {
+        "replay-missing-log": ["replay", str(tmp_path / "missing.jsonl")],
+        "replay-missing-report": ["replay", str(out / "run.jsonl"), "--report", str(tmp_path / "missing.json")],
+        "validate-not-utf8": ["validate", str(bad_utf8)],
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("camctl: ")
 
 
 def test_main_run_and_replay(tmp_path):

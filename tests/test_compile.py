@@ -1,0 +1,424 @@
+"""Compiled evaluation against the reference AST evaluator.
+
+typecheck compiles a program into closures bound to a point ring. The
+reference below is the AST-walking evaluator the closures replaced, with
+its forced mode for white-box branch coverage. On random well-typed
+programs over a random multi-entry ring, the compiled program must give the
+same (ok, reason) bytes or the same EvalError text as the reference, both
+on the ring it was compiled on and after more entries are pushed, and
+whitebox_validate must accept exactly the programs the reference accepts.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from camlab.conlang import (
+    At,
+    AxisRef,
+    BinOp,
+    Call,
+    ElemList,
+    ElemRef,
+    EvalError,
+    IfElse,
+    Mode,
+    MonitorProgram,
+    Num,
+    ToleranceDecl,
+    TolRef,
+    Unary,
+    ValidationFailure,
+    Within,
+    evaluate,
+    format_measured,
+    typecheck,
+    whitebox_validate,
+)
+from camlab.conlang.ast import ELEMENT_KINDS
+from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement, point_set
+from camlab.errors import DegenerateGeometry
+from camlab.geom3d import angle_between, fit_line, fit_plane
+from camlab.monitor import PointRing
+
+# ---------------------------------------------------------------------------
+# reference: the AST-walking evaluator
+
+_AXIS_VECS = {
+    "axis_x": np.array([1.0, 0.0, 0.0]),
+    "axis_y": np.array([0.0, 1.0, 0.0]),
+    "axis_z": np.array([0.0, 0.0, 1.0]),
+}
+
+
+def _oriented_direction(points):
+    d, _, _ = fit_line(points)
+    return -d if float(np.dot(d, points[-1] - points[0])) < 0 else d
+
+
+def _oriented_normal(points):
+    n, _, _ = fit_plane(points)
+    w = np.cross(points[1] - points[0], points[2] - points[0])
+    return -n if float(np.dot(n, w)) < 0 else n
+
+
+class ReferenceEvaluator:
+    def __init__(self, program, ctx, forced=False):
+        self.ctx = ctx
+        self.forced = forced
+        self.env = {t.name: t.value for t in program.tolerances}
+        self.measured = {}
+
+    def eval(self, node, back):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, TolRef):
+            if node.name not in self.env:
+                raise EvalError(f"unbound tolerance '{node.name}'")
+            return self.env[node.name]
+        if isinstance(node, AxisRef):
+            return _AXIS_VECS[node.name]
+        if isinstance(node, ElemRef):
+            return node.eid
+        if isinstance(node, ElemList):
+            return node.eids
+        if isinstance(node, At):
+            return self.eval(node.expr, back + node.ticks)
+        if isinstance(node, Unary):
+            v = self.eval(node.operand, back)
+            return (not v) if node.op == "not" else -v
+        if isinstance(node, BinOp):
+            return self._binop(node, back)
+        if isinstance(node, Within):
+            a = self.eval(node.lhs, back)
+            tol = self.eval(node.tol, back)
+            b = self.eval(node.rhs, back)
+            dev = float(np.linalg.norm(a - b)) if isinstance(a, np.ndarray) else abs(a - b)
+            self.measured["within"] = dev
+            return dev <= tol
+        if isinstance(node, IfElse):
+            if self.forced:
+                self._branch("if.cond", node.cond, back)
+                then_v = self._branch("if.then", node.then, back)
+                other_v = self._branch("if.else", node.other, back)
+                return then_v if self.eval(node.cond, back) else other_v
+            return self.eval(node.then if self.eval(node.cond, back) else node.other, back)
+        if isinstance(node, Call):
+            return self._call(node, back)
+        raise EvalError(f"cannot evaluate node {type(node).__name__}")
+
+    def _branch(self, label, node, back):
+        try:
+            return self.eval(node, back)
+        except EvalError as err:
+            raise EvalError(f"{label}: {err}") from err
+
+    def _binop(self, node, back):
+        op = node.op
+        a = self.eval(node.lhs, back)
+        b = self.eval(node.rhs, back)
+        if op == "and":
+            return bool(a) and bool(b)
+        if op == "or":
+            return bool(a) or bool(b)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if abs(b) < 1e-12:
+                raise EvalError("division by zero")
+            return a / b
+        if op == "<":
+            return a < b
+        if op == "<=":
+            return a <= b
+        if op == ">":
+            return a > b
+        if op == ">=":
+            return a >= b
+        if op == "=":
+            return a == b
+        raise EvalError(f"unknown operator '{op}'")
+
+    def _call(self, node, back):
+        fn = node.fn
+        try:
+            value = self._call_inner(fn, node.args, back)
+        except (DegenerateGeometry, IndexError, KeyError) as err:
+            raise EvalError(f"{fn}: {err}") from err
+        if isinstance(value, float):
+            self.measured[fn] = value
+        return value
+
+    def _typed_elem(self, fn, arg, back):
+        eid = self.eval(arg, back)
+        kind = self.ctx.kind_of(eid)
+        allowed = ELEMENT_KINDS[fn]
+        if kind not in allowed:
+            raise EvalError(f"{fn} requires {' or '.join(k.upper() for k in allowed)}, e({eid}) is {kind.upper()}")
+        return eid, kind
+
+    def _call_inner(self, fn, args, back):
+        ctx = self.ctx
+        if fn == "pos":
+            eid = self.eval(args[0], back)
+            idx = int(self.eval(args[1], back))
+            pts = ctx.points_at(eid, back)
+            if not 0 <= idx < len(pts):
+                raise EvalError(f"pos index {idx} out of range for e({eid})")
+            return pts[idx]
+        if fn == "centroid":
+            return ctx.centroids((self.eval(args[0], back),), back)[0]
+        if fn == "normal":
+            eid, _ = self._typed_elem(fn, args[0], back)
+            n, _, _ = fit_plane(ctx.points_at(eid, back))
+            return n
+        if fn == "dir":
+            eid, _ = self._typed_elem(fn, args[0], back)
+            d, _, _ = fit_line(ctx.points_at(eid, back))
+            return d
+        if fn == "dist":
+            a = self.eval(args[0], back)
+            b = self.eval(args[1], back)
+            return float(np.linalg.norm(a - b))
+        if fn == "angle":
+            return float(angle_between(self.eval(args[0], back), self.eval(args[1], back)))
+        if fn == "proj_xy":
+            p = self.eval(args[0], back)
+            return np.array([p[0], p[1], 0.0])
+        if fn == "displacement":
+            eid = self.eval(args[0], back)
+            delta = int(self.eval(args[1], back))
+            now = ctx.centroids((eid,), back)[0]
+            then = ctx.centroids((eid,), back + delta)[0]
+            return float(np.linalg.norm(now - then))
+        if fn == "rotation":
+            eid, kind = self._typed_elem(fn, args[0], back)
+            delta = int(self.eval(args[1], back))
+            orient = _oriented_direction if kind == "line" else _oriented_normal
+            a = orient(ctx.points_at(eid, back))
+            b = orient(ctx.points_at(eid, back + delta))
+            return float(angle_between(a, b))
+        if fn == "count_within":
+            eids = self.eval(args[0], back)
+            lo, hi = self.eval(args[1], back)
+            c = ctx.centroids(eids, back)
+            return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
+        if fn == "inside":
+            p, (lo, hi) = self.eval(args[0], back), self.eval(args[1], back)
+            return bool(np.all(p >= lo) and np.all(p <= hi))
+        if fn == "above":
+            a = self.eval(args[0], back)
+            b = self.eval(args[1], back)
+            margin = self.eval(args[2], back)
+            return bool(a[2] >= b[2] + margin)
+        if fn == "vec":
+            return np.array([self.eval(a, back) for a in args], dtype=np.float64)
+        if fn == "box":
+            arr = np.asarray([self.eval(a, back) for a in args], dtype=np.float64).reshape(2, 3)
+            return np.minimum(arr[0], arr[1]), np.maximum(arr[0], arr[1])
+        raise EvalError(f"unknown builtin '{fn}'")
+
+
+def reference_evaluate(program, ctx):
+    ev = ReferenceEvaluator(program, ctx)
+    value = ev.eval(program.body, 0)
+    if not isinstance(value, (bool, np.bool_)):
+        raise EvalError(f"program body evaluated to {type(value).__name__}, not bool")
+    if value:
+        return True, None
+    return False, format_measured(program.reason_template, {**ev.env, **ev.measured})
+
+
+def reference_whitebox_accepts(program, ctx) -> bool:
+    """The forced walk over both branches of every conditional, then, for a
+    DURING program, a normal evaluation that must hold."""
+    try:
+        value = ReferenceEvaluator(program, ctx, forced=True).eval(program.body, 0)
+    except EvalError:
+        return False
+    if not isinstance(value, (bool,)) and value not in (True, False):
+        return False
+    return program.mode is not Mode.DURING or reference_evaluate(program, ctx)[0]
+
+
+# ---------------------------------------------------------------------------
+# random rings and well-typed programs
+
+_ELEMENTS = {0: (POINT, 1), 1: (LINE, 3), 2: (SURFACE, 4), 3: (point_set(2), 2)}
+_BY_KIND = {"line": [1], "surface": [2], "line_or_surface": [1, 2], "any": [0, 1, 2, 3]}
+_VALUES = (0.0, 0.0, 0.01, 0.5, 1.0, 2.0, 3.0)
+_DIMS = ("len", "ang", "count", "none")
+_SCALAR_FNS = ("dist", "angle", "displacement", "rotation", "count_within")
+
+
+def _entry(rng):
+    """One tick's points per element; sometimes an element's points all
+    coincide, so line and plane fits degenerate."""
+    out = []
+    for eid, (_, n) in _ELEMENTS.items():
+        pts = rng.uniform(-0.2, 0.2, size=(n, 3))
+        if rng.random() < 0.25:
+            pts[:] = pts[0]
+        out.append(pts)
+    return out
+
+
+@st.composite
+def rings(draw):
+    """(ring after its first entries, the entries still to push)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    capacity = draw(st.integers(8, 16))
+    n_entries = draw(st.integers(1, 20))
+    first = draw(st.integers(1, n_entries))
+    entries = [_entry(rng) for _ in range(n_entries)]
+    elements = [
+        ConstraintElement(eid=eid, etype=etype, points=pts, connections=(), entity=f"o{eid}", part="p", constraint="")
+        for (eid, (etype, _)), pts in zip(_ELEMENTS.items(), entries[0])
+    ]
+    ring = PointRing(elements, 0, capacity=capacity)
+    for tick in range(1, first):
+        ring.push(tick, entries[tick])
+    return ring, [(tick, entries[tick]) for tick in range(first, n_entries)]
+
+
+@st.composite
+def programs(draw):
+    tols = tuple(
+        ToleranceDecl(f"t{i}", draw(st.sampled_from(_VALUES)), draw(st.sampled_from(_DIMS[:3])))
+        for i in range(draw(st.integers(0, 3)))
+    )
+
+    def pick(xs):
+        return draw(st.sampled_from(xs))
+
+    def ticks():
+        return Num(float(draw(st.integers(0, 5))), "none")
+
+    def elem(kind="any"):
+        return ElemRef(pick(_BY_KIND[kind]))
+
+    def choose(depth, leaves, inner):
+        options = leaves + (inner if depth > 0 else [])
+        return options[draw(st.integers(0, len(options) - 1))]()
+
+    def scalar(dim, depth):
+        d = depth - 1
+        named = [t for t in tols if t.dim == dim]
+        leaves = [lambda: Num(pick(_VALUES), dim)] + ([lambda: TolRef(pick(named).name)] if named else [])
+        builtins = {
+            "len": [lambda: Call("dist", (vec(d), vec(d))), lambda: Call("displacement", (elem(), ticks()))],
+            "ang": [lambda: Call("angle", (vec(d), vec(d))),
+                    lambda: Call("rotation", (elem("line_or_surface"), ticks()))],
+            "count": [lambda: Call("count_within", (ElemList(tuple(sorted(set(draw(
+                st.lists(st.sampled_from(_BY_KIND["any"]), min_size=1, max_size=3)))))), box(d)))],
+            "none": [lambda: (lambda dim: BinOp("/", scalar(dim, d), scalar(dim, d)))(pick(_DIMS))],
+        }[dim]
+        inner = builtins + [
+            lambda: BinOp(pick(["+", "-"]), scalar(dim, d), scalar(dim, d)),
+            lambda: BinOp("*", scalar(dim, d), scalar("none", d)),
+            lambda: BinOp("/", scalar(dim, d), scalar("none", d)),
+            lambda: Unary("-", scalar(dim, d)),
+            lambda: IfElse(boolean(d), scalar(dim, d), scalar(dim, d)),
+            lambda: At(scalar(dim, d), draw(st.integers(0, 3))),
+        ]
+        return choose(depth, leaves, inner)
+
+    def vec(depth):
+        d = depth - 1
+        leaves = [
+            lambda: AxisRef(pick(["axis_x", "axis_y", "axis_z"])),
+            lambda: Call("centroid", (elem(),)),
+            lambda: (lambda e: Call("pos", (e, Num(float(draw(st.integers(0, _ELEMENTS[e.eid][1] - 1))), "none"))))(
+                elem()),
+        ]
+        inner = [
+            lambda: Call("normal", (elem("surface"),)),
+            lambda: Call("dir", (elem("line"),)),
+            lambda: Call("proj_xy", (vec(d),)),
+            lambda: Call("vec", tuple(scalar("len", d) for _ in range(3))),
+            lambda: Unary("-", vec(d)),
+            lambda: BinOp(pick(["+", "-"]), vec(d), vec(d)),
+            lambda: IfElse(boolean(d), vec(d), vec(d)),
+            lambda: At(vec(d), draw(st.integers(0, 3))),
+        ]
+        return choose(depth, leaves, inner)
+
+    def box(depth):
+        d = depth - 1
+        leaves = [lambda: Call("box", tuple(Num(pick(_VALUES) - 1.0, "len") for _ in range(6)))]
+        inner = [
+            lambda: Call("box", tuple(scalar("len", d) for _ in range(6))),
+            lambda: IfElse(boolean(d), box(d), box(d)),
+            lambda: At(box(d), draw(st.integers(0, 3))),
+        ]
+        return choose(depth, leaves, inner)
+
+    def boolean(depth):
+        d = depth - 1
+        leaves = [lambda: BinOp(pick(["<", "<=", ">", ">=", "="]), Num(pick(_VALUES)), Num(pick(_VALUES)))]
+        inner = [
+            lambda: (lambda dim: BinOp(pick(["<", "<=", ">", ">=", "="]), scalar(dim, d), scalar(dim, d)))(
+                pick(_DIMS)),
+            lambda: BinOp(pick(["and", "or"]), boolean(d), boolean(d)),
+            lambda: BinOp(pick(["and", "or"]), boolean(d), boolean(d)),
+            lambda: Unary("not", boolean(d)),
+            lambda: (lambda dim: Within(scalar(dim, d), scalar(pick([dim, "none"]), d), scalar(dim, d)))(
+                pick(_DIMS)),
+            lambda: Within(vec(d), scalar(pick(["len", "none"]), d), vec(d)),
+            lambda: Call("inside", (vec(d), box(d))),
+            lambda: Call("above", (vec(d), vec(d), scalar("len", d))),
+            lambda: IfElse(boolean(d), boolean(d), boolean(d)),
+            lambda: IfElse(boolean(d), boolean(d), boolean(d)),
+            lambda: At(boolean(d), draw(st.integers(0, 3))),
+        ]
+        return choose(depth, leaves, inner)
+
+    body = boolean(draw(st.integers(1, 4)))
+    used = [fn for fn in _SCALAR_FNS if _mentions(body, fn)]
+    template = "r {within}" + "".join(f" {{{name}}}" for name in used + [t.name for t in tols])
+    mode = pick([Mode.DURING, Mode.ON_COMPLETION])
+    return MonitorProgram("gen", mode, tols, body, template, cid="gen")
+
+
+def _mentions(node, fn) -> bool:
+    if isinstance(node, Call) and node.fn == fn:
+        return True
+    children = node.__dict__.values()
+    return any(_mentions(c, fn) for v in children for c in (v if isinstance(v, tuple) else (v,))
+               if hasattr(c, "__dict__"))
+
+
+def _outcome(fn):
+    try:
+        ok, reason = fn()
+    except EvalError as err:
+        return "error", str(err)
+    return ok, None if reason is None else reason.encode()
+
+
+def _accepts(program) -> bool:
+    try:
+        whitebox_validate(program)
+    except ValidationFailure:
+        return False
+    return True
+
+
+@settings(
+    max_examples=1000, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(rings(), programs())
+def test_compiled_program_matches_reference_evaluator(ring_and_rest, program):
+    ring, rest = ring_and_rest
+    compiled = typecheck(program, ring)
+    assume(not compiled.issues)
+    assert _accepts(compiled) == reference_whitebox_accepts(program, ring)
+    assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
+    for tick, points in rest:
+        ring.push(tick, points)
+    assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))

@@ -76,6 +76,13 @@ def ctx_for(es, tick=0):
     return PointRing(es.elements, tick)
 
 
+def compiled(prog, ring):
+    """prog compiled onto ring by typecheck, which must find no issue."""
+    out = typecheck(prog, ring)
+    assert out.issues == [], out.issues
+    return out
+
+
 def history_ctx(hist, etype):
     """Evaluation context for one element e(0) whose points were hist[0],
     hist[1], ..., hist[-1] (the newest) on consecutive ticks."""
@@ -287,7 +294,7 @@ def test_round_trip_of_parsed_source():
 
 def test_typecheck_normal_requires_surface():
     src = 'constraint "x" mode during tol a = 1 rad { angle(normal(e(0)), axis_z) <= a } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("requires SURFACE" in str(i) for i in issues)
 
 
@@ -297,36 +304,36 @@ def test_typecheck_ok_program():
         "{ dist(centroid(e(0)), centroid(e(0))) <= d } "
         'fail "off by {dist}"'
     )
-    assert typecheck(parse(src), ctx_for(level_elements())) == []
+    assert typecheck(parse(src), ctx_for(level_elements())).issues == []
 
 
 def test_typecheck_unit_mismatch():
     src = 'constraint "x" mode during tol d = 3 cm { angle(normal(e(2)), axis_z) <= d } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("compare" in str(i) for i in issues)
 
 
 def test_typecheck_unknown_element():
     src = 'constraint "x" mode during { dist(centroid(e(9)), centroid(e(0))) <= 1 } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("e(9)" in str(i) for i in issues)
 
 
 def test_typecheck_dir_requires_line():
     src = 'constraint "x" mode during { angle(dir(e(2)), axis_z) <= 1 } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("requires LINE" in str(i) for i in issues)
 
 
 def test_typecheck_body_must_be_bool():
     src = 'constraint "x" mode during { dist(centroid(e(0)), centroid(e(1))) } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("boolean" in str(i) for i in issues)
 
 
 def test_typecheck_bad_placeholder():
     src = 'constraint "x" mode during { 1 < 2 } fail "oops {nope}"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("placeholder" in str(i) for i in issues)
 
 
@@ -339,18 +346,14 @@ def test_typecheck_bad_placeholder():
     ],
     ids=["normal", "dir", "rotation"],
 )
-def test_kind_violation_same_message_from_typecheck_and_evaluate(body, message):
+def test_kind_violation_message_from_typecheck(body, message):
     prog = parse(f'constraint "x" mode during {{ {body} }} fail "r"')
-    ctx = ctx_for(level_elements())
-    assert [i.message for i in typecheck(prog, ctx)] == [message]
-    with pytest.raises(EvalError) as err:
-        evaluate(prog, ctx)
-    assert str(err.value) == message
+    assert [i.message for i in typecheck(prog, ctx_for(level_elements())).issues] == [message]
 
 
 def test_typecheck_pos_index_range():
     src = 'constraint "x" mode during { dist(pos(e(0), 5), centroid(e(0))) <= 1 } fail "r"'
-    issues = typecheck(parse(src), ctx_for(level_elements()))
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
     assert any("out of range" in str(i) for i in issues)
 
 
@@ -360,13 +363,13 @@ def test_typecheck_pos_index_range():
 
 def test_evaluate_level_flat():
     p = parse(LEVEL_SRC)
-    ok, reason = evaluate(p, ctx_for(level_elements(tilt=0.0)))
+    ok, reason = evaluate(compiled(p, ctx_for(level_elements(tilt=0.0))))
     assert ok and reason is None
 
 
 def test_evaluate_level_tilted_20deg_reason():
     p = parse(LEVEL_SRC)
-    ok, reason = evaluate(p, ctx_for(level_elements(tilt=math.radians(20))))
+    ok, reason = evaluate(compiled(p, ctx_for(level_elements(tilt=math.radians(20)))))
     assert not ok
     assert reason == "pan tilted 0.3491"  # 20 degrees = 0.34906... rad at 4 sig digits
 
@@ -376,11 +379,11 @@ def test_evaluate_displacement_2cm():
     hist = [np.array([[0.002 * i, 0.0, 0.1]]) for i in range(11)]
     ctx = history_ctx(hist, POINT)
     src = 'constraint "moved" mode during tol dmin = 2 cm { displacement(e(0), 10) >= dmin } fail "r"'
-    ok, _ = evaluate(parse(src), ctx)
+    ok, _ = evaluate(compiled(parse(src), ctx))
     assert ok
     # exact value check
     src2 = 'constraint "m" mode during { displacement(e(0), 10) = 0.02 } fail "r {displacement}"'
-    ok2, _ = evaluate(parse(src2), ctx)
+    ok2, _ = evaluate(compiled(parse(src2), ctx))
     assert ok2
 
 
@@ -390,23 +393,24 @@ def test_evaluate_rotation_half_turn():
     b = np.array([[0.0, 0.0, 0.0], [-0.1, 0.0, 0.0]])
     ctx = history_ctx([a, b], LINE)
     src = 'constraint "turn" mode during { rotation(e(0), 1) >= 3.14 } fail "r"'
-    ok, _ = evaluate(parse(src), ctx)
+    ok, _ = evaluate(compiled(parse(src), ctx))
     assert ok
     src_exact = 'constraint "turn" mode during { rotation(e(0), 1) <= 3.15 } fail "r"'
-    assert evaluate(parse(src_exact), ctx)[0]
+    assert evaluate(compiled(parse(src_exact), ctx))[0]
 
 
 def test_evaluate_division_by_zero():
     src = 'constraint "x" mode during { 1 / (1 - 1) < 2 } fail "r"'
     with pytest.raises(EvalError):
-        evaluate(parse(src), ctx_for(level_elements()))
+        evaluate(compiled(parse(src), ctx_for(level_elements())))
 
 
 def test_evaluate_determinism_bytes():
     p = parse(LEVEL_SRC)
     ctx = ctx_for(level_elements(tilt=math.radians(20)))
-    r1 = evaluate(p, ctx)
-    r2 = evaluate(p, ctx)
+    c = compiled(p, ctx)
+    r1 = evaluate(c)
+    r2 = evaluate(c)
     assert r1 == r2
     assert r1[1].encode() == r2[1].encode()
 
@@ -417,19 +421,19 @@ def test_evaluate_scale_consistency():
     scaled = ctx_for(ElementSet(tuple(element(e.eid, e.etype, e.points * 3.0) for e in es.elements), "sg"))
     dist_src = 'constraint "d" mode during { dist(centroid(e(0)), centroid(e(2))) < 1000 } fail "{dist}"'
     ang_src = 'constraint "a" mode during { angle(normal(e(2)), axis_z) < 0.01 } fail "{angle}"'
-    _, d1 = evaluate(parse(dist_src.replace("< 1000", "< 0")), base)
-    _, d3 = evaluate(parse(dist_src.replace("< 1000", "< 0")), scaled)
+    _, d1 = evaluate(compiled(parse(dist_src.replace("< 1000", "< 0")), base))
+    _, d3 = evaluate(compiled(parse(dist_src.replace("< 1000", "< 0")), scaled))
     assert float(d3) == pytest.approx(3.0 * float(d1), rel=1e-9)
-    _, a1 = evaluate(parse(ang_src), base)
-    _, a3 = evaluate(parse(ang_src), scaled)
+    _, a1 = evaluate(compiled(parse(ang_src), base))
+    _, a3 = evaluate(compiled(parse(ang_src), scaled))
     assert float(a1) == pytest.approx(float(a3), abs=1e-9)
 
 
 def test_evaluate_monotone_level_crossing():
     p = parse(LEVEL_SRC)
     tol = p.tolerances[0].value
-    ok_below, _ = evaluate(p, ctx_for(level_elements(tilt=tol - 0.01)))
-    ok_above, _ = evaluate(p, ctx_for(level_elements(tilt=tol + 0.01)))
+    ok_below, _ = evaluate(compiled(p, ctx_for(level_elements(tilt=tol - 0.01))))
+    ok_above, _ = evaluate(compiled(p, ctx_for(level_elements(tilt=tol + 0.01))))
     assert ok_below and not ok_above
 
 
@@ -441,7 +445,7 @@ def test_evaluate_inside_and_above():
         "above(centroid(e(2)), centroid(e(0)), 0.05) } "
         'fail "r"'
     )
-    ok, _ = evaluate(parse(src), ctx_for(es))
+    ok, _ = evaluate(compiled(parse(src), ctx_for(es)))
     assert ok  # surface centroid z=0.5 is > point z=0.4 + 0.05
 
 
@@ -452,7 +456,7 @@ def test_evaluate_count_within():
         "{ count_within([e(0), e(1), e(2)], box(-1, -1, 0.3, 1, 1, 1)) = 2 } "
         'fail "saw {count_within}"'
     )
-    ok, _ = evaluate(parse(src), ctx_for(es))
+    ok, _ = evaluate(compiled(parse(src), ctx_for(es)))
     assert ok  # point at z=0.4 and surface at z=0.5; line at z=0 is outside
 
 
@@ -460,7 +464,7 @@ def test_evaluate_at_shifts_history():
     hist = [np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]])]
     ctx = history_ctx(hist, POINT)
     src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) = 1.0 } fail "r"'
-    assert evaluate(parse(src), ctx)[0]
+    assert evaluate(compiled(parse(src), ctx))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,34 +472,35 @@ def test_evaluate_at_shifts_history():
 
 
 def test_whitebox_unknown_element():
+    # typecheck rejects the program, so it never reaches white-box validation
     src = 'constraint "x" mode during { dist(centroid(e(99)), centroid(e(0))) <= 1 } fail "r"'
-    with pytest.raises(ValidationFailure):
-        whitebox_validate(parse(src), ctx_for(level_elements()))
+    prog = typecheck(parse(src), ctx_for(level_elements()))
+    assert [i.message for i in prog.issues] == ["element e(99) is not in the bound element set"]
 
 
 def test_whitebox_history_clamp_ok():
     # at(...,50) with history depth 1: clamped access validates fine
     src = 'constraint "x" mode during { displacement(e(0), 50) <= 1 m } fail "r"'
-    whitebox_validate(parse(src), ctx_for(level_elements()))
+    whitebox_validate(compiled(parse(src), ctx_for(level_elements())))
 
 
 def test_whitebox_during_false_rejected():
     src = 'constraint "x" mode during { 2 < 1 } fail "r"'
     with pytest.raises(ValidationFailure) as exc:
-        whitebox_validate(parse(src), ctx_for(level_elements()))
+        whitebox_validate(compiled(parse(src), ctx_for(level_elements())))
     assert "subgoal start" in str(exc.value)
 
 
 def test_whitebox_on_completion_false_allowed():
     src = 'constraint "x" mode on_completion { 2 < 1 } fail "r"'
-    whitebox_validate(parse(src), ctx_for(level_elements()))
+    whitebox_validate(compiled(parse(src), ctx_for(level_elements())))
 
 
 def test_whitebox_forces_both_branches():
     # the taken branch is fine; the untaken one divides by zero
     src = 'constraint "x" mode during { (if 1 < 2 then 1.0 else 1 / 0) < 2 } fail "r"'
     with pytest.raises(ValidationFailure) as exc:
-        whitebox_validate(parse(src), ctx_for(level_elements()))
+        whitebox_validate(compiled(parse(src), ctx_for(level_elements())))
     assert "if.else" in str(exc.value)
 
 
@@ -507,8 +512,9 @@ def test_whitebox_ok_implies_evaluate_never_raises():
     )
     p = parse(src)
     ctx = ctx_for(level_elements())
-    whitebox_validate(p, ctx)
-    evaluate(p, ctx)  # must not raise
+    c = compiled(p, ctx)
+    whitebox_validate(c)
+    evaluate(c)  # must not raise
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +525,8 @@ def test_max_history_ticks():
     # at() shifts add to displacement's ticks: 37 back needs 38 ring entries
     prog = parse('constraint "x" mode during { at(displacement(e(0), 30), 7) <= 1 m } fail "r"')
     es = level_elements()
-    assert typecheck(prog, PointRing(es.elements, 0, capacity=38)) == []
-    issues = typecheck(prog, PointRing(es.elements, 0, capacity=37))
+    assert typecheck(prog, PointRing(es.elements, 0, capacity=38)).issues == []
+    issues = typecheck(prog, PointRing(es.elements, 0, capacity=37)).issues
     assert [i.message for i in issues] == ["reaches 37 ticks back, ring capacity 37"]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camlab.conlang import Mode, ValidationFailure, parse
+from camlab.conlang import Mode, ValidationFailure, parse, typecheck
 from camlab.elementizer import POINT, ConstraintElement, ElementSet, end_effector_element, make_element_set
 from camlab.errors import TrackError
 from camlab.monitor import (
@@ -42,6 +42,14 @@ def tracker_for(es, cfg=None, fk=(0,), seed=1):
     tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed)
     tr.register(es, tick=0, fk_eids=fk)
     return tr
+
+
+def program(src, tr, cid=None):
+    """src compiled onto the tracker's ring by typecheck, which must find no
+    issue (white-box validation is left out: some programs here fail it)."""
+    prog = typecheck(parse(src, cid=cid), tr.ring)
+    assert prog.issues == [], prog.issues
+    return prog
 
 
 def truth_of(es):
@@ -146,7 +154,7 @@ def run_ticks(mon, tr, truths, start=1):
 def test_monitor_all_ok():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=3))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
     vs = run_ticks(mon, tr, [truth_of(es)] * 5)
     assert all(v.kind is VerdictKind.OK for v in vs)
 
@@ -155,7 +163,7 @@ def test_monitor_violation_fires_at_kth_tick():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
     k = 3
-    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=k))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=k))
     good = truth_of(es)
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}  # block fell 20 cm
     vs = run_ticks(mon, tr, [good, good, bad, bad, bad, bad])
@@ -172,7 +180,7 @@ def test_monitor_violation_fires_at_kth_tick():
 def test_monitor_single_tick_spike_silent():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=3))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
     good = truth_of(es)
     spike = {0: good[0], 1: good[1] + [0, 0, 0.5]}
     vs = run_ticks(mon, tr, [good, spike, good, good, spike, good, good])
@@ -186,7 +194,7 @@ def test_monitor_internal_error_fail_safe():
     src = 'constraint "boom" mode during { 1 / 0 < 2 } fail "r"'
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(src)], tr, DebouncePolicy(k=2))
+    mon = RealTimeMonitor([program(src, tr)], tr, DebouncePolicy(k=2))
     vs = run_ticks(mon, tr, [truth_of(es)] * 3)
     assert vs[1].is_violation
     assert vs[1].reason == INTERNAL_ERROR_REASON
@@ -195,8 +203,8 @@ def test_monitor_internal_error_fail_safe():
 def test_first_violation_wins_in_order():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    p1 = parse(HOLD_SRC.replace('"hold"', '"a"'), cid="a")
-    p2 = parse(HOLD_SRC.replace('"hold"', '"b"'), cid="b")
+    p1 = program(HOLD_SRC.replace('"hold"', '"a"'), tr, cid="a")
+    p2 = program(HOLD_SRC.replace('"hold"', '"b"'), tr, cid="b")
     mon = RealTimeMonitor([p1, p2], tr, DebouncePolicy(k=1))
     good = truth_of(es)
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
@@ -211,7 +219,7 @@ def test_first_violation_wins_in_order():
 
 def completion_monitor(es, h=5):
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(DONE_SRC)], tr, DebouncePolicy(h=h))
+    mon = RealTimeMonitor([program(DONE_SRC, tr)], tr, DebouncePolicy(h=h))
     return tr, mon
 
 
@@ -355,7 +363,7 @@ def test_noise_robustness_no_false_positives():
         es = two_point_set()
         tr = SimTracker(cfg, seed)
         tr.register(es, 0, fk_eids=(0,))
-        mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy(k=3))
+        mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
         truth = truth_of(es)
         for t in range(1, 501):
             tr.step(truth, t)
@@ -369,7 +377,7 @@ def test_next_verdict_pull_api():
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
     # in motion the DURING checks run; after motion end the H-tick hold
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(HOLD_SRC), parse(DONE_SRC)], tr, DebouncePolicy(k=1, h=2))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr), program(DONE_SRC, tr)], tr, DebouncePolicy(k=1, h=2))
     tr.step(good, 1)
     assert mon.next_verdict(1, False).kind is VerdictKind.OK
     vs = []
@@ -380,7 +388,7 @@ def test_next_verdict_pull_api():
     assert vs[1].mode is Mode.ON_COMPLETION
     # still false 3H ticks after motion end: a completion violation
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(DONE_SRC)], tr, DebouncePolicy(h=2))
+    mon = RealTimeMonitor([program(DONE_SRC, tr)], tr, DebouncePolicy(h=2))
     for t in range(1, 20):
         tr.step(bad, t)
         v = mon.next_verdict(t, True)
@@ -389,7 +397,7 @@ def test_next_verdict_pull_api():
     assert v.is_violation and v.mode is Mode.ON_COMPLETION and v.tick == 1 + 3 * 2
     # no ON_COMPLETION programs: the subgoal completes at motion end
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(HOLD_SRC)], tr, DebouncePolicy())
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy())
     tr.step(bad, 1)
     v = mon.next_verdict(1, True)
     assert v.kind is VerdictKind.SUBGOAL_COMPLETE and v.mode is None
@@ -412,7 +420,7 @@ def moving_verdicts(mon, tr, truths, start=1):
 
 def entry_monitor(es, sources, k, halt=True):
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([parse(src) for src in sources], tr, DebouncePolicy(k=k, h=2), halt_on_completion=halt)
+    mon = RealTimeMonitor([program(src, tr) for src in sources], tr, DebouncePolicy(k=k, h=2), halt_on_completion=halt)
     return tr, mon
 
 

@@ -123,6 +123,27 @@ def test_policy_moves_and_grasps():
     assert "blk" in sim.state.held
 
 
+def test_held_object_keeps_its_pose_while_the_ee_stands_still():
+    sim = simple_world()
+    sim.state.ee_pose = Pose(t=vec3(0.1, 0.0, 0.04))
+    sim.attach("blk")
+    blk = sim.state.objects["blk"]
+    here = sim.state.ee_pose.t.copy()
+    sim.set_policy(PolicyScript("test", [Waypoint(here, dwell=3), Waypoint(here + [0.0, 0.0, 0.1])]))
+    sim.step()  # arrive: the EE gets a new Pose with the same q and t
+    pose = blk.pose
+    for _ in range(3):  # dwell ticks
+        sim.step()
+        assert blk.pose is pose
+    sim.step()  # moving toward the second waypoint
+    assert blk.pose is not pose
+    sim.policy.halt()
+    pose = blk.pose
+    for _ in range(3):
+        sim.step()
+        assert blk.pose is pose
+
+
 def test_halt_freezes_policy_but_disturbances_continue():
     sim = simple_world()
     sim.set_policy(PolicyScript("test", [Waypoint(vec3(0.5, 0.5, 0.2), speed=0.1)]))
