@@ -532,7 +532,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
         )
         programs.append(load_program(src, f"c{i}", tracker.ring))
     mon = RealTimeMonitor(programs, tracker, DebouncePolicy())
-    truth = {e.eid: e.points for e in es.elements}
+    truth = tracker.ring.pack({e.eid: e.points for e in es.elements})
     samples = []
     for t in range(1, n_ticks + 1):
         tracker.step(truth, t)

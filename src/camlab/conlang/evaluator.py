@@ -3,12 +3,13 @@
 typecheck (conlang.check) is the compile step: its one walk builds each
 node of a program into a zero-argument closure from the factories below,
 bound to the point ring the program was checked on (monitor.PointRing),
-with every static fact resolved then. No closure looks at an AST node; an
-evaluation reads only the ring's current entries, through points_at and
-centroids. History access clamps to the oldest entry so programs stay total
-right after a subgoal starts. Only what depends on run-time values raises
-EvalError (division by zero, degenerate geometry); the monitor converts
-that into a fail-safe violation instead of skipping the tick.
+with every static fact resolved then, the centroid gathers included. No
+closure looks at an AST node; an evaluation reads only the ring's current
+entries, through points_at and centroids. History access clamps to the
+oldest entry so programs stay total right after a subgoal starts. Only
+what depends on run-time values raises EvalError (division by zero,
+degenerate geometry); the monitor converts that into a fail-safe violation
+instead of skipping the tick.
 
 Both operands of and/or are always evaluated: reason placeholders record the
 last measured value of each builtin, and full evaluation keeps that record
@@ -128,7 +129,8 @@ def if_else(cond, then, other):
 
 # Builtins: name -> factory(ring, back, *args) of the uncaught call. An
 # element argument arrives as its id, an element list as its id tuple, an
-# integer literal as its int; every other argument is a closure.
+# integer literal as its int; every other argument is a closure. Builtins that
+# read centroids build their ring gather in the factory, at compile time.
 
 
 def _rotation(ring, back, eid, delta):
@@ -144,10 +146,22 @@ def _proj_xy(ring, back, p):
     return proj_xy
 
 
+def _centroid(ring, back, eid):
+    gather = ring.gather((eid,))
+    return lambda: ring.centroids(gather, back)[0]
+
+
+def _displacement(ring, back, eid, delta):
+    gather = ring.gather((eid,))
+    return lambda: float(np.linalg.norm(ring.centroids(gather, back)[0] - ring.centroids(gather, back + delta)[0]))
+
+
 def _count_within(ring, back, eids, box):
+    gather = ring.gather(eids)
+
     def count_within():
         lo, hi = box()
-        c = ring.centroids(eids, back)
+        c = ring.centroids(gather, back)
         return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
 
     return count_within
@@ -163,15 +177,13 @@ def _above(ring, back, a, b, margin):
 
 _BUILTINS = {
     "pos": lambda ring, back, eid, idx: lambda: ring.points_at(eid, back)[idx],
-    "centroid": lambda ring, back, eid: lambda: ring.centroids((eid,), back)[0],
+    "centroid": _centroid,
     "normal": lambda ring, back, eid: lambda: fit_plane(ring.points_at(eid, back))[0],
     "dir": lambda ring, back, eid: lambda: fit_line(ring.points_at(eid, back))[0],
     "dist": lambda ring, back, a, b: lambda: float(np.linalg.norm(a() - b())),
     "angle": lambda ring, back, a, b: lambda: float(angle_between(a(), b())),
     "proj_xy": _proj_xy,
-    "displacement": lambda ring, back, eid, delta: lambda: float(
-        np.linalg.norm(ring.centroids((eid,), back)[0] - ring.centroids((eid,), back + delta)[0])
-    ),
+    "displacement": _displacement,
     "rotation": _rotation,
     "count_within": _count_within,
     "inside": lambda ring, back, p, box: lambda: _inside(p(), box()),

@@ -8,6 +8,13 @@ histories live in one packed ring (PointRing), so centroids of many
 elements are one gather and sum per tick. The ring is also what programs
 are evaluated on, both at white-box validation and on every tick.
 
+Ground truth reaches the tracker as one TruthRow: the (P, 3) points of every
+tracked element in the ring's span order. PointRing.pack is the one
+conversion from an id -> points dict; a caller that keeps its row up to date
+in place (the episode loop rewrites only the spans of moved objects) hands
+the same row to SimTracker.step every tick, which copies it once into the
+new ring entry.
+
 The RealTimeMonitor gives one verdict per tick (next_verdict). While the
 policy moves it evaluates DURING programs with a K-tick debounce (a single
 noise spike never trips a violation); a halt-on-completion subgoal gets HALT
@@ -23,6 +30,7 @@ the replanned subgoal). Runtime evaluation errors surface as violations
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -35,6 +43,7 @@ from camlab.errors import TrackError
 __all__ = [
     "TrackerConfig",
     "PointRing",
+    "TruthRow",
     "SimTracker",
     "DebouncePolicy",
     "VerdictKind",
@@ -55,8 +64,13 @@ class TrackerConfig:
     resync_interval: int = 20  # ticks; snap to truth exactly
 
     def __post_init__(self):
-        if self.sigma < 0 or not (0.0 <= self.dropout < 1.0) or self.resync_interval < 1:
-            raise ValueError("bad tracker config")
+        # isfinite first: every comparison with NaN is false, so `nan < 0` would pass
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"tracker sigma must be finite and >= 0, got {self.sigma!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"tracker dropout must be in [0, 1), got {self.dropout!r}")
+        if self.resync_interval < 1:
+            raise ValueError(f"tracker resync interval must be >= 1, got {self.resync_interval!r}")
 
 
 class PointRing:
@@ -93,16 +107,28 @@ class PointRing:
         self.tick = None  # of the newest entry
         self.head = -1  # slot of the newest entry
         self.count = 0
-        self._gathers: dict = {}
-        self.push(tick, [el.points for el in order])
+        self.push(tick, np.concatenate([el.points for el in order], axis=0))
 
     def slot(self, back: int) -> int:
         """Ring slot `back` entries before the newest, clamped to the oldest."""
         return (self.head - min(back, self.count - 1)) % self.capacity
 
-    def push(self, tick: int, points) -> np.ndarray:
-        """Append an entry at `tick` holding `points` (one array per element,
-        in `order`); returns the new (P, 3) row for in-place noise. Raises
+    def pack(self, truth: dict) -> "TruthRow":
+        """The ground truth `truth` (element id -> (k, 3) points) as a new
+        TruthRow for this ring. Raises TrackError for unknown or missing ids
+        and for point counts that differ from the registered elements."""
+        if truth.keys() != self.spans.keys():
+            unknown = truth.keys() - self.spans.keys()
+            missing = self.spans.keys() - truth.keys()
+            raise TrackError(f"unknown ids {sorted(unknown)}, missing ids {sorted(missing)}")
+        points = [truth[eid] for eid in self.order]
+        if [len(p) for p in points] != self.sizes:
+            raise TrackError("truth point counts differ from the registered elements")
+        return TruthRow(np.concatenate(points, axis=0, dtype=np.float64), self)
+
+    def push(self, tick: int, points: np.ndarray) -> np.ndarray:
+        """Append an entry at `tick` holding a copy of `points` ((P, 3), in
+        span order); returns the new (P, 3) row for in-place noise. Raises
         TrackError unless ticks increase."""
         if self.count and tick <= self.tick:
             raise TrackError(f"ticks must increase, got {tick} after {self.tick}")
@@ -110,7 +136,7 @@ class PointRing:
         self.count = min(self.count + 1, self.capacity)
         self.tick = tick
         row = self.points[self.head, :-1]
-        np.concatenate(points, axis=0, out=row)
+        np.copyto(row, points)
         return row
 
     def points_at(self, eid: int, back: int) -> np.ndarray:
@@ -120,26 +146,11 @@ class PointRing:
             raise EvalError(f"unknown element e({eid})")
         return self.view[self.slot(back), span[0] : span[1]]
 
-    def centroids(self, eids, back: int) -> np.ndarray:
-        """(len(eids), 3) centroids `back` entries before the newest.
-
-        Each element's points are gathered into one row padded with -0.0 to
-        the longest element and summed along the row. That adds them in the
-        same order as points.mean(axis=0), so the result is bit-identical
-        to the per-element mean."""
-        gather = self._gathers.get(eids)
-        if gather is None:
-            gather = self._gathers[eids] = self._gather(eids)
-        index, counts = gather
-        return self.points[self.slot(back)][index].sum(axis=1) / counts
-
-    def kind_of(self, eid: int) -> str:
-        et = self.types.get(eid)
-        if et is None:
-            raise EvalError(f"no type for element e({eid})")
-        return et.kind.value
-
-    def _gather(self, eids):
+    def gather(self, eids) -> tuple:
+        """The gather that `centroids` reads the elements `eids` with: an
+        (len(eids), longest span) point index padded with the -0.0 column,
+        and the (len(eids), 1) point counts. Compiled programs build theirs
+        once, at compile time. Raises EvalError for an unknown id."""
         for eid in eids:
             if eid not in self.spans:
                 raise EvalError(f"unknown element e({eid})")
@@ -149,6 +160,42 @@ class PointRing:
             row[: hi - lo] = np.arange(lo, hi)
         counts = np.array([hi - lo for lo, hi in spans], dtype=np.float64).reshape(-1, 1)
         return index, counts
+
+    def centroids(self, gather: tuple, back: int) -> np.ndarray:
+        """(len(eids), 3) centroids of the elements of `gather` (from
+        gather(eids)), `back` entries before the newest.
+
+        Each element's points are gathered into one row padded with -0.0 to
+        the longest element and summed along the row. That adds them in the
+        same order as points.mean(axis=0), so the result is bit-identical
+        to the per-element mean."""
+        index, counts = gather
+        return self.points[self.slot(back)][index].sum(axis=1) / counts
+
+    def kind_of(self, eid: int) -> str:
+        et = self.types.get(eid)
+        if et is None:
+            raise EvalError(f"no type for element e({eid})")
+        return et.kind.value
+
+
+class TruthRow:
+    """Ground truth of every element tracked on `ring`, for one tick: one
+    (P, 3) float array `points` in the ring's span order. Build one with
+    PointRing.pack, or keep one and rewrite the spans of moved elements in
+    place (ring.spans[eid] is an element's span)."""
+
+    __slots__ = ("points", "ring")
+
+    def __init__(self, points: np.ndarray, ring: PointRing):
+        self.points = points
+        self.ring = ring
+
+    def values(self) -> list:
+        """Per-element (k, 3) views of `points` in span order, as the values
+        of the id -> points dict it was packed from (perfbench's tracer
+        counts the points a step tracks through them)."""
+        return [self.points[lo:hi] for lo, hi in self.ring.spans.values()]
 
 
 class SimTracker:
@@ -169,13 +216,16 @@ class SimTracker:
         self._uniform = np.empty(n_noisy)
         self._normal = np.empty((n_noisy, 3))
 
-    def step(self, truth: dict, tick: int):
-        """Advance every track one tick from ground-truth points.
+    def step(self, row: TruthRow, tick: int):
+        """Advance every track one tick from the ground truth `row`, a
+        TruthRow for this tracker's ring; its points are copied once into
+        the new ring entry, so the caller may rewrite them afterwards.
 
         Per point: with probability dropout hold the previous value,
         otherwise truth + N(0, sigma^2 I3). Every resync interval the track
         snaps to truth exactly. FK-sourced elements are always exact.
-        Raises TrackError for id mismatches.
+        Raises TrackError for a row of another ring (PointRing.pack raises
+        it for id and point-count mismatches).
 
         A noisy tick makes one call for the dropout uniforms of every noisy
         point, then, when sigma > 0, one call for their normals, both over
@@ -183,25 +233,20 @@ class SimTracker:
         That order fixes the random stream, so it is part of the
         determinism contract."""
         ring = self.ring
-        if truth.keys() != ring.spans.keys():
-            unknown = truth.keys() - ring.spans.keys()
-            missing = ring.spans.keys() - truth.keys()
-            raise TrackError(f"unknown ids {sorted(unknown)}, missing ids {sorted(missing)}")
-        points = [truth[eid] for eid in ring.order]
-        if [len(p) for p in points] != ring.sizes:
-            raise TrackError("truth point counts differ from the registered elements")
+        if row.ring is not ring:
+            raise TrackError("truth row was packed for another ring")
         lo = ring.noisy_lo
         prev = ring.points[ring.head, lo:-1]
         if ring.capacity == 1:
             prev = prev.copy()  # the new entry overwrites the only slot
-        row = ring.push(tick, points)
+        new = ring.push(tick, row.points)
         if lo == ring.n_points or tick % self.cfg.resync_interval == 0:
             return ring
         sigma = self.cfg.sigma
         self.rng.random(out=self._uniform)
         if sigma > 0:
             self.rng.standard_normal(out=self._normal)
-        noisy = row[lo:]
+        noisy = new[lo:]
         # the same doubles as truth + rng.normal(0, sigma), or truth + zeros
         noisy += self._normal * sigma if sigma > 0 else 0.0
         drop = self._uniform < self.cfg.dropout

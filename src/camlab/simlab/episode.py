@@ -23,7 +23,7 @@ from camlab.conlang import evaluate, load_default_kb, parse, typecheck, whitebox
 from camlab.conlang.check import ValidationFailure
 from camlab.elementizer import element_set_fingerprint, end_effector_element, extract_element, make_element_set
 from camlab.errors import CamlabError
-from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerConfig, VerdictKind
+from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerConfig, TruthRow, VerdictKind
 from camlab.simlab.disturb import DisturbanceInjector
 from camlab.simlab.policy import build_script
 from camlab.simlab.scenes import TaskBookkeeper, build_scene, mask_bundle, oracle_success, render, scene_summary
@@ -50,6 +50,10 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.monitor_mode not in MONITOR_MODES:
             raise ValueError(f"monitor_mode must be one of {MONITOR_MODES}, got {self.monitor_mode!r}")
+        if self.budget_ticks < 1:
+            raise ValueError(f"budget_ticks must be >= 1, got {self.budget_ticks!r}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass
@@ -63,34 +67,39 @@ class EpisodeResult:
 
 
 class _Bound:
-    """Everything the monitor needs for one subgoal."""
+    """Everything the monitor needs for one subgoal, and the ground-truth
+    row its tracker steps from."""
 
     def __init__(self, monitor, truth_specs):
         self.monitor = monitor
-        self.truth_specs = truth_specs  # (eid, oid-or-None, local points)
-        # per spec: [pose the world points were computed from, world points]
-        self._world = [[None, None] for _ in truth_specs]
+        ring = monitor.tracker.ring
+        # per element: its span of the row, its object (None: the
+        # end-effector), its points in the object's frame, and the Pose its
+        # span was last written from
+        self._elements = [[*ring.spans[eid], oid, local, None] for eid, oid, local in truth_specs]
+        # packing the object-frame points checks that the specs cover the
+        # ring's elements and point counts; the first truth() rewrites every span
+        self.row = ring.pack(
+            {eid: ring.points_at(eid, 0) if local is None else local for eid, _, local in truth_specs}
+        )
 
-    def truth(self, sim: Simulation) -> dict:
-        """Ground-truth world points per element id.
+    def truth(self, sim: Simulation) -> TruthRow:
+        """The ground-truth row for the current tick (the end-effector
+        element is its position).
 
-        An element's world points are recomputed only when its object holds
-        a different Pose object than last tick. Poses are frozen with
-        read-only arrays and a moved object always gets a new Pose, so an
-        unchanged Pose means unchanged points."""
+        The row is rewritten in place, and only the spans of elements whose
+        object holds a different Pose object than at the last write. Poses
+        are frozen with read-only arrays and a moved object always gets a
+        new Pose, so an unchanged Pose means unchanged points."""
         state = sim.state
-        out = {}
-        for (eid, oid, local), cached in zip(self.truth_specs, self._world):
-            if oid is None:
-                out[eid] = state.ee_pose.t.reshape(1, 3)
-                continue
-            pose = state.objects[oid].pose
-            if cached[0] is not pose:
-                cached[0] = pose
-                cached[1] = pose.apply(local)
-                cached[1].flags.writeable = False
-            out[eid] = cached[1]
-        return out
+        points = self.row.points
+        for el in self._elements:
+            lo, hi, oid, local, written = el
+            pose = state.ee_pose if oid is None else state.objects[oid].pose
+            if pose is not written:
+                el[4] = pose
+                points[lo:hi] = pose.t if local is None else pose.apply(local)
+        return self.row
 
 
 def extract_elements(sg: Subgoal, state, scene):

@@ -196,7 +196,11 @@ class PolicyRuntime:
                 ang_done = False
             else:
                 new_q = wp.quat.copy()
-        state.ee_pose = Pose(new_q / np.linalg.norm(new_q), new_t)
+        new_q = new_q / np.linalg.norm(new_q)
+        # keep the Pose when nothing moved (a dwell tick), so the held
+        # objects composed from it are not composed again
+        if new_q.tobytes() != pose.q.tobytes() or new_t.tobytes() != pose.t.tobytes():
+            state.ee_pose = Pose(new_q, new_t)
         sim.refresh_attached()
         if pos_done and ang_done:
             if self.dwelled < wp.dwell:
@@ -219,6 +223,8 @@ class Simulation:
         self.state = state
         self.injector = injector
         self.policy: PolicyRuntime | None = None
+        # oid -> (EE Pose, attach offset, object Pose) of its last compose
+        self._composed: dict = {}
 
     # -- policy & attachment plumbing
 
@@ -230,15 +236,26 @@ class Simulation:
         return self.policy is None or self.policy.motion_done
 
     def refresh_attached(self):
-        """Move every held object with the end-effector. An object keeps its
-        Pose object when the composed q and t are bit-for-bit those it
-        already has (bytes, so -0.0 and 0.0 differ): ground-truth caches
-        keyed on Pose identity then skip it."""
+        """Move every held object with the end-effector.
+
+        A held object is composed again only when the EE Pose, its attach
+        offset or its own Pose is another object than at its last compose
+        (Poses never change, so the same three give the same result; a
+        Pose set from outside, such as a disturbance moving a held object,
+        is composed over as before). It keeps its Pose object when the
+        composed q and t are bit-for-bit those it already has (bytes, so
+        -0.0 and 0.0 differ): ground-truth caches keyed on Pose identity
+        then skip it."""
+        ee = self.state.ee_pose
         for oid in self.state.held:
             obj = self.state.objects[oid]
-            pose = self.state.ee_pose.compose(obj.attach_offset)
+            last = self._composed.get(oid)
+            if last is not None and last[0] is ee and last[1] is obj.attach_offset and last[2] is obj.pose:
+                continue
+            pose = ee.compose(obj.attach_offset)
             if pose.q.tobytes() != obj.pose.q.tobytes() or pose.t.tobytes() != obj.pose.t.tobytes():
                 obj.pose = pose
+            self._composed[oid] = (ee, obj.attach_offset, obj.pose)
 
     def attach(self, oid: str):
         obj = self.state.objects[oid]

@@ -397,6 +397,13 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
         ("drop_p = 1.5", "drop_p", [1.5]),
         ("place_noise_cm = -1", "place_noise_cm", [-1.0]),
         ("disturbances = z", "disturbances", ["z"]),
+        # every comparison with NaN is false, so a `< 0` check alone lets it through
+        ("tracker.sigma = nan", "tracker.sigma", math.nan),
+        ("tracker.sigma = inf", "tracker.sigma", math.inf),
+        ("tracker.dropout = nan", "tracker.dropout", math.nan),
+        ("budget_ticks = 0", "budget_ticks", 0),
+        ("budget_ticks = -5", "budget_ticks", -5),
+        ("max_retries = -1", "max_retries", -1),
     ],
 )
 def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, value):
@@ -408,7 +415,11 @@ def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, va
     assert not (out / "run.jsonl").exists()
     # a log whose meta spec holds the value is refused by replay
     d = ExperimentSpec.loads("task = slot_pen\nepisodes = 1\n").as_dict()
-    d[field] = value
+    *groups, name = field.split(".")
+    node = d
+    for group in groups:
+        node = node[group]
+    node[name] = value
     with pytest.raises(ValueError):
         ExperimentSpec.from_dict(d)
     log = tmp_path / "bad.jsonl"

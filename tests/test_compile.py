@@ -171,7 +171,7 @@ class ReferenceEvaluator:
                 raise EvalError(f"pos index {idx} out of range for e({eid})")
             return pts[idx]
         if fn == "centroid":
-            return ctx.centroids((self.eval(args[0], back),), back)[0]
+            return ctx.centroids(ctx.gather((self.eval(args[0], back),)), back)[0]
         if fn == "normal":
             eid, _ = self._typed_elem(fn, args[0], back)
             n, _, _ = fit_plane(ctx.points_at(eid, back))
@@ -192,8 +192,8 @@ class ReferenceEvaluator:
         if fn == "displacement":
             eid = self.eval(args[0], back)
             delta = int(self.eval(args[1], back))
-            now = ctx.centroids((eid,), back)[0]
-            then = ctx.centroids((eid,), back + delta)[0]
+            now = ctx.centroids(ctx.gather((eid,)), back)[0]
+            then = ctx.centroids(ctx.gather((eid,)), back + delta)[0]
             return float(np.linalg.norm(now - then))
         if fn == "rotation":
             eid, kind = self._typed_elem(fn, args[0], back)
@@ -205,7 +205,7 @@ class ReferenceEvaluator:
         if fn == "count_within":
             eids = self.eval(args[0], back)
             lo, hi = self.eval(args[1], back)
-            c = ctx.centroids(eids, back)
+            c = ctx.centroids(ctx.gather(eids), back)
             return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
         if fn == "inside":
             p, (lo, hi) = self.eval(args[0], back), self.eval(args[1], back)
@@ -281,7 +281,7 @@ def rings(draw):
     ]
     ring = PointRing(elements, 0, capacity=capacity)
     for tick in range(1, first):
-        ring.push(tick, entries[tick])
+        ring.push(tick, np.concatenate(entries[tick]))
     return ring, [(tick, entries[tick]) for tick in range(first, n_entries)]
 
 
@@ -420,5 +420,5 @@ def test_compiled_program_matches_reference_evaluator(ring_and_rest, program):
     assert _accepts(compiled) == reference_whitebox_accepts(program, ring)
     assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
     for tick, points in rest:
-        ring.push(tick, points)
+        ring.push(tick, np.concatenate(points))
     assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))

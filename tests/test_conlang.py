@@ -88,7 +88,7 @@ def history_ctx(hist, etype):
     hist[1], ..., hist[-1] (the newest) on consecutive ticks."""
     ring = PointRing([element(0, etype, hist[0])], 0)
     for tick, points in enumerate(hist[1:], 1):
-        ring.push(tick, [points])
+        ring.push(tick, points)
     return ring
 
 

@@ -65,7 +65,7 @@ def test_tracker_noiseless_identity():
     tr = tracker_for(es, TrackerConfig(sigma=0.0, dropout=0.0), fk=(), seed=3)
     truth = truth_of(es)
     for t in range(1, 10):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
     for eid in truth:
         assert np.array_equal(tr.ring.points_at(eid, 0), truth[eid])
 
@@ -76,7 +76,7 @@ def test_tracker_full_dropout_holds_first_value():
     first = {eid: tr.ring.points_at(eid, 0).copy() for eid in tr.ring.order}
     moved = {eid: pts + 0.05 for eid, pts in truth_of(es).items()}
     for t in range(1, 8):
-        tr.step(moved, t)
+        tr.step(tr.ring.pack(moved), t)
     for eid in tr.ring.order:
         assert np.array_equal(tr.ring.points_at(eid, 0), first[eid])
 
@@ -89,7 +89,7 @@ def test_tracker_rms_error_band():
     truth = truth_of(es)
     errs = []
     for t in range(1, 1001):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
         errs.append(tr.ring.points_at(1, 0) - truth[1])
     rms = float(np.sqrt(np.mean(np.square(np.concatenate(errs)))))
     assert 0.0015 <= rms <= 0.0025
@@ -102,7 +102,7 @@ def test_tracker_unbiased():
     truth = truth_of(es)
     errs = []
     for t in range(1, 10001):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
         errs.append(tr.ring.points_at(1, 0) - truth[1])
     mean = np.mean(np.vstack(errs), axis=0)
     bound = 3 * cfg.sigma / math.sqrt(10000)
@@ -115,7 +115,7 @@ def test_tracker_resync_snaps_exactly():
     tr = tracker_for(es, cfg, fk=(), seed=2)
     truth = truth_of(es)
     for t in range(1, 6):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
     assert np.array_equal(tr.ring.points_at(1, 0), truth[1])  # tick 5 is a resync
 
 
@@ -125,7 +125,7 @@ def test_tracker_unknown_id_rejected():
     bad = dict(truth_of(es))
     bad[99] = np.zeros((1, 3))
     with pytest.raises(TrackError):
-        tr.step(bad, 1)
+        tr.step(tr.ring.pack(bad), 1)
 
 
 def test_fk_elements_are_noiseless():
@@ -134,7 +134,7 @@ def test_fk_elements_are_noiseless():
     tr = tracker_for(es, cfg, fk=(0,), seed=5)
     truth = truth_of(es)
     for t in range(1, 20):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
     assert np.array_equal(tr.ring.points_at(0, 0), truth[0])
 
 
@@ -146,7 +146,7 @@ def run_ticks(mon, tr, truths, start=1):
     verdicts = []
     for i, truth in enumerate(truths):
         t = start + i
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
         verdicts.append(mon.monitor_tick(t))
     return verdicts
 
@@ -208,7 +208,7 @@ def test_first_violation_wins_in_order():
     mon = RealTimeMonitor([p1, p2], tr, DebouncePolicy(k=1))
     good = truth_of(es)
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
-    tr.step(bad, 1)
+    tr.step(tr.ring.pack(bad), 1)
     v = mon.monitor_tick(1)
     assert v.cid == "a"
 
@@ -230,7 +230,7 @@ def test_completion_holds_h_ticks():
     mon.note_motion_end(10)
     results = []
     for t in range(11, 20):
-        tr.step(good, t)
+        tr.step(tr.ring.pack(good), t)
         results.append(mon.check_completion(t))
     kinds = [r.kind for r in results]
     assert kinds[:4] == [VerdictKind.NOT_YET] * 4
@@ -245,7 +245,7 @@ def test_completion_timeout_violation():
     mon.note_motion_end(0)
     out = None
     for t in range(1, 30):
-        tr.step(bad, t)
+        tr.step(tr.ring.pack(bad), t)
         out = mon.check_completion(t)
         if out.kind is not VerdictKind.NOT_YET:
             break
@@ -266,7 +266,7 @@ def test_completion_settle_then_hold():
     results = []
     for i, truth in enumerate(seq):
         t = i + 1
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
         results.append(mon.check_completion(t))
     assert [r.kind for r in results[:4]] == [VerdictKind.NOT_YET] * 4
     assert results[4].kind is VerdictKind.SUBGOAL_COMPLETE
@@ -366,7 +366,7 @@ def test_noise_robustness_no_false_positives():
         mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
         truth = truth_of(es)
         for t in range(1, 501):
-            tr.step(truth, t)
+            tr.step(tr.ring.pack(truth), t)
             v = mon.monitor_tick(t)
             assert v.kind is VerdictKind.OK, (seed, t, v)
 
@@ -378,11 +378,11 @@ def test_next_verdict_pull_api():
     # in motion the DURING checks run; after motion end the H-tick hold
     tr = tracker_for(es, fk=(0, 1))
     mon = RealTimeMonitor([program(HOLD_SRC, tr), program(DONE_SRC, tr)], tr, DebouncePolicy(k=1, h=2))
-    tr.step(good, 1)
+    tr.step(tr.ring.pack(good), 1)
     assert mon.next_verdict(1, False).kind is VerdictKind.OK
     vs = []
     for t in (2, 3):
-        tr.step(good, t)
+        tr.step(tr.ring.pack(good), t)
         vs.append(mon.next_verdict(t, True))
     assert [v.kind for v in vs] == [VerdictKind.NOT_YET, VerdictKind.SUBGOAL_COMPLETE]
     assert vs[1].mode is Mode.ON_COMPLETION
@@ -390,7 +390,7 @@ def test_next_verdict_pull_api():
     tr = tracker_for(es, fk=(0, 1))
     mon = RealTimeMonitor([program(DONE_SRC, tr)], tr, DebouncePolicy(h=2))
     for t in range(1, 20):
-        tr.step(bad, t)
+        tr.step(tr.ring.pack(bad), t)
         v = mon.next_verdict(t, True)
         if v.kind is not VerdictKind.NOT_YET:
             break
@@ -398,7 +398,7 @@ def test_next_verdict_pull_api():
     # no ON_COMPLETION programs: the subgoal completes at motion end
     tr = tracker_for(es, fk=(0, 1))
     mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy())
-    tr.step(bad, 1)
+    tr.step(tr.ring.pack(bad), 1)
     v = mon.next_verdict(1, True)
     assert v.kind is VerdictKind.SUBGOAL_COMPLETE and v.mode is None
 
@@ -413,7 +413,7 @@ BOOM_DONE_SRC = 'constraint "boom" mode on_completion { 1 / 0 < 2 } fail "r"'
 def moving_verdicts(mon, tr, truths, start=1):
     out = []
     for t, truth in enumerate(truths, start):
-        tr.step(truth, t)
+        tr.step(tr.ring.pack(truth), t)
         out.append(mon.next_verdict(t, False))
     return out
 
@@ -436,7 +436,7 @@ def test_entry_needs_k_consecutive_true_ticks():
     assert vs[5].tick == 6
     # the halt tick is the motion end: the 3H timeout (H = 2) counts from it
     for t in range(7, 20):
-        tr.step(bad, t)
+        tr.step(tr.ring.pack(bad), t)
         v = mon.next_verdict(t, True)
         if v.kind is not VerdictKind.NOT_YET:
             break

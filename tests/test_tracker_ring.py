@@ -87,7 +87,7 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
     groups = [tuple(eids), tuple(eids[::-1]), tuple(eids[:1]), tuple(eids[1::2])]
     for tick in range(4, 4 + capacity + extra_ticks):
         truth = {eid: p + rng.normal(0, 0.01, p.shape) for eid, p in truth.items()}
-        tracker.step(truth, tick)
+        tracker.step(tracker.ring.pack(truth), tick)
         ref.step(truth, tick)
         ring = tracker.ring
         assert (ring.tick, ring.count) == (tick, len(ref.tracks[eids[0]]))
@@ -96,7 +96,7 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
                 assert same_bytes(ring.points_at(eid, back), ref.points_at(eid, back))
             for group in groups:
                 want = np.array([ref.points_at(eid, back).mean(axis=0) for eid in group]).reshape(-1, 3)
-                assert same_bytes(ring.centroids(group, back), want)
+                assert same_bytes(ring.centroids(ring.gather(group), back), want)
 
 
 def test_track_errors():
@@ -106,15 +106,21 @@ def test_track_errors():
     tr.register(es, 5)
     truth = {el.eid: el.points for el in es.elements}
     with pytest.raises(TrackError):
-        tr.step({**truth, 99: np.zeros((1, 3))}, 6)  # unknown id
+        tr.step(tr.ring.pack({**truth, 99: np.zeros((1, 3))}), 6)  # unknown id
     with pytest.raises(TrackError):
-        tr.step({es.elements[0].eid: es.elements[0].points}, 6)  # missing id
+        tr.step(tr.ring.pack({es.elements[0].eid: es.elements[0].points}), 6)  # missing id
+    with pytest.raises(TrackError):
+        tr.step(tr.ring.pack({**truth, es.elements[0].eid: np.zeros((2, 3))}), 6)  # point count
+    other = SimTracker(TrackerConfig(), seed=1, capacity=4)
+    other.register(es, 5)
+    with pytest.raises(TrackError):
+        tr.step(other.ring.pack(truth), 6)  # a row of another ring
     for tick in (5, 4):  # ticks must increase
         with pytest.raises(TrackError):
-            tr.step(truth, tick)
-    tr.step(truth, 6)
+            tr.step(tr.ring.pack(truth), tick)
+    tr.step(tr.ring.pack(truth), 6)
     with pytest.raises(TrackError):
-        tr.step(truth, 6)
+        tr.step(tr.ring.pack(truth), 6)
 
 
 def test_sigma_zero_turns_negative_zero_into_positive_zero():
@@ -123,9 +129,9 @@ def test_sigma_zero_turns_negative_zero_into_positive_zero():
     es = SimpleNamespace(elements=[SimpleNamespace(eid=0, etype=None, points=pts)])
     tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), seed=0, capacity=4)
     tr.register(es, 3)
-    tr.step({0: pts}, 4)
+    tr.step(tr.ring.pack({0: pts}), 4)
     noisy = tr.ring.points_at(0, 0)
     assert same_bytes(noisy, pts + 0.0)
     assert not np.signbit(noisy).any() and np.signbit(pts).sum() == 3
-    tr.step({0: pts}, 5)
+    tr.step(tr.ring.pack({0: pts}), 5)
     assert same_bytes(tr.ring.points_at(0, 0), pts)

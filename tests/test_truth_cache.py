@@ -1,18 +1,62 @@
-"""Ground-truth cache and Pose immutability.
+"""Ground truth in place, compose on change, and Pose immutability.
 
-_Bound.truth reuses an element's world points while its object keeps the
-same Pose object. These tests pin the two things that makes safe: a Pose
-cannot be changed in place, and on every tick of disturbed episodes the
-cached points equal a fresh pose.apply(local).
+_Bound keeps one ground-truth row in the ring's span order and rewrites an
+element's span only while its object holds a new Pose object;
+Simulation.refresh_attached composes a held object only when the EE Pose,
+its attach offset or its own Pose is another object than at its last
+compose. These tests pin what makes that safe: a Pose cannot be changed in
+place, the row equals the packed output of the dict truth it replaced
+(DictTruth below, the reference), and object poses equal composing every
+held object on every refresh.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camlab.simlab.episode as episode
 from camlab.geom3d import Pose
+from camlab.monitor import RealTimeMonitor, SimTracker, TrackerConfig
 from camlab.simlab import EpisodeConfig
-from camlab.simlab.disturb import standard_disturbances
+from camlab.simlab.disturb import Disturbance, DisturbanceInjector, standard_disturbances
+from camlab.simlab.world import PolicyScript, SimObject, SimState, Simulation, Waypoint, box_shape
+
+
+class DictTruth:
+    """The id -> world points dict truth that the in-place row replaced: an
+    element's points are recomputed only when its object holds a different
+    Pose object than last tick."""
+
+    def __init__(self, truth_specs):
+        self.truth_specs = truth_specs  # (eid, oid-or-None, local points)
+        self._world = [[None, None] for _ in truth_specs]
+
+    def truth(self, sim) -> dict:
+        state = sim.state
+        out = {}
+        for (eid, oid, local), cached in zip(self.truth_specs, self._world):
+            if oid is None:
+                out[eid] = state.ee_pose.t.reshape(1, 3)
+                continue
+            pose = state.objects[oid].pose
+            if cached[0] is not pose:
+                cached[0] = pose
+                cached[1] = pose.apply(local)
+                cached[1].flags.writeable = False
+            out[eid] = cached[1]
+        return out
+
+
+class ComposeEveryTime(Simulation):
+    """Reference world: every held object is composed on every refresh."""
+
+    def refresh_attached(self):
+        for oid in self.state.held:
+            obj = self.state.objects[oid]
+            obj.pose = self.state.ee_pose.compose(obj.attach_offset)
 
 
 def test_pose_arrays_are_private_and_read_only():
@@ -37,22 +81,162 @@ def test_pose_arrays_are_private_and_read_only():
 )
 def test_cached_truth_equals_fresh_pose_apply(monkeypatch, template, disturbances, needed):
     checked = []
-    original = episode._Bound.truth
+    original_init, original_truth = episode._Bound.__init__, episode._Bound.truth
+
+    def init(bound, monitor, truth_specs):
+        original_init(bound, monitor, truth_specs)
+        bound.reference = truth_specs
 
     def checked_truth(bound, sim):
-        out = original(bound, sim)
-        for eid, oid, local in bound.truth_specs:
-            if oid is None:
-                want = sim.state.ee_pose.t.reshape(1, 3)
-            else:
-                want = sim.state.objects[oid].pose.apply(local)
-            assert out[eid].tobytes() == want.tobytes(), (sim.state.tick, eid, oid)
+        row = original_truth(bound, sim)
+        fresh = {
+            eid: sim.state.ee_pose.t.reshape(1, 3) if oid is None else sim.state.objects[oid].pose.apply(local)
+            for eid, oid, local in bound.reference
+        }
+        assert row.points.tobytes() == row.ring.pack(fresh).points.tobytes(), sim.state.tick
         checked.append(sim.state.tick)
-        return out
+        return row
 
+    monkeypatch.setattr(episode._Bound, "__init__", init)
     monkeypatch.setattr(episode._Bound, "truth", checked_truth)
     result = episode.run_episode(EpisodeConfig(template=template, disturbances=disturbances, seed=1))
     seen = {e["kind"] for e in result.events}
     seen |= {e["payload"]["kind"] for e in result.events if e["kind"] == "injection"}
     assert needed <= seen, needed - seen
     assert len(checked) > 100
+
+
+# ---------------------------------------------------------------------------
+# property: in-place truth and compose-on-change over random worlds
+
+OIDS = ("a", "b", "c")
+_coord = st.floats(-0.3, 0.3, allow_nan=False)
+_quat = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4).filter(
+    lambda q: np.dot(q, q) > 0.1
+)
+_OPS = st.one_of(
+    st.tuples(st.just("ee"), st.tuples(_coord, _coord, st.floats(0.0, 0.3)), _quat),
+    st.tuples(st.just("ee_reuse"), st.integers(0, 50)),
+    st.tuples(
+        st.just("policy"),
+        st.tuples(_coord, _coord, st.floats(0.0, 0.3)),
+        st.one_of(st.none(), _quat),
+        st.integers(0, 3),
+        st.integers(1, 6),
+    ),
+    st.tuples(st.just("grasp"), st.sampled_from(OIDS)),
+    st.tuples(st.just("push"), st.lists(st.sampled_from(OIDS), min_size=1, max_size=3, unique=True)),
+    st.tuples(st.just("release")),
+    st.tuples(st.just("move_object"), st.sampled_from(OIDS), st.tuples(_coord, _coord, st.just(0.0))),
+    st.tuples(st.just("rotate_object"), st.sampled_from(OIDS), st.sampled_from("xyz"), st.floats(-90, 90)),
+    st.tuples(st.just("tilt_held"), st.sampled_from("xyz"), st.floats(-30, 30)),
+    st.tuples(st.just("relevel_held")),
+    st.tuples(st.just("restore"), st.sampled_from(OIDS), st.integers(0, 50)),
+    st.tuples(st.just("step"), st.integers(1, 4)),
+)
+
+
+def _world(layout):
+    objects = {}
+    for oid, (x, y) in zip(OIDS, layout):
+        objects[oid] = SimObject(oid, box_shape(0.04, 0.04, 0.04), Pose(t=[x, y, 0.02]))
+    return SimState(objects=objects, ee_pose=Pose(t=[0.0, 0.0, 0.2]))
+
+
+def _unit(q):
+    q = np.asarray(q, dtype=np.float64)
+    return q / np.linalg.norm(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3),
+    n_local=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    ops=st.lists(_OPS, min_size=1, max_size=25),
+    seed=st.integers(0, 2**16),
+)
+def test_in_place_truth_matches_dict_truth_and_compose_every_time(layout, n_local, ops, seed):
+    rng = np.random.default_rng(seed)
+    sim, ref = Simulation(_world(layout)), ComposeEveryTime(_world(layout))
+    specs = [(0, None, None)] + [(i + 1, oid, rng.normal(0, 0.02, (k, 3))) for i, (oid, k) in enumerate(zip(OIDS, n_local))]
+    elements = [SimpleNamespace(eid=0, etype=None, points=sim.state.ee_pose.t.reshape(1, 3))]
+    elements += [
+        SimpleNamespace(eid=eid, etype=None, points=sim.state.objects[oid].pose.apply(local)) for eid, oid, local in specs[1:]
+    ]
+    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1))
+    tracker.register(SimpleNamespace(elements=elements), 0, fk_eids=(0,))
+    bound = episode._Bound(RealTimeMonitor([], tracker), specs)
+    reference = DictTruth(specs)
+    ee_poses = [sim.state.ee_pose]
+    history = {oid: [sim.state.objects[oid].pose] for oid in OIDS}  # Poses each object held
+    packed = []
+
+    def both(fn):
+        for s in (sim, ref):
+            fn(s)
+
+    def step():
+        both(lambda s: s.step())
+        assert sim.state.tick == ref.state.tick
+        for oid in OIDS:
+            got, want = sim.state.objects[oid].pose, ref.state.objects[oid].pose
+            assert (got.q.tobytes(), got.t.tobytes()) == (want.q.tobytes(), want.t.tobytes()), oid
+            if got is not history[oid][-1]:
+                history[oid].append(got)
+        assert sim.state.ee_pose.t.tobytes() == ref.state.ee_pose.t.tobytes()
+        if sim.state.ee_pose is not ee_poses[-1]:
+            ee_poses.append(sim.state.ee_pose)
+        row = bound.truth(sim)
+        want = tracker.ring.pack(reference.truth(sim)).points
+        assert row.points.tobytes() == want.tobytes(), sim.state.tick
+        tracker.step(row, sim.state.tick)
+        packed.append(want)
+        for back, entry in enumerate(reversed(packed[-4:])):  # one copy per step: older entries keep their bytes
+            for eid, (lo, hi) in tracker.ring.spans.items():
+                assert tracker.ring.points_at(eid, back).tobytes() == entry[lo:hi].tobytes()
+
+    def disturb(d):
+        both(lambda s: setattr(s, "injector", DisturbanceInjector([d], np.random.default_rng(0))))
+        step()
+        both(lambda s: setattr(s, "injector", None))
+
+    for op in ops:
+        kind = op[0]
+        if kind == "ee":
+            pose = Pose(_unit(op[2]), op[1])
+            ee_poses.append(pose)
+            both(lambda s: setattr(s.state, "ee_pose", pose))
+        elif kind == "ee_reuse":
+            pose = ee_poses[op[1] % len(ee_poses)]
+            both(lambda s: setattr(s.state, "ee_pose", pose))
+        elif kind == "policy":
+            quat = None if op[2] is None else _unit(op[2])
+            script = PolicyScript("p", [Waypoint(op[1], quat, speed=0.5, dwell=op[3])])
+            both(lambda s: s.set_policy(script))
+            for _ in range(op[4]):
+                step()
+            both(lambda s: setattr(s, "policy", None))
+        elif kind == "grasp":
+            pose = Pose(sim.state.ee_pose.q, sim.grasp_point(op[1]))
+            ee_poses.append(pose)
+            both(lambda s: setattr(s.state, "ee_pose", pose))
+            both(lambda s: s.run_action(("grasp", op[1])))
+        elif kind == "push":
+            both(lambda s: s.run_action(("push", tuple(op[1]))))
+        elif kind == "release":
+            both(lambda s: s.run_action(("release",)))
+        elif kind == "move_object":
+            disturb(Disturbance(kind="move_object", oid=op[1], delta=op[2], tick=sim.state.tick + 1))
+        elif kind == "rotate_object":
+            disturb(Disturbance(kind="rotate_object", oid=op[1], axis=op[2], angle_deg=op[3], tick=sim.state.tick + 1))
+        elif kind == "tilt_held":
+            disturb(Disturbance(kind="tilt_held", axis=op[1], angle_deg=op[2], tick=sim.state.tick + 1))
+        elif kind == "relevel_held":
+            disturb(Disturbance(kind="relevel_held", tick=sim.state.tick + 1))
+        elif kind == "restore":  # an object takes back one of its earlier Pose objects
+            pose = history[op[1]][op[2] % len(history[op[1]])]
+            both(lambda s: setattr(s.state.objects[op[1]], "pose", pose))
+        elif kind == "step":
+            for _ in range(op[1] - 1):
+                step()
+        step()
