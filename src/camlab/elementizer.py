@@ -1,6 +1,8 @@
-"""Convert per-view masks + depth into typed constraint elements.
+"""Convert per-view part pixels + depth into typed constraint elements.
 
-Pipeline per element: fuse masked depth pixels from all views into one world
+Each rendered view is labelled once (LabelIndex: its valid pixels and their
+instance ids); an element's pixels are picked from those.
+Pipeline per element: fuse those depth pixels from all views into one world
 cloud, drop statistical outliers, rotate into a type-specific canonical frame,
 voxelize (cell layout depends on the element type), pick one representative
 per occupied cell via DBSCAN, trim or grow to the type's required point
@@ -26,7 +28,7 @@ from camlab.geom3d import (
     fit_line,
     fit_plane,
     unit,
-    unproject,
+    unproject_pixels,
     voxelize,
 )
 
@@ -37,7 +39,7 @@ __all__ = [
     "LINE",
     "SURFACE",
     "point_set",
-    "ViewMask",
+    "LabelIndex",
     "MaskBundle",
     "ConstraintElement",
     "ElementSet",
@@ -97,32 +99,36 @@ def point_set(k: int) -> ElementType:
     return ElementType(ElementKind.POINT_SET, k)
 
 
-@dataclass(frozen=True)
-class ViewMask:
-    instance_mask: np.ndarray  # bool (h, w)
-    part_mask: np.ndarray  # bool (h, w), subset of instance_mask
+class LabelIndex:
+    """One view's valid pixels (finite positive depth) as ascending flat
+    indices, with the instance id of each: one pass over the images per
+    view, after which an element reads only the valid pixels, not the image.
 
-    def __post_init__(self):
-        inst = np.asarray(self.instance_mask, dtype=bool)
-        part = np.asarray(self.part_mask, dtype=bool)
-        object.__setattr__(self, "instance_mask", inst)
-        object.__setattr__(self, "part_mask", part)
-        if inst.shape != part.shape:
-            raise ValueError("instance and part masks must share a shape")
-        if np.any(part & ~inst):
-            raise ValueError("part mask must be a subset of the instance mask")
+    Sorting them by id instead would make `of(iid)` a slice, but the sort
+    costs more than ~15 comparisons over the valid pixels, and most binds
+    read 1-3 elements."""
+
+    __slots__ = ("pixels", "ids")
+
+    def __init__(self, depth: np.ndarray, inst: np.ndarray):
+        self.pixels = np.flatnonzero((depth > 0) & np.isfinite(depth))
+        self.ids = inst.ravel()[self.pixels]
+
+    def of(self, iid: int) -> np.ndarray:
+        """Ascending flat indices of the valid pixels labelled iid."""
+        return self.pixels[self.ids == iid]
 
 
 @dataclass(frozen=True)
 class MaskBundle:
-    views: tuple
+    pixels: tuple  # per view, the part's valid pixels as ascending flat indices
     element_type: ElementType
     constraint: str
     entity: str
     part: str
 
     def __post_init__(self):
-        object.__setattr__(self, "views", tuple(self.views))
+        object.__setattr__(self, "pixels", tuple(self.pixels))
 
 
 # annotation palette, cycled by element id
@@ -197,34 +203,39 @@ MAX_CLOUD_POINTS = 500
 
 
 def fuse_views(bundle: MaskBundle, depths, cams) -> np.ndarray:
-    """Unproject the part mask of every view and concatenate, view order then
-    raster order. Raises EmptyPointSet when no view contributes a point."""
-    if len(bundle.views) == 0 or len(bundle.views) != len(depths) or len(depths) != len(cams):
+    """Unproject the part pixels of every view and concatenate, view order
+    then raster order. Raises EmptyPointSet when no view contributes a point."""
+    if len(bundle.pixels) == 0 or len(bundle.pixels) != len(depths) or len(depths) != len(cams):
         raise ValueError("need matching, nonempty views/depths/cams")
-    clouds = []
-    for view, depth, cam in zip(bundle.views, depths, cams):
-        clouds.append(unproject(depth, view.part_mask, cam))
+    clouds = [unproject_pixels(depth, pix, cam) for pix, depth, cam in zip(bundle.pixels, depths, cams)]
     cloud = np.concatenate(clouds, axis=0)
     if len(cloud) == 0:
         raise EmptyPointSet(f"no masked depth pixels for {bundle.entity}/{bundle.part}")
     return cloud
 
 
-# rows of |a|^2 + |b|^2 built at a time in _pairwise_dist: a 500-point
+# rows of |a|^2 + |b|^2 built at a time in _pairwise_sq: a 500-point
 # cloud's (n, n) matrix stays the only large array alive
 _ROW_BLOCK = 64
 
 
-def _pairwise_dist(pts: np.ndarray) -> np.ndarray:
-    """(n, n) distances as sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)), built in
-    place in one (n, n) array, row block by row block."""
+def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances as max((|a|^2 + |b|^2) - 2 a.b, 0), built in
+    place in one (n, n) array, row block by row block. sqrt is monotone and
+    correctly rounded, so callers take the root only of the entries they
+    read and get the bits of a full sqrt."""
     sq = np.sum(pts * pts, axis=1)
     d = pts @ pts.T
     d *= 2.0
     for lo in range(0, len(pts), _ROW_BLOCK):
         blk = d[lo : lo + _ROW_BLOCK]
         np.subtract(np.add.outer(sq[lo : lo + _ROW_BLOCK], sq), blk, out=blk)
-    np.clip(d, 0.0, None, out=d)
+    return np.clip(d, 0.0, None, out=d)
+
+
+def _pairwise_dist(pts: np.ndarray) -> np.ndarray:
+    """(n, n) distances: the root of _pairwise_sq."""
+    d = _pairwise_sq(pts)
     return np.sqrt(d, out=d)
 
 
@@ -238,10 +249,11 @@ def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_R
     n = len(pts)
     if n <= k:
         return pts
-    d = _pairwise_dist(pts)
-    d.partition(k, axis=1)  # each row's k + 1 smallest first, then sort only those
-    d[:, : k + 1].sort(axis=1)
-    stat = d[:, 1 : k + 1].mean(axis=1)  # column 0 is self-distance
+    d2 = _pairwise_sq(pts)
+    d2.partition(k, axis=1)  # each row's k + 1 smallest first; root and sort only those
+    near = np.sqrt(d2[:, : k + 1])
+    near.sort(axis=1)
+    stat = near[:, 1:].mean(axis=1)  # column 0 is self-distance
     thresh = stat.mean() + std_ratio * stat.std()
     return pts[stat <= thresh]
 
@@ -292,9 +304,9 @@ def _nn_scale(pts: np.ndarray) -> float:
     robust upper quantile is used instead."""
     if len(pts) < 2:
         return 1e-3
-    d = _pairwise_dist(pts)
-    np.fill_diagonal(d, np.inf)
-    return float(np.percentile(d.min(axis=1), 90))
+    d2 = _pairwise_sq(pts)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.percentile(np.sqrt(d2.min(axis=1)), 90))
 
 
 def _representative(members: np.ndarray) -> np.ndarray:
@@ -434,7 +446,7 @@ def element_from_cloud(
 
 
 def extract_element(bundle: MaskBundle, depths, cams) -> ConstraintElement:
-    """Run the full pipeline for one mask bundle, on at most MAX_CLOUD_POINTS
+    """Run the full pipeline for one bundle of part pixels, on at most MAX_CLOUD_POINTS
     fused points.
 
     Raises EmptyPointSet (nothing visible), DegenerateGeometry, or
@@ -450,7 +462,7 @@ def extract_element(bundle: MaskBundle, depths, cams) -> ConstraintElement:
 
 def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintElement:
     """Wrap forward-kinematics points verbatim: POINT for one point, else
-    POINT_SET(k). Bypasses the mask pipeline entirely."""
+    POINT_SET(k). Bypasses the pixel pipeline entirely."""
     pts = np.asarray(fk_points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise EmptyPointSet("end_effector_element needs at least one point")

@@ -86,9 +86,15 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     return np.array([math.cos(h), ax[0] * s, ax[1] * s, ax[2] * s])
 
 
+def _floats(q) -> list:
+    """The components of a vector as Python floats (float64 arithmetic on
+    them rounds exactly as numpy's does, without numpy's scalar overhead)."""
+    return np.asarray(q, dtype=np.float64).tolist()
+
+
 def quat_mul(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    aw, ax, ay, az = _floats(a)
+    bw, bx, by, bz = _floats(b)
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -104,7 +110,7 @@ def quat_conj(q) -> np.ndarray:
 
 
 def quat_to_mat(q) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = _floats(q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -171,7 +177,9 @@ class Pose:
 
     q and t are private read-only copies, so a Pose never changes after
     construction: moving something means giving it a new Pose. Ground-truth
-    caches rely on this (an unchanged Pose object means unchanged points)."""
+    caches rely on this (an unchanged Pose object means unchanged points),
+    and so does the Pose itself: its rotation matrix and its inverse are
+    computed on first use and kept (the matrix read-only)."""
 
     q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -183,26 +191,42 @@ class Pose:
         t.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
-        if abs(math.sqrt(q.dot(q)) - 1.0) > 1e-9:  # what np.linalg.norm computes, without its overhead
+        # what np.linalg.norm computes, without its overhead; written so a NaN norm fails too
+        if not abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9:
             raise ValueError("Pose quaternion must be unit norm")
 
     @staticmethod
     def identity() -> "Pose":
         return Pose()
 
-    def apply(self, points):
-        return quat_rotate(self.q, points) + self.t
+    # rotation() and inverse() store their result in the instance __dict__
+    # (which a frozen dataclass still allows) on first use
+
+    def rotation(self) -> np.ndarray:
+        """R(q), read-only."""
+        r = self.__dict__.get("_rotation")
+        if r is None:
+            r = self.__dict__["_rotation"] = quat_to_mat(self.q)
+            r.setflags(write=False)
+        return r
 
     def inverse(self) -> "Pose":
-        qi = quat_conj(self.q)
-        return Pose(qi, -quat_rotate(qi, self.t))
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            qi = quat_conj(self.q)
+            inv = self.__dict__["_inverse"] = Pose(qi, -quat_rotate(qi, self.t))
+        return inv
+
+    def apply(self, points):
+        r = self.rotation()
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            return r @ pts + self.t
+        return pts @ r.T + self.t
 
     def compose(self, other: "Pose") -> "Pose":
         """self after other: (self @ other).apply(x) == self.apply(other.apply(x))."""
         return Pose(quat_mul(self.q, other.q), self.apply(other.t))
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_mat(self.q)
 
 
 @dataclass(frozen=True)
@@ -216,7 +240,7 @@ class CameraModel:
     pose: Pose = field(default_factory=Pose.identity)  # camera-to-world
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):  # NaN fails too
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")

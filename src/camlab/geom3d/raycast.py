@@ -22,6 +22,7 @@ __all__ = [
     "Cylinder",
     "raycast_depth",
     "unproject",
+    "unproject_pixels",
     "project",
     "surface_distance",
 ]
@@ -202,6 +203,30 @@ def raycast_depth(primitives, cam: CameraModel):
     return depth.reshape(shape), inst.reshape(shape), part.reshape(shape)
 
 
+def _check_image(what: str, image: np.ndarray, cam: CameraModel):
+    expect = (cam.height, cam.width)
+    if image.shape != expect:
+        raise DimensionMismatch(what, expect, image.shape)
+
+
+def unproject_pixels(depth, pixels, cam: CameraModel) -> np.ndarray:
+    """World-frame points for the given flat pixel indices, in their order.
+
+    The caller selects pixels with finite positive depth. Raises
+    DimensionMismatch if the depth image does not match the camera
+    resolution."""
+    depth = np.asarray(depth, dtype=np.float64)
+    _check_image("depth image shape", depth, cam)
+    if len(pixels) == 0:
+        return np.zeros((0, 3))
+    d = depth.ravel()[pixels]
+    vv, uu = np.divmod(pixels, cam.width)
+    x = (uu - cam.cx) / cam.fx * d
+    y = (vv - cam.cy) / cam.fy * d
+    pts_cam = np.stack([x, y, d], axis=-1)
+    return cam.pose.apply(pts_cam)
+
+
 def unproject(depth, mask, cam: CameraModel) -> np.ndarray:
     """World-frame points for every true mask pixel with finite positive depth.
 
@@ -210,20 +235,9 @@ def unproject(depth, mask, cam: CameraModel) -> np.ndarray:
     """
     depth = np.asarray(depth, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    expect = (cam.height, cam.width)
-    if depth.shape != expect:
-        raise DimensionMismatch("depth image shape", expect, depth.shape)
-    if mask.shape != expect:
-        raise DimensionMismatch("mask shape", expect, mask.shape)
-    keep = mask & (depth > 0) & np.isfinite(depth)
-    vv, uu = np.nonzero(keep)
-    if len(vv) == 0:
-        return np.zeros((0, 3))
-    d = depth[vv, uu]
-    x = (uu - cam.cx) / cam.fx * d
-    y = (vv - cam.cy) / cam.fy * d
-    pts_cam = np.stack([x, y, d], axis=-1)
-    return cam.pose.apply(pts_cam)
+    _check_image("depth image shape", depth, cam)
+    _check_image("mask shape", mask, cam)
+    return unproject_pixels(depth, np.flatnonzero(mask & (depth > 0) & np.isfinite(depth)), cam)
 
 
 def project(points, cam: CameraModel):

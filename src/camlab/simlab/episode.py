@@ -110,7 +110,7 @@ def extract_elements(sg: Subgoal, state, scene):
     the object's frame) for the ground truth. Raises CamlabError when an
     element cannot be extracted."""
     views = render(state, scene)
-    depths = [v[0] for v in views]
+    depths = [v.depth for v in views]
     protos = [end_effector_element([state.ee_pose.t])]
     truth_specs = [(0, None, None)]
     for eid, spec in enumerate(sg.element_specs, 1):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from camlab.elementizer import MaskBundle, ViewMask
+from camlab.elementizer import LabelIndex, MaskBundle
 from camlab.geom3d import (
     Box,
     CameraModel,
@@ -23,7 +24,6 @@ from camlab.geom3d import (
     angle_between,
     look_at,
     quat_from_axis_angle,
-    quat_to_mat,
     raycast_depth,
     unproject,
     vec3,
@@ -35,6 +35,7 @@ __all__ = [
     "Scene",
     "build_scene",
     "default_cameras",
+    "View",
     "render",
     "mask_bundle",
     "scene_summary",
@@ -227,9 +228,18 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
 # rendering + mask extraction
 
 
+class View(NamedTuple):
+    """One rendered camera view: images plus the label index of its pixels."""
+
+    depth: np.ndarray
+    inst: np.ndarray
+    part: np.ndarray
+    labels: LabelIndex
+
+
 def render(state: SimState, scene: Scene):
-    """Per view (depth, instance ids, part ids); part ids are resolved by
-    hit-point membership in the objects' named part sub-volumes."""
+    """One View per camera; part ids are resolved by hit-point membership
+    in the objects' named part sub-volumes."""
     prims = []
     for oid, obj in state.objects.items():
         iid = scene.instance_ids[oid]
@@ -257,22 +267,23 @@ def render(state: SimState, scene: Scene):
                     inside = np.all((local >= lo) & (local <= hi), axis=1)
                     if inside.any():
                         part[vv[sel][inside], uu[sel][inside]] = scene.part_ids[(oid, pname)]
-        views.append((depth, inst, part))
+        views.append(View(depth, inst, part, LabelIndex(depth, inst)))
     return views
 
 
 def mask_bundle(scene: Scene, views, oid: str, part: str, etype, constraint: str = "") -> MaskBundle:
-    """Build the per-view instance/part mask bundle for one entity part."""
+    """Bundle one entity part's valid pixels per view: its instance's pixels
+    from the view's label index, kept where the part image matches (both in
+    raster order)."""
     iid = scene.instance_ids[oid]
-    vms = []
-    for depth, inst, pimg in views:
-        inst_mask = inst == iid
-        if part == "body":
-            part_mask = inst_mask
-        else:
-            part_mask = inst_mask & (pimg == scene.part_ids[(oid, part)])
-        vms.append(ViewMask(inst_mask, part_mask))
-    return MaskBundle(tuple(vms), etype, constraint, oid, part)
+    pid = None if part == "body" else scene.part_ids[(oid, part)]
+    pixels = []
+    for view in views:
+        pix = view.labels.of(iid)
+        if pid is not None:
+            pix = pix[view.part.ravel()[pix] == pid]
+        pixels.append(pix)
+    return MaskBundle(tuple(pixels), etype, constraint, oid, part)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +293,7 @@ def mask_bundle(scene: Scene, views, oid: str, part: str, etype, constraint: str
 def scene_summary(state: SimState, scene: Scene) -> dict:
     objs = {}
     for oid, obj in state.objects.items():
-        r = quat_to_mat(obj.pose.q)
+        r = obj.pose.rotation()
         objs[oid] = {
             "pos": [float(x) for x in obj.pose.t],
             "top_z": obj.top_z(),
@@ -299,7 +310,7 @@ def scene_summary(state: SimState, scene: Scene) -> dict:
 
 
 def _tilt_from_vertical(obj: SimObject) -> float:
-    return angle_between(quat_to_mat(obj.pose.q)[:, 2], vec3(0, 0, 1))
+    return angle_between(obj.pose.rotation()[:, 2], vec3(0, 0, 1))
 
 
 def count_in_region(state: SimState, region, oids) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from camlab.geom3d import Pose, quat_slerp, quat_to_mat
+from camlab.geom3d import Pose, quat_slerp
 
 __all__ = [
     "DT",
@@ -74,7 +74,7 @@ class SimObject:
 
     def world_half_z(self) -> float:
         """Half the world-frame z-extent (handles rotated objects)."""
-        r = quat_to_mat(self.pose.q)
+        r = self.pose.rotation()
         if self.shape.kind == "box":
             return float(np.abs(r[2]) @ (self.shape.extents / 2.0))
         ax = abs(r[2, 2])
@@ -100,7 +100,7 @@ class SimObject:
 
     def lateral_half_extent(self) -> float:
         """Worst-case world-frame horizontal half-extent (for bore fit)."""
-        r = quat_to_mat(self.pose.q)
+        r = self.pose.rotation()
         if self.shape.kind == "box":
             h = self.shape.extents / 2.0
             return float(max(np.abs(r[0]) @ h, np.abs(r[1]) @ h))
@@ -179,7 +179,7 @@ class PolicyRuntime:
         pos_done = True
         if wp.pos is not None:
             delta = wp.pos - pose.t
-            dist = float(np.linalg.norm(delta))
+            dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's arithmetic, without its overhead
             step = wp.speed * DT
             if dist > step:
                 new_t = pose.t + delta / dist * step
@@ -196,7 +196,7 @@ class PolicyRuntime:
                 ang_done = False
             else:
                 new_q = wp.quat.copy()
-        new_q = new_q / np.linalg.norm(new_q)
+        new_q = new_q / math.sqrt(new_q.dot(new_q))
         # keep the Pose when nothing moved (a dwell tick), so the held
         # objects composed from it are not composed again
         if new_q.tobytes() != pose.q.tobytes() or new_t.tobytes() != pose.t.tobytes():

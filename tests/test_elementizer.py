@@ -12,8 +12,8 @@ from camlab.elementizer import (
     SURFACE,
     ConstraintElement,
     ElementKind,
+    LabelIndex,
     MaskBundle,
-    ViewMask,
     cells_for_type,
     element_from_cloud,
     element_set_fingerprint,
@@ -33,22 +33,35 @@ from camlab.geom3d import (
     fit_plane,
     quat_from_axis_angle,
     raycast_depth,
+    unproject,
     vec3,
 )
+from camlab.simlab.scenes import Scene, View, mask_bundle
 
 
 def cam(w=16, h=12, f=40.0, pose=None):
     return CameraModel(fx=f, fy=f, cx=w / 2, cy=h / 2, width=w, height=h, pose=pose or Pose())
 
 
-def bundle_for(inst, part, etype, entity="obj", partname="body"):
+def valid_pixels(depth, mask):
+    """The mask's pixels with finite positive depth, as flat indices."""
+    return np.flatnonzero(mask & (depth > 0) & np.isfinite(depth))
+
+
+def bundle_for(depth, mask, etype, entity="obj", partname="body"):
     return MaskBundle(
-        views=(ViewMask(inst, part),),
+        pixels=(valid_pixels(depth, mask),),
         element_type=etype,
         constraint="test",
         entity=entity,
         part=partname,
     )
+
+
+def reference_fuse_views(masks, depths, cams):
+    """The mask path that the label index replaced: unproject each view's
+    full-image part mask, view order then raster order."""
+    return np.concatenate([unproject(d, m, c) for m, d, c in zip(masks, depths, cams)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +73,7 @@ def test_fuse_single_view_three_pixels():
     depth = np.ones((12, 16))
     mask = np.zeros((12, 16), dtype=bool)
     mask[2, 3] = mask[5, 5] = mask[8, 8] = True
-    b = bundle_for(mask, mask, POINT)
+    b = bundle_for(depth, mask, POINT)
     pts = fuse_views(b, [depth], [c])
     assert pts.shape == (3, 3)
 
@@ -72,7 +85,7 @@ def test_fuse_two_views_box_face():
     d1, i1, _ = raycast_depth([box], c1)
     d2, i2, _ = raycast_depth([box], c2)
     b = MaskBundle(
-        views=(ViewMask(i1 == 1, i1 == 1), ViewMask(i2 == 1, i2 == 1)),
+        pixels=(LabelIndex(d1, i1).of(1), LabelIndex(d2, i2).of(1)),
         element_type=SURFACE,
         constraint="",
         entity="box",
@@ -88,17 +101,53 @@ def test_fuse_all_views_empty():
     c = cam()
     depth = np.ones((12, 16))
     empty = np.zeros((12, 16), dtype=bool)
-    b = bundle_for(empty, empty, POINT)
+    b = bundle_for(depth, empty, POINT)
     with pytest.raises(EmptyPointSet):
         fuse_views(b, [depth], [c])
 
 
-def test_part_mask_subset_enforced():
-    inst = np.zeros((4, 4), dtype=bool)
-    part = np.zeros((4, 4), dtype=bool)
-    part[0, 0] = True
-    with pytest.raises(ValueError):
-        ViewMask(inst, part)
+# misses (0), invalid depths (negative, NaN, +-inf) and hits
+_DEPTHS = st.sampled_from([0.0, -0.5, math.nan, math.inf, -math.inf, 0.3, 0.7, 1.1, 2.5])
+_IDS = {"none": -1, "a": 0, "b": 1, "c": 2, "d": 3}
+
+
+@st.composite
+def labelled_views(draw):
+    """1-3 random (depth, instance, part) views of one small camera; each
+    view draws its instance ids from a subset of _IDS, so ids miss views."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(2, 7))
+    n = h * w
+    angle = draw(st.floats(-3.0, 3.0))
+    pose = Pose(quat_from_axis_angle([0.3, -1.0, 0.2], angle), [0.1, -0.2, 0.4])
+    c = CameraModel(20.0, 25.0, w / 2, h / 2, w, h, pose)
+    views = []
+    for _ in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.sampled_from(sorted(_IDS.values())), min_size=1, max_size=5, unique=True))
+        depth = np.array(draw(st.lists(_DEPTHS, min_size=n, max_size=n))).reshape(h, w)
+        inst = np.array(draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)), dtype=np.int32).reshape(h, w)
+        part = np.array(draw(st.lists(st.sampled_from([10, 11]), min_size=n, max_size=n)), dtype=np.int32).reshape(h, w)
+        views.append(View(depth, inst, part, LabelIndex(depth, inst)))
+    return views, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_views())
+def test_label_index_pixels_and_clouds_equal_the_mask_path(case):
+    views, c = case
+    scene = Scene("test", instance_ids=_IDS, part_ids={(oid, "top"): 11 for oid in _IDS})
+    depths, cams = [v.depth for v in views], [c] * len(views)
+    for oid, iid in _IDS.items():
+        for part in ("body", "top"):
+            masks = [(v.inst == iid) & (v.part == 11 if part == "top" else True) for v in views]
+            b = mask_bundle(scene, views, oid, part, POINT)
+            for pix, mask, v in zip(b.pixels, masks, views):
+                assert np.array_equal(pix, valid_pixels(v.depth, mask))
+            want = reference_fuse_views(masks, depths, cams)
+            if len(want) == 0:
+                with pytest.raises(EmptyPointSet):
+                    fuse_views(b, depths, cams)
+            else:
+                assert fuse_views(b, depths, cams).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +222,16 @@ def clouds(draw):
 def test_distance_kernels_match_out_of_place_forms(pts, k, std_ratio):
     assert np.array_equal(elementizer._pairwise_dist(pts), reference_pairwise_dist(pts))
     assert np.array_equal(filter_outliers(pts, k, std_ratio), reference_filter_outliers(pts, k, std_ratio))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds())
+def test_nn_scale_matches_the_full_root_form(pts):
+    # _nn_scale roots only the row minima of the squared matrix
+    if len(pts) >= 2:
+        d = reference_pairwise_dist(pts)
+        np.fill_diagonal(d, np.inf)
+        assert elementizer._nn_scale(pts) == float(np.percentile(d.min(axis=1), 90))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +362,7 @@ def test_extract_element_from_render():
     c = cam(w=32, h=24, f=60.0)
     depth, inst, _ = raycast_depth([box], c)
     b = MaskBundle(
-        views=(ViewMask(inst == 7, inst == 7),),
+        pixels=(LabelIndex(depth, inst).of(7),),
         element_type=SURFACE,
         constraint="stay level",
         entity="plate",
@@ -322,10 +381,8 @@ def test_view_monotonicity():
     c2 = cam(w=32, h=24, f=45.0)
     d1, i1, _ = raycast_depth([box], c1)
     d2, i2, _ = raycast_depth([box], c2)
-    one = MaskBundle((ViewMask(i1 == 7, i1 == 7),), SURFACE, "", "plate", "top")
-    two = MaskBundle(
-        (ViewMask(i1 == 7, i1 == 7), ViewMask(i2 == 7, i2 == 7)), SURFACE, "", "plate", "top"
-    )
+    one = MaskBundle((LabelIndex(d1, i1).of(7),), SURFACE, "", "plate", "top")
+    two = MaskBundle((LabelIndex(d1, i1).of(7), LabelIndex(d2, i2).of(7)), SURFACE, "", "plate", "top")
     n1 = len(fuse_views(one, [d1], [c1]))
     n2 = len(fuse_views(two, [d1, d2], [c1, c2]))
     assert n2 >= n1

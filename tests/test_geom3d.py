@@ -21,8 +21,11 @@ from camlab.geom3d import (
     fit_plane,
     look_at,
     project,
+    quat_conj,
     quat_from_axis_angle,
+    quat_mul,
     quat_rotate,
+    quat_to_mat,
     raycast_depth,
     squared_distances,
     surface_distance,
@@ -522,3 +525,85 @@ def test_voxelize_partition_property(seed):
     grid = voxelize(pts, n)
     all_idx = np.concatenate([v for v in grid.cells.values()])
     assert sorted(all_idx.tolist()) == list(range(len(pts)))
+
+
+# ---------------------------------------------------------------------------
+# Pose: NaN checks, the rotation and inverse cache, float quaternion ops
+
+
+@pytest.mark.parametrize("q", [[math.nan, 0, 0, 0], [1.0, math.nan, 0, 0], [math.inf, 0, 0, 0]])
+def test_pose_rejects_non_finite_quaternion(q):
+    with pytest.raises(ValueError):
+        Pose(q=q)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy"])
+def test_camera_rejects_nan_focal_length(field):
+    kw = dict(fx=10.0, fy=10.0, cx=4, cy=3, width=8, height=6)
+    kw[field] = math.nan
+    with pytest.raises(ValueError):
+        CameraModel(**kw)
+
+
+def reference_quat_mul(a, b):
+    """quat_mul on numpy scalars, as before it read Python floats."""
+    aw, ax, ay, az = np.asarray(a, dtype=np.float64)
+    bw, bx, by, bz = np.asarray(b, dtype=np.float64)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def reference_quat_to_mat(q):
+    """quat_to_mat on numpy scalars, as before it read Python floats."""
+    w, x, y, z = np.asarray(q, dtype=np.float64)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+_component = st.floats(-1.0, 1.0, allow_nan=False)
+_raw_quat = st.lists(_component, min_size=4, max_size=4).filter(lambda q: np.dot(q, q) > 1e-3)
+
+
+def _unit_quat(q):
+    q = np.asarray(q, dtype=np.float64)
+    return q / np.linalg.norm(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_quat, _raw_quat)
+def test_float_quaternion_ops_equal_numpy_scalar_forms(a, b):
+    # unnormalised inputs too: the ops are plain arithmetic either way
+    for qa, qb in ((a, b), (_unit_quat(a), _unit_quat(b))):
+        assert quat_mul(qa, qb).tobytes() == reference_quat_mul(qa, qb).tobytes()
+        assert quat_to_mat(qa).tobytes() == reference_quat_to_mat(qa).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_quat, st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3))
+def test_pose_keeps_a_fresh_read_only_rotation_and_inverse(q, t):
+    pose = Pose(_unit_quat(q), t)
+    r = pose.rotation()
+    assert r.tobytes() == quat_to_mat(pose.q).tobytes()
+    assert pose.rotation() is r
+    with pytest.raises(ValueError):
+        r[0, 0] = 2.0
+    inv = pose.inverse()
+    qi = quat_conj(pose.q)
+    fresh = Pose(qi, -quat_rotate(qi, pose.t))
+    assert inv.q.tobytes() == fresh.q.tobytes() and inv.t.tobytes() == fresh.t.tobytes()
+    assert inv.rotation().tobytes() == quat_to_mat(qi).tobytes()
+    assert pose.inverse() is inv
+    pts = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]])
+    assert pose.apply(pts).tobytes() == (quat_rotate(pose.q, pts) + pose.t).tobytes()
+    assert pose.apply(pts[0]).tobytes() == (quat_rotate(pose.q, pts[0]) + pose.t).tobytes()

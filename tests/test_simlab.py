@@ -244,8 +244,13 @@ def test_mask_bundle_subset():
     state, scene = build_scene("pour_tea", np.random.default_rng(0))
     views = render(state, scene)
     b = mask_bundle(scene, views, "teapot", "lid", POINT)
-    for vm in b.views:
-        assert not np.any(vm.part_mask & ~vm.instance_mask)
+    iid, pid = scene.instance_ids["teapot"], scene.part_ids[("teapot", "lid")]
+    assert sum(len(pix) for pix in b.pixels) > 0
+    for pix, v in zip(b.pixels, views):
+        # the lid's pixels are a subset of the teapot's, in raster order
+        assert np.all(np.diff(pix) > 0)
+        assert np.isin(pix, v.labels.of(iid)).all()
+        assert np.all(v.part.ravel()[pix] == pid)
 
 
 # ---------------------------------------------------------------------------

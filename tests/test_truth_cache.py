@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camlab.simlab.episode as episode
-from camlab.geom3d import Pose
+from camlab.geom3d import Pose, quat_to_mat
 from camlab.monitor import RealTimeMonitor, SimTracker, TrackerConfig
 from camlab.simlab import EpisodeConfig
 from camlab.simlab.disturb import Disturbance, DisturbanceInjector, standard_disturbances
@@ -104,6 +104,32 @@ def test_cached_truth_equals_fresh_pose_apply(monkeypatch, template, disturbance
     seen |= {e["payload"]["kind"] for e in result.events if e["kind"] == "injection"}
     assert needed <= seen, needed - seen
     assert len(checked) > 100
+
+
+def test_truth_sees_a_new_pose_on_every_move(monkeypatch):
+    # Poses keep their rotation and inverse once computed, so a moved object
+    # must never keep its Pose object: at every truth() call, an object
+    # still holding last call's Pose has last call's bytes, and that Pose's
+    # kept rotation is the fresh one
+    last, moves = {}, []
+    original_truth = episode._Bound.truth
+
+    def checked_truth(bound, sim):
+        for oid, obj in sim.state.objects.items():
+            pose, was = obj.pose, last.get(oid)
+            now = (pose.q.tobytes(), pose.t.tobytes())
+            if was is not None and was[0] is pose:
+                assert was[1] == now, (oid, sim.state.tick)
+                assert pose.rotation().tobytes() == quat_to_mat(pose.q).tobytes()
+            elif was is not None and was[1] != now:
+                moves.append(oid)
+            last[oid] = (pose, now)
+        return original_truth(bound, sim)
+
+    monkeypatch.setattr(episode._Bound, "truth", checked_truth)
+    disturbances = standard_disturbances("pour_tea", "abc")
+    episode.run_episode(EpisodeConfig(template="pour_tea", disturbances=disturbances, seed=1))
+    assert len(moves) > 100
 
 
 # ---------------------------------------------------------------------------
