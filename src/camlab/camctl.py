@@ -301,12 +301,12 @@ def _ci95(successes: int, n: int):
     return [max(center - half, 0.0), min(center + half, 1.0)]
 
 
-def _metrics_from_events(episode_rows: dict) -> list:
-    """Per-cell metrics; episode_rows: (cell idx) -> list of per-episode
-    event lists. Raises CamlabError for an episode without episode_end."""
+def _metrics_from_events(episode_rows: list) -> list:
+    """Per-cell metrics; episode_rows[cell idx] is the cell's list of
+    per-episode event lists. Raises CamlabError for an episode without
+    episode_end."""
     cells = []
-    for idx in sorted(episode_rows):
-        runs = episode_rows[idx]
+    for idx, runs in enumerate(episode_rows):
         n = len(runs)
         successes = 0
         ticks = []
@@ -328,7 +328,7 @@ def _metrics_from_events(episode_rows: dict) -> list:
             false_pos += rep.false_positives
             for e in events:
                 if e["kind"] == "verdict":
-                    key = e["payload"].get("outcome", "?")
+                    key = e["payload"]["outcome"]
                     verdict_hist[key] = verdict_hist.get(key, 0) + 1
         cells.append(
             {
@@ -348,7 +348,7 @@ def _metrics_from_events(episode_rows: dict) -> list:
     return cells
 
 
-def _report(spec_dict: dict, cells: list, episode_rows: dict) -> dict:
+def _report(spec_dict: dict, cells: list, episode_rows: list) -> dict:
     cell_metrics = _metrics_from_events(episode_rows)
     for metrics, key in zip(cell_metrics, cells):
         metrics["key"] = key
@@ -384,7 +384,7 @@ def run_spec(spec: ExperimentSpec, log_writer: JsonlLogWriter | None = None, pro
     spec_dict = spec.as_dict()
     if log_writer is not None:
         log_writer.write({"kind": "meta", "schema": SCHEMA_VERSION, "spec": spec_dict})
-    episode_rows: dict = {}
+    episode_rows: list = []
     cells = spec.cells()
     for idx, cell in enumerate(cells):
         runs = []
@@ -398,26 +398,33 @@ def run_spec(spec: ExperimentSpec, log_writer: JsonlLogWriter | None = None, pro
                     log_writer.write({"cell": idx, "episode": j, **e})
             if progress is not None and (j + 1) % 20 == 0:
                 progress(f"cell {idx + 1}/{len(cells)} episode {j + 1}/{spec.episodes}")
-        episode_rows[idx] = runs
+        episode_rows.append(runs)
     return _report(spec_dict, cells, episode_rows)
 
 
-def _bad_fields(d: dict, **types) -> str:
-    """'no tick', 'a non-int tick', ...: the fields of d that are missing or
-    not exactly of their type."""
-    return ", ".join(
-        f"no {k}" if k not in d else f"a non-{t.__name__} {k}" for k, t in types.items() if type(d.get(k)) is not t
-    )
+# The record fields that replay reads, each with its exact type: the envelope
+# of every record after the meta header, then the payload fields of the
+# kinds the report reads. Replay reads no other field of a record.
+_RECORD_FIELDS = {"cell": int, "episode": int, "kind": str, "tick": int, "payload": dict}
+_PAYLOAD_FIELDS = {"episode_end": {"success": bool, "ticks": int}, "verdict": {"outcome": str}}
+
+
+def _bad_field(d: dict, types: dict) -> str | None:
+    """'no tick', 'a non-int tick', ...: the first field of d that is missing
+    or not exactly of its type, else None."""
+    for k, t in types.items():
+        if type(d.get(k)) is not t:
+            return f"no {k}" if k not in d else f"a non-{t.__name__} {k}"
+    return None
 
 
 def replay_log(path) -> dict:
     """Recompute the metrics report from a run log (no re-simulation).
 
-    Raises CamlabError unless the log's meta spec is readable and the log
-    holds, for every cell of that spec, exactly its episodes, each with an
-    episode_end event whose payload has a bool success and int ticks, every
-    record has a str kind, an int tick and a dict payload, and no verdict
-    payload has an outcome other than a str."""
+    Raises CamlabError unless the log's meta spec is readable, every record
+    after it has the fields of _RECORD_FIELDS and, for its kind,
+    _PAYLOAD_FIELDS, each exactly of its type, and the log holds, for every
+    cell of the spec, exactly its episodes, each with an episode_end."""
     records = read_log(path)
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
@@ -428,55 +435,46 @@ def replay_log(path) -> dict:
         spec = ExperimentSpec.from_dict(meta.get("spec"))
     except ValueError as err:
         raise CamlabError(f"{path}: bad meta spec: {err}") from None
-    runs: dict = {}
-    for rec in records[1:]:
-        key = (rec.get("cell"), rec.get("episode"))
-        kind, payload = rec.get("kind"), rec.get("payload")
-        if type(kind) is not str or type(rec.get("tick")) is not int or type(payload) is not dict:
-            bad = _bad_fields(rec, kind=str, tick=int, payload=dict)
-            raise CamlabError(f"{path}: a record of cell {key[0]!r} episode {key[1]!r} has {bad}")
-        if kind == "episode_end" and (
-            type(payload.get("success")) is not bool or type(payload.get("ticks")) is not int
-        ):
-            bad = _bad_fields(payload, success=bool, ticks=int)
-            raise CamlabError(
-                f"{path}: the episode_end of cell {key[0]!r} episode {key[1]!r} lacks success or ticks, it has {bad}"
-            )
-        if kind == "verdict" and type(payload.get("outcome", "")) is not str:
-            raise CamlabError(
-                f"{path}: the verdict of cell {key[0]!r} episode {key[1]!r} has {_bad_fields(payload, outcome=str)}"
-            )
-        runs.setdefault(key, []).append({k: v for k, v in rec.items() if k not in ("cell", "episode")})
     cells = spec.cells()
-    n_cells = len(cells)
-    for idx, j in runs:
-        if type(idx) is not int or type(j) is not int or not (0 <= idx < n_cells and 0 <= j < spec.episodes):
+    runs: list = [{} for _ in cells]  # per cell: episode -> its records
+    for rec in records[1:]:
+        bad = _bad_field(rec, _RECORD_FIELDS)
+        if bad is not None:
+            raise CamlabError(f"{path}: a record of cell {rec.get('cell')!r} episode {rec.get('episode')!r} has {bad}")
+        cell, episode, kind = rec["cell"], rec["episode"], rec["kind"]
+        fields = _PAYLOAD_FIELDS.get(kind)
+        if fields is not None:
+            bad = _bad_field(rec["payload"], fields)
+            if bad is not None:
+                raise CamlabError(
+                    f"{path}: the {kind} of cell {cell} episode {episode} lacks {' or '.join(fields)}, it has {bad}"
+                )
+        if not (0 <= cell < len(cells) and 0 <= episode < spec.episodes):
             raise CamlabError(
-                f"{path}: records for cell {idx!r} episode {j!r} are outside the spec's "
-                f"{n_cells} cells x {spec.episodes} episodes"
+                f"{path}: a record of cell {cell} episode {episode} is outside the spec's "
+                f"{len(cells)} cells x {spec.episodes} episodes"
             )
-    rows = {idx: [runs[idx, j] for j in range(spec.episodes) if (idx, j) in runs] for idx in range(n_cells)}
-    for idx, eps in rows.items():
+        runs[cell].setdefault(episode, []).append(rec)
+    for idx, eps in enumerate(runs):
         if len(eps) != spec.episodes:
             raise CamlabError(f"{path}: cell {idx} has {len(eps)} episodes, the spec has {spec.episodes}")
-    return _report(meta["spec"], cells, rows)
+    return _report(meta["spec"], cells, [[eps[j] for j in range(spec.episodes)] for eps in runs])
 
 
-def _print_table(report: dict, out=sys.stdout):
-    print(f"task: {report['spec']['task']}  episodes/cell: {report['spec']['episodes']}", file=out)
+def _print_table(report: dict):
+    print(f"task: {report['spec']['task']}  episodes/cell: {report['spec']['episodes']}")
     hdr = f"{'cell':<40} {'succ':>6} {'rate':>7} {'ci95':>17} {'ticks':>7} {'lat':>6} {'fp':>4}"
-    print(hdr, file=out)
-    print("-" * len(hdr), file=out)
+    print(hdr)
+    print("-" * len(hdr))
     for c in report["cells"]:
-        key = c.get("key", {})
-        name = f"{key.get('mode', '?')} p={key.get('drop_p', 0)} q={key.get('place_noise_cm', 0)} d={key.get('disturbances', 'none')}"
+        key = c["key"]
+        name = f"{key['mode']} p={key['drop_p']} q={key['place_noise_cm']} d={key['disturbances']}"
         lat = c["mean_detection_latency"]
         lat_s = "-" if lat is None else f"{lat:.1f}"
         print(
             f"{name:<40} {c['successes']:>3}/{c['episodes']:<3} {c['success_rate']:>6.1%} "
             f"[{c['ci95'][0]:.2f}, {c['ci95'][1]:.2f}]   {c['mean_ticks']:>7.0f} "
-            f"{lat_s:>6} {c['false_positives']:>4}",
-            file=out,
+            f"{lat_s:>6} {c['false_positives']:>4}"
         )
 
 

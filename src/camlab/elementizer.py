@@ -233,12 +233,6 @@ def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
     return np.clip(d, 0.0, None, out=d)
 
 
-def _pairwise_dist(pts: np.ndarray) -> np.ndarray:
-    """(n, n) distances: the root of _pairwise_sq."""
-    d = _pairwise_sq(pts)
-    return np.sqrt(d, out=d)
-
-
 def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> np.ndarray:
     """Statistical outlier removal: drop points whose mean distance to their k
     nearest neighbors exceeds mean + std_ratio * std of that statistic.

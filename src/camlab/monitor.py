@@ -417,9 +417,9 @@ def latency_report(events) -> LatencyReport:
     open_injections: list = []
     for ev in events:
         if ev["kind"] == "injection":
-            open_injections.append(int(ev["tick"]))
-        elif ev["kind"] == "verdict" and ev["payload"].get("outcome") == "violation":
-            tick = int(ev["tick"])
+            open_injections.append(ev["tick"])
+        elif ev["kind"] == "verdict" and ev["payload"]["outcome"] == "violation":
+            tick = ev["tick"]
             candidates = [t for t in open_injections if t <= tick]
             if candidates:
                 inj = max(candidates)

@@ -57,7 +57,6 @@ class DisturbanceInjector:
         self._armed: list = []  # (tick, disturbance) resolved triggers
         self._fired: set = set()
         self._phase_seen: set = set()
-        self.injections: list = []
         for i, d in enumerate(self.disturbances):
             if d.tick is not None:
                 self._armed.append((d.tick, i))
@@ -103,7 +102,7 @@ class DisturbanceInjector:
             if self.rng.random() < p_tick:
                 dropped = list(state.held)
                 self._tumble_release(sim)
-                self._log(sim, "drop", oids=dropped)
+                state.log("injection", kind="drop", oids=dropped)
 
     def _dispatch(self, sim, d: Disturbance):
         state = sim.state
@@ -112,7 +111,7 @@ class DisturbanceInjector:
             obj.pose = Pose(obj.pose.q, obj.pose.t + np.asarray(d.delta, dtype=np.float64))
             if obj.attached_to != END_EFFECTOR:
                 sim.drop_to_support(d.oid)
-            self._log(sim, "move_object", oid=d.oid, delta=list(d.delta))
+            state.log("injection", kind="move_object", oid=d.oid, delta=list(d.delta))
         elif d.kind == "rotate_object":
             obj = state.objects[d.oid]
             q = quat_from_axis_angle(_AXES[d.axis], np.deg2rad(d.angle_deg))
@@ -121,17 +120,17 @@ class DisturbanceInjector:
                 new_q = quat_mul(quat_conj(eq), quat_mul(q, quat_mul(eq, obj.attach_offset.q)))
                 obj.attach_offset = Pose(new_q, obj.attach_offset.t)
                 sim.refresh_attached()
-                self._log(sim, "rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
+                state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
                 return
             obj.pose = Pose(quat_mul(q, obj.pose.q), obj.pose.t + np.asarray(d.delta, dtype=np.float64))
             if obj.attached_to != END_EFFECTOR:
                 sim.drop_to_support(d.oid)
-            self._log(sim, "rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
+            state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
         elif d.kind == "force_release":
             if state.held:
                 dropped = list(state.held)
                 self._tumble_release(sim)
-                self._log(sim, "force_release", oids=dropped)
+                state.log("injection", kind="force_release", oids=dropped)
         elif d.kind == "tilt_held":
             if state.held:
                 tilt = quat_from_axis_angle(_AXES[d.axis], np.deg2rad(d.angle_deg))
@@ -142,11 +141,11 @@ class DisturbanceInjector:
                     new_q = quat_mul(quat_conj(eq), quat_mul(tilt, quat_mul(eq, obj.attach_offset.q)))
                     obj.attach_offset = Pose(new_q, obj.attach_offset.t)
                 sim.refresh_attached()
-                self._log(sim, "tilt_held", axis=d.axis, angle_deg=d.angle_deg, oids=list(state.held))
+                state.log("injection", kind="tilt_held", axis=d.axis, angle_deg=d.angle_deg, oids=list(state.held))
         elif d.kind == "relevel_held":
             if state.held:
                 sim.run_action(("orient_held",))
-                self._log(sim, "relevel_held", oids=list(state.held))
+                state.log("injection", kind="relevel_held", oids=list(state.held))
         elif d.kind in ("drop_with_prob", "placement_noise"):
             pass  # handled continuously / at placement time
         else:
@@ -173,11 +172,6 @@ class DisturbanceInjector:
                 q, obj.pose.t + np.array([mag * np.cos(ang), mag * np.sin(ang), 0.0])
             )
             sim.drop_to_support(oid)
-
-    def _log(self, sim, kind: str, **payload):
-        entry = {"tick": sim.state.tick, "kind": "injection", "payload": {"kind": kind, **payload}}
-        sim.state.events.append(entry)
-        self.injections.append(entry)
 
 
 # the per-task disturbance catalogs reproduced by the experiments; selectors

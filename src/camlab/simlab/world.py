@@ -117,7 +117,7 @@ class SimState:
     held: list = field(default_factory=list)  # oids attached to the EE
     events: list = field(default_factory=list)
 
-    def log(self, kind: str, **payload):
+    def log(self, kind: str, /, **payload):
         self.events.append({"tick": self.tick, "kind": kind, "payload": payload})
 
 

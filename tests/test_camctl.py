@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import operator
@@ -233,6 +235,10 @@ def _drop_episode_end(records):
     records[:] = [r for r in records if (r.get("cell"), r.get("episode"), r["kind"]) != (0, 0, "episode_end")]
 
 
+def _huge_episode_count(records):
+    records[0]["spec"]["episodes"] = 10**30  # replay must not walk range(episodes)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -240,6 +246,7 @@ def _drop_episode_end(records):
         (_one_cell_spec, "outside the spec"),
         (_drop_episode, "cell 0 has 1 episodes, the spec has 2"),
         (_drop_episode_end, "cell 0 episode 0 has no episode_end"),
+        (_huge_episode_count, f"cell 0 has 2 episodes, the spec has {10**30}"),
     ],
 )
 def test_replay_rejects_log_that_disagrees_with_its_spec(run_dir, tmp_path, capsys, damage, message):
@@ -278,8 +285,10 @@ def _end_payload(records):
         (lambda records: next(r for r in records if r.get("kind") == "injection").pop("tick"), "has no tick"),
         (lambda records: _end_payload(records).pop("ticks"), "episode_end of cell 0 episode 0 lacks success or ticks"),
         (lambda records: _end_payload(records).pop("success"), "episode_end of cell 0 episode 0 lacks success or ticks"),
+        # counted under "?" before the record table
+        (lambda records: _first(records, "verdict")["payload"].pop("outcome"), "verdict of cell 0 episode 0 lacks outcome"),
     ],
-    ids=["kind", "tick", "ticks", "success"],
+    ids=["kind", "tick", "ticks", "success", "outcome"],
 )
 def test_replay_rejects_record_missing_a_field(one_episode_log, tmp_path, capsys, damage, message):
     _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)
@@ -299,11 +308,74 @@ def _first(records, kind):
         (lambda records: _end_payload(records).update(success="yes"), "it has a non-bool success"),
         (lambda records: _first(records, "verdict")["payload"].update(outcome=["violation"]), "has a non-str outcome"),
         (lambda records: _first(records, "verdict")["payload"].update(outcome={"v": 1}), "has a non-str outcome"),
+        # unhashable: checked before the records are grouped by cell and episode
+        (lambda records: records[1].update(cell=[0]), "has a non-int cell"),
+        (lambda records: records[1].update(episode={"a": 1}), "has a non-int episode"),
     ],
-    ids=["kind", "tick", "payload", "ticks", "success", "outcome-list", "outcome-dict"],
+    ids=["kind", "tick", "payload", "ticks", "success", "outcome-list", "outcome-dict", "cell-list", "episode-dict"],
 )
 def test_replay_rejects_ill_typed_field(one_episode_log, tmp_path, capsys, damage, message):
     _assert_replay_rejects(read_log(one_episode_log), damage, message, tmp_path, capsys)
+
+
+_DELETE = object()
+_REPLACEMENTS = [_DELETE, None, True, False, 0, -1, 1.5, math.nan, "x", [], [0], {}, {"a": 1}, 10**30]
+
+
+def _field_paths(d: dict, prefix=()) -> list:
+    """The key path of every field of d, into nested dicts too."""
+    out = []
+    for k, v in d.items():
+        out.append(prefix + (k,))
+        if isinstance(v, dict):
+            out.extend(_field_paths(v, prefix + (k,)))
+    return out
+
+
+_READ_PAYLOAD = {"episode_end": ("success", "ticks"), "verdict": ("outcome",)}
+
+
+def _read_fields(rec: dict) -> set:
+    """The paths of a record after the meta header that the report reads:
+    the envelope and, for its kind, the payload fields of _READ_PAYLOAD."""
+    read = {("cell",), ("episode",), ("kind",), ("tick",), ("payload",)}
+    return read | {("payload", k) for k in _READ_PAYLOAD.get(rec.get("kind"), ())}
+
+
+@pytest.fixture(scope="module")
+def two_episode_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("camctl")
+    with JsonlLogWriter(out / "run.jsonl") as w:
+        report = run_spec(ExperimentSpec(task="pour_tea", episodes=2, modes=("full",), disturbances=("a",)), w)
+    (out / "report.json").write_bytes(report_bytes(report))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_of_any_single_field_mutant_never_raises(two_episode_log, data):
+    # exit 0 or 2; or 3, a replay whose report differs from the original
+    # because the mutant changed a value the report reads
+    records = read_log(two_episode_log / "run.jsonl")
+    i = data.draw(st.integers(0, len(records) - 1), label="record")
+    path = data.draw(st.sampled_from(_field_paths(records[i])), label="field")
+    value = data.draw(st.sampled_from(_REPLACEMENTS), label="value")
+    unread = i > 0 and path not in _read_fields(records[i])
+    node = records[i]
+    for k in path[:-1]:
+        node = node[k]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    mutant = two_episode_log / "mutant.jsonl"
+    with JsonlLogWriter(mutant) as w:
+        for rec in records:
+            w.write(rec)
+    rc = main(["replay", str(mutant), "--report", str(two_episode_log / "report.json")])
+    assert rc in (0, 2, 3)
+    if unread:
+        assert rc == 0  # replay reads no field outside the table
 
 
 def test_tampered_log_detected(run_dir, tmp_path):
@@ -441,6 +513,28 @@ def test_main_io_error_exits_2(run_dir, tmp_path, capsys, case):
     }[case]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("camctl: ")
+
+
+def test_replay_table_follows_the_current_stdout(run_dir):
+    out, _ = run_dir
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["replay", str(out / "run.jsonl")]) == 0
+    assert buf.getvalue().startswith("task: stack_in_order")
+
+
+def test_replay_reproduces_report_bytes_on_every_template(tmp_path):
+    kinds = set()
+    for task in TEMPLATES:
+        # monitored, with the task's catalog disturbance a where it has a catalog
+        dist = "none" if task in ("stack_in_order", "sweep_half") else "a"
+        spec = ExperimentSpec(task=task, episodes=1, modes=("full",), disturbances=(dist,))
+        log = tmp_path / f"{task}.jsonl"
+        with JsonlLogWriter(log) as w:
+            report = run_spec(spec, w)
+        assert report_bytes(replay_log(log)) == report_bytes(report), task
+        kinds.update(r["kind"] for r in read_log(log))
+    assert {"verdict", "injection", "halt", "replan"} <= kinds
 
 
 def test_main_run_and_replay(tmp_path):

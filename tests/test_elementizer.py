@@ -189,7 +189,8 @@ def test_filter_outliers_loose_ratio_keeps_all():
 
 
 def reference_pairwise_dist(pts):
-    """The original out-of-place form of elementizer._pairwise_dist."""
+    """The original out-of-place distance matrix, the root of
+    elementizer._pairwise_sq."""
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     return np.sqrt(np.clip(d2, 0.0, None))
@@ -220,7 +221,7 @@ def clouds(draw):
 @settings(max_examples=150, deadline=None)
 @given(clouds(), st.integers(1, 12), st.floats(0.0, 3.0))
 def test_distance_kernels_match_out_of_place_forms(pts, k, std_ratio):
-    assert np.array_equal(elementizer._pairwise_dist(pts), reference_pairwise_dist(pts))
+    assert np.array_equal(np.sqrt(elementizer._pairwise_sq(pts)), reference_pairwise_dist(pts))
     assert np.array_equal(filter_outliers(pts, k, std_ratio), reference_filter_outliers(pts, k, std_ratio))
 
 

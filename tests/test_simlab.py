@@ -35,6 +35,10 @@ def simple_world():
     return Simulation(state)
 
 
+def _injections(sim):
+    return [e for e in sim.state.events if e["kind"] == "injection"]
+
+
 # ---------------------------------------------------------------------------
 # stepping, attachment, settling
 
@@ -162,7 +166,7 @@ def test_halt_freezes_policy_but_disturbances_continue():
     assert not np.array_equal(ee1, vec3(0, 0, 0.2))  # moved before the halt
     assert np.array_equal(sim.state.ee_pose.t, ee1)  # frozen
     assert sim.state.objects["blk"].pose.t[0] == pytest.approx(start_blk[0] + 0.05)
-    assert len(inj.injections) == 1
+    assert len(_injections(sim)) == 1
 
 
 def test_drop_with_prob_one_releases_this_tick():
@@ -174,7 +178,7 @@ def test_drop_with_prob_one_releases_this_tick():
     )
     sim.step()
     assert sim.state.held == []
-    kinds = [e["payload"]["kind"] for e in sim.injector.injections]
+    kinds = [e["payload"]["kind"] for e in _injections(sim)]
     assert kinds == ["drop"]
 
 
@@ -190,7 +194,7 @@ def test_injections_logged_exactly_once():
     sim.injector = inj
     for _ in range(10):
         sim.step()
-    recorded = [e for e in sim.state.events if e["kind"] == "injection"]
+    recorded = _injections(sim)
     assert len(recorded) == 2
     assert [e["tick"] for e in recorded] == [2, 4]
 
@@ -204,12 +208,13 @@ def test_phase_anchored_disturbance():
     sim.injector = inj
     for _ in range(5):
         sim.step()
-    assert inj.injections == []  # phase never started
+    assert _injections(sim) == []  # phase never started
     inj.on_script_start("pick", sim.state.tick)
     for _ in range(5):
         sim.step()
-    assert len(inj.injections) == 1
-    assert inj.injections[0]["tick"] == 8  # 5 + offset 3
+    recorded = _injections(sim)
+    assert len(recorded) == 1
+    assert recorded[0]["tick"] == 8  # 5 + offset 3
 
 
 # ---------------------------------------------------------------------------
