@@ -429,8 +429,9 @@ def replay_log(path) -> dict:
     if not records or records[0].get("kind") != "meta":
         raise CamlabError(f"{path}: missing meta header")
     meta = records[0]
-    if meta.get("schema") != SCHEMA_VERSION:
-        raise CamlabError(f"{path}: log schema {meta.get('schema')} != {SCHEMA_VERSION}")
+    schema = meta.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # True and 1.0 equal 1
+        raise CamlabError(f"{path}: log schema {schema!r} != {SCHEMA_VERSION}")
     try:
         spec = ExperimentSpec.from_dict(meta.get("spec"))
     except ValueError as err:

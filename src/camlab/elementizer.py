@@ -27,6 +27,7 @@ from camlab.geom3d import (
     dbscan,
     fit_line,
     fit_plane,
+    squared_distances,
     unit,
     unproject_pixels,
     voxelize,
@@ -190,10 +191,12 @@ def make_element_set(protos, subgoal_id: str) -> ElementSet:
 
 # extraction constants: outlier filter, DBSCAN per cell (eps = EPS_FACTOR x
 # the p90 nearest-neighbor gap, which tolerates pixel-aliasing gaps in thin
-# masks), and the cap on fused cloud points (evenly subsampled above it)
+# masks; a lone point's gap counts as LONE_POINT_GAP), and the cap on fused
+# cloud points (evenly subsampled above it)
 OUTLIER_K = 8
 OUTLIER_STD_RATIO = 2.0
 EPS_FACTOR = 2.0
+LONE_POINT_GAP = 1e-3
 DBSCAN_MIN_PTS = 3
 MAX_CLOUD_POINTS = 500
 
@@ -290,28 +293,36 @@ def _canonical_rotation(cloud: np.ndarray, etype: ElementType) -> np.ndarray:
     return np.eye(3)
 
 
-def _nn_scale(pts: np.ndarray) -> float:
-    """90th-percentile nearest-neighbor distance.
-
-    Clouds fused from several views mix pixel densities; a mean-based scale
-    under-sizes eps for the sparsest view and fragments thin masks, so the
-    robust upper quantile is used instead."""
-    if len(pts) < 2:
-        return 1e-3
-    d2 = _pairwise_sq(pts)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.percentile(np.sqrt(d2.min(axis=1)), 90))
+def _p90(values: np.ndarray) -> float:
+    """np.percentile(values, 90) to the bit, for a 1-D float array of at
+    least two values, none NaN: numpy's 'linear' method at virtual index
+    (n - 1) * 0.9, interpolated as numpy's _lerp does (from the upper
+    neighbor when the weight is >= 0.5), minus the generic quantile
+    machinery."""
+    at = (len(values) - 1) * 0.9  # < n - 1, so both neighbors exist
+    k = math.floor(at)
+    t = at - k
+    lo, hi = np.sort(values)[k : k + 2].tolist()  # on a cell's <= 500 values a sort beats partition
+    if t >= 0.5:
+        return hi - (hi - lo) * (1 - t)
+    return lo + (hi - lo) * t
 
 
 def _representative(members: np.ndarray) -> np.ndarray:
     """Centroid of the largest DBSCAN cluster (ties: lowest label); if every
-    member is noise, fall back to the centroid of the whole cell."""
-    eps = EPS_FACTOR * _nn_scale(members)
-    lab = dbscan(members, eps=max(eps, 1e-9), min_pts=DBSCAN_MIN_PTS)
+    member is noise, fall back to the centroid of the whole cell.
+
+    One exact distance matrix serves both eps and DBSCAN. eps scales with
+    the p90 nearest-neighbor gap: clouds fused from several views mix pixel
+    densities, and a mean-based scale under-sizes eps for the sparsest view
+    and fragments thin masks."""
+    d2 = squared_distances(members)
+    np.fill_diagonal(d2, np.inf)
+    gap = _p90(np.sqrt(d2.min(axis=1))) if len(members) > 1 else LONE_POINT_GAP
+    lab = dbscan(members, eps=max(EPS_FACTOR * gap, 1e-9), min_pts=DBSCAN_MIN_PTS, d2=d2)
     if lab.n_clusters == 0:
         return members.mean(axis=0)
-    sizes = [(int(np.sum(lab.labels == c)), c) for c in range(lab.n_clusters)]
-    best = max(sizes, key=lambda sc: (sc[0], -sc[1]))[1]
+    best = np.argmax(np.bincount(lab.labels + 1)[1:])  # first maximum: lowest label
     return members[lab.labels == best].mean(axis=0)
 
 

@@ -46,12 +46,14 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
     cell = np.where(extent > 0, (extent + 1e-6) / n, 1e-6)
     idx = np.floor((pts - lo) / cell).astype(np.int64)
     idx = np.clip(idx, 0, n - 1)
-    # stable sort by (i, j, k): cells in key order, indices ascending within
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    keys = idx[order]
-    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    # stable sort by the row-major cell number (i*ny + j)*nz + k, which orders
+    # cells as (i, j, k) does: cells in key order, indices ascending within
+    key = (idx[:, 0] * n[1] + idx[:, 1]) * n[2] + idx[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(key[1:] != key[:-1]) + 1
     groups = np.split(order, starts)
-    cells = dict(zip(map(tuple, keys[np.r_[0, starts]]), groups))
+    cells = dict(zip(map(tuple, idx[order[np.r_[0, starts]]]), groups))
     return VoxelGrid(origin=lo, cell_size=cell, cells=cells, points=pts)
 
 
@@ -103,7 +105,7 @@ def _component_roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
             return parent
 
 
-def dbscan(points, eps: float, min_pts: int) -> ClusterLabeling:
+def dbscan(points, eps: float, min_pts: int, d2=None) -> ClusterLabeling:
     """Standard DBSCAN with fixed tie-breaking.
 
     Neighborhoods are distance <= eps, self included; a core point has at
@@ -113,6 +115,9 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabeling:
     cluster among its core neighbors; every other point is NOISE. These are
     the labels of a breadth-first expansion that starts clusters in input
     order and lets the first cluster to reach a border point keep it.
+
+    d2, when given, is the caller's squared_distances(points), read only;
+    its diagonal may hold anything, since every point is its own neighbor.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -120,15 +125,20 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabeling:
         raise ValueError("min_pts must be >= 1")
     pts = as_points(points)
     n = len(pts)
-    adj = squared_distances(pts) <= eps * eps
+    if d2 is None:
+        d2 = squared_distances(pts)
+    adj = d2 <= eps * eps
+    np.fill_diagonal(adj, True)
     core = np.count_nonzero(adj, axis=1) >= min_pts
     rows, cols = np.divmod(np.flatnonzero(adj), n)  # neighbor pairs, row-major
     to_core = core[cols]
     inner = core[rows] & to_core
     root = _component_roots(rows[inner], cols[inner], n)
     labels = np.full(n, NOISE, dtype=np.int64)
-    ci = np.flatnonzero(core)
-    labels[ci] = np.unique(root[ci], return_inverse=True)[1]
+    # a core component's root is its lowest core index: number the roots
+    # in index order and give each core point its root's number
+    rank = np.cumsum(core & (root == np.arange(n))) - 1
+    labels[core] = rank[root[core]]
     border = to_core & ~core[rows]
     rows, cols = rows[border], cols[border]
     if len(rows):

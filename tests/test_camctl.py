@@ -254,6 +254,17 @@ def test_replay_rejects_log_that_disagrees_with_its_spec(run_dir, tmp_path, caps
     _assert_replay_rejects(read_log(out / "run.jsonl"), damage, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1", None])
+def test_replay_rejects_a_schema_that_is_not_the_int_1(run_dir, tmp_path, capsys, schema):
+    # True == 1 and 1.0 == 1, so a check by value alone lets both through
+    out, _ = run_dir
+
+    def damage(records):
+        records[0]["schema"] = schema
+
+    _assert_replay_rejects(read_log(out / "run.jsonl"), damage, f"log schema {schema!r} != 1", tmp_path, capsys)
+
+
 def _assert_replay_rejects(records, damage, message, tmp_path, capsys):
     damage(records)
     bad = tmp_path / "bad.jsonl"

@@ -30,9 +30,11 @@ from camlab.geom3d import (
     CameraModel,
     Pose,
     angle_between,
+    dbscan,
     fit_plane,
     quat_from_axis_angle,
     raycast_depth,
+    squared_distances,
     unproject,
     vec3,
 )
@@ -225,14 +227,95 @@ def test_distance_kernels_match_out_of_place_forms(pts, k, std_ratio):
     assert np.array_equal(filter_outliers(pts, k, std_ratio), reference_filter_outliers(pts, k, std_ratio))
 
 
+def reference_eps(pts):
+    """DBSCAN eps of a voxel cell, out of place: EPS_FACTOR x np.percentile
+    of the rooted broadcast distance matrix's row minima (self excluded)."""
+    if len(pts) < 2:
+        return elementizer.EPS_FACTOR * elementizer.LONE_POINT_GAP
+    d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(d, np.inf)
+    return max(elementizer.EPS_FACTOR * float(np.percentile(d.min(axis=1), 90)), 1e-9)
+
+
+def representative_dbscan_calls(pts):
+    """_representative(pts) and the (eps, d2) of each dbscan call it makes."""
+    calls = []
+
+    def spy(points, eps, min_pts, d2=None):
+        calls.append((eps, None if d2 is None else d2.copy()))
+        return dbscan(points, eps, min_pts, d2=d2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elementizer, "dbscan", spy)
+        rep = elementizer._representative(pts)
+    return rep, calls
+
+
 @settings(max_examples=150, deadline=None)
 @given(clouds())
 def test_nn_scale_matches_the_full_root_form(pts):
-    # _nn_scale roots only the row minima of the squared matrix
-    if len(pts) >= 2:
-        d = reference_pairwise_dist(pts)
-        np.fill_diagonal(d, np.inf)
-        assert elementizer._nn_scale(pts) == float(np.percentile(d.min(axis=1), 90))
+    # the eps scale is the p90 of the exact matrix's row minima, rooted only
+    # there; dbscan gets that same matrix
+    _, calls = representative_dbscan_calls(pts)
+    [(eps, d2)] = calls
+    assert eps == reference_eps(pts)
+    np.fill_diagonal(d2, 0.0)
+    assert np.array_equal(d2, squared_distances(pts))
+
+
+def reference_representative(pts):
+    """The original pick: cluster sizes counted one cluster at a time, the
+    largest kept, ties to the lowest label."""
+    lab = dbscan(pts, reference_eps(pts), elementizer.DBSCAN_MIN_PTS)
+    if lab.n_clusters == 0:
+        return pts.mean(axis=0)
+    sizes = [(int(np.sum(lab.labels == c)), c) for c in range(lab.n_clusters)]
+    best = max(sizes, key=lambda sc: (sc[0], -sc[1]))[1]
+    return pts[lab.labels == best].mean(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds())
+def test_representative_matches_the_per_cluster_count(pts):
+    rep, _ = representative_dbscan_calls(pts)
+    assert np.array_equal(rep, reference_representative(pts))
+
+
+@pytest.mark.parametrize("first", [0.0, 1.0])
+def test_representative_ties_go_to_the_lowest_label(first):
+    # two 4-point clusters of one size: the one holding point 0 is label 0
+    square = np.array([(0, 0, 0), (0.01, 0, 0), (0, 0.01, 0), (0.01, 0.01, 0)])
+    pts = np.vstack([square + (first, 0, 0), square + (1.0 - first, 0, 0)])
+    rep, _ = representative_dbscan_calls(pts)
+    assert np.array_equal(rep, pts[:4].mean(axis=0))
+    assert np.array_equal(rep, reference_representative(pts))
+
+
+@st.composite
+def p90_inputs(draw):
+    """Nonnegative vectors like nearest-neighbor gaps at 1e-4..1e2 scale:
+    plain, quantised to a few levels, or drawn from three values (ties)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(2, 500))
+    scale = 10.0 ** draw(st.floats(-4.0, 2.0))
+    v = rng.random(n) * scale
+    kind = draw(st.sampled_from(["plain", "quantised", "ties"]))
+    if kind == "quantised":
+        levels = draw(st.integers(1, 16))
+        v = np.round(v / scale * levels) * (scale / levels)
+    elif kind == "ties":
+        v = rng.choice(v[:3], size=n)
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(p90_inputs())
+def test_p90_is_np_percentile_to_the_bit(v):
+    before = v.copy()
+    got = elementizer._p90(v)
+    assert type(got) is float
+    assert got.hex() == float(np.percentile(v, 90)).hex()
+    assert np.array_equal(v, before)  # the input is not reordered
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,20 @@ def test_dbscan_labels_match_reference_bfs(case):
     assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
 
 
+@settings(max_examples=300, deadline=None)
+@given(dbscan_inputs(), st.sampled_from([0.0, np.inf]))
+def test_dbscan_on_a_given_matrix_matches_its_own_and_the_bfs(case, diagonal):
+    # the matrix's diagonal does not count: every point neighbors itself
+    pts, eps, min_pts = case
+    d2 = squared_distances(pts)
+    np.fill_diagonal(d2, diagonal)
+    given_d2 = d2.copy()
+    got = dbscan(pts, eps, min_pts, d2=d2).labels
+    assert np.array_equal(d2, given_d2)  # read only
+    assert np.array_equal(got, dbscan(pts, eps, min_pts).labels)
+    assert np.array_equal(got, reference_dbscan(pts, eps, min_pts))
+
+
 @pytest.mark.parametrize(
     "pts, eps, min_pts",
     [
