@@ -627,6 +627,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "bench":
+        if args.ticks < 1:
+            print(f"camctl: --ticks must be >= 1, got {args.ticks}", file=sys.stderr)
+            return 2
         stats = bench_monitor(n_ticks=args.ticks)
         for k, v in stats.items():
             print(f"{k}: {v:.4f}" if isinstance(v, float) else f"{k}: {v}")

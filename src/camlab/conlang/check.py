@@ -7,7 +7,9 @@ units (an angle is never compared to meters), that the body is boolean,
 that at() shifts a builtin rather than a bare element reference, and that
 the history reach stays below the ring's capacity; issues come back
 in-band. The same walk compiles each accepted node into a closure bound to
-that ring (conlang.evaluator), so evaluation never revisits the AST.
+that ring (conlang.evaluator), so evaluation never revisits the AST. A
+box(...) or vec(...) call whose arguments are all literals is evaluated
+once, then and there, into a read-only constant.
 
 whitebox_validate calls the cond, then and else closures of every
 conditional (branch coverage), then the body, on the subgoal's first-tick
@@ -293,7 +295,18 @@ class _Checker:
             t = {"vec": _VEC, "box": _BOX}.get(result, _BOOL)
         if len(self.issues) > n_issues:
             return t, None
-        return t, ev.call(node.fn, self.ring, self.back, args, measured)
+        compiled = ev.call(node.fn, self.ring, self.back, args, measured)
+        if node.fn in ("box", "vec") and all(map(_is_literal, node.args)):
+            return t, ev.const(ev.frozen(compiled()))
+        return t, compiled
+
+
+def _is_literal(node) -> bool:
+    """A number, a tolerance or a negated number: a value fixed at compile
+    time."""
+    if isinstance(node, Unary) and node.op == "-":
+        return isinstance(node.operand, Num)
+    return isinstance(node, (Num, TolRef))
 
 
 def typecheck(program: MonitorProgram, ring) -> CompiledProgram:

@@ -30,10 +30,19 @@ from camlab.geom3d import angle_between, fit_line, fit_plane
 
 __all__ = ["CompiledProgram", "EvalError", "evaluate", "format_measured"]
 
+
+def frozen(value):
+    """value, an array or a box's (lo, hi) pair of arrays, set read-only, so a
+    constant shared by every evaluation cannot be changed by one of them."""
+    for arr in value if isinstance(value, tuple) else (value,):
+        arr.setflags(write=False)
+    return value
+
+
 AXIS_VECS = {
-    "axis_x": np.array([1.0, 0.0, 0.0]),
-    "axis_y": np.array([0.0, 1.0, 0.0]),
-    "axis_z": np.array([0.0, 0.0, 1.0]),
+    "axis_x": frozen(np.array([1.0, 0.0, 0.0])),
+    "axis_y": frozen(np.array([0.0, 1.0, 0.0])),
+    "axis_z": frozen(np.array([0.0, 0.0, 1.0])),
 }
 
 _ARITH_CMP = {

@@ -175,11 +175,17 @@ def quat_slerp(a, b, t: float) -> np.ndarray:
 class Pose:
     """Rigid transform: x_world = R(q) @ x_local + t.
 
-    q and t are private read-only copies, so a Pose never changes after
-    construction: moving something means giving it a new Pose. Ground-truth
-    caches rely on this (an unchanged Pose object means unchanged points),
-    and so does the Pose itself: its rotation matrix and its inverse are
-    computed on first use and kept (the matrix read-only)."""
+    q and t are read-only float64 arrays of shapes (4,) and (3,), q unit
+    norm and t finite, so a Pose never changes after construction: moving
+    something means giving it a new Pose. Ground-truth caches rely on this
+    (an unchanged Pose object means unchanged points), and so does the Pose
+    itself: its rotation matrix and its inverse are computed on first use
+    and kept (the matrix read-only).
+
+    Pose(q, t) copies its arguments. Code that has built q and t and never
+    writes them again hands them over without a copy:
+    Pose._own(q, t) takes both, and pose.translated(t) takes t and shares
+    pose's q and rotation matrix."""
 
     q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -187,13 +193,30 @@ class Pose:
     def __post_init__(self):
         q = np.array(self.q, dtype=np.float64)
         t = np.array(self.t, dtype=np.float64)
-        q.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
+        self._seal()
+
+    @classmethod
+    def _own(cls, q: np.ndarray, t: np.ndarray) -> "Pose":
+        """A Pose that takes over q and t, float64 arrays that nothing
+        writes again: they are set read-only, not copied."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(q=q, t=t)
+        pose._seal()
+        return pose
+
+    def _seal(self):
+        """Set q and t read-only and check them."""
+        q, t = self.q, self.t
+        q.setflags(write=False)
+        t.setflags(write=False)
+        if q.shape != (4,):
+            raise ValueError(f"Pose quaternion must have shape (4,), got {q.shape}")
         # what np.linalg.norm computes, without its overhead; written so a NaN norm fails too
         if not abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9:
             raise ValueError("Pose quaternion must be unit norm")
+        _check_translation(t)
 
     @staticmethod
     def identity() -> "Pose":
@@ -210,11 +233,21 @@ class Pose:
             r.setflags(write=False)
         return r
 
+    def translated(self, t: np.ndarray) -> "Pose":
+        """This rotation with translation t, a float64 array the caller has
+        just built (set read-only, not copied). The new Pose shares q and
+        the rotation matrix, so caches keyed on the matrix's identity hit."""
+        _check_translation(t)
+        t.setflags(write=False)
+        pose = object.__new__(Pose)
+        pose.__dict__.update(q=self.q, t=t, _rotation=self.rotation())
+        return pose
+
     def inverse(self) -> "Pose":
         inv = self.__dict__.get("_inverse")
         if inv is None:
             qi = quat_conj(self.q)
-            inv = self.__dict__["_inverse"] = Pose(qi, -quat_rotate(qi, self.t))
+            inv = self.__dict__["_inverse"] = Pose._own(qi, -quat_rotate(qi, self.t))
         return inv
 
     def apply(self, points):
@@ -226,7 +259,16 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """self after other: (self @ other).apply(x) == self.apply(other.apply(x))."""
-        return Pose(quat_mul(self.q, other.q), self.apply(other.t))
+        return Pose._own(quat_mul(self.q, other.q), self.apply(other.t))
+
+
+def _check_translation(t: np.ndarray):
+    if t.shape != (3,):
+        raise ValueError(f"Pose translation must have shape (3,), got {t.shape}")
+    x, y, z = t.tolist()
+    # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+    if not (x - x) + (y - y) + (z - z) == 0.0:
+        raise ValueError("Pose translation must be finite")
 
 
 @dataclass(frozen=True)

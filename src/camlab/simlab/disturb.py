@@ -13,6 +13,7 @@ releases on the very first held tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class Disturbance:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
-        if not self.q_cm >= 0:
-            raise ValueError("placement noise bound must be >= 0")
+        if not 0 <= self.q_cm < math.inf:
+            raise ValueError("placement noise bound must be finite and >= 0")
 
 
 class DisturbanceInjector:

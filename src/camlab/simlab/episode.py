@@ -74,9 +74,10 @@ class _Bound:
         self.monitor = monitor
         ring = monitor.tracker.ring
         # per element: its span of the row, its object (None: the
-        # end-effector), its points in the object's frame, and the Pose its
-        # span was last written from
-        self._elements = [[*ring.spans[eid], oid, local, None] for eid, oid, local in truth_specs]
+        # end-effector), its points in the object's frame, the Pose its span
+        # was last written from, and the rotation matrix and rotated points
+        # of its last rotation
+        self._elements = [[*ring.spans[eid], oid, local, None, None, None] for eid, oid, local in truth_specs]
         # packing the object-frame points checks that the specs cover the
         # ring's elements and point counts; the first truth() rewrites every span
         self.row = ring.pack(
@@ -90,15 +91,25 @@ class _Bound:
         The row is rewritten in place, and only the spans of elements whose
         object holds a different Pose object than at the last write. Poses
         are frozen with read-only arrays and a moved object always gets a
-        new Pose, so an unchanged Pose means unchanged points."""
+        new Pose, so an unchanged Pose means unchanged points. A span is
+        written as local @ R.T + t, the bits of pose.apply(local), and
+        local @ R.T is kept while the Pose's rotation matrix is the same
+        object (a translated Pose shares it)."""
         state = sim.state
         points = self.row.points
         for el in self._elements:
-            lo, hi, oid, local, written = el
+            lo, hi, oid, local, written, r, rotated = el
             pose = state.ee_pose if oid is None else state.objects[oid].pose
-            if pose is not written:
-                el[4] = pose
-                points[lo:hi] = pose.t if local is None else pose.apply(local)
+            if pose is written:
+                continue
+            el[4] = pose
+            if local is None:
+                points[lo:hi] = pose.t
+                continue
+            if pose.rotation() is not r:
+                r = el[5] = pose.rotation()
+                rotated = el[6] = local @ r.T
+            np.add(rotated, pose.t, out=points[lo:hi])
         return self.row
 
 

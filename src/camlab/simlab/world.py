@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from camlab.geom3d import Pose, quat_slerp
+from camlab.geom3d import Pose, quat_mul, quat_slerp
 
 __all__ = [
     "DT",
@@ -198,9 +198,12 @@ class PolicyRuntime:
                 new_q = wp.quat.copy()
         new_q = new_q / math.sqrt(new_q.dot(new_q))
         # keep the Pose when nothing moved (a dwell tick), so the held
-        # objects composed from it are not composed again
-        if new_q.tobytes() != pose.q.tobytes() or new_t.tobytes() != pose.t.tobytes():
-            state.ee_pose = Pose(new_q, new_t)
+        # objects composed from it are not composed again; keep its q (and
+        # rotation) when only t moved, so they are not rotated again
+        if new_q.tobytes() != pose.q.tobytes():
+            state.ee_pose = Pose._own(new_q, new_t)
+        elif new_t.tobytes() != pose.t.tobytes():
+            state.ee_pose = pose.translated(new_t)
         sim.refresh_attached()
         if pos_done and ang_done:
             if self.dwelled < wp.dwell:
@@ -223,8 +226,9 @@ class Simulation:
         self.state = state
         self.injector = injector
         self.policy: PolicyRuntime | None = None
-        # oid -> (EE Pose, attach offset, object Pose) of its last compose
-        self._composed: dict = {}
+        # oid -> [EE Pose, attach offset, object Pose] at its last refresh,
+        # and the EE q, q and rotated offset of its last rotation
+        self._attached: dict = {}
 
     # -- policy & attachment plumbing
 
@@ -236,26 +240,36 @@ class Simulation:
         return self.policy is None or self.policy.motion_done
 
     def refresh_attached(self):
-        """Move every held object with the end-effector.
+        """Move every held object with the end-effector, to the Pose
+        ee.compose(attach_offset) in bits.
 
-        A held object is composed again only when the EE Pose, its attach
-        offset or its own Pose is another object than at its last compose
-        (Poses never change, so the same three give the same result; a
-        Pose set from outside, such as a disturbance moving a held object,
-        is composed over as before). It keeps its Pose object when the
-        composed q and t are bit-for-bit those it already has (bytes, so
-        -0.0 and 0.0 differ): ground-truth caches keyed on Pose identity
-        then skip it."""
+        Nothing is computed while the EE Pose, the attach offset and the
+        object's Pose are the objects they were at the last refresh (Poses
+        never change, so the same three give the same result; a Pose set
+        from outside, such as a disturbance moving a held object, is moved
+        again as before). Otherwise q = ee.q * offset.q and the rotated
+        offset R(ee.q) @ offset.t are taken from the last refresh while the
+        EE q array and the offset are the same objects, and t is that
+        rotated offset + ee.t, the sum compose computes. The object keeps
+        its Pose when q and t are bit-for-bit those it has (bytes, so -0.0
+        and 0.0 differ), and keeps its q and rotation when only t moved:
+        ground-truth caches keyed on either then skip it."""
         ee = self.state.ee_pose
         for oid in self.state.held:
             obj = self.state.objects[oid]
-            last = self._composed.get(oid)
-            if last is not None and last[0] is ee and last[1] is obj.attach_offset and last[2] is obj.pose:
+            offset, pose = obj.attach_offset, obj.pose
+            last = self._attached.get(oid)
+            if last is not None and last[0] is ee and last[1] is offset and last[2] is pose:
                 continue
-            pose = ee.compose(obj.attach_offset)
-            if pose.q.tobytes() != obj.pose.q.tobytes() or pose.t.tobytes() != obj.pose.t.tobytes():
-                obj.pose = pose
-            self._composed[oid] = (ee, obj.attach_offset, obj.pose)
+            if last is None or last[1] is not offset or last[3] is not ee.q:
+                rotated_t = ee.rotation() @ offset.t
+                last = self._attached[oid] = [ee, offset, pose, ee.q, quat_mul(ee.q, offset.q), rotated_t]
+            q, t = last[4], last[5] + ee.t
+            if q.tobytes() != pose.q.tobytes():
+                obj.pose = Pose._own(q, t)
+            elif t.tobytes() != pose.t.tobytes():
+                obj.pose = pose.translated(t)
+            last[0], last[2] = ee, obj.pose
 
     def attach(self, oid: str):
         obj = self.state.objects[oid]
@@ -299,7 +313,7 @@ class Simulation:
                 if top <= bottom + 1e-6:
                     best = max(best, top)
         rest = best + obj.world_half_z()
-        obj.pose = Pose(obj.pose.q, np.array([xy[0], xy[1], rest]))
+        obj.pose = obj.pose.translated(np.array([xy[0], xy[1], rest]))
         self.state.log("settled", oid=oid, z=rest, in_bore=inside_bore)
 
     # -- actions

@@ -487,6 +487,8 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
         ("budget_ticks = 0", "budget_ticks", 0),
         ("budget_ticks = -5", "budget_ticks", -5),
         ("max_retries = -1", "max_retries", -1),
+        # an infinite bound would reach rng.uniform(0, inf) at the first placement
+        ("place_noise_cm = inf", "place_noise_cm", [math.inf]),
     ],
 )
 def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, value):
@@ -590,3 +592,9 @@ def test_bench_returns_stats():
     stats = bench_monitor(n_ticks=500)
     assert stats["median_ms"] < 1.0
     assert stats["ticks"] == 500
+
+
+@pytest.mark.parametrize("ticks", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_tick(capsys, ticks):
+    assert main(["bench", "--ticks", ticks]) == 2
+    assert "--ticks must be >= 1" in capsys.readouterr().err

@@ -9,7 +9,11 @@ on the ring it was compiled on and after more entries are pushed, and
 whitebox_validate must accept exactly the programs the reference accepts.
 """
 
+import re
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +39,7 @@ from camlab.conlang import (
     typecheck,
     whitebox_validate,
 )
+from camlab.conlang import check, evaluator
 from camlab.conlang.ast import ELEMENT_KINDS
 from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement, point_set
 from camlab.errors import DegenerateGeometry
@@ -422,3 +427,84 @@ def test_compiled_program_matches_reference_evaluator(ring_and_rest, program):
     for tick, points in rest:
         ring.push(tick, np.concatenate(points))
     assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
+
+
+# ---------------------------------------------------------------------------
+# literal box(...) and vec(...) calls fold into read-only constants
+
+_literal = st.one_of(
+    st.builds(lambda x: Num(x, "len"), st.sampled_from(_VALUES + (-0.0, 0.25, -1.5))),
+    st.builds(lambda x: Unary("-", Num(x, "len")), st.sampled_from(_VALUES)),
+    st.just(TolRef("t0")),
+)
+
+
+def _uses_of(v, b):
+    """A node per builtin (and operator) that takes a vector or a box, with
+    the vector v or the box b in that place."""
+    c0, c1 = Call("centroid", (ElemRef(0),)), Call("centroid", (ElemRef(1),))
+    return {
+        "dist": Call("dist", (v, c1)),
+        "angle": Call("angle", (c0, v)),
+        "proj_xy": Call("proj_xy", (v,)),
+        "above": Call("above", (v, c0, Num(0.01, "len"))),
+        "above_rhs": Call("above", (c0, v, Num(0.0, "len"))),
+        "inside": Call("inside", (v, b)),
+        "inside_box": Call("inside", (c0, b)),
+        "count_within": Call("count_within", (ElemList((0, 1, 2, 3)), b)),
+        "within": Within(v, TolRef("t0"), c1),
+        "neg": Unary("-", v),
+        "add": BinOp("+", v, c0),
+        "sub": BinOp("-", c1, v),
+        "if": IfElse(BinOp("<", Num(1.0), Num(2.0)), v, c0),
+    }
+
+
+def _compile_node(program, ring, node):
+    t, f = check._Checker(program, ring).compile(node)
+    assert f is not None, t
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*[_literal] * 3),
+    st.tuples(*[_literal] * 6),
+    st.sampled_from(_VALUES),
+    st.integers(0, 2**32 - 1),
+)
+def test_literal_box_and_vec_fold_to_read_only_constants(v_args, b_args, tol, seed):
+    rng = np.random.default_rng(seed)
+    elements = [
+        ConstraintElement(eid=eid, etype=etype, points=rng.uniform(-0.2, 0.2, (n, 3)), connections=(),
+                          entity=f"o{eid}", part="p", constraint="")
+        for eid, (etype, n) in _ELEMENTS.items()
+    ]
+    ring = PointRing(elements, 0)
+    program = MonitorProgram("p", Mode.DURING, (ToleranceDecl("t0", tol, "len"),), Num(1.0), "r", cid="p")
+    v, b = Call("vec", v_args), Call("box", b_args)
+    folded_v, folded_b = _compile_node(program, ring, v), _compile_node(program, ring, b)
+    assert folded_v() is folded_v() and not folded_v().flags.writeable
+    assert folded_b() is folded_b() and not any(a.flags.writeable for a in folded_b())
+    folded = {name: _compile_node(program, ring, node) for name, node in _uses_of(v, b).items()}
+    with mock.patch.object(check, "_is_literal", lambda node: False):
+        unfolded_v = _compile_node(program, ring, v)
+        assert unfolded_v() is not unfolded_v() and unfolded_v().flags.writeable
+        unfolded = {name: _compile_node(program, ring, node) for name, node in _uses_of(v, b).items()}
+    assert folded_v().tobytes() == unfolded_v().tobytes()
+    for name, f in folded.items():
+        try:
+            want = unfolded[name]()
+        except EvalError as err:
+            with pytest.raises(EvalError, match=re.escape(str(err))):
+                f()
+            continue
+        got = f()
+        assert type(got) is type(want), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_axis_vectors_are_read_only():
+    for vec in evaluator.AXIS_VECS.values():
+        with pytest.raises(ValueError):
+            vec[0] = 2.0

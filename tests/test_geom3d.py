@@ -621,3 +621,88 @@ def test_pose_keeps_a_fresh_read_only_rotation_and_inverse(q, t):
     pts = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]])
     assert pose.apply(pts).tobytes() == (quat_rotate(pose.q, pts) + pose.t).tobytes()
     assert pose.apply(pts[0]).tobytes() == (quat_rotate(pose.q, pts[0]) + pose.t).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pose construction: shapes and finiteness, public copies, private hand-over
+
+
+_BAD_POSE_ARGS = [
+    dict(t=[math.nan, 0.0, 0.0]),
+    dict(t=[0.0, math.inf, 0.0]),
+    dict(t=[0.0, 0.0, -math.inf]),
+    dict(t=[1.0, 2.0]),
+    dict(t=[[1.0, 2.0, 3.0]]),
+    dict(q=[1.0, 0.0, 0.0]),
+    dict(q=[[1.0, 0.0], [0.0, 0.0]]),
+    dict(q=[1.0, 0.0, 0.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("kw", _BAD_POSE_ARGS)
+def test_pose_rejects_misshapen_or_non_finite_arguments(kw):
+    with pytest.raises(ValueError):
+        Pose(**kw)
+    q = np.array(kw.get("q", [1.0, 0.0, 0.0, 0.0]), dtype=np.float64)
+    t = np.array(kw.get("t", [0.0, 0.0, 0.0]), dtype=np.float64)
+    with pytest.raises(ValueError):
+        Pose._own(q, t)
+    if "t" in kw:
+        with pytest.raises(ValueError):
+            Pose().translated(t)
+
+
+def _shares_input(pose, arrays) -> bool:
+    return any(np.shares_memory(out, a) for out in (pose.q, pose.t) for a in arrays)
+
+
+def test_every_public_pose_construction_copies():
+    q = _unit_quat([0.9, 0.1, -0.3, 0.2])
+    t = np.array([0.1, 0.2, 0.3])
+    a, b = Pose(q, t), Pose(_unit_quat([0.2, 0.7, 0.1, -0.4]), np.array([-0.5, 0.0, 0.25]))
+    q_before, t_before = q.copy(), t.copy()
+    made = {
+        "Pose(q, t)": (Pose(q, t), (q, t)),
+        "Pose(q=q)": (Pose(q=q), (q,)),
+        "Pose(t=t)": (Pose(t=t), (t,)),
+        "Pose(a.q, a.t)": (Pose(a.q, a.t), (a.q, a.t)),
+        "compose": (a.compose(b), (a.q, a.t, b.q, b.t)),
+        "inverse": (a.inverse(), (a.q, a.t)),
+        "look_at": (look_at(t, [0.0, 0.0, 0.0]), (t,)),
+    }
+    for name, (pose, inputs) in made.items():
+        assert not _shares_input(pose, inputs), name
+        for arr in (pose.q, pose.t):
+            assert not arr.flags.writeable, name
+    q[:] = [0.0, 1.0, 0.0, 0.0]
+    t[:] = 9.0
+    p = made["Pose(q, t)"][0]
+    assert p.q.tobytes() == q_before.tobytes() and p.t.tobytes() == t_before.tobytes()
+    for default in (Pose(), Pose.identity()):
+        assert default.q.tolist() == [1.0, 0.0, 0.0, 0.0] and default.t.tolist() == [0.0, 0.0, 0.0]
+        assert not default.q.flags.writeable and not default.t.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_quat, st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3),
+       st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3))
+def test_private_and_translated_poses_are_read_only_and_share_the_rotation(q, t, t2):
+    q, t, t2 = _unit_quat(q), np.array(t), np.array(t2)
+    owned = Pose._own(q, t)
+    assert owned.q is q and owned.t is t  # handed over, not copied
+    assert not q.flags.writeable and not t.flags.writeable
+    public = Pose(q, t)
+    assert owned.rotation().tobytes() == public.rotation().tobytes()
+    moved = owned.translated(t2)
+    assert moved.q is owned.q and moved.t is t2 and not t2.flags.writeable
+    assert moved.rotation() is owned.rotation()
+    fresh = Pose(q, t2)
+    pts = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]])
+    assert moved.apply(pts).tobytes() == fresh.apply(pts).tobytes()
+    assert moved.inverse().t.tobytes() == fresh.inverse().t.tobytes()
+    with pytest.raises(ValueError):
+        moved.t[0] = 1.0
+    with pytest.raises(ValueError):
+        moved.translated(np.array([0.0, math.nan, 0.0]))
+    with pytest.raises(ValueError):
+        Pose._own(np.array([math.nan, 0.0, 0.0, 0.0]), np.zeros(3))

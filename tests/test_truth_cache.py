@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camlab.simlab.episode as episode
-from camlab.geom3d import Pose, quat_to_mat
+from camlab.geom3d import Pose, quat_mul, quat_to_mat
 from camlab.monitor import RealTimeMonitor, SimTracker, TrackerConfig
 from camlab.simlab import EpisodeConfig
 from camlab.simlab.disturb import Disturbance, DisturbanceInjector, standard_disturbances
@@ -266,3 +266,110 @@ def test_in_place_truth_matches_dict_truth_and_compose_every_time(layout, n_loca
             for _ in range(op[1] - 1):
                 step()
         step()
+
+
+# ---------------------------------------------------------------------------
+# property: held objects and ground truth reuse rotations, bit for bit
+
+
+def reference_compose(a, b):
+    """(q, t) of a.compose(b) as composed before rotations were kept: a
+    fresh matrix, r @ t + t."""
+    return quat_mul(a.q, b.q), quat_to_mat(a.q) @ b.t + a.t
+
+
+def reference_apply(pose, local):
+    """pose.apply(local) with a fresh matrix."""
+    return local @ quat_to_mat(pose.q).T + pose.t
+
+
+_delta = st.tuples(*[st.floats(-0.05, 0.05, allow_nan=False)] * 3)
+_PATH = st.one_of(
+    st.tuples(st.just("translate"), _delta),  # a translated EE Pose: same q and rotation
+    st.tuples(st.just("rotate"), _quat),  # a new EE q
+    st.tuples(st.just("copy_q"), _delta),  # a new EE q array with the same bytes
+    st.tuples(st.just("dwell")),
+    st.tuples(
+        st.just("policy"),
+        st.tuples(_coord, _coord, st.floats(0.0, 0.3)),
+        st.one_of(st.none(), _quat),
+        st.integers(1, 5),
+    ),
+    st.tuples(st.just("offset_q"), st.integers(0, 2), _quat),
+    st.tuples(st.just("offset_t"), st.integers(0, 2), _delta),
+    st.tuples(st.just("outside_t"), st.integers(0, 2), _delta),
+    st.tuples(st.just("outside_q"), st.integers(0, 2), _quat),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_held=st.integers(1, 3),
+    start_q=_quat,
+    path=st.lists(_PATH, min_size=1, max_size=30),
+    seed=st.integers(0, 2**16),
+)
+def test_refresh_and_truth_equal_compose_and_apply_over_ee_paths(n_held, start_q, path, seed):
+    rng = np.random.default_rng(seed)
+    state = _world(rng.uniform(-0.2, 0.2, (3, 2)))
+    state.ee_pose = Pose(_unit(start_q), [0.0, 0.0, 0.2])
+    sim = Simulation(state)
+    held = list(OIDS[:n_held])
+    for oid in held:
+        sim.attach(oid)
+    specs = [(0, None, None)] + [(i + 1, oid, rng.normal(0, 0.02, (3, 3))) for i, oid in enumerate(OIDS)]
+    elements = [SimpleNamespace(eid=0, etype=None, points=state.ee_pose.t.reshape(1, 3))]
+    elements += [SimpleNamespace(eid=e, etype=None, points=local) for e, _, local in specs[1:]]
+    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1))
+    tracker.register(SimpleNamespace(elements=elements), 0, fk_eids=(0,))
+    bound = episode._Bound(RealTimeMonitor([], tracker), specs)
+
+    def check():
+        before = {oid: state.objects[oid].pose for oid in OIDS}
+        sim.refresh_attached()
+        for oid in OIDS:
+            pose = state.objects[oid].pose
+            if oid not in held:
+                assert pose is before[oid]
+                continue
+            q, t = reference_compose(state.ee_pose, state.objects[oid].attach_offset)
+            assert (pose.q.tobytes(), pose.t.tobytes()) == (q.tobytes(), t.tobytes()), oid
+            old = before[oid]
+            if (old.q.tobytes(), old.t.tobytes()) == (q.tobytes(), t.tobytes()):
+                assert pose is old, oid  # unchanged bits keep the Pose
+            elif old.q.tobytes() == q.tobytes():
+                assert pose.rotation() is old.rotation(), oid  # only t moved: the rotation is shared
+        row = bound.truth(sim).points
+        for eid, oid, local in specs:
+            lo, hi = tracker.ring.spans[eid]
+            pose = state.ee_pose if oid is None else state.objects[oid].pose
+            want = pose.t.reshape(1, 3) if oid is None else reference_apply(pose, local)
+            assert row[lo:hi].tobytes() == want.tobytes(), eid
+
+    check()
+    for op in path:
+        kind, ee = op[0], state.ee_pose
+        if kind == "translate":
+            state.ee_pose = ee.translated(ee.t + np.array(op[1]))
+        elif kind == "rotate":
+            state.ee_pose = Pose(_unit(op[1]), ee.t)
+        elif kind == "copy_q":
+            state.ee_pose = Pose(ee.q, ee.t + np.array(op[1]))
+        elif kind == "policy":
+            quat = None if op[2] is None else _unit(op[2])
+            sim.set_policy(PolicyScript("p", [Waypoint(op[1], quat, speed=0.5)]))
+            for _ in range(op[3]):
+                sim.policy.advance(sim)
+                check()
+            sim.policy = None
+        elif kind in ("offset_q", "offset_t", "outside_t", "outside_q"):
+            obj = state.objects[held[op[1] % len(held)]]
+            if kind == "offset_q":
+                obj.attach_offset = Pose(_unit(op[2]), obj.attach_offset.t)
+            elif kind == "offset_t":
+                obj.attach_offset = Pose(obj.attach_offset.q, obj.attach_offset.t + np.array(op[2]))
+            elif kind == "outside_t":  # a disturbance moving a held object
+                obj.pose = Pose(obj.pose.q, obj.pose.t + np.array(op[2]))
+            else:
+                obj.pose = Pose(_unit(op[2]), obj.pose.t)
+        check()

@@ -5,12 +5,21 @@ log and every report byte-identical.
     python3 tools/digest_sweep.py > after.txt
 
 Run it in two checkouts (it imports camlab from the checkout's own src/) and
-`diff` the outputs. Each episode line is `template mode disturbances seed
-events_digest`, the digest being the sha256 of the episode's events as
-canonical JSON (sorted keys, compact separators). The sweep is seeds 0-9 x
-the four monitor modes x every template with no disturbances, the three
-catalog tasks also with disturbances "abc", and stack_in_order also with
-drop probability 0.3 and 2 cm placement noise: 360 episodes.
+`diff` the outputs. tools/digest_sweep.txt holds the expected output, and CI
+diffs a fresh run against it:
+
+    python3 tools/digest_sweep.py | diff tools/digest_sweep.txt -
+
+A change that alters a random stream or a log on purpose regenerates that
+file and says so. The file was written with numpy 2.4 on x86-64; another
+numpy or BLAS build may round a kernel differently and move a digest.
+
+Each episode line is `template mode disturbances seed events_digest`, the
+digest being the sha256 of the episode's events as canonical JSON (sorted
+keys, compact separators). The sweep is seeds 0-9 x the four monitor modes
+x every template with no disturbances, the three catalog tasks also with
+disturbances "abc", and stack_in_order also with drop probability 0.3 and
+2 cm placement noise: 360 episodes.
 
 Then come five lines `report name report_digest`, the sha256 of
 `report_bytes(run_spec(spec))` for each grid in GRIDS: all five tasks, 2-3
