@@ -55,11 +55,6 @@ class ThresholdKB:
             entries[(task.strip(), kind.strip())] = (float(num) * factor, dim)
         return cls(entries)
 
-    @classmethod
-    def load(cls, path) -> "ThresholdKB":
-        with open(path, encoding="utf-8") as fh:
-            return cls.loads(fh.read())
-
 
 def kb_lookup(kb: ThresholdKB, task: str, kind: str) -> float:
     """Tolerance (SI) for a task/kind pair; falls back per kind, then to the

@@ -159,9 +159,6 @@ class ConstraintElement:
             if not (0 <= i < len(pts) and 0 <= j < len(pts)):
                 raise ValueError(f"connection ({i}, {j}) out of range")
 
-    def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
 
 @dataclass(frozen=True)
 class ElementSet:

@@ -1,9 +1,11 @@
 """Analytic ray casting against posed boxes/cylinders, and depth unprojection.
 
 The renderer is the oracle stand-in for learned segmentation: each primitive
-carries an instance id and a part id, and the nearest hit per pixel yields a
-depth image plus id images. Misses are encoded in-band as depth 0.0 and id
-NONE_ID, which keeps the id images plain integer arrays.
+carries an instance id, and the nearest hit per pixel yields a depth image
+plus an instance-id image. Parts are not rendered: a caller that needs one
+tests the unprojected hit points against the part's sub-volume. Misses are
+encoded in-band as depth 0.0 and id NONE_ID, which keeps the id image a plain
+integer array.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class Box:
     pose: Pose
     extents: np.ndarray  # full side lengths (x, y, z), meters
     instance_id: int = 0
-    part_id: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "extents", np.asarray(self.extents, dtype=np.float64))
@@ -51,7 +52,6 @@ class Cylinder:
     radius: float
     height: float  # full height along local +z, centered on the pose origin
     instance_id: int = 0
-    part_id: int = 0
 
     def __post_init__(self):
         if self.radius <= 0 or self.height <= 0:
@@ -156,10 +156,10 @@ def _candidate_pixels(prim, cam: CameraModel):
 
 
 def raycast_depth(primitives, cam: CameraModel):
-    """Render (depth, instance_id, part_id) images for a primitive scene.
+    """Render (depth, instance_id) images for a primitive scene.
 
     Depth is camera-frame z of the nearest hit; 0.0 where nothing is hit,
-    with NONE_ID in both id images. Rays are culled per primitive by its
+    with NONE_ID in the id image. Rays are culled per primitive by its
     projected bounding sphere.
     """
     n = cam.width * cam.height
@@ -170,7 +170,6 @@ def raycast_depth(primitives, cam: CameraModel):
 
     best_t = np.full(n, np.inf)
     inst = np.full(n, NONE_ID, dtype=np.int32)
-    part = np.full(n, NONE_ID, dtype=np.int32)
     for prim in primitives:
         idx = _candidate_pixels(prim, cam)
         if idx is not None and len(idx) == 0:
@@ -190,17 +189,15 @@ def raycast_depth(primitives, cam: CameraModel):
             closer = t < best_t
             best_t = np.where(closer, t, best_t)
             inst[closer] = prim.instance_id
-            part[closer] = prim.part_id
         else:
             closer = t < best_t[idx]
             sub = idx[closer]
             best_t[sub] = t[closer]
             inst[sub] = prim.instance_id
-            part[sub] = prim.part_id
 
     depth = np.where(np.isfinite(best_t), best_t, 0.0)
     shape = (cam.height, cam.width)
-    return depth.reshape(shape), inst.reshape(shape), part.reshape(shape)
+    return depth.reshape(shape), inst.reshape(shape)
 
 
 def _check_image(what: str, image: np.ndarray, cam: CameraModel):

@@ -124,8 +124,7 @@ class DisturbanceInjector:
                 state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
                 return
             obj.pose = Pose(quat_mul(q, obj.pose.q), obj.pose.t + np.asarray(d.delta, dtype=np.float64))
-            if obj.attached_to != END_EFFECTOR:
-                sim.drop_to_support(d.oid)
+            sim.drop_to_support(d.oid)
             state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
         elif d.kind == "force_release":
             if state.held:

@@ -50,6 +50,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.monitor_mode not in MONITOR_MODES:
             raise ValueError(f"monitor_mode must be one of {MONITOR_MODES}, got {self.monitor_mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.budget_ticks < 1:
             raise ValueError(f"budget_ticks must be >= 1, got {self.budget_ticks!r}")
         if self.max_retries < 0:
@@ -61,8 +63,6 @@ class EpisodeResult:
     success: bool
     ticks: int
     events: list
-    oracle: bool
-    planner_done: bool
     aborted: str | None = None
 
 
@@ -125,10 +125,10 @@ def extract_elements(sg: Subgoal, state, scene):
     protos = [end_effector_element([state.ee_pose.t])]
     truth_specs = [(0, None, None)]
     for eid, spec in enumerate(sg.element_specs, 1):
-        bundle = mask_bundle(scene, views, spec.oid, spec.part, spec.etype, sg.text)
-        el = extract_element(bundle, depths, scene.cameras)
+        obj = state.objects[spec.oid]
+        el = extract_element(mask_bundle(scene, views, obj, spec.part, spec.etype, sg.text), depths, scene.cameras)
         protos.append(el)
-        truth_specs.append((eid, spec.oid, state.objects[spec.oid].pose.inverse().apply(el.points)))
+        truth_specs.append((eid, spec.oid, obj.pose.inverse().apply(el.points)))
     return make_element_set(protos, sg.sid), truth_specs
 
 
@@ -271,11 +271,4 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
     success = bool(planner_done and oracle and aborted is None)
     state.log("episode_end", success=success, oracle=bool(oracle), ticks=state.tick,
               planner_done=planner_done, aborted=aborted)
-    return EpisodeResult(
-        success=success,
-        ticks=state.tick,
-        events=state.events,
-        oracle=bool(oracle),
-        planner_done=planner_done,
-        aborted=aborted,
-    )
+    return EpisodeResult(success=success, ticks=state.tick, events=state.events, aborted=aborted)

@@ -18,19 +18,14 @@ from camlab.simlab.world import DT, PolicyScript, Simulation, Waypoint
 __all__ = ["build_script"]
 
 
-def _meta(scene, key, default=None):
-    return scene.meta.get(key, default)
-
-
 def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=None) -> PolicyScript:
     state = sim.state
-    appr = _meta(scene, "approach_speed", 0.3)
-    carry = _meta(scene, "carry_speed", 0.1)
-    carry_z = _meta(scene, "carry_z", 0.2)
+    meta = scene.meta
     ee = state.ee_pose.t
 
     if script_id == "approach":
         oid = params["oid"]
+        appr, carry_z = meta["approach_speed"], meta["carry_z"]
         g = sim.grasp_point(oid)
         wps = [
             Waypoint(vec3(g[0], g[1], carry_z), speed=appr),
@@ -44,6 +39,7 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
         noise = injector.placement_offset() if injector is not None else np.zeros(2)
         tx, ty = sup.pose.t[0] + noise[0], sup.pose.t[1] + noise[1]
         release_z = sup.top_z() + size + 0.004
+        carry, carry_z = meta["carry_speed"], meta["carry_z"]
         wps = [
             Waypoint(vec3(ee[0], ee[1], carry_z), speed=carry),
             Waypoint(vec3(tx, ty, carry_z), speed=carry),
@@ -51,10 +47,10 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
         ]
 
     elif script_id == "lift":
-        wps = [Waypoint(vec3(ee[0], ee[1], carry_z), speed=carry)]
+        wps = [Waypoint(vec3(ee[0], ee[1], meta["carry_z"]), speed=meta["carry_speed"])]
 
     elif script_id == "lift_orient":
-        wps = [Waypoint(vec3(ee[0], ee[1], carry_z), speed=carry, action=("orient_held",))]
+        wps = [Waypoint(vec3(ee[0], ee[1], meta["carry_z"]), speed=meta["carry_speed"], action=("orient_held",))]
 
     elif script_id == "transport":
         if "target" in params:
@@ -63,11 +59,12 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
         else:
             lo, hi = scene.regions[params["target_region"]]
             tx, ty = float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2)
-        wps = [Waypoint(vec3(tx, ty, carry_z), speed=carry)]
+        wps = [Waypoint(vec3(tx, ty, meta["carry_z"]), speed=meta["carry_speed"])]
 
     elif script_id == "insert":
         holder = state.objects["holder"]
-        pen_len = _meta(scene, "pen_length", 0.12)
+        pen_len = meta["pen_length"]
+        carry, carry_z = meta["carry_speed"], meta["carry_z"]
         hx, hy = float(holder.pose.t[0]), float(holder.pose.t[1])
         # descend until the tip (pen_len below the EE) sits just above the bore floor
         ee_z = 0.025 + pen_len - 0.01
@@ -79,16 +76,16 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
     elif script_id == "place_book":
         lo, hi = scene.regions["slot"]
         sx, sy = float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2)
-        bh = _meta(scene, "book_height", 0.22)
-        ee_z = _meta(scene, "shelf_top", 0.02) + bh + 0.004
+        ee_z = meta["shelf_top"] + meta["book_height"] + 0.004
+        carry, carry_z = meta["carry_speed"], meta["carry_z"]
         wps = [
             Waypoint(vec3(sx, sy, carry_z), speed=carry),
             Waypoint(vec3(sx, sy, ee_z), speed=carry * 0.8, action=("release",)),
         ]
 
     elif script_id == "pour":
-        tilt = math.radians(_meta(scene, "pour_tilt_deg", 50.0))
-        hold = int(_meta(scene, "pour_hold_ticks", 25))
+        tilt = math.radians(meta["pour_tilt_deg"])
+        hold = meta["pour_hold_ticks"]
         rate = tilt / (20 * DT)  # 20 ticks each way
         q_tilt = quat_from_axis_angle([1.0, 0, 0], tilt)
         wps = [
@@ -98,9 +95,9 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
         ]
 
     elif script_id == "sweep":
-        order = scene.meta["blocks"]
-        size = int(scene.meta.get("group_size", 3))
-        stroke = _meta(scene, "stroke_speed", 0.3)
+        order = meta["blocks"]
+        size = meta["group_size"]
+        stroke = meta["stroke_speed"]
         groups = [order[i : i + size] for i in range(0, len(order), size)]
         wps = []
         for i, grp in enumerate(groups):

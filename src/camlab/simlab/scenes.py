@@ -25,7 +25,7 @@ from camlab.geom3d import (
     look_at,
     quat_from_axis_angle,
     raycast_depth,
-    unproject,
+    unproject_pixels,
     vec3,
 )
 from camlab.simlab.world import SimObject, SimState, box_shape, cylinder_shape
@@ -54,7 +54,6 @@ SWEEP_BAND = (16, 24)
 class Scene:
     template: str
     instance_ids: dict = field(default_factory=dict)  # oid -> int
-    part_ids: dict = field(default_factory=dict)  # (oid, part name) -> int
     cameras: list = field(default_factory=list)
     regions: dict = field(default_factory=dict)  # name -> (lo, hi) world AABB
     meta: dict = field(default_factory=dict)
@@ -75,9 +74,6 @@ def default_cameras() -> list:
 def _register(scene: Scene, state: SimState, obj: SimObject):
     state.objects[obj.oid] = obj
     scene.instance_ids[obj.oid] = len(scene.instance_ids) + 1
-    scene.part_ids[(obj.oid, "body")] = len(scene.part_ids) + 1
-    for pname in obj.parts:
-        scene.part_ids[(obj.oid, pname)] = len(scene.part_ids) + 1
 
 
 def _table() -> SimObject:
@@ -229,61 +225,47 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
 
 
 class View(NamedTuple):
-    """One rendered camera view: images plus the label index of its pixels."""
+    """One rendered camera view: depth and instance images plus the label
+    index of its pixels."""
 
     depth: np.ndarray
     inst: np.ndarray
-    part: np.ndarray
     labels: LabelIndex
 
 
 def render(state: SimState, scene: Scene):
-    """One View per camera; part ids are resolved by hit-point membership
-    in the objects' named part sub-volumes."""
+    """One View per camera, in scene.cameras order."""
     prims = []
     for oid, obj in state.objects.items():
         iid = scene.instance_ids[oid]
-        pid = scene.part_ids[(oid, "body")]
         if obj.shape.kind == "box":
-            prims.append(Box(obj.pose, obj.shape.extents, iid, pid))
+            prims.append(Box(obj.pose, obj.shape.extents, iid))
         else:
-            prims.append(Cylinder(obj.pose, obj.shape.radius, obj.shape.height, iid, pid))
-    parted = [oid for oid, obj in state.objects.items() if obj.parts]
-    parted_ids = np.array([scene.instance_ids[o] for o in parted], dtype=np.int32)
+            prims.append(Cylinder(obj.pose, obj.shape.radius, obj.shape.height, iid))
     views = []
     for cam in scene.cameras:
-        depth, inst, part = raycast_depth(prims, cam)
-        if len(parted_ids):
-            hit = (depth > 0) & np.isin(inst, parted_ids)
-            pts = unproject(depth, hit, cam)
-            vv, uu = np.nonzero(hit)
-            for oid in parted:
-                obj = state.objects[oid]
-                sel = inst[vv, uu] == scene.instance_ids[oid]
-                if not sel.any():
-                    continue
-                local = obj.pose.inverse().apply(pts[sel])
-                for pname, (lo, hi) in obj.parts.items():
-                    inside = np.all((local >= lo) & (local <= hi), axis=1)
-                    if inside.any():
-                        part[vv[sel][inside], uu[sel][inside]] = scene.part_ids[(oid, pname)]
-        views.append(View(depth, inst, part, LabelIndex(depth, inst)))
+        depth, inst = raycast_depth(prims, cam)
+        views.append(View(depth, inst, LabelIndex(depth, inst)))
     return views
 
 
-def mask_bundle(scene: Scene, views, oid: str, part: str, etype, constraint: str = "") -> MaskBundle:
-    """Bundle one entity part's valid pixels per view: its instance's pixels
-    from the view's label index, kept where the part image matches (both in
-    raster order)."""
-    iid = scene.instance_ids[oid]
-    pid = None if part == "body" else scene.part_ids[(oid, part)]
+def mask_bundle(scene: Scene, views, obj: SimObject, part: str, etype, constraint: str = "") -> MaskBundle:
+    """Bundle one entity part's valid pixels per view, in raster order: its
+    instance's pixels from the view's label index, and for a named part
+    only those whose hit point lies in obj.parts[part] (a local AABB).
+
+    A pixel belongs to every part whose box holds its hit point; each scene
+    object has at most one named part."""
+    iid = scene.instance_ids[obj.oid]
     pixels = []
-    for view in views:
+    for view, cam in zip(views, scene.cameras):
         pix = view.labels.of(iid)
-        if pid is not None:
-            pix = pix[view.part.ravel()[pix] == pid]
+        if part != "body":
+            lo, hi = obj.parts[part]
+            local = obj.pose.inverse().apply(unproject_pixels(view.depth, pix, cam))
+            pix = pix[np.all((local >= lo) & (local <= hi), axis=1)]
         pixels.append(pix)
-    return MaskBundle(tuple(pixels), etype, constraint, oid, part)
+    return MaskBundle(tuple(pixels), etype, constraint, obj.oid, part)
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,7 @@ class Simulation:
             # in-gripper regrasp/reorientation); also the re-level recovery
             for oid in state.held:
                 obj = state.objects[oid]
-                if obj.shape.kind == "box":
-                    hang = float(obj.shape.extents[2]) / 2.0
-                else:
-                    hang = obj.shape.height / 2.0
+                hang = obj.shape.half_extents()[2]
                 inv = state.ee_pose.inverse()
                 obj.attach_offset = Pose(inv.q, inv.apply(state.ee_pose.t - np.array([0, 0, hang])))
             self.refresh_attached()

@@ -227,7 +227,7 @@ def test_P2_unproject_raycast_residual():
                 prims.append(Box(pose, extents=rng.uniform(0.1, 0.4, size=3), instance_id=i))
             else:
                 prims.append(Cylinder(pose, radius=float(rng.uniform(0.05, 0.2)), height=float(rng.uniform(0.1, 0.4)), instance_id=i))
-        depth, inst, _ = raycast_depth(prims, cam)
+        depth, inst = raycast_depth(prims, cam)
         for prim in prims:
             for p in unproject(depth, inst == prim.instance_id, cam):
                 worst = max(worst, surface_distance(p, prim))
@@ -296,7 +296,7 @@ sg = planner.plan_next(scene_summary(state, scene))
 views = render(state, scene)
 protos = [end_effector_element([state.ee_pose.t])]
 for spec in sg.element_specs:
-    protos.append(extract_element(mask_bundle(scene, views, spec.oid, spec.part, spec.etype), [v[0] for v in views], scene.cameras))
+    protos.append(extract_element(mask_bundle(scene, views, state.objects[spec.oid], spec.part, spec.etype), [v[0] for v in views], scene.cameras))
 print(element_set_fingerprint(make_element_set(protos, sg.sid)))
 """
 

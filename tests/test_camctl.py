@@ -487,6 +487,8 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
         ("budget_ticks = 0", "budget_ticks", 0),
         ("budget_ticks = -5", "budget_ticks", -5),
         ("max_retries = -1", "max_retries", -1),
+        # np.random.SeedSequence takes only non-negative seeds
+        ("seed_base = -3", "seed_base", -3),
         # an infinite bound would reach rng.uniform(0, inf) at the first placement
         ("place_noise_cm = inf", "place_noise_cm", [math.inf]),
     ],
@@ -512,6 +514,16 @@ def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, va
         w.write({"kind": "meta", "schema": 1, "spec": d})
     assert main(["replay", str(log)]) == 2
     assert "bad meta spec" in capsys.readouterr().err
+
+
+def test_negative_cam_seed_is_a_bad_spec(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAM_SEED", "-1")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("task = slot_pen\nepisodes = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "camctl: bad spec" in capsys.readouterr().err
+    assert not (out / "run.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", ["replay-missing-log", "replay-missing-report", "validate-not-utf8"])

@@ -39,6 +39,7 @@ from camlab.geom3d import (
     vec3,
 )
 from camlab.simlab.scenes import Scene, View, mask_bundle
+from camlab.simlab.world import SimObject, box_shape
 
 
 def cam(w=16, h=12, f=40.0, pose=None):
@@ -84,8 +85,8 @@ def test_fuse_two_views_box_face():
     box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(0.4, 0.4, 0.4), instance_id=1)
     c1 = cam()
     c2 = cam(f=50.0)
-    d1, i1, _ = raycast_depth([box], c1)
-    d2, i2, _ = raycast_depth([box], c2)
+    d1, i1 = raycast_depth([box], c1)
+    d2, i2 = raycast_depth([box], c2)
     b = MaskBundle(
         pixels=(LabelIndex(d1, i1).of(1), LabelIndex(d2, i2).of(1)),
         element_type=SURFACE,
@@ -115,8 +116,10 @@ _IDS = {"none": -1, "a": 0, "b": 1, "c": 2, "d": 3}
 
 @st.composite
 def labelled_views(draw):
-    """1-3 random (depth, instance, part) views of one small camera; each
-    view draws its instance ids from a subset of _IDS, so ids miss views."""
+    """1-3 random (depth, instance) views of one small camera, and one posed
+    object per instance id with a random "top" part box near the camera;
+    each view draws its instance ids from a subset of _IDS, so ids miss
+    views."""
     h, w = draw(st.integers(1, 6)), draw(st.integers(2, 7))
     n = h * w
     angle = draw(st.floats(-3.0, 3.0))
@@ -127,21 +130,41 @@ def labelled_views(draw):
         ids = draw(st.lists(st.sampled_from(sorted(_IDS.values())), min_size=1, max_size=5, unique=True))
         depth = np.array(draw(st.lists(_DEPTHS, min_size=n, max_size=n))).reshape(h, w)
         inst = np.array(draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)), dtype=np.int32).reshape(h, w)
-        part = np.array(draw(st.lists(st.sampled_from([10, 11]), min_size=n, max_size=n)), dtype=np.int32).reshape(h, w)
-        views.append(View(depth, inst, part, LabelIndex(depth, inst)))
-    return views, c
+        views.append(View(depth, inst, LabelIndex(depth, inst)))
+    objects = {}
+    for oid in _IDS:
+        q = quat_from_axis_angle([0.0, 0.4, 1.0], draw(st.floats(-3.0, 3.0)))
+        corners = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))).reshape(2, 3)
+        top = (corners.min(axis=0), corners.max(axis=0))
+        objects[oid] = SimObject(oid, box_shape(0.1, 0.1, 0.1), Pose(q, [0.1, -0.2, 0.4]), parts={"top": top})
+    return views, c, objects
+
+
+def part_mask(view, obj, iid, c):
+    """The mask path for a named part: the instance's full-image mask,
+    unprojected, moved into the object's frame and tested against the part
+    box, kept as a full-image mask."""
+    mask = view.inst == iid
+    local = obj.pose.inverse().apply(unproject(view.depth, mask, c))
+    lo, hi = obj.parts["top"]
+    out = np.zeros(mask.size, dtype=bool)
+    out[valid_pixels(view.depth, mask)[np.all((local >= lo) & (local <= hi), axis=1)]] = True
+    return out.reshape(mask.shape)
 
 
 @settings(max_examples=200, deadline=None)
 @given(labelled_views())
 def test_label_index_pixels_and_clouds_equal_the_mask_path(case):
-    views, c = case
-    scene = Scene("test", instance_ids=_IDS, part_ids={(oid, "top"): 11 for oid in _IDS})
-    depths, cams = [v.depth for v in views], [c] * len(views)
+    views, c, objects = case
+    scene = Scene("test", instance_ids=_IDS, cameras=[c] * len(views))
+    depths, cams = [v.depth for v in views], scene.cameras
     for oid, iid in _IDS.items():
         for part in ("body", "top"):
-            masks = [(v.inst == iid) & (v.part == 11 if part == "top" else True) for v in views]
-            b = mask_bundle(scene, views, oid, part, POINT)
+            if part == "top":
+                masks = [part_mask(v, objects[oid], iid, c) for v in views]
+            else:
+                masks = [v.inst == iid for v in views]
+            b = mask_bundle(scene, views, objects[oid], part, POINT)
             for pix, mask, v in zip(b.pixels, masks, views):
                 assert np.array_equal(pix, valid_pixels(v.depth, mask))
             want = reference_fuse_views(masks, depths, cams)
@@ -444,7 +467,7 @@ def test_pipeline_determinism():
 def test_extract_element_from_render():
     box = Box(Pose(t=vec3(0, 0, 0.6)), extents=vec3(0.1, 0.1, 0.04), instance_id=7)
     c = cam(w=32, h=24, f=60.0)
-    depth, inst, _ = raycast_depth([box], c)
+    depth, inst = raycast_depth([box], c)
     b = MaskBundle(
         pixels=(LabelIndex(depth, inst).of(7),),
         element_type=SURFACE,
@@ -463,8 +486,8 @@ def test_view_monotonicity():
     box = Box(Pose(t=vec3(0, 0, 0.6)), extents=vec3(0.1, 0.1, 0.04), instance_id=7)
     c1 = cam(w=32, h=24, f=60.0)
     c2 = cam(w=32, h=24, f=45.0)
-    d1, i1, _ = raycast_depth([box], c1)
-    d2, i2, _ = raycast_depth([box], c2)
+    d1, i1 = raycast_depth([box], c1)
+    d2, i2 = raycast_depth([box], c2)
     one = MaskBundle((LabelIndex(d1, i1).of(7),), SURFACE, "", "plate", "top")
     two = MaskBundle((LabelIndex(d1, i1).of(7), LabelIndex(d2, i2).of(7)), SURFACE, "", "plate", "top")
     n1 = len(fuse_views(one, [d1], [c1]))

@@ -396,27 +396,25 @@ def test_dbscan_matches_oracle_randomized():
 
 
 def test_raycast_empty_scene():
-    depth, inst, part = raycast_depth([], cam_identity())
+    depth, inst = raycast_depth([], cam_identity())
     assert np.all(depth == 0.0)
     assert np.all(inst == NONE_ID)
-    assert np.all(part == NONE_ID)
 
 
 def test_raycast_unit_box_principal_pixel():
     # unit box centered 1 m ahead: near face at z = 0.5 by hand
     cam = CameraModel(fx=10, fy=10, cx=4, cy=3, width=8, height=6)
-    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=5, part_id=2)
-    depth, inst, part = raycast_depth([box], cam)
+    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=5)
+    depth, inst = raycast_depth([box], cam)
     assert depth[3, 4] == pytest.approx(0.5)
     assert inst[3, 4] == 5
-    assert part[3, 4] == 2
 
 
 def test_raycast_occlusion_z_order():
     cam = cam_identity(w=16, h=12, f=20.0)
     near = Box(Pose(t=vec3(0, 0, 0.8)), extents=vec3(0.5, 0.5, 0.1), instance_id=1)
     far = Box(Pose(t=vec3(0, 0, 1.5)), extents=vec3(2.0, 2.0, 0.1), instance_id=2)
-    depth, inst, _ = raycast_depth([far, near], cam)
+    depth, inst = raycast_depth([far, near], cam)
     h, w = depth.shape
     assert inst[h // 2, w // 2] == 1  # nearer box wins where they overlap
     assert inst[0, 0] == 2
@@ -426,7 +424,7 @@ def test_raycast_occlusion_z_order():
 def test_raycast_cylinder_side_depth():
     cam = CameraModel(fx=50, fy=50, cx=8, cy=6, width=16, height=12)
     cyl = Cylinder(Pose(t=vec3(0, 0, 2.0)), radius=0.5, height=1.0, instance_id=3)
-    depth, inst, _ = raycast_depth([cyl], cam)
+    depth, inst = raycast_depth([cyl], cam)
     # principal ray hits the near wall at z = 2 - 0.5
     assert depth[6, 8] == pytest.approx(1.5)
     assert inst[6, 8] == 3
@@ -469,7 +467,7 @@ def test_unproject_raycast_box_face_residual():
     # render a box face, unproject, and measure the plane residual
     cam = CameraModel(fx=40, fy=40, cx=8, cy=6, width=16, height=12)
     box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=1)
-    depth, inst, _ = raycast_depth([box], cam)
+    depth, inst = raycast_depth([box], cam)
     pts = unproject(depth, inst == 1, cam)
     assert len(pts) >= 4
     # all hits land on the near face plane z = 0.5
@@ -502,7 +500,7 @@ def test_unproject_raycast_consistency_random_scenes():
     cam = CameraModel(fx=30, fy=30, cx=10, cy=8, width=20, height=16)
     for _ in range(100):
         prims = random_scene(rng)
-        depth, inst, _ = raycast_depth(prims, cam)
+        depth, inst = raycast_depth(prims, cam)
         for prim in prims:
             pts = unproject(depth, inst == prim.instance_id, cam)
             for p in pts:

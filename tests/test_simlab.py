@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from camlab.geom3d import Pose, vec3
+from camlab.geom3d import Pose, quat_from_axis_angle, quat_mul, unproject, vec3
 from camlab.simlab import (
     Disturbance,
     DisturbanceInjector,
@@ -221,11 +221,108 @@ def test_phase_anchored_disturbance():
 # rendering
 
 
+def reference_part_pixels(state, scene, views):
+    """The part pass the renderer used to run, kept as the reference for
+    mask_bundle: per view, unproject the union of every parted object's
+    pixels, move each object's hit points into its frame, label the points
+    in each part box with the part's id in a part image (a later part wins),
+    then keep the instance's label-index pixels whose part id matches.
+    Returns {(oid, part): [pixels per view]}."""
+    part_ids = {}  # (oid, part) -> id, in registration order; 0 is body
+    for oid, obj in state.objects.items():
+        for pname in obj.parts:
+            part_ids[(oid, pname)] = len(part_ids) + 1
+    parted = [oid for oid, obj in state.objects.items() if obj.parts]
+    parted_ids = np.array([scene.instance_ids[o] for o in parted], dtype=np.int32)
+    out = {key: [] for key in part_ids}
+    for view, cam in zip(views, scene.cameras):
+        depth, inst = view.depth, view.inst
+        part = np.zeros(inst.shape, dtype=np.int32)
+        hit = (depth > 0) & np.isin(inst, parted_ids)
+        pts = unproject(depth, hit, cam)
+        vv, uu = np.nonzero(hit)
+        for oid in parted:
+            obj = state.objects[oid]
+            sel = inst[vv, uu] == scene.instance_ids[oid]
+            if not sel.any():
+                continue
+            local = obj.pose.inverse().apply(pts[sel])
+            for pname, (lo, hi) in obj.parts.items():
+                inside = np.all((local >= lo) & (local <= hi), axis=1)
+                if inside.any():
+                    part[vv[sel][inside], uu[sel][inside]] = part_ids[(oid, pname)]
+        for (oid, pname), pid in part_ids.items():
+            pix = view.labels.of(scene.instance_ids[oid])
+            out[(oid, pname)].append(pix[part.ravel()[pix] == pid])
+    return out
+
+
 def test_render_labels_pen_tip():
     state, scene = build_scene("slot_pen", np.random.default_rng(0))
     views = render(state, scene)
-    tip_id = scene.part_ids[("pen", "tip")]
-    assert any((v[2] == tip_id).sum() > 0 for v in views)
+    b = mask_bundle(scene, views, state.objects["pen"], "tip", POINT)
+    want = reference_part_pixels(state, scene, views)[("pen", "tip")]
+    assert any(len(pix) > 0 for pix in b.pixels)
+    for pix, ref in zip(b.pixels, want):
+        assert np.array_equal(pix, ref)
+
+
+_PARTED = {"slot_pen": ("pen", "tip"), "stow_book": ("book", "spine"), "pour_tea": ("teapot", "lid")}
+
+
+def _resting(obj, q, xy):
+    """Pose with rotation q whose lowest point touches the table at xy."""
+    obj.pose = Pose(q, vec3(xy[0], xy[1], 0.0))
+    obj.pose = Pose(q, vec3(xy[0], xy[1], obj.world_half_z()))
+
+
+def _pose_cases(state, oid, rng):
+    """Set the parted object as built, then lying, upright and tilted at a
+    random pose on the table, then held by the end-effector at a random
+    height and tilt, yielding a label after each."""
+    obj = state.objects[oid]
+    yield "built"
+    for label in ("lying", "upright", "tilted"):
+        yaw = quat_from_axis_angle([0, 0, 1], float(rng.uniform(-math.pi, math.pi)))
+        if label == "lying":
+            q = quat_mul(yaw, quat_from_axis_angle([0, 1, 0], math.pi / 2))
+        elif label == "upright":
+            q = yaw
+        else:
+            ax = float(rng.uniform(-math.pi, math.pi))
+            tilt = quat_from_axis_angle([math.cos(ax), math.sin(ax), 0.0], float(rng.uniform(0.15, 1.4)))
+            q = quat_mul(tilt, yaw)
+        _resting(obj, q, rng.uniform(-0.25, 0.25, size=2))
+        yield label
+    sim = Simulation(state)
+    state.ee_pose = Pose(t=sim.grasp_point(oid))
+    sim.attach(oid)
+    sim.run_action(("orient_held",))
+    ax = float(rng.uniform(-math.pi, math.pi))
+    tilt = quat_from_axis_angle([math.cos(ax), math.sin(ax), 0.0], float(rng.uniform(0.0, 1.0)))
+    xy = rng.uniform(-0.2, 0.2, size=2)
+    state.ee_pose = Pose(tilt, vec3(xy[0], xy[1], float(rng.uniform(0.12, 0.3))))
+    sim.refresh_attached()
+    yield "held"
+
+
+@pytest.mark.parametrize("template", sorted(_PARTED))
+def test_mask_bundle_parts_match_the_old_renderer(template):
+    oid, pname = _PARTED[template]
+    cases = seen = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        state, scene = build_scene(template, rng)
+        for label in _pose_cases(state, oid, rng):
+            views = render(state, scene)
+            got = mask_bundle(scene, views, state.objects[oid], pname, POINT).pixels
+            want = reference_part_pixels(state, scene, views)[(oid, pname)]
+            for v, (pix, ref) in enumerate(zip(got, want)):
+                assert np.array_equal(pix, ref), (template, seed, label, v)
+            cases += 1
+            seen += any(len(pix) > 0 for pix in got)
+    # the comparison means something only where the part is in view
+    assert seen >= cases // 2, (seen, cases)
 
 
 def test_render_top_view_occlusion():
@@ -248,14 +345,15 @@ def test_render_top_view_occlusion():
 def test_mask_bundle_subset():
     state, scene = build_scene("pour_tea", np.random.default_rng(0))
     views = render(state, scene)
-    b = mask_bundle(scene, views, "teapot", "lid", POINT)
-    iid, pid = scene.instance_ids["teapot"], scene.part_ids[("teapot", "lid")]
+    b = mask_bundle(scene, views, state.objects["teapot"], "lid", POINT)
+    iid = scene.instance_ids["teapot"]
+    want = reference_part_pixels(state, scene, views)[("teapot", "lid")]
     assert sum(len(pix) for pix in b.pixels) > 0
-    for pix, v in zip(b.pixels, views):
+    for pix, v, ref in zip(b.pixels, views, want):
         # the lid's pixels are a subset of the teapot's, in raster order
         assert np.all(np.diff(pix) > 0)
         assert np.isin(pix, v.labels.of(iid)).all()
-        assert np.all(v.part.ravel()[pix] == pid)
+        assert np.array_equal(pix, ref)
 
 
 # ---------------------------------------------------------------------------
