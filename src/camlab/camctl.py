@@ -64,6 +64,8 @@ def _parse_kv(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"spec line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"spec line {lineno}: duplicate key '{key}'")
         out[key] = value
     return out
 

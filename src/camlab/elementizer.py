@@ -1,13 +1,14 @@
-"""Convert per-view part pixels + depth into typed constraint elements.
+"""Convert per-view part pixels + depth into constraint elements: points,
+lines and surfaces.
 
 Each rendered view is labelled once (LabelIndex: its valid pixels and their
 instance ids); an element's pixels are picked from those.
 Pipeline per element: fuse those depth pixels from all views into one world
-cloud, drop statistical outliers, rotate into a type-specific canonical frame,
-voxelize (cell layout depends on the element type), pick one representative
-per occupied cell via DBSCAN, trim or grow to the type's required point
-count, then connect the points (consecutive along the axis for lines, convex
-hull cycle for surfaces).
+cloud, drop statistical outliers, rotate into the kind's canonical frame,
+voxelize (the kind's cell layout), pick one representative per occupied cell
+via DBSCAN, split cells until there is one per representative the kind needs,
+then connect the points (consecutive along the axis for lines, convex hull
+cycle for surfaces).
 
 Every iteration order is fixed, so identical inputs give bit-identical
 elements.
@@ -35,18 +36,15 @@ from camlab.geom3d import (
 
 __all__ = [
     "ElementKind",
-    "ElementType",
     "POINT",
     "LINE",
     "SURFACE",
-    "point_set",
     "LabelIndex",
     "MaskBundle",
     "ConstraintElement",
     "ElementSet",
     "fuse_views",
     "filter_outliers",
-    "cells_for_type",
     "element_from_cloud",
     "extract_element",
     "end_effector_element",
@@ -55,49 +53,26 @@ __all__ = [
 ]
 
 
-class ElementKind(str, Enum):
-    POINT = "point"
-    POINT_SET = "point_set"
-    LINE = "line"
-    SURFACE = "surface"
+class ElementKind(Enum):
+    """An element's kind and what extraction needs to know of it: the
+    representative count it aims for, the fewest points a valid element
+    holds, and the voxel cells per canonical axis (a line's fitted direction
+    is the first axis, a surface's fitted normal the third)."""
+
+    POINT = ("point", 1, 1, (1, 1, 1))
+    LINE = ("line", 2, 2, (2, 1, 1))
+    SURFACE = ("surface", 4, 3, (2, 2, 1))
+
+    def __new__(cls, value: str, target_points: int, min_points: int, cells: tuple):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.target_points = target_points
+        kind.min_points = min_points
+        kind.cells = cells
+        return kind
 
 
-@dataclass(frozen=True)
-class ElementType:
-    kind: ElementKind
-    k: int = 1  # only meaningful for POINT_SET
-
-    def __post_init__(self):
-        if self.kind is ElementKind.POINT_SET and self.k < 1:
-            raise ValueError("POINT_SET needs k >= 1")
-
-    @property
-    def target_points(self) -> int:
-        """Representative count the pipeline aims for."""
-        return {
-            ElementKind.POINT: 1,
-            ElementKind.POINT_SET: self.k,
-            ElementKind.LINE: 2,
-            ElementKind.SURFACE: 4,  # one per 2x2 cell
-        }[self.kind]
-
-    @property
-    def min_points(self) -> int:
-        return 3 if self.kind is ElementKind.SURFACE else self.target_points
-
-    def short(self) -> str:
-        if self.kind is ElementKind.POINT_SET:
-            return f"point_set({self.k})"
-        return self.kind.value
-
-
-POINT = ElementType(ElementKind.POINT)
-LINE = ElementType(ElementKind.LINE)
-SURFACE = ElementType(ElementKind.SURFACE)
-
-
-def point_set(k: int) -> ElementType:
-    return ElementType(ElementKind.POINT_SET, k)
+POINT, LINE, SURFACE = ElementKind
 
 
 class LabelIndex:
@@ -123,7 +98,7 @@ class LabelIndex:
 @dataclass(frozen=True)
 class MaskBundle:
     pixels: tuple  # per view, the part's valid pixels as ascending flat indices
-    element_type: ElementType
+    element_type: ElementKind
     constraint: str
     entity: str
     part: str
@@ -139,7 +114,7 @@ COLORS = ("red", "green", "blue", "yellow", "magenta", "cyan", "orange", "purple
 @dataclass(frozen=True)
 class ConstraintElement:
     eid: int
-    etype: ElementType
+    etype: ElementKind
     points: np.ndarray  # (k, 3) world, ordered
     connections: tuple  # ((i, j), ...) index pairs
     entity: str
@@ -153,7 +128,7 @@ class ConstraintElement:
         object.__setattr__(self, "connections", tuple(tuple(c) for c in self.connections))
         if len(pts) < self.etype.min_points:
             raise ValueError(
-                f"{self.etype.short()} element needs >= {self.etype.min_points} points, got {len(pts)}"
+                f"{self.etype.value} element needs >= {self.etype.min_points} points, got {len(pts)}"
             )
         for i, j in self.connections:
             if not (0 <= i < len(pts) and 0 <= j < len(pts)):
@@ -170,12 +145,6 @@ class ElementSet:
         ids = [e.eid for e in self.elements]
         if ids != list(range(len(ids))):
             raise ValueError(f"element ids must be contiguous from 0, got {ids}")
-
-    def __getitem__(self, eid: int) -> ConstraintElement:
-        return self.elements[eid]
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def make_element_set(protos, subgoal_id: str) -> ElementSet:
@@ -252,36 +221,21 @@ def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_R
     return pts[stat <= thresh]
 
 
-def cells_for_type(etype: ElementType) -> tuple:
-    """Voxel cell counts per canonical axis for the given element type."""
-    if etype.kind is ElementKind.POINT:
-        return (1, 1, 1)
-    if etype.kind is ElementKind.LINE:
-        return (2, 1, 1)  # first axis = fitted line direction
-    if etype.kind is ElementKind.SURFACE:
-        return (2, 2, 1)  # third axis = fitted plane normal
-    c = math.ceil(etype.k ** (1.0 / 3.0))
-    # guard float cube roots of perfect cubes (8 ** (1/3) == 1.9999...)
-    while (c - 1) ** 3 >= etype.k:
-        c -= 1
-    return (c, c, c)
-
-
 def _least_aligned_axis(v: np.ndarray) -> np.ndarray:
     dots = np.abs(v)
     return np.eye(3)[int(np.argmin(dots))]
 
 
-def _canonical_rotation(cloud: np.ndarray, etype: ElementType) -> np.ndarray:
+def _canonical_rotation(cloud: np.ndarray, etype: ElementKind) -> np.ndarray:
     """Rotation R with rows = canonical axes so that cloud @ R.T puts the
     fitted direction on x (LINE) or the fitted normal on z (SURFACE)."""
-    if etype.kind is ElementKind.LINE:
+    if etype is LINE:
         u, _, _ = fit_line(cloud)
         a = _least_aligned_axis(u)
         v = unit(np.cross(u, a))
         w = np.cross(u, v)
         return np.vstack([u, v, w])
-    if etype.kind is ElementKind.SURFACE:
+    if etype is SURFACE:
         w, _, _ = fit_plane(cloud)
         a = _least_aligned_axis(w)
         u = unit(np.cross(a, w))
@@ -336,16 +290,6 @@ def _split_bin(members: np.ndarray):
     return None
 
 
-def _downselect(reps: np.ndarray, target: int) -> np.ndarray:
-    """Keep the `target` representatives farthest from their mutual centroid
-    (maximizing spread); ties broken by lower index; original order kept."""
-    center = reps.mean(axis=0)
-    d = np.linalg.norm(reps - center, axis=1)
-    order = sorted(range(len(reps)), key=lambda i: (-d[i], i))
-    keep = sorted(order[:target])
-    return reps[keep]
-
-
 def _convex_hull_2d(pts2: np.ndarray) -> list:
     """Andrew's monotone chain; returns hull vertex indices in ccw cycle order
     starting from the lexicographically smallest point."""
@@ -369,34 +313,30 @@ def _convex_hull_2d(pts2: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _order_and_connect(reps: np.ndarray, etype: ElementType):
-    """Order points and build connection edges per element type."""
-    if etype.kind is ElementKind.LINE:
-        u, _, _ = fit_line(reps)
-        proj = reps @ u
+def _order_and_connect(reps: np.ndarray, etype: ElementKind):
+    """Order points and build connection edges per element kind, in the
+    canonical frame of the representatives themselves."""
+    if etype is POINT:
+        return reps, ()
+    rot = _canonical_rotation(reps, etype)
+    if etype is LINE:
+        proj = reps @ rot[0]
         order = sorted(range(len(reps)), key=lambda i: (proj[i], i))
         pts = reps[order]
         edges = tuple((i, i + 1) for i in range(len(pts) - 1))
         return pts, edges
-    if etype.kind is ElementKind.SURFACE:
-        w, centroid, _ = fit_plane(reps)
-        a = _least_aligned_axis(w)
-        u = unit(np.cross(a, w))
-        v = np.cross(w, u)
-        flat = (reps - centroid) @ np.vstack([u, v]).T
-        hull = _convex_hull_2d(flat)
-        interior = [i for i in range(len(reps)) if i not in hull]
-        order = hull + interior
-        pts = reps[order]
-        h = len(hull)
-        edges = tuple((i, (i + 1) % h) for i in range(h))
-        return pts, edges
-    return reps, ()
+    flat = (reps - reps.mean(axis=0)) @ rot[:2].T
+    hull = _convex_hull_2d(flat)
+    interior = [i for i in range(len(reps)) if i not in hull]
+    pts = reps[hull + interior]
+    h = len(hull)
+    edges = tuple((i, (i + 1) % h) for i in range(h))
+    return pts, edges
 
 
 def element_from_cloud(
     cloud,
-    etype: ElementType,
+    etype: ElementKind,
     entity: str = "",
     part: str = "",
     constraint: str = "",
@@ -404,7 +344,7 @@ def element_from_cloud(
     """Turn an already-fused, already-filtered cloud into an element.
 
     Raises DegenerateGeometry (e.g. a surface cloud that is collinear) or
-    IrreducibleCloud (cannot reach the type's required point count even
+    IrreducibleCloud (cannot reach the kind's representative count even
     after recursive cell splitting).
     """
     cloud = as_points(cloud)
@@ -414,7 +354,7 @@ def element_from_cloud(
 
     rot = _canonical_rotation(cloud, etype)
     local = cloud @ rot.T
-    grid = voxelize(local, cells_for_type(etype))
+    grid = voxelize(local, etype.cells)
     bins = [grid.points[idx] for idx in grid.cells.values()]
 
     # grow: recursively split the most populated cell until enough bins exist
@@ -428,9 +368,8 @@ def element_from_cloud(
         else:
             raise IrreducibleCloud(f"{entity}/{part}: cloud collapsed below {target} separable cells")
 
+    # the kind's cells hold at most `target` bins and growing stops there
     reps = np.vstack([_representative(b) for b in bins])
-    if len(reps) > target:
-        reps = _downselect(reps, target)
     reps = reps @ rot  # back to the world frame
     pts, edges = _order_and_connect(reps, etype)
     element = ConstraintElement(
@@ -442,7 +381,7 @@ def element_from_cloud(
         part=part,
         constraint=constraint,
     )
-    if etype.kind is ElementKind.SURFACE:
+    if etype is SURFACE:
         fit_plane(element.points)  # raises DegenerateGeometry if collinear
     return element
 
@@ -463,15 +402,17 @@ def extract_element(bundle: MaskBundle, depths, cams) -> ConstraintElement:
 
 
 def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintElement:
-    """Wrap forward-kinematics points verbatim: POINT for one point, else
-    POINT_SET(k). Bypasses the pixel pipeline entirely."""
+    """Wrap the one forward-kinematics point verbatim as a POINT; bypasses
+    the pixel pipeline entirely. Raises EmptyPointSet for no point and
+    ValueError for more than one."""
     pts = np.asarray(fk_points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
-        raise EmptyPointSet("end_effector_element needs at least one point")
-    etype = POINT if len(pts) == 1 else point_set(len(pts))
+        raise EmptyPointSet("end_effector_element needs one point")
+    if len(pts) > 1:
+        raise ValueError(f"end_effector_element takes one point, got {len(pts)}")
     return ConstraintElement(
         eid=-1,
-        etype=etype,
+        etype=POINT,
         points=pts,
         connections=(),
         entity=entity,
@@ -487,7 +428,7 @@ def element_set_fingerprint(element_set: ElementSet) -> str:
     h = hashlib.sha256()
     h.update(element_set.subgoal_id.encode())
     for el in element_set.elements:
-        h.update(f"{el.eid}|{el.etype.short()}|{el.entity}|{el.part}|{el.constraint}|{el.color}".encode())
+        h.update(f"{el.eid}|{el.etype.value}|{el.entity}|{el.part}|{el.constraint}|{el.color}".encode())
         h.update(str(el.connections).encode())
         for p in el.points:
             h.update(" ".join(float(x).hex() for x in p).encode())

@@ -60,8 +60,6 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
 @dataclass(frozen=True)
 class ClusterLabeling:
     labels: np.ndarray  # (n,) cluster id >= 0 or NOISE
-    eps: float
-    min_pts: int
 
     @property
     def n_clusters(self) -> int:
@@ -145,4 +143,4 @@ def dbscan(points, eps: float, min_pts: int, d2=None) -> ClusterLabeling:
         # rows ascend, so each border point's core neighbors are one run
         first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         labels[rows[first]] = np.minimum.reduceat(labels[cols], first)
-    return ClusterLabeling(labels=labels, eps=float(eps), min_pts=int(min_pts))
+    return ClusterLabeling(labels=labels)

@@ -176,7 +176,7 @@ class PointRing:
         et = self.types.get(eid)
         if et is None:
             raise EvalError(f"no type for element e({eid})")
-        return et.kind.value
+        return et.value
 
 
 class TruthRow:

@@ -199,19 +199,24 @@ def standard_disturbances(template: str, selector: str = "none", p: float = 0.0,
     """Disturbance list for a task.
 
     For stack_in_order pass the drop probability p and placement noise q;
-    for the other tasks the selector picks letters from the task's catalog
-    ('a', 'bc', 'abc', ...) or 'none'. Raises ValueError for an unknown
-    letter, or a p or q_cm that Disturbance rejects (a zero adds nothing).
+    for the other tasks the selector picks distinct letters from the task's
+    catalog ('a', 'bc', 'abc', ...) or is 'none'. Raises ValueError for an
+    empty selector, an unknown or repeated letter, or a p or q_cm that
+    Disturbance rejects (a zero adds nothing).
     """
     out = []
     if p != 0:
         out.append(Disturbance(kind="drop_with_prob", p=p))
     if q_cm != 0:
         out.append(Disturbance(kind="placement_noise", q_cm=q_cm))
-    if selector and selector != "none":
+    if selector == "":
+        raise ValueError("empty disturbance selector (use 'none')")
+    if selector != "none":
         catalog = _CATALOG.get(template, {})
-        for letter in selector:
+        for i, letter in enumerate(selector):
             if letter not in catalog:
                 raise ValueError(f"task '{template}' has no disturbance '{letter}'")
+            if letter in selector[:i]:
+                raise ValueError(f"disturbance '{letter}' repeated in selector '{selector}'")
             out.append(catalog[letter])
     return tuple(out)

@@ -158,7 +158,7 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
         "element_extract",
         sid=sg.sid,
         ids=[e.eid for e in es.elements],
-        types=[e.etype.short() for e in es.elements],
+        types=[e.etype.value for e in es.elements],
         fingerprint=element_set_fingerprint(es),
     )
 

@@ -96,9 +96,8 @@ def _scatter(rng, n, lo, hi, min_gap, keepout=()):
 _LYING = quat_from_axis_angle([0, 1, 0], math.pi / 2)  # local z -> world x
 
 
-def build_scene(template: str, rng: np.random.Generator, params: dict | None = None):
+def build_scene(template: str, rng: np.random.Generator):
     """Build (SimState, Scene) for a task template with seeded layout jitter."""
-    params = dict(params or {})
     scene = Scene(template=template, cameras=default_cameras())
     state = SimState()
     _register(scene, state, _table())
@@ -121,8 +120,6 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
         scene.meta = {
             "order": ["red", "green", "blue"],
             "block": BLOCK,
-            "pad_xy": [float(pad_xy[0]), float(pad_xy[1])],
-            "pad_top": 0.01,
             "approach_speed": 0.30,
             "carry_speed": 0.09,
             "carry_z": 0.20,
@@ -182,10 +179,8 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
         shelf = SimObject("shelf", box_shape(0.22, 0.30, 0.02), Pose(t=vec3(0.18, 0.05, 0.01)))
         _register(scene, state, book)
         _register(scene, state, shelf)
-        slot = (np.array([0.10, -0.05, 0.02]), np.array([0.26, 0.15, 0.30]))
-        scene.regions["slot"] = slot
+        scene.regions["slot"] = (np.array([0.10, -0.05, 0.02]), np.array([0.26, 0.15, 0.30]))
         scene.meta = {
-            "slot": [list(map(float, slot[0])), list(map(float, slot[1]))],
             "shelf_top": 0.02,
             "book_height": 0.22,
             "approach_speed": 0.30,
@@ -205,7 +200,6 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
         _register(scene, state, cup)
         scene.meta = {
             "cup_radius": 0.035,
-            "pot_height": 0.12,
             "pour_tilt_deg": 50.0,
             "pour_hold_ticks": 25,
             "approach_speed": 0.30,
@@ -216,7 +210,6 @@ def build_scene(template: str, rng: np.random.Generator, params: dict | None = N
     else:
         raise ValueError(f"unknown template '{template}' (one of {TEMPLATES})")
 
-    scene.meta["template"] = template
     return state, scene
 
 

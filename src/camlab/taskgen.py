@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from camlab.elementizer import LINE, POINT, SURFACE, ElementType
+from camlab.elementizer import LINE, POINT, SURFACE, ElementKind
 from camlab.conlang import Mode, kb_lookup
 from camlab.monitor import INTERNAL_ERROR_REASON
 
@@ -40,7 +40,7 @@ MAX_RETRIES = 5  # recoveries per subgoal before the task aborts
 class ElementSpec:
     oid: str
     part: str
-    etype: ElementType
+    etype: ElementKind
 
 
 @dataclass(frozen=True)
@@ -470,14 +470,12 @@ _RELEVEL_PROGRAM = {
 class Planner:
     """Per-episode subgoal state machine (Constraint Generator stand-in)."""
 
-    def __init__(
-        self, template: str, kb, scene_meta: dict, rules: RecoveryRules | None = None, max_retries: int = MAX_RETRIES
-    ):
+    def __init__(self, template: str, kb, scene_meta: dict, max_retries: int = MAX_RETRIES):
         if template not in _BUILDERS:
             raise ValueError(f"unknown template '{template}'")
         self.template = template
         self.kb = kb
-        self.rules = rules or load_default_rules()
+        self.rules = load_default_rules()
         self.max_retries = max_retries
         self._nominal = _BUILDERS[template](scene_meta)
         self._by_sid = dict(self._nominal)

@@ -480,6 +480,10 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
         ("drop_p = 1.5", "drop_p", [1.5]),
         ("place_noise_cm = -1", "place_noise_cm", [-1.0]),
         ("disturbances = z", "disturbances", ["z"]),
+        # a repeated letter would inject its disturbance twice
+        ("disturbances = aa", "disturbances", ["aa"]),
+        # an empty selector is not "none": only "none" means no disturbances
+        ("disturbances = a,", "disturbances", ["a", ""]),
         # every comparison with NaN is false, so a `< 0` check alone lets it through
         ("tracker.sigma = nan", "tracker.sigma", math.nan),
         ("tracker.sigma = inf", "tracker.sigma", math.inf),
@@ -514,6 +518,15 @@ def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, va
         w.write({"kind": "meta", "schema": 1, "spec": d})
     assert main(["replay", str(log)]) == 2
     assert "bad meta spec" in capsys.readouterr().err
+
+
+def test_duplicate_spec_key_is_a_bad_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("task = pour_tea\nepisodes = 1\ntask = slot_pen\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "camctl: bad spec: spec line 3: duplicate key 'task'" in capsys.readouterr().err
+    assert not (out / "run.jsonl").exists()
 
 
 def test_negative_cam_seed_is_a_bad_spec(tmp_path, capsys, monkeypatch):

@@ -41,7 +41,7 @@ from camlab.conlang import (
 )
 from camlab.conlang import check, evaluator
 from camlab.conlang.ast import ELEMENT_KINDS
-from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement, point_set
+from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement
 from camlab.errors import DegenerateGeometry
 from camlab.geom3d import angle_between, fit_line, fit_plane
 from camlab.monitor import PointRing
@@ -253,8 +253,8 @@ def reference_whitebox_accepts(program, ctx) -> bool:
 # ---------------------------------------------------------------------------
 # random rings and well-typed programs
 
-_ELEMENTS = {0: (POINT, 1), 1: (LINE, 3), 2: (SURFACE, 4), 3: (point_set(2), 2)}
-_BY_KIND = {"line": [1], "surface": [2], "line_or_surface": [1, 2], "any": [0, 1, 2, 3]}
+_ELEMENTS = {0: (POINT, 1), 1: (LINE, 3), 2: (SURFACE, 4), 3: (LINE, 2)}
+_BY_KIND = {"line": [1, 3], "surface": [2], "line_or_surface": [1, 2, 3], "any": [0, 1, 2, 3]}
 _VALUES = (0.0, 0.0, 0.01, 0.5, 1.0, 2.0, 3.0)
 _DIMS = ("len", "ang", "count", "none")
 _SCALAR_FNS = ("dist", "angle", "displacement", "rotation", "count_within")

@@ -11,10 +11,8 @@ from camlab.elementizer import (
     POINT,
     SURFACE,
     ConstraintElement,
-    ElementKind,
     LabelIndex,
     MaskBundle,
-    cells_for_type,
     element_from_cloud,
     element_set_fingerprint,
     end_effector_element,
@@ -22,19 +20,20 @@ from camlab.elementizer import (
     filter_outliers,
     fuse_views,
     make_element_set,
-    point_set,
 )
-from camlab.errors import EmptyPointSet, IrreducibleCloud
+from camlab.errors import DegenerateGeometry, EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
     Box,
     CameraModel,
     Pose,
     angle_between,
     dbscan,
+    fit_line,
     fit_plane,
     quat_from_axis_angle,
     raycast_depth,
     squared_distances,
+    unit,
     unproject,
     vec3,
 )
@@ -342,25 +341,19 @@ def test_p90_is_np_percentile_to_the_bit(v):
 
 
 # ---------------------------------------------------------------------------
-# cells_for_type
+# voxel cells per kind
 
 
 def test_cells_surface():
-    assert cells_for_type(SURFACE) == (2, 2, 1)
+    assert SURFACE.cells == (2, 2, 1)
 
 
 def test_cells_point():
-    assert cells_for_type(POINT) == (1, 1, 1)
-
-
-def test_cells_point_set_cube():
-    assert cells_for_type(point_set(8)) == (2, 2, 2)
-    assert cells_for_type(point_set(9)) == (3, 3, 3)
-    assert cells_for_type(point_set(1)) == (1, 1, 1)
+    assert POINT.cells == (1, 1, 1)
 
 
 def test_cells_line():
-    assert cells_for_type(LINE) == (2, 1, 1)
+    assert LINE.cells == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +418,28 @@ def test_line_from_elongated_cloud():
     assert el.connections == ((0, 1),)
 
 
-def test_point_set_count():
-    rng = np.random.default_rng(11)
-    cloud = rng.uniform(0, 0.2, size=(500, 3))
-    el = element_from_cloud(cloud, point_set(8))
-    assert len(el.points) == 8
-
-
 def test_irreducible_cloud():
     cloud = np.array([[0, 0, 0], [0.01, 0, 0]], dtype=float)
     with pytest.raises(IrreducibleCloud):
         element_from_cloud(cloud, SURFACE)
 
 
-def test_split_fallback_reaches_count():
-    # a tight planar blob occupies fewer than 4 voxel cells; the pipeline
-    # must split cells until it can produce 4 representatives
+def test_split_fallback_reaches_count(monkeypatch):
+    # a tight planar blob fills the 2x2 cells; two blobs on a diagonal fill
+    # only 2 of them, so the pipeline must split cells until it can produce
+    # 4 representatives
     rng = np.random.default_rng(12)
     cloud = np.column_stack(
         [rng.normal(0, 0.001, 50), rng.normal(0, 0.001, 50), np.zeros(50)]
     ) + [0.05, 0.05, 0.2]
-    el = element_from_cloud(cloud, point_set(4))
+    el = element_from_cloud(cloud, SURFACE)
     assert len(el.points) == 4
+    splits = []
+    split = elementizer._split_bin
+    monkeypatch.setattr(elementizer, "_split_bin", lambda members: splits.append(len(members)) or split(members))
+    el = element_from_cloud(np.vstack([cloud, cloud[::-1] + [0.02, 0.02, 0.0]]), SURFACE)
+    assert len(el.points) == 4
+    assert splits == [50, 50]
 
 
 def test_pipeline_determinism():
@@ -458,6 +451,59 @@ def test_pipeline_determinism():
     sa = make_element_set([a], "sg")
     sb = make_element_set([b], "sg")
     assert element_set_fingerprint(sa) == element_set_fingerprint(sb)
+
+
+def reference_order_and_connect(reps, etype):
+    """The original ordering, each kind on a basis of its own fit: a line by
+    its fit_line direction, a surface flattened on the fit_plane normal's
+    basis around the fit's centroid."""
+    if etype is LINE:
+        u, _, _ = fit_line(reps)
+        proj = reps @ u
+        pts = reps[sorted(range(len(reps)), key=lambda i: (proj[i], i))]
+        return pts, tuple((i, i + 1) for i in range(len(pts) - 1))
+    w, centroid, _ = fit_plane(reps)
+    a = np.eye(3)[int(np.argmin(np.abs(w)))]
+    u = unit(np.cross(a, w))
+    v = np.cross(w, u)
+    hull = elementizer._convex_hull_2d((reps - centroid) @ np.vstack([u, v]).T)
+    pts = reps[hull + [i for i in range(len(reps)) if i not in hull]]
+    return pts, tuple((i, (i + 1) % len(hull)) for i in range(len(hull)))
+
+
+@st.composite
+def representative_sets(draw):
+    """A LINE's 2 or a SURFACE's 4 representatives around offsets up to 10:
+    a spread of 1e-9 to 1, the last point on the segment between the first
+    two (hull ties), one axis flattened, or snapped to a 2 cm grid (ties,
+    axis-aligned fits, coincident points)."""
+    etype = draw(st.sampled_from([LINE, SURFACE]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reps = rng.normal(0, 10.0 ** draw(st.floats(-9.0, 0.0)), size=(etype.target_points, 3))
+    shape = draw(st.sampled_from(["spread", "collinear", "flat", "grid"]))
+    if shape == "collinear":
+        reps[-1] = reps[0] + rng.uniform() * (reps[1] - reps[0])
+    elif shape == "flat":
+        reps[:, rng.integers(3)] = 0.0
+    elif shape == "grid":
+        reps = rng.integers(0, 3, size=reps.shape) * 0.02
+    return etype, reps + rng.uniform(-10.0, 10.0, size=3) * draw(st.sampled_from([0.0, 0.1, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(representative_sets())
+def test_order_and_connect_matches_the_per_kind_fit(case):
+    # one canonical basis serves the voxel frame and the ordering
+    etype, reps = case
+    try:
+        want = reference_order_and_connect(reps, etype)
+    except DegenerateGeometry:
+        with pytest.raises(DegenerateGeometry):
+            elementizer._order_and_connect(reps, etype)
+        return
+    pts, edges = elementizer._order_and_connect(reps, etype)
+    assert pts.tobytes() == want[0].tobytes()
+    assert edges == want[1]
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +552,14 @@ def test_ee_single_point():
     assert el.entity == "end_effector"
 
 
-def test_ee_six_points_point_set():
-    pts = np.arange(18, dtype=float).reshape(6, 3)
-    el = end_effector_element(pts)
-    assert el.etype.kind == ElementKind.POINT_SET
-    assert el.etype.k == 6
-    assert np.array_equal(el.points, pts)
-
-
 def test_ee_empty():
     with pytest.raises(EmptyPointSet):
         end_effector_element(np.zeros((0, 3)))
+
+
+def test_ee_rejects_two_points():
+    with pytest.raises(ValueError, match="one point, got 2"):
+        end_effector_element([(0.1, 0.2, 0.3), (0.1, 0.2, 0.4)])
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +586,7 @@ def test_extraction_invariants_random_clouds():
     # inside the filtered cloud's bounding box
     rng = np.random.default_rng(77)
     for _ in range(40):
-        kind = rng.integers(0, 4)
+        kind = rng.integers(0, 3)
         n = int(rng.integers(30, 300))
         if kind == 0:
             etype, cloud = POINT, rng.normal(0, 0.01, size=(n, 3))
@@ -552,13 +595,10 @@ def test_extraction_invariants_random_clouds():
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             etype, cloud = LINE, t * axis + rng.normal(0, 0.002, size=(n, 3))
-        elif kind == 2:
+        else:
             xy = rng.uniform(-0.06, 0.06, size=(n, 2))
             etype = SURFACE
             cloud = np.column_stack([xy, rng.normal(0, 0.001, n)])
-        else:
-            k = int(rng.integers(1, 9))
-            etype, cloud = point_set(k), rng.uniform(0, 0.2, size=(max(n, 30), 3))
         cloud = cloud + rng.uniform(-0.2, 0.2, size=3)
         filtered = filter_outliers(cloud)
         try:

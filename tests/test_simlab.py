@@ -410,7 +410,7 @@ def test_scene_summary_shape():
     s = scene_summary(state, scene)
     assert "teapot" in s["objects"]
     assert len(s["objects"]["teapot"]["pos"]) == 3
-    assert s["meta"]["template"] == "pour_tea"
+    assert s["meta"]["cup_radius"] == 0.035
     assert s["held"] == []
 
 
