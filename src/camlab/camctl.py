@@ -137,6 +137,11 @@ class ExperimentSpec:
             raise ValueError(f"spec needs task = one of {TEMPLATES}, got {self.task!r}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        for axis in ("modes", "drop_p", "place_noise_cm", "disturbances"):
+            values = getattr(self, axis)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # by value: 0.3 and 0.30 are one entry
+                    raise ValueError(f"spec field '{axis}' repeats {value!r}: two cells would share one key")
         for cell in self.cells():  # every cell must make a valid episode
             _episode_config(self, cell, self.seed_base)
 

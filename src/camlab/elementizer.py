@@ -6,8 +6,9 @@ instance ids); an element's pixels are picked from those.
 Pipeline per element: fuse those depth pixels from all views into one world
 cloud, drop statistical outliers, rotate into the kind's canonical frame,
 voxelize (the kind's cell layout), pick one representative per occupied cell
-via DBSCAN, split cells until there is one per representative the kind needs,
-then connect the points (consecutive along the axis for lines, convex hull
+via DBSCAN, split cells until there is one per representative the kind needs
+(a point's one cell is the whole cloud, so it skips the frame and the
+cells), then connect the points (consecutive along the axis for lines, convex hull
 cycle for surfaces).
 
 Every iteration order is fixed, so identical inputs give bit-identical
@@ -24,6 +25,7 @@ import numpy as np
 
 from camlab.errors import EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
+    ROW_BLOCK,
     as_points,
     dbscan,
     fit_line,
@@ -183,22 +185,18 @@ def fuse_views(bundle: MaskBundle, depths, cams) -> np.ndarray:
     return cloud
 
 
-# rows of |a|^2 + |b|^2 built at a time in _pairwise_sq: a 500-point
-# cloud's (n, n) matrix stays the only large array alive
-_ROW_BLOCK = 64
-
-
 def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
     """(n, n) squared distances as max((|a|^2 + |b|^2) - 2 a.b, 0), built in
-    place in one (n, n) array, row block by row block. sqrt is monotone and
+    place in one (n, n) array, ROW_BLOCK rows at a time, so a 500-point
+    cloud's matrix stays the only large array alive. sqrt is monotone and
     correctly rounded, so callers take the root only of the entries they
     read and get the bits of a full sqrt."""
     sq = np.sum(pts * pts, axis=1)
     d = pts @ pts.T
     d *= 2.0
-    for lo in range(0, len(pts), _ROW_BLOCK):
-        blk = d[lo : lo + _ROW_BLOCK]
-        np.subtract(np.add.outer(sq[lo : lo + _ROW_BLOCK], sq), blk, out=blk)
+    for lo in range(0, len(pts), ROW_BLOCK):
+        blk = d[lo : lo + ROW_BLOCK]
+        np.subtract(np.add.outer(sq[lo : lo + ROW_BLOCK], sq), blk, out=blk)
     return np.clip(d, 0.0, None, out=d)
 
 
@@ -228,20 +226,19 @@ def _least_aligned_axis(v: np.ndarray) -> np.ndarray:
 
 def _canonical_rotation(cloud: np.ndarray, etype: ElementKind) -> np.ndarray:
     """Rotation R with rows = canonical axes so that cloud @ R.T puts the
-    fitted direction on x (LINE) or the fitted normal on z (SURFACE)."""
+    fitted direction on x (LINE) or the fitted normal on z (SURFACE; a
+    point has no canonical frame)."""
     if etype is LINE:
         u, _, _ = fit_line(cloud)
         a = _least_aligned_axis(u)
         v = unit(np.cross(u, a))
         w = np.cross(u, v)
         return np.vstack([u, v, w])
-    if etype is SURFACE:
-        w, _, _ = fit_plane(cloud)
-        a = _least_aligned_axis(w)
-        u = unit(np.cross(a, w))
-        v = np.cross(w, u)
-        return np.vstack([u, v, w])
-    return np.eye(3)
+    w, _, _ = fit_plane(cloud)
+    a = _least_aligned_axis(w)
+    u = unit(np.cross(a, w))
+    v = np.cross(w, u)
+    return np.vstack([u, v, w])
 
 
 def _p90(values: np.ndarray) -> float:
@@ -334,24 +331,11 @@ def _order_and_connect(reps: np.ndarray, etype: ElementKind):
     return pts, edges
 
 
-def element_from_cloud(
-    cloud,
-    etype: ElementKind,
-    entity: str = "",
-    part: str = "",
-    constraint: str = "",
-) -> ConstraintElement:
-    """Turn an already-fused, already-filtered cloud into an element.
-
-    Raises DegenerateGeometry (e.g. a surface cloud that is collinear) or
-    IrreducibleCloud (cannot reach the kind's representative count even
-    after recursive cell splitting).
-    """
-    cloud = as_points(cloud)
+def _binned_representatives(cloud: np.ndarray, etype: ElementKind, entity: str, part: str) -> np.ndarray:
+    """The kind's representatives of a line or surface cloud, in the world
+    frame: voxelize the cloud in its canonical frame, split bins until there
+    is one per representative, and take each bin's representative."""
     target = etype.target_points
-    if len(cloud) < target:
-        raise IrreducibleCloud(f"{entity}/{part}: {len(cloud)} points cannot yield {target}")
-
     rot = _canonical_rotation(cloud, etype)
     local = cloud @ rot.T
     grid = voxelize(local, etype.cells)
@@ -370,7 +354,35 @@ def element_from_cloud(
 
     # the kind's cells hold at most `target` bins and growing stops there
     reps = np.vstack([_representative(b) for b in bins])
-    reps = reps @ rot  # back to the world frame
+    return reps @ rot  # back to the world frame
+
+
+def element_from_cloud(
+    cloud,
+    etype: ElementKind,
+    entity: str = "",
+    part: str = "",
+    constraint: str = "",
+) -> ConstraintElement:
+    """Turn an already-fused, already-filtered cloud into an element.
+
+    Raises DegenerateGeometry (e.g. a surface cloud that is collinear) or
+    IrreducibleCloud (cannot reach the kind's representative count even
+    after recursive cell splitting).
+    """
+    cloud = as_points(cloud)
+    target = etype.target_points
+    if len(cloud) < target:
+        raise IrreducibleCloud(f"{entity}/{part}: {len(cloud)} points cannot yield {target}")
+
+    if etype is POINT:
+        # the binned path for one (1, 1, 1) cell, a target of 1 and the
+        # identity rotation is one bin holding the whole cloud; the identity
+        # products stay, since they can turn -0.0 into +0.0
+        eye = np.eye(3)
+        reps = _representative(cloud @ eye.T).reshape(1, 3) @ eye
+    else:
+        reps = _binned_representatives(cloud, etype, entity, part)
     pts, edges = _order_and_connect(reps, etype)
     element = ConstraintElement(
         eid=-1,

@@ -15,15 +15,19 @@ import numpy as np
 from camlab.errors import EmptyPointSet
 from camlab.geom3d.core import as_points
 
-__all__ = ["NOISE", "VoxelGrid", "voxelize", "ClusterLabeling", "squared_distances", "dbscan"]
+__all__ = ["NOISE", "ROW_BLOCK", "VoxelGrid", "voxelize", "ClusterLabeling", "squared_distances", "dbscan"]
 
 NOISE = -1
+
+# rows of an (n, n) distance matrix built at a time, so a block is summed
+# while it is in cache: by squared_distances above 4 * ROW_BLOCK points (the
+# README's extraction notes say how that limit was measured) and by
+# elementizer's outlier matrix at every size
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    origin: np.ndarray  # (3,) bounding-box minimum
-    cell_size: np.ndarray  # (3,) strictly positive
     cells: dict  # (i, j, k) -> np.ndarray of point indices, keys sorted
     points: np.ndarray  # the (n, 3) cloud the indices refer to
 
@@ -54,7 +58,7 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
     starts = np.flatnonzero(key[1:] != key[:-1]) + 1
     groups = np.split(order, starts)
     cells = dict(zip(map(tuple, idx[order[np.r_[0, starts]]]), groups))
-    return VoxelGrid(origin=lo, cell_size=cell, cells=cells, points=pts)
+    return VoxelGrid(cells=cells, points=pts)
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,25 @@ class ClusterLabeling:
 def squared_distances(points) -> np.ndarray:
     """(n, n) squared Euclidean distances, summed per coordinate as
     (dx*dx + dy*dy) + dz*dz: the bits of np.sum(diff ** 2, axis=-1) over the
-    (n, n, 3) differences, with at most two (n, n) arrays alive."""
+    (n, n, 3) differences. Up to 4 * ROW_BLOCK points the matrix is built
+    whole; above that, ROW_BLOCK rows at a time, so each block is summed
+    while it is in cache. Every entry gets the same operations either way."""
     x, y, z = as_points(points).T.copy()  # contiguous coordinate columns
-    d2 = np.subtract.outer(x, x)
-    d2 *= d2
-    t = np.subtract.outer(y, y)
-    t *= t
-    d2 += t
-    np.subtract.outer(z, z, out=t)
-    t *= t
-    d2 += t
+    n = len(x)
+    step = ROW_BLOCK if n > 4 * ROW_BLOCK else max(n, 1)
+    d2 = np.empty((n, n))
+    t = np.empty((step, n))
+    for lo in range(0, n, step):
+        blk = d2[lo : lo + step]
+        tb = t[: len(blk)]
+        np.subtract.outer(x[lo : lo + step], x, out=blk)
+        blk *= blk
+        np.subtract.outer(y[lo : lo + step], y, out=tb)
+        tb *= tb
+        blk += tb
+        np.subtract.outer(z[lo : lo + step], z, out=tb)
+        tb *= tb
+        blk += tb
     return d2
 
 

@@ -1,4 +1,4 @@
-"""Analytic ray casting against posed boxes/cylinders, and depth unprojection.
+"""Analytic ray casting against posed boxes/cylinders, and pixel unprojection.
 
 The renderer is the oracle stand-in for learned segmentation: each primitive
 carries an instance id, and the nearest hit per pixel yields a depth image
@@ -23,10 +23,7 @@ __all__ = [
     "Box",
     "Cylinder",
     "raycast_depth",
-    "unproject",
     "unproject_pixels",
-    "project",
-    "surface_distance",
 ]
 
 NONE_ID = -1
@@ -71,6 +68,7 @@ def _pixel_rays(cam: CameraModel):
         rays = np.stack(
             [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu)], axis=-1
         ).reshape(-1, 3)  # camera frame, z component 1 -> t equals z-depth
+        rays.setflags(write=False)
         _RAY_CACHE[key] = rays
     return rays
 
@@ -209,58 +207,14 @@ def _check_image(what: str, image: np.ndarray, cam: CameraModel):
 def unproject_pixels(depth, pixels, cam: CameraModel) -> np.ndarray:
     """World-frame points for the given flat pixel indices, in their order.
 
-    The caller selects pixels with finite positive depth. Raises
-    DimensionMismatch if the depth image does not match the camera
-    resolution."""
+    Each pixel's camera-frame direction (x/z, y/z, 1) comes from the cached
+    rays of the renderer and is scaled by its depth. The caller selects
+    pixels with finite positive depth. Raises DimensionMismatch if the depth
+    image does not match the camera resolution."""
     depth = np.asarray(depth, dtype=np.float64)
     _check_image("depth image shape", depth, cam)
     if len(pixels) == 0:
         return np.zeros((0, 3))
-    d = depth.ravel()[pixels]
-    vv, uu = np.divmod(pixels, cam.width)
-    x = (uu - cam.cx) / cam.fx * d
-    y = (vv - cam.cy) / cam.fy * d
-    pts_cam = np.stack([x, y, d], axis=-1)
+    pts_cam = _pixel_rays(cam)[pixels]
+    pts_cam *= depth.ravel()[pixels][:, None]
     return cam.pose.apply(pts_cam)
-
-
-def unproject(depth, mask, cam: CameraModel) -> np.ndarray:
-    """World-frame points for every true mask pixel with finite positive depth.
-
-    Output order is the image raster order (row-major). Raises
-    DimensionMismatch if either image does not match the camera resolution.
-    """
-    depth = np.asarray(depth, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    _check_image("depth image shape", depth, cam)
-    _check_image("mask shape", mask, cam)
-    return unproject_pixels(depth, np.flatnonzero(mask & (depth > 0) & np.isfinite(depth)), cam)
-
-
-def project(points, cam: CameraModel):
-    """Project world points; returns ((n, 2) pixel coords, in-front mask)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    local = cam.pose.inverse().apply(pts)
-    z = local[:, 2]
-    in_front = z > 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = local[:, 0] / z * cam.fx + cam.cx
-        v = local[:, 1] / z * cam.fy + cam.cy
-    return np.stack([u, v], axis=-1), in_front
-
-
-def surface_distance(point, prim) -> float:
-    """Unsigned distance from a point to the primitive's surface (test oracle)."""
-    p = prim.pose.inverse().apply(np.asarray(point, dtype=np.float64))
-    if isinstance(prim, Box):
-        q = np.abs(p) - prim.extents / 2.0
-        outside = float(np.linalg.norm(np.clip(q, 0.0, None)))
-        inside = float(min(np.max(q), 0.0))
-        return abs(outside + inside)
-    if isinstance(prim, Cylinder):
-        dr = math.hypot(p[0], p[1]) - prim.radius
-        dz = abs(p[2]) - prim.height / 2.0
-        if dr <= 0 and dz <= 0:
-            return abs(max(dr, dz))
-        return math.hypot(max(dr, 0.0), max(dz, 0.0))
-    raise TypeError(f"unsupported primitive {type(prim).__name__}")

@@ -14,7 +14,7 @@ planner; completion is confirmed with a settle hold. Monitor modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,20 +113,50 @@ class _Bound:
         return self.row
 
 
-def extract_elements(sg: Subgoal, state, scene):
+class ElementMemo:
+    """The elements one episode has extracted from one scene's cameras,
+    keyed on everything extraction reads: the element kind and, per view,
+    the pixel indices and the depth bytes at them. The entity, part and
+    constraint text are labels that the geometry never reads, so a hit
+    returns the stored element with the asking bundle's labels.
+
+    extract_element is a pure function of the kind, the pixels, their
+    depths and the cameras, so a hit is bit-equal to a fresh extraction.
+    An extraction that raises is not stored and raises again when asked."""
+
+    def __init__(self, cams):
+        self._cams = cams
+        self._elements = {}
+
+    def extract(self, bundle, depths):
+        key = (
+            bundle.element_type,
+            tuple((pix.tobytes(), depth.ravel()[pix].tobytes()) for pix, depth in zip(bundle.pixels, depths)),
+        )
+        el = self._elements.get(key)
+        if el is None:
+            el = self._elements[key] = extract_element(bundle, depths, self._cams)
+            return el
+        return replace(el, entity=bundle.entity, part=bundle.part, constraint=bundle.constraint)
+
+
+def extract_elements(sg: Subgoal, state, scene, memo: ElementMemo | None = None):
     """Render the scene and extract the subgoal's elements: e(0) is the
-    end-effector, e(i) binds sg.element_specs[i - 1].
+    end-effector, e(i) binds sg.element_specs[i - 1]. memo is the episode's
+    ElementMemo for this scene (None: a memo for this call only).
 
     Returns the element set and, per element, (eid, oid-or-None, points in
     the object's frame) for the ground truth. Raises CamlabError when an
     element cannot be extracted."""
+    if memo is None:
+        memo = ElementMemo(scene.cameras)
     views = render(state, scene)
     depths = [v.depth for v in views]
     protos = [end_effector_element([state.ee_pose.t])]
     truth_specs = [(0, None, None)]
     for eid, spec in enumerate(sg.element_specs, 1):
         obj = state.objects[spec.oid]
-        el = extract_element(mask_bundle(scene, views, obj, spec.part, spec.etype, sg.text), depths, scene.cameras)
+        el = memo.extract(mask_bundle(scene, views, obj, spec.part, spec.etype, sg.text), depths)
         protos.append(el)
         truth_specs.append((eid, spec.oid, obj.pose.inverse().apply(el.points)))
     return make_element_set(protos, sg.sid), truth_specs
@@ -145,15 +175,15 @@ def load_program(source: str, cid: str | None, ring):
     return compiled
 
 
-def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed):
-    """Extract elements, start the tracker on them, load programs on its
-    ring, start the monitor.
+def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed, memo: ElementMemo):
+    """Extract elements (through the episode's memo), start the tracker on
+    them, load programs on its ring, start the monitor.
 
     Raises CamlabError on any extraction or load problem; the caller gets
     one relaxed retry before aborting the episode.
     """
     state = sim.state
-    es, truth_specs = extract_elements(sg, state, scene)
+    es, truth_specs = extract_elements(sg, state, scene, memo)
     state.log(
         "element_extract",
         sid=sg.sid,
@@ -217,6 +247,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
     kb = load_default_kb()
     planner = Planner(cfg.template, kb, scene.meta, max_retries=cfg.max_retries)
     tracker_seeds = tracker_ss.generate_state(64)
+    memo = ElementMemo(scene.cameras)
 
     monitored = cfg.monitor_mode != "off"
 
@@ -246,13 +277,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
             seed = int(tracker_seeds[subgoal_n % len(tracker_seeds)])
             subgoal_n += 1
             try:
-                bound = _bind_monitor(sg, sim, scene, cfg, seed)
+                bound = _bind_monitor(sg, sim, scene, cfg, seed, memo)
             except CamlabError as err:
                 state.log("validation_failure", sid=sg.sid, error=str(err))
                 sg = planner.rebuild_relaxed(scene_summary(state, scene))
                 sim.set_policy(build_script(sim, scene, sg.script_id, sg.script_params, injector))
                 try:
-                    bound = _bind_monitor(sg, sim, scene, cfg, seed)
+                    bound = _bind_monitor(sg, sim, scene, cfg, seed, memo)
                 except CamlabError as err2:
                     aborted = f"program regeneration failed for '{sg.sid}': {err2}"
                     state.log("abort", reason=aborted)

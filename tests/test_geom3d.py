@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camlab.errors import DegenerateGeometry, DimensionMismatch, EmptyPointSet
@@ -20,7 +20,6 @@ from camlab.geom3d import (
     fit_line,
     fit_plane,
     look_at,
-    project,
     quat_conj,
     quat_from_axis_angle,
     quat_mul,
@@ -28,11 +27,11 @@ from camlab.geom3d import (
     quat_to_mat,
     raycast_depth,
     squared_distances,
-    surface_distance,
-    unproject,
+    unproject_pixels,
     vec3,
     voxelize,
 )
+from oracles import project, surface_distance, unproject, unproject_pixels_divmod, voxel_frame
 
 
 def cam_identity(w=8, h=6, f=10.0):
@@ -170,9 +169,10 @@ def test_voxelize_membership_and_partition():
     grid = voxelize(pts, (2, 2, 1))
     seen = np.concatenate([idx for idx in grid.cells.values()])
     assert sorted(seen) == list(range(100))
+    origin, cell_size = voxel_frame(pts, (2, 2, 1))
     for key, idx in grid.cells.items():
-        lo = grid.origin + np.array(key) * grid.cell_size
-        hi = lo + grid.cell_size
+        lo = origin + np.array(key) * cell_size
+        hi = lo + cell_size
         member = grid.points[idx]
         assert np.all(member >= lo - 1e-12) and np.all(member < hi + 1e-12)
 
@@ -186,7 +186,8 @@ def reference_voxel_cells(grid, cells_per_axis) -> dict:
     """The original per-point loop over the same grid: one dict entry per
     occupied cell, keys sorted, indices ascending."""
     n = np.asarray(cells_per_axis, dtype=np.int64)
-    idx = np.clip(np.floor((grid.points - grid.origin) / grid.cell_size).astype(np.int64), 0, n - 1)
+    origin, cell_size = voxel_frame(grid.points, cells_per_axis)
+    idx = np.clip(np.floor((grid.points - origin) / cell_size).astype(np.int64), 0, n - 1)
     cells: dict = {}
     for i, key in enumerate(map(tuple, idx)):
         cells.setdefault(key, []).append(i)
@@ -338,8 +339,27 @@ def test_dbscan_edge_cases_match_reference_bfs(pts, eps, min_pts):
     assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
 
 
+def block_edge_case(n):
+    """n points, quantised so that some rows repeat, as a dbscan_inputs case."""
+    pts = np.round(np.random.default_rng(n).normal(size=(n, 3)) * 8) / 8
+    return pts, 0.5, 1
+
+
+# sizes on both sides of a ROW_BLOCK edge, of the whole-matrix limit
+# (4 * ROW_BLOCK) and of the last partial block
 @settings(max_examples=100, deadline=None)
 @given(dbscan_inputs())
+@example(block_edge_case(1))
+@example(block_edge_case(2))
+@example(block_edge_case(63))
+@example(block_edge_case(64))
+@example(block_edge_case(65))
+@example(block_edge_case(129))
+@example(block_edge_case(256))
+@example(block_edge_case(257))
+@example(block_edge_case(320))
+@example(block_edge_case(321))
+@example(block_edge_case(500))
 def test_squared_distances_bits_match_broadcast_sum(case):
     pts = case[0]
     assert np.array_equal(squared_distances(pts), np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
@@ -461,6 +481,36 @@ def test_unproject_skips_nonpositive_depth():
     depth[2, 2] = -1.0
     pts = unproject(depth, mask, cam)
     assert pts.shape == (1, 3)
+
+
+@st.composite
+def unproject_inputs(draw):
+    """A camera with random intrinsics (integral or not) and pose, a depth
+    image, and a subset of its pixels in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    w, h = draw(st.integers(1, 32)), draw(st.integers(1, 24))
+    cx = draw(st.sampled_from([w / 2, float(rng.uniform(0.01, w - 0.01))]))
+    cy = draw(st.sampled_from([h / 2, float(rng.uniform(0.01, h - 0.01))]))
+    fx, fy = (float(f) for f in rng.uniform(1.0, 500.0, size=2))
+    pose = Pose(quat_from_axis_angle(rng.normal(size=3) + 1e-3, float(rng.uniform(0, math.pi))), rng.normal(size=3))
+    cam = CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, pose=pose)
+    depth = rng.uniform(0.05, 5.0, size=(h, w))
+    if draw(st.booleans()):
+        depth = np.round(depth * 4) / 4 + 0.25
+    pixels = rng.permutation(w * h)[: draw(st.integers(0, w * h))]
+    if draw(st.booleans()):
+        pixels.sort()
+    return depth, pixels, cam
+
+
+@settings(max_examples=200, deadline=None)
+@given(unproject_inputs())
+def test_unproject_pixels_matches_the_divmod_formula_to_the_bit(case):
+    depth, pixels, cam = case
+    got = unproject_pixels(depth, pixels, cam)
+    want = unproject_pixels_divmod(depth, pixels, cam)
+    assert got.shape == want.shape == (len(pixels), 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_unproject_raycast_box_face_residual():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from camlab.geom3d import Pose, quat_from_axis_angle, quat_mul, unproject, vec3
+from camlab.geom3d import Pose, quat_from_axis_angle, quat_mul, vec3
 from camlab.simlab import (
     Disturbance,
     DisturbanceInjector,
@@ -24,7 +24,10 @@ from camlab.simlab import (
     scene_summary,
 )
 from camlab.simlab.disturb import standard_disturbances
-from camlab.elementizer import POINT
+import camlab.simlab.episode as episode
+from camlab.elementizer import POINT, SURFACE, MaskBundle, extract_element
+from camlab.errors import EmptyPointSet
+from oracles import unproject
 
 
 def simple_world():
@@ -384,6 +387,68 @@ def test_oracle_sweep_band():
     for oid in scene.meta["blocks"][20:35]:
         state.objects[oid].pose = Pose(t=vec3(center[0], center[1], 0.01))
     assert not oracle_success(state, scene)  # 35 in: over the band
+
+
+# ---------------------------------------------------------------------------
+# the episode's element memo
+
+
+def same_element(a, b):
+    return (a.points.tobytes(), a.points.shape, a.connections, a.etype, a.entity, a.part, a.constraint) == (
+        b.points.tobytes(), b.points.shape, b.connections, b.etype, b.entity, b.part, b.constraint
+    )
+
+
+@pytest.fixture
+def memo_scene(monkeypatch):
+    """A rendered pour_tea scene, a fresh memo on its cameras, and the list
+    of bundles that reached extract_element through the episode module."""
+    state, scene = build_scene("pour_tea", np.random.default_rng(0))
+    views = render(state, scene)
+    calls = []
+    real = episode.extract_element
+    monkeypatch.setattr(episode, "extract_element", lambda b, d, c: calls.append(b) or real(b, d, c))
+    return state, scene, views, episode.ElementMemo(scene.cameras), calls
+
+
+def test_memo_hit_is_a_fresh_extraction_with_the_new_labels(memo_scene):
+    state, scene, views, memo, calls = memo_scene
+    depths = [v.depth for v in views]
+    teapot = state.objects["teapot"]
+    first = memo.extract(mask_bundle(scene, views, teapot, "lid", POINT, "lid above cup"), depths)
+    again = mask_bundle(scene, views, teapot, "lid", POINT, "lid level")
+    hit = memo.extract(again, depths)
+    assert len(calls) == 1
+    assert same_element(hit, extract_element(again, depths, scene.cameras))
+    assert hit.constraint == "lid level" and first.constraint == "lid above cup"
+    # another kind over the same pixels is another extraction
+    memo.extract(mask_bundle(scene, views, teapot, "lid", SURFACE, "lid level"), depths)
+    assert len(calls) == 2
+
+
+def test_memo_misses_when_one_depth_byte_of_the_bundle_changes(memo_scene):
+    state, scene, views, memo, calls = memo_scene
+    depths = [v.depth for v in views]
+    bundle = mask_bundle(scene, views, state.objects["teapot"], "body", POINT, "c")
+    memo.extract(bundle, depths)
+    v = next(i for i, pix in enumerate(bundle.pixels) if len(pix))
+    outside = np.setdiff1d(np.arange(depths[v].size), np.concatenate(bundle.pixels))[0]
+    for pixel, misses in ((outside, 0), (bundle.pixels[v][len(bundle.pixels[v]) // 2], 1)):
+        changed = [d.copy() for d in depths]
+        changed[v].reshape(-1).view(np.uint8)[8 * pixel] ^= 1  # lowest mantissa byte
+        got = memo.extract(bundle, changed)
+        assert len(calls) == 1 + misses
+        assert same_element(got, extract_element(bundle, changed, scene.cameras))
+
+
+def test_memo_stores_no_failed_extraction(memo_scene):
+    state, scene, views, memo, calls = memo_scene
+    depths = [v.depth for v in views]
+    empty = MaskBundle(tuple(np.zeros(0, dtype=np.int64) for _ in views), POINT, "c", "teapot", "body")
+    for n in (1, 2):
+        with pytest.raises(EmptyPointSet):
+            memo.extract(empty, depths)
+        assert len(calls) == n
 
 
 # ---------------------------------------------------------------------------
