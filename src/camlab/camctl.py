@@ -264,7 +264,8 @@ class JsonlLogWriter:
 def read_log(path) -> list:
     """Read and verify a JSONL run log; returns the records (without the eof
     marker). Raises LogChecksumError, or TruncatedLog for a missing eof
-    marker or a line that cannot be decoded (a log cut off mid-line)."""
+    marker or a line that cannot be decoded (a log cut off mid-line, or
+    nesting too deep for the decoder)."""
     records = []
     prev = ""
     # invalid UTF-8 decodes to U+FFFD and then fails its checksum
@@ -275,7 +276,7 @@ def read_log(path) -> list:
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError as err:
+            except (ValueError, RecursionError) as err:
                 raise TruncatedLog(f"{path}:{lineno}: undecodable line ({err})") from None
             if not isinstance(rec, dict):
                 raise LogChecksumError(f"{path}:{lineno}: not a log record")
@@ -587,7 +588,11 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as err:
             print(f"camctl: bad spec: {err}", file=sys.stderr)
             return 2
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            print(f"camctl: cannot create output directory {args.out}: {err}", file=sys.stderr)
+            return 2
         log_path = os.path.join(args.out, "run.jsonl")
         report_path = os.path.join(args.out, "report.json")
         try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from camlab.errors import CamlabError, DegenerateGeometry
 from camlab.conlang.ast import Mode
-from camlab.geom3d import angle_between, fit_line, fit_plane
+from camlab.geom3d import angle_between, cross, fit_line, fit_plane
 
 __all__ = ["CompiledProgram", "EvalError", "evaluate", "format_measured"]
 
@@ -74,7 +74,7 @@ def _oriented_direction(points: np.ndarray) -> np.ndarray:
 def _oriented_normal(points: np.ndarray) -> np.ndarray:
     """fit_plane normal oriented by the winding of the first three points."""
     n, _, _ = fit_plane(points)
-    w = np.cross(points[1] - points[0], points[2] - points[0])
+    w = cross(points[1] - points[0], points[2] - points[0])
     if float(np.dot(n, w)) < 0:
         return -n
     return n
@@ -143,8 +143,27 @@ def if_else(cond, then, other):
 
 
 def _rotation(ring, back, eid, delta):
+    """The angle between the oriented fits of e(eid) `back` and `back + delta`
+    entries before the newest. Each ring entry is fitted once: the oriented
+    vector is kept per ring slot with the tick of the entry it was fitted on,
+    and reused while that slot still holds that tick. An entry's points never
+    change once the tracker step that pushed it has returned, and a slot
+    that the ring overwrites gets a later tick, so a kept vector is never
+    stale. A fit that raises keeps nothing and raises again next time."""
     orient = _oriented_direction if ring.kind_of(eid) == "line" else _oriented_normal
-    return lambda: float(angle_between(orient(ring.points_at(eid, back)), orient(ring.points_at(eid, back + delta))))
+    lo, hi = ring.spans[eid]
+    fitted_ticks = [None] * ring.capacity
+    fitted = [None] * ring.capacity
+
+    def oriented(b):
+        slot = ring.slot(b)
+        tick = ring.ticks[slot]
+        if fitted_ticks[slot] != tick:
+            fitted[slot] = orient(ring.view[slot, lo:hi])
+            fitted_ticks[slot] = tick
+        return fitted[slot]
+
+    return lambda: float(angle_between(oriented(back), oriented(back + delta)))
 
 
 def _proj_xy(ring, back, p):

@@ -20,6 +20,14 @@ Grammar (EBNF):
 
 Numbers with a unit are converted to SI at parse time. Parse errors carry
 line, column, and the expected-token set.
+
+Nesting limit: an expression nests at most MAX_NESTING levels deep, counted
+as the height of its syntax tree with each parenthesised group as one more
+level. A leaf is one level; each operator, call, at(), if and parenthesis
+adds one above its deepest operand. Operator chains build left-deep trees,
+so `a + b + c` is three levels and a chain of n operands is n levels. A
+deeper program raises DslSyntaxError, so parsing, checking and evaluating
+it never run out of stack.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ from camlab.conlang.ast import (
     Within,
 )
 
-__all__ = ["parse", "DslSyntaxError", "DuplicateTolerance"]
+__all__ = ["parse", "DslSyntaxError", "DuplicateTolerance", "MAX_NESTING"]
+
+MAX_NESTING = 32
 
 KEYWORDS = {
     "constraint",
@@ -138,6 +148,10 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.tolerances: dict = {}
+        self.open = 0  # levels entered and not yet left
+
+    # The expression methods return (node, height): the height of the node's
+    # tree as MAX_NESTING counts it.
 
     # -- token helpers
 
@@ -168,6 +182,26 @@ class _Parser:
     def at_text(self, text: str) -> bool:
         return self.peek().text == text
 
+    def too_deep(self, tok: _Token):
+        raise DslSyntaxError(tok.line, tok.col, f"an expression nested at most {MAX_NESTING} deep", tok.text)
+
+    def level(self, tok: _Token, *heights: int) -> int:
+        """The height of a node at `tok` over children of these heights."""
+        height = 1 + max(heights)
+        if height > MAX_NESTING:
+            self.too_deep(tok)
+        return height
+
+    def nested(self, parse):
+        """parse() one level further in, so the parser's own recursion stops
+        at the limit (each level it enters adds one to the final height)."""
+        self.open += 1
+        if self.open > MAX_NESTING:
+            self.too_deep(self.peek())
+        result = parse()
+        self.open -= 1
+        return result
+
     # -- grammar
 
     def program(self, cid=None) -> MonitorProgram:
@@ -186,7 +220,7 @@ class _Parser:
         while self.at_text("tol"):
             decls.append(self.tol_decl())
         self.expect("{")
-        body = self.expr()
+        body, _ = self.expr()
         self.expect("}")
         self.expect("fail")
         template = self.string()
@@ -232,67 +266,67 @@ class _Parser:
         return decl
 
     def expr(self):
-        if self.at_text("if"):
+        tok = self.peek()
+        if tok.text == "if":
             self.next()
-            cond = self.expr()
+            cond, hc = self.nested(self.expr)
             self.expect("then")
-            then = self.expr()
+            then, ht = self.nested(self.expr)
             self.expect("else")
-            other = self.expr()
-            return IfElse(cond, then, other)
+            other, ho = self.nested(self.expr)
+            return IfElse(cond, then, other), self.level(tok, hc, ht, ho)
         return self.or_expr()
 
+    def chain(self, operand, ops):
+        """operand (op operand)*, folded left as a BinOp chain."""
+        node, height = operand()
+        while self.peek().text in ops:
+            tok = self.next()
+            rhs, hr = operand()
+            node, height = BinOp(tok.text, node, rhs), self.level(tok, height, hr)
+        return node, height
+
     def or_expr(self):
-        node = self.and_expr()
-        while self.at_text("or"):
-            self.next()
-            node = BinOp("or", node, self.and_expr())
-        return node
+        return self.chain(self.and_expr, ("or",))
 
     def and_expr(self):
-        node = self.not_expr()
-        while self.at_text("and"):
-            self.next()
-            node = BinOp("and", node, self.not_expr())
-        return node
+        return self.chain(self.not_expr, ("and",))
 
     def not_expr(self):
-        if self.at_text("not"):
+        tok = self.peek()
+        if tok.text == "not":
             self.next()
-            return Unary("not", self.not_expr())
+            operand, height = self.nested(self.not_expr)
+            return Unary("not", operand), self.level(tok, height)
         return self.cmp()
 
     def cmp(self):
-        node = self.sum()
+        node, height = self.sum()
         tok = self.peek()
         if tok.text in ("<", "<=", ">", ">=", "="):
             self.next()
-            return BinOp(tok.text, node, self.sum())
+            rhs, hr = self.sum()
+            return BinOp(tok.text, node, rhs), self.level(tok, height, hr)
         if tok.text == "within":
             self.next()
-            tol = self.sum()
+            tol, ht = self.sum()
             self.expect("of")
-            return Within(node, tol, self.sum())
-        return node
+            rhs, hr = self.sum()
+            return Within(node, tol, rhs), self.level(tok, height, ht, hr)
+        return node, height
 
     def sum(self):
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain(self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            node = BinOp(op, node, self.factor())
-        return node
+        return self.chain(self.factor, ("*", "/"))
 
     def factor(self):
-        if self.at_text("-"):
+        tok = self.peek()
+        if tok.text == "-":
             self.next()
-            return Unary("-", self.factor())
+            operand, height = self.nested(self.factor)
+            return Unary("-", operand), self.level(tok, height)
         return self.atom()
 
     def int_literal(self) -> int:
@@ -313,13 +347,13 @@ class _Parser:
             if nxt.kind == "ident" and nxt.text in UNITS:
                 self.next()
                 dim, factor = UNITS[nxt.text]
-                return Num(value * factor, dim)
-            return Num(value, "none")
+                return Num(value * factor, dim), 1
+            return Num(value, "none"), 1
         if tok.text == "(":
             self.next()
-            node = self.expr()
+            node, height = self.nested(self.expr)
             self.expect(")")
-            return node
+            return node, self.level(tok, height)
         if tok.text == "[":
             self.next()
             eids = [self.elem_ref().eid]
@@ -327,33 +361,33 @@ class _Parser:
                 self.next()
                 eids.append(self.elem_ref().eid)
             self.expect("]")
-            return ElemList(tuple(eids))
+            return ElemList(tuple(eids)), 1
         if tok.kind == "ident":
             if tok.text == "e":
-                return self.elem_ref()
+                return self.elem_ref(), 1
             if tok.text == "at":
                 self.next()
                 self.expect("(")
-                inner = self.expr()
+                inner, height = self.nested(self.expr)
                 self.expect(",")
                 ticks = self.int_literal()
                 self.expect(")")
-                return At(inner, ticks)
+                return At(inner, ticks), self.level(tok, height)
             if tok.text in BUILTINS:
                 self.next()
                 self.expect("(")
-                args = [self.expr()]
+                args = [self.nested(self.expr)]
                 while self.at_text(","):
                     self.next()
-                    args.append(self.expr())
+                    args.append(self.nested(self.expr))
                 self.expect(")")
-                return Call(tok.text, tuple(args))
+                return Call(tok.text, tuple(a for a, _ in args)), self.level(tok, *(h for _, h in args))
             if tok.text in AXES:
                 self.next()
-                return AxisRef(tok.text)
+                return AxisRef(tok.text), 1
             if tok.text in self.tolerances:
                 self.next()
-                return TolRef(tok.text)
+                return TolRef(tok.text), 1
             raise DslSyntaxError(
                 tok.line, tok.col, "a declared tolerance, builtin, axis, or e(id)", tok.text
             )
@@ -370,6 +404,7 @@ class _Parser:
 def parse(source: str, cid: str | None = None) -> MonitorProgram:
     """Parse DSL source into a MonitorProgram.
 
-    Raises DslSyntaxError (with line/col/expected) or DuplicateTolerance.
+    Raises DslSyntaxError (with line/col/expected), also for an expression
+    nested deeper than MAX_NESTING, or DuplicateTolerance.
     """
     return _Parser(_lex(source)).program(cid=cid)

@@ -27,6 +27,7 @@ from camlab.errors import EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
     ROW_BLOCK,
     as_points,
+    cross,
     dbscan,
     fit_line,
     fit_plane,
@@ -231,13 +232,13 @@ def _canonical_rotation(cloud: np.ndarray, etype: ElementKind) -> np.ndarray:
     if etype is LINE:
         u, _, _ = fit_line(cloud)
         a = _least_aligned_axis(u)
-        v = unit(np.cross(u, a))
-        w = np.cross(u, v)
+        v = unit(cross(u, a))
+        w = cross(u, v)
         return np.vstack([u, v, w])
     w, _, _ = fit_plane(cloud)
     a = _least_aligned_axis(w)
-    u = unit(np.cross(a, w))
-    v = np.cross(w, u)
+    u = unit(cross(a, w))
+    v = cross(w, u)
     return np.vstack([u, v, w])
 
 
@@ -292,19 +293,19 @@ def _convex_hull_2d(pts2: np.ndarray) -> list:
     starting from the lexicographically smallest point."""
     order = sorted(range(len(pts2)), key=lambda i: (pts2[i, 0], pts2[i, 1], i))
 
-    def cross(o, a, b):
+    def turn(o, a, b):
         return (pts2[a, 0] - pts2[o, 0]) * (pts2[b, 1] - pts2[o, 1]) - (
             pts2[a, 1] - pts2[o, 1]
         ) * (pts2[b, 0] - pts2[o, 0])
 
     lower: list = []
     for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], i) <= 0:
             lower.pop()
         lower.append(i)
     upper: list = []
     for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], i) <= 0:
             upper.pop()
         upper.append(i)
     return lower[:-1] + upper[:-1]

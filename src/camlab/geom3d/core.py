@@ -32,6 +32,7 @@ __all__ = [
     "quat_to_mat",
     "mat_to_quat",
     "quat_slerp",
+    "cross",
     "Pose",
     "CameraModel",
     "look_at",
@@ -103,6 +104,14 @@ def quat_mul(a, b) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
+
+
+def cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit: each component is the same
+    difference of two rounded products, taken on Python floats."""
+    ax, ay, az = _floats(a)
+    bx, by, bz = _floats(b)
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
 def quat_conj(q) -> np.ndarray:
@@ -293,11 +302,11 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
     eye = np.asarray(eye, dtype=np.float64)
     z = unit(np.asarray(target, dtype=np.float64) - eye)
     y_des = -unit(up)
-    x = np.cross(y_des, z)
+    x = cross(y_des, z)
     if np.linalg.norm(x) < 1e-9:
         raise DegenerateGeometry("look_at: up is parallel to the view direction")
     x = unit(x)
-    y = np.cross(z, x)
+    y = cross(z, x)
     m = np.column_stack([x, y, z])
     return Pose(mat_to_quat(m), eye)
 
@@ -322,7 +331,7 @@ def _svd_centered(points: np.ndarray):
     # pad so svals/vt always cover 3 principal directions (n == 2 gives 2)
     if len(svals) < 3:
         svals = np.concatenate([svals, np.zeros(3 - len(svals))])
-        vt = np.vstack([vt, np.cross(vt[0], vt[1])[None, :] if len(vt) == 2 else np.eye(3)[len(vt):]])
+        vt = np.vstack([vt, cross(vt[0], vt[1])[None, :] if len(vt) == 2 else np.eye(3)[len(vt):]])
     return centroid, svals, vt  # svals descending; vt rows are directions
 
 

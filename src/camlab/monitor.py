@@ -85,7 +85,8 @@ class PointRing:
     first entry, at `tick`, is the elements' own points (the extraction
     snapshot). History lookups `back` entries before the newest clamp to
     the oldest entry, and return read-only views into the ring, valid until
-    the ring wraps over their entry."""
+    the ring wraps over their entry. ticks[slot] is the tick of the entry a
+    slot holds; compiled programs key per-entry results on it."""
 
     def __init__(self, elements, tick: int, capacity: int = RING_CAPACITY, fk_eids=()):
         if capacity < 1:
@@ -105,6 +106,7 @@ class PointRing:
         self.view = self.points.view()
         self.view.flags.writeable = False
         self.tick = None  # of the newest entry
+        self.ticks = [None] * capacity  # of the entry in each slot
         self.head = -1  # slot of the newest entry
         self.count = 0
         self.push(tick, np.concatenate([el.points for el in order], axis=0))
@@ -134,7 +136,7 @@ class PointRing:
             raise TrackError(f"ticks must increase, got {tick} after {self.tick}")
         self.head = (self.head + 1) % self.capacity
         self.count = min(self.count + 1, self.capacity)
-        self.tick = tick
+        self.tick = self.ticks[self.head] = tick
         row = self.points[self.head, :-1]
         np.copyto(row, points)
         return row

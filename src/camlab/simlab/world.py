@@ -44,6 +44,17 @@ class Shape:
     extents: np.ndarray | None = None  # full side lengths for boxes
     radius: float = 0.0
     height: float = 0.0
+    # half the side of the xy square, centred on the axis, that holds the
+    # footprint; extents are stored read-only, so it cannot go stale
+    footprint: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.extents is not None:
+            ext = np.array(self.extents, dtype=np.float64)
+            ext.setflags(write=False)
+            object.__setattr__(self, "extents", ext)
+        half = max(self.extents[0], self.extents[1]) / 2.0 if self.kind == "box" else self.radius
+        object.__setattr__(self, "footprint", float(half))
 
     def half_extents(self) -> np.ndarray:
         if self.kind == "box":
@@ -293,13 +304,25 @@ class Simulation:
     # -- settling
 
     def drop_to_support(self, oid: str):
-        """Rest the object on the highest support beneath its center."""
+        """Rest the object on the highest support beneath its center.
+
+        An object whose axis lies farther from the center than its
+        footprint half-width or bore radius along x or y is skipped before
+        the per-object tests: neither its top nor its bore can hold the
+        center, so the result is that of testing every object."""
         obj = self.state.objects[oid]
         xy = obj.pose.t[:2]
         bottom = obj.pose.t[2] - obj.world_half_z()
         best = 0.0  # world floor fallback
         inside_bore = False
+        x, y = xy.tolist()
         for other in self.state.objects.values():
+            ox, oy, _ = other.pose.t.tolist()
+            # widened far beyond the rounding of the squared-radius tests
+            # (relative 2**-52, and absolute where the squares underflow)
+            reach = max(other.shape.footprint, other.bore_radius) * (1.0 + 1e-6) + 1e-9
+            if abs(ox - x) > reach or abs(oy - y) > reach:
+                continue
             if other.oid == oid or other.attached_to == END_EFFECTOR:
                 continue
             if other.in_bore_xy(xy) and obj.lateral_half_extent() <= other.bore_radius:

@@ -1,6 +1,7 @@
 """Geometry references that only tests use: pixel unprojection written with
 the per-call divmod arithmetic, mask unprojection, projection, the distance
-from a point to a primitive's surface, and a voxel grid's frame.
+from a point to a primitive's surface, a voxel grid's frame, and the
+settling loop that tests every object.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from camlab.errors import DimensionMismatch
 from camlab.geom3d import Box, CameraModel, Cylinder, unproject_pixels
+from camlab.simlab.world import END_EFFECTOR
 
 
 def unproject_pixels_divmod(depth, pixels, cam: CameraModel) -> np.ndarray:
@@ -75,3 +77,28 @@ def voxel_frame(points, cells_per_axis):
     lo = points.min(axis=0)
     extent = points.max(axis=0) - lo
     return lo, np.where(extent > 0, (extent + 1e-6) / n, 1e-6)
+
+
+def settle_reference(state, oid):
+    """(rest z, in_bore) of Simulation.drop_to_support(oid) on `state`, from
+    the loop it ran before its vectorised pass: every other object that is
+    not held, in state order, through the per-object tests."""
+    obj = state.objects[oid]
+    xy = obj.pose.t[:2]
+    bottom = obj.pose.t[2] - obj.world_half_z()
+    best = 0.0
+    inside_bore = False
+    for other in state.objects.values():
+        if other.oid == oid or other.attached_to == END_EFFECTOR:
+            continue
+        if other.in_bore_xy(xy) and obj.lateral_half_extent() <= other.bore_radius:
+            floor = float(other.pose.t[2]) + other.bore_floor_z
+            if floor <= bottom + 1e-6:
+                best = max(best, floor)
+                inside_bore = True
+            continue
+        if other.supports_xy(xy):
+            top = other.top_z()
+            if top <= bottom + 1e-6:
+                best = max(best, top)
+    return best + obj.world_half_z(), inside_bore

@@ -23,10 +23,11 @@ from camlab.camctl import (
     run_spec,
     validate_dsl,
 )
-from camlab.conlang import load_default_kb
+from camlab.conlang import MAX_NESTING, DslSyntaxError, ValidationFailure, load_default_kb
 from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
-from camlab.monitor import DebouncePolicy, TrackerConfig
-from camlab.simlab import MONITOR_MODES, TEMPLATES, build_scene, scene_summary
+from camlab.monitor import DebouncePolicy, PointRing, TrackerConfig
+from camlab.simlab import MONITOR_MODES, TEMPLATES, build_scene, extract_elements, scene_summary
+from camlab.simlab.episode import load_program
 from camlab.taskgen import Planner
 
 SPEC_TEXT = """
@@ -213,6 +214,15 @@ def test_cut_off_line_is_truncated_log(run_dir, tmp_path, capsys):
     with pytest.raises(TruncatedLog):
         read_log(cut)
     assert main(["replay", str(cut)]) == 2
+    assert "undecodable line" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_line_is_truncated_log(tmp_path, capsys):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 200000 + "\n")
+    with pytest.raises(TruncatedLog):
+        read_log(deep)
+    assert main(["replay", str(deep)]) == 2
     assert "undecodable line" in capsys.readouterr().err
 
 
@@ -577,6 +587,21 @@ def test_negative_cam_seed_is_a_bad_spec(tmp_path, capsys, monkeypatch):
     assert not (out / "run.jsonl").exists()
 
 
+@pytest.mark.parametrize("under_file", [False, True])
+def test_unusable_out_exits_2_before_any_episode(tmp_path, capsys, monkeypatch, under_file):
+    import camlab.camctl as camctl
+
+    spec = tmp_path / "spec.txt"
+    spec.write_text("task = pour_tea\nepisodes = 1\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under_file else blocker
+    monkeypatch.setattr(camctl, "run_episode", lambda cfg: pytest.fail("an episode ran"))
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"camctl: cannot create output directory {out}: ")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("case", ["replay-missing-log", "replay-missing-report", "validate-not-utf8"])
 def test_main_io_error_exits_2(run_dir, tmp_path, capsys, case):
     out, _ = run_dir
@@ -640,6 +665,78 @@ def test_validate_accepts_generated_first_subgoal_programs(task, tmp_path):
         f = tmp_path / f"{ps.cid}.cam"
         f.write_text(ps.source)
         assert validate_dsl(f, task) == [], ps.source
+
+
+def _deep_layer(form, n, text, height, atomic):
+    """text (of that height; atomic if it needs no parentheses as an
+    operand) under n repeats of form: (text, height, atomic) afterwards,
+    with the height counted as parser.MAX_NESTING counts it."""
+    if not atomic and form in ("not", "neg", "and", "or", "plus"):
+        text, height = f"({text})", height + 1
+    if form == "paren":
+        return "(" * n + text + ")" * n, height + n, True
+    if form in ("not", "neg"):
+        return ("not " if form == "not" else "-") * n + text, height + n, form == "neg"
+    if form == "at":
+        return "at(" * n + text + ", 1)" * n, height + n, True
+    if form == "proj_xy":
+        return "proj_xy(" * n + text + ")" * n, height + n, True
+    if form == "if":
+        return "if 1 < 2 then " * n + text + " else 1 < 2" * n, max(height, 2) + n, False
+    op = {"and": " and ", "or": " or ", "plus": " + "}[form]
+    return op.join([text] * n), height + n - 1, n == 1
+
+
+@st.composite
+def deep_programs(draw):
+    """(source, height) of programs nested or chained up to well past the
+    limit: a vector, scalar and boolean part, each under up to two layers."""
+    sizes = st.one_of(st.integers(1, 40), st.integers(1, 1200))
+    text, height, atomic = "centroid(e(1))", 2, True
+    for _ in range(draw(st.integers(0, 1))):
+        text, height, atomic = _deep_layer("proj_xy", draw(sizes), text, height, atomic)
+    text, height, atomic = f"dist({text}, centroid(e(0)))", max(height, 2) + 1, True
+    if draw(st.booleans()):
+        text, height, atomic = "1", 1, True
+    for form in draw(st.lists(st.sampled_from(["paren", "neg", "plus", "at"]), max_size=2)):
+        n = min(draw(sizes), max(1, 50_000 // len(text)))
+        text, height, atomic = _deep_layer(form, n, text, height, atomic)
+    text, height, atomic = f"{text} > 0", height + 1, False
+    for form in draw(st.lists(st.sampled_from(["paren", "not", "and", "or", "if"]), max_size=2)):
+        n = min(draw(sizes), max(1, 50_000 // len(text)))
+        text, height, atomic = _deep_layer(form, n, text, height, atomic)
+    return f'constraint "deep" mode on_completion\n{{ {text} }}\nfail "r"\n', height
+
+
+@pytest.fixture(scope="module")
+def validate_ring():
+    """The ring camctl validate binds programs to."""
+    state, scene = build_scene("stack_in_order", np.random.default_rng(0))
+    sg = Planner("stack_in_order", load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    es, _ = extract_elements(sg, state, scene)
+    return PointRing(es.elements, state.tick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_programs())
+def test_deep_and_long_programs_raise_only_parse_and_validation_errors(validate_ring, tmp_path_factory, program):
+    """Past MAX_NESTING a program is a DslSyntaxError; within it, loading
+    raises at most a ValidationFailure; never a RecursionError. camctl
+    validate exits 2 on every program past the limit."""
+    source, height = program
+    try:
+        load_program(source, None, validate_ring)
+    except DslSyntaxError as err:
+        assert height > MAX_NESTING and f"nested at most {MAX_NESTING} deep" in str(err)
+    except ValidationFailure:
+        assert height <= MAX_NESTING
+    else:
+        assert height <= MAX_NESTING
+    f = tmp_path_factory.mktemp("deep") / "deep.cam"
+    f.write_text(source)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["validate", str(f)])
+    assert rc == 2 if height > MAX_NESTING else rc in (0, 2)
 
 
 def test_validate_bad_element(tmp_path):

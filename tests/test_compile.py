@@ -508,3 +508,84 @@ def test_axis_vectors_are_read_only():
     for vec in evaluator.AXIS_VECS.values():
         with pytest.raises(ValueError):
             vec[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# rotation fits each ring entry once
+
+
+def _rotation_entry(rng, kind, n):
+    """One entry's points of a LINE or SURFACE element; sometimes they all
+    coincide, or (for a surface) lie on one line, so the fit raises."""
+    pts = rng.uniform(-0.2, 0.2, size=(n, 3))
+    r = rng.random()
+    if r < 0.15:
+        pts[:] = pts[0]
+    elif r < 0.3 and kind is SURFACE:
+        pts[:] = pts[0] + np.outer(rng.uniform(-1.0, 1.0, n), rng.uniform(-0.1, 0.1, 3))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(LINE, 2), (LINE, 5), (SURFACE, 3), (SURFACE, 6)]),
+    st.integers(1, 5),
+    st.integers(0, 7),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_rotation_fits_each_entry_once_and_matches_the_uncached_fits(element, capacity, delta, back, seed):
+    """at(rotation(e(1), delta), back) on a ring that wraps, evaluated after
+    every push: the same float bits or EvalError text as fitting both
+    entries afresh, and one successful fit per distinct entry over all
+    evaluations."""
+    kind, n = element
+    rng = np.random.default_rng(seed)
+    orient = _oriented_direction if kind is LINE else _oriented_normal
+    elements = [
+        ConstraintElement(eid=1, etype=kind, points=_rotation_entry(rng, kind, n), connections=(),
+                          entity="o1", part="p", constraint="")
+    ]
+    ring = PointRing(elements, 0, capacity=capacity)
+    pushed = [0]  # tick of every entry, oldest first
+    program = MonitorProgram("p", Mode.DURING, (), Num(1.0), "r", cid="p")
+    node = Call("rotation", (ElemRef(1), Num(float(delta), "none")))
+    if back:
+        node = At(node, back)
+    fits = []
+
+    def counted(fit):
+        def fit_and_count(points):
+            out = fit(points)
+            fits.append(1)
+            return out
+
+        return fit_and_count
+
+    fitted = set()  # ticks of the entries that the uncached computation fitted
+
+    def uncached():
+        vecs = []
+        for b in (back, back + delta):
+            tick = pushed[max(len(pushed) - 1 - b, len(pushed) - capacity, 0)]
+            try:
+                vecs.append(orient(ring.points_at(1, b)))
+            except DegenerateGeometry as err:
+                raise EvalError(f"rotation: {err}") from err
+            fitted.add(tick)
+        return float(angle_between(*vecs))
+
+    def outcome(fn):
+        try:
+            return fn().hex()
+        except EvalError as err:
+            return "error", str(err)
+
+    with mock.patch.object(evaluator, "fit_line", counted(fit_line)), \
+            mock.patch.object(evaluator, "fit_plane", counted(fit_plane)):
+        compiled = _compile_node(program, ring, node)
+        for tick in range(1, 3 * capacity + 8):
+            assert outcome(compiled) == outcome(uncached)
+            assert len(fits) == len(fitted)
+            ring.push(tick, _rotation_entry(rng, kind, n))
+            pushed.append(tick)

@@ -16,6 +16,7 @@ from camlab.geom3d import (
     Cylinder,
     Pose,
     angle_between,
+    cross,
     dbscan,
     fit_line,
     fit_plane,
@@ -76,6 +77,28 @@ def test_angle_symmetry_and_scale(u, v, a, b):
         return  # acos is ill-conditioned at the parallel/antiparallel boundary
     assert ang == pytest.approx(angle_between(v, u), abs=1e-12)
     assert angle_between(a * u, b * v) == pytest.approx(ang, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# cross product
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e154, 1.7976931348623157e308,
+                -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), min_size=6, max_size=6))
+def test_cross_matches_np_cross_bit_for_bit(xs):
+    """Signed zeros, subnormals, products that overflow or underflow, inf and
+    NaN: the same bits as np.cross, NaN in the same places."""
+    a, b = np.array(xs[:3]), np.array(xs[3:])
+    with np.errstate(all="ignore"):
+        want = np.cross(a, b)
+    got = cross(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlab.geom3d import Pose, quat_from_axis_angle, quat_mul, vec3
 from camlab.simlab import (
+    END_EFFECTOR,
     Disturbance,
     DisturbanceInjector,
     EpisodeConfig,
@@ -27,7 +30,7 @@ from camlab.simlab.disturb import standard_disturbances
 import camlab.simlab.episode as episode
 from camlab.elementizer import POINT, SURFACE, MaskBundle, extract_element
 from camlab.errors import EmptyPointSet
-from oracles import unproject
+from oracles import settle_reference, unproject
 
 
 def simple_world():
@@ -114,6 +117,58 @@ def test_lying_pen_cannot_enter_bore():
     sim.drop_to_support("pen")
     # a pen lying across the rim rests on the holder top, not inside
     assert pen.pose.t[2] == pytest.approx(0.08 + 0.009)
+
+
+@st.composite
+def settling_scenes(draw):
+    """A Simulation with 2-12 objects scattered over a small patch, so
+    footprints overlap: boxes and cylinders, some stacked, some rotated,
+    some with a bore, some held by the end-effector. Some centers sit on
+    another object's footprint or bore edge, or one ulp either side of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = SimState()
+    state.objects["table"] = SimObject("table", box_shape(0.6, 0.6, 0.04), Pose(t=vec3(0, 0, -0.02)))
+    for i in range(draw(st.integers(2, 12))):
+        if rng.random() < 0.5:
+            shape = box_shape(*rng.uniform(0.01, 0.08, size=3))
+        else:
+            shape = cylinder_shape(rng.uniform(0.005, 0.04), rng.uniform(0.01, 0.12))
+        xy = rng.uniform(-0.06, 0.06, size=2)
+        others = list(state.objects.values())[1:]
+        if others and rng.random() < 0.4:
+            other = others[rng.integers(len(others))]
+            edge = other.bore_radius if other.bore_radius > 0 and rng.random() < 0.5 else other.shape.footprint
+            xy = other.pose.t[:2].copy()
+            axis = rng.integers(2)
+            xy[axis] += rng.choice([-1.0, 1.0]) * edge
+            if rng.random() < 0.5:
+                xy[axis] = np.nextafter(xy[axis], rng.choice([-np.inf, np.inf]))
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        if rng.random() < 0.3:
+            q = quat_from_axis_angle(rng.normal(size=3), rng.uniform(0, math.pi))
+        obj = SimObject(f"o{i}", shape, Pose(q, vec3(xy[0], xy[1], rng.uniform(0.0, 0.3))))
+        if rng.random() < 0.3:
+            obj.bore_radius = rng.uniform(0.005, 0.04)
+            obj.bore_floor_z = rng.uniform(-0.05, 0.0)
+        if rng.random() < 0.15:
+            obj.attached_to = END_EFFECTOR
+            state.held.append(obj.oid)
+        state.objects[obj.oid] = obj
+    return Simulation(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(settling_scenes(), st.data())
+def test_drop_to_support_matches_the_loop_over_every_object(sim, data):
+    state = sim.state
+    oids = list(state.objects)[1:]
+    for oid in data.draw(st.permutations(oids)):
+        obj = state.objects[oid]
+        x, y, _ = obj.pose.t.tolist()
+        rest, in_bore = settle_reference(state, oid)
+        sim.drop_to_support(oid)
+        assert obj.pose.t.tobytes() == np.array([x, y, rest]).tobytes()
+        assert state.events[-1] == {"tick": 0, "kind": "settled", "payload": {"oid": oid, "z": rest, "in_bore": in_bore}}
 
 
 def test_policy_moves_and_grasps():
