@@ -126,6 +126,8 @@ def within(a, tol, b, vector: bool, measured: dict):
     def within():
         x, t, y = a(), tol(), b()
         dev = float(np.linalg.norm(x - y)) if vector else abs(x - y)
+        if dev != dev:
+            raise EvalError("within: measured NaN")
         measured["within"] = dev
         return dev <= t
 
@@ -223,8 +225,9 @@ _BUILTINS = {
 
 def call(fn: str, ring, back: int, args, measured: dict | None):
     """Builtin `fn` on `args`, `back` ticks into the ring's history. Geometry
-    and lookup errors become EvalError("fn: ..."); the value is recorded in
-    `measured` under `fn` unless that is None."""
+    and lookup errors, and a scalar measured as NaN (which no comparison
+    would flag, so `not` would pass it), become EvalError("fn: ..."); the
+    value is recorded in `measured` under `fn` unless that is None."""
     impl = _BUILTINS[fn](ring, back, *args)
 
     def run():
@@ -232,6 +235,8 @@ def call(fn: str, ring, back: int, args, measured: dict | None):
             value = impl()
         except (DegenerateGeometry, IndexError, KeyError) as err:
             raise EvalError(f"{fn}: {err}") from err
+        if isinstance(value, float) and value != value:
+            raise EvalError(f"{fn}: measured NaN")
         if measured is not None:
             measured[fn] = value
         return value

@@ -65,7 +65,9 @@ def as_points(points) -> np.ndarray:
 
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
+    """Angle in [0, pi] between two nonzero vectors. Raises DegenerateGeometry
+    for a zero vector, or when a non-finite component leaves the cosine
+    undefined (a clamp would read a NaN cosine as angle 0)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     nu = float(np.linalg.norm(u))
@@ -73,6 +75,8 @@ def angle_between(u, v) -> float:
     if nu < 1e-12 or nv < 1e-12:
         raise DegenerateGeometry("angle_between requires nonzero vectors")
     c = float(np.dot(u, v)) / (nu * nv)
+    if not math.isfinite(c):
+        raise DegenerateGeometry("angle_between: vectors are not finite")
     return math.acos(max(-1.0, min(1.0, c)))
 
 
@@ -326,8 +330,13 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 
 
 def _svd_centered(points: np.ndarray):
+    """Raises DegenerateGeometry when the SVD does not converge, as on
+    non-finite points."""
     centroid = points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    try:
+        _, svals, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateGeometry(f"principal directions undefined: {err}") from err
     # pad so svals/vt always cover 3 principal directions (n == 2 gives 2)
     if len(svals) < 3:
         svals = np.concatenate([svals, np.zeros(3 - len(svals))])

@@ -1,17 +1,20 @@
-"""Analytic ray casting against posed boxes/cylinders, and pixel unprojection.
+"""The solids (boxes and cylinders), analytic ray casting against posed
+solids, and pixel unprojection.
 
-The renderer is the oracle stand-in for learned segmentation: each primitive
-carries an instance id, and the nearest hit per pixel yields a depth image
-plus an instance-id image. Parts are not rendered: a caller that needs one
-tests the unprojected hit points against the part's sub-volume. Misses are
-encoded in-band as depth 0.0 and id NONE_ID, which keeps the id image a plain
-integer array.
+Box and Cylinder are the one model of each solid: the simulator settles
+objects with their facts (footprint, half-extents under a rotation) and the
+renderer casts rays with their hit kernels. The renderer is the oracle
+stand-in for learned segmentation: each posed solid carries an instance id,
+and the nearest hit per pixel yields a depth image plus an instance-id image.
+Parts are not rendered: a caller that needs one tests the unprojected hit
+points against the part's sub-volume. Misses are encoded in-band as depth
+0.0 and id NONE_ID, which keeps the id image a plain integer array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +36,127 @@ _EPS = 1e-9
 
 @dataclass(frozen=True)
 class Box:
-    pose: Pose
-    extents: np.ndarray  # full side lengths (x, y, z), meters
-    instance_id: int = 0
+    """A solid box centred on its pose origin: full side lengths (x, y, z)
+    in meters, stored read-only, so the facts computed from them at
+    construction cannot go stale."""
+
+    extents: np.ndarray
+    # footprint: half the side of the xy square, centred on the axis, that
+    # holds the footprint; bounding_radius: the radius of the sphere about
+    # the centre that holds the solid
+    footprint: float = field(init=False, repr=False, compare=False)
+    bounding_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", np.asarray(self.extents, dtype=np.float64))
-        if np.any(self.extents <= 0):
-            raise ValueError("box extents must be positive")
+        ext = np.array(self.extents, dtype=np.float64)
+        if ext.shape != (3,) or not np.all(np.isfinite(ext)) or np.any(ext <= 0):
+            raise ValueError(f"box extents must be three finite positive lengths, got {self.extents!r}")
+        ext.setflags(write=False)
+        object.__setattr__(self, "extents", ext)
+        object.__setattr__(self, "footprint", float(max(ext[0], ext[1]) / 2.0))
+        object.__setattr__(self, "bounding_radius", float(np.linalg.norm(self.half_extents())))
+
+    def half_extents(self) -> np.ndarray:
+        return self.extents / 2.0
+
+    def world_half_z(self, r: np.ndarray) -> float:
+        """Half the world-frame z-extent under rotation matrix r."""
+        return float(np.abs(r[2]) @ self.half_extents())
+
+    def lateral_half_extent(self, r: np.ndarray) -> float:
+        """Largest world-frame x or y half-extent under rotation matrix r."""
+        h = self.half_extents()
+        return float(max(np.abs(r[0]) @ h, np.abs(r[1]) @ h))
+
+    def covers_xy(self, d) -> bool:
+        """True if the unrotated footprint holds the xy offset d from the axis."""
+        half = self.half_extents()
+        return bool(abs(d[0]) <= half[0] and abs(d[1]) <= half[1])
+
+    def hit(self, o, d):
+        """Slab intersection; o, d are (n, 3) in the box local frame.
+
+        Returns t of the nearest surface hit with t > eps, +inf for misses.
+        """
+        half = self.half_extents()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d
+            t1 = (-half - o) * inv
+            t2 = (half - o) * inv
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        # axis-parallel rays: inside the slab -> (-inf, +inf), outside -> empty
+        par = np.abs(d) < _EPS
+        inside = np.abs(o) <= half
+        lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+        hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+        tmin = lo.max(axis=1)
+        tmax = hi.min(axis=1)
+        t = np.where(tmin > _EPS, tmin, tmax)
+        hit = (tmax >= np.maximum(tmin, _EPS)) & (t > _EPS)
+        return np.where(hit, t, np.inf)
 
 
 @dataclass(frozen=True)
 class Cylinder:
-    pose: Pose
+    """A solid capped cylinder along local z, centred on its pose origin:
+    radius and full height in meters."""
+
     radius: float
-    height: float  # full height along local +z, centered on the pose origin
-    instance_id: int = 0
+    height: float
+    footprint: float = field(init=False, repr=False, compare=False)
+    bounding_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValueError("cylinder radius and height must be positive")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(f"cylinder radius and height must be finite and positive, got {self.radius}, {self.height}")
+        object.__setattr__(self, "footprint", float(self.radius))
+        object.__setattr__(self, "bounding_radius", math.hypot(self.radius, self.height / 2.0))
+
+    def half_extents(self) -> np.ndarray:
+        return np.array([self.radius, self.radius, self.height / 2.0])
+
+    def world_half_z(self, r: np.ndarray) -> float:
+        """Half the world-frame z-extent under rotation matrix r: the axis
+        half-height and the rim radius, each projected onto z."""
+        ax = abs(r[2, 2])
+        lat = math.sqrt(max(1.0 - ax * ax, 0.0))
+        return ax * self.height / 2.0 + lat * self.radius
+
+    def lateral_half_extent(self, r: np.ndarray) -> float:
+        """A bound on the world-frame x and y half-extents under rotation
+        matrix r, exact when the axis is upright."""
+        ax = abs(r[2, 2])
+        lat = math.sqrt(max(1.0 - ax * ax, 0.0))
+        return lat * self.height / 2.0 + self.radius
+
+    def covers_xy(self, d) -> bool:
+        """True if the unrotated footprint disk holds the xy offset d."""
+        return bool(d[0] ** 2 + d[1] ** 2 <= self.radius**2)
+
+    def hit(self, o, d):
+        """Nearest hit against the capped cylinder; o, d are (n, 3) in its
+        local frame. +inf for misses."""
+        radius, half_h = self.radius, self.height / 2.0
+        a = d[:, 0] ** 2 + d[:, 1] ** 2
+        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+        c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius**2
+        disc = b * b - 4 * a * c
+        best = np.full(len(o), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+            for sign in (-1.0, 1.0):
+                t = (-b + sign * sq) / (2 * a)
+                z = o[:, 2] + t * d[:, 2]
+                ok = (disc >= 0) & (a > _EPS) & (t > _EPS) & (np.abs(z) <= half_h)
+                best = np.where(ok & (t < best), t, best)
+            for cap_z in (-half_h, half_h):
+                t = (cap_z - o[:, 2]) / d[:, 2]
+                x = o[:, 0] + t * d[:, 0]
+                y = o[:, 1] + t * d[:, 1]
+                ok = (np.abs(d[:, 2]) > _EPS) & (t > _EPS) & (x**2 + y**2 <= radius**2)
+                best = np.where(ok & (t < best), t, best)
+        return best
 
 
 _RAY_CACHE: dict = {}
@@ -73,63 +177,11 @@ def _pixel_rays(cam: CameraModel):
     return rays
 
 
-def _ray_box(o, d, half):
-    """Slab intersection; o, d are (n, 3) in the box local frame.
-
-    Returns t of the nearest surface hit with t > eps, +inf for misses.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t1 = (-half - o) * inv
-        t2 = (half - o) * inv
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    # axis-parallel rays: inside the slab -> (-inf, +inf), outside -> empty
-    par = np.abs(d) < _EPS
-    inside = np.abs(o) <= half
-    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-    tmin = lo.max(axis=1)
-    tmax = hi.min(axis=1)
-    t = np.where(tmin > _EPS, tmin, tmax)
-    hit = (tmax >= np.maximum(tmin, _EPS)) & (t > _EPS)
-    return np.where(hit, t, np.inf)
-
-
-def _ray_cylinder(o, d, radius, half_h):
-    """Nearest hit against a capped cylinder (axis = local z), +inf for misses."""
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-    c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius**2
-    disc = b * b - 4 * a * c
-    best = np.full(len(o), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        for sign in (-1.0, 1.0):
-            t = (-b + sign * sq) / (2 * a)
-            z = o[:, 2] + t * d[:, 2]
-            ok = (disc >= 0) & (a > _EPS) & (t > _EPS) & (np.abs(z) <= half_h)
-            best = np.where(ok & (t < best), t, best)
-        for cap_z in (-half_h, half_h):
-            t = (cap_z - o[:, 2]) / d[:, 2]
-            x = o[:, 0] + t * d[:, 0]
-            y = o[:, 1] + t * d[:, 1]
-            ok = (np.abs(d[:, 2]) > _EPS) & (t > _EPS) & (x**2 + y**2 <= radius**2)
-            best = np.where(ok & (t < best), t, best)
-    return best
-
-
-def _bounding_radius(prim) -> float:
-    if isinstance(prim, Box):
-        return float(np.linalg.norm(prim.extents / 2.0))
-    return math.hypot(prim.radius, prim.height / 2.0)
-
-
-def _candidate_pixels(prim, cam: CameraModel):
-    """Flat pixel indices whose rays can hit the primitive's bounding
+def _candidate_pixels(pose: Pose, solid, cam: CameraModel):
+    """Flat pixel indices whose rays can hit the posed solid's bounding
     sphere; None means all pixels (sphere spans the camera)."""
-    c = cam.pose.inverse().apply(prim.pose.t)
-    rad = _bounding_radius(prim)
+    c = cam.pose.inverse().apply(pose.t)
+    rad = solid.bounding_radius
     z = float(c[2])
     if z + rad <= _EPS:
         return np.empty(0, dtype=np.int64)  # fully behind the camera
@@ -153,11 +205,12 @@ def _candidate_pixels(prim, cam: CameraModel):
     return (rows[:, None] + cols[None, :]).ravel()
 
 
-def raycast_depth(primitives, cam: CameraModel):
-    """Render (depth, instance_id) images for a primitive scene.
+def raycast_depth(solids, cam: CameraModel):
+    """Render (depth, instance_id) images for a scene of (pose, solid,
+    instance_id) triples, each solid a Box or a Cylinder.
 
     Depth is camera-frame z of the nearest hit; 0.0 where nothing is hit,
-    with NONE_ID in the id image. Rays are culled per primitive by its
+    with NONE_ID in the id image. Rays are culled per solid by its
     projected bounding sphere.
     """
     n = cam.width * cam.height
@@ -168,30 +221,24 @@ def raycast_depth(primitives, cam: CameraModel):
 
     best_t = np.full(n, np.inf)
     inst = np.full(n, NONE_ID, dtype=np.int32)
-    for prim in primitives:
-        idx = _candidate_pixels(prim, cam)
+    for pose, solid, instance_id in solids:
+        idx = _candidate_pixels(pose, solid, cam)
         if idx is not None and len(idx) == 0:
             continue
         rays = dirs_w if idx is None else dirs_w[idx]
-        inv = prim.pose.inverse()
+        inv = pose.inverse()
         rot = inv.rotation()
         o_l = np.broadcast_to(inv.apply(origin_w), rays.shape)
-        d_l = rays @ rot.T
-        if isinstance(prim, Box):
-            t = _ray_box(o_l, d_l, prim.extents / 2.0)
-        elif isinstance(prim, Cylinder):
-            t = _ray_cylinder(o_l, d_l, prim.radius, prim.height / 2.0)
-        else:
-            raise TypeError(f"unsupported primitive {type(prim).__name__}")
+        t = solid.hit(o_l, rays @ rot.T)
         if idx is None:
             closer = t < best_t
             best_t = np.where(closer, t, best_t)
-            inst[closer] = prim.instance_id
+            inst[closer] = instance_id
         else:
             closer = t < best_t[idx]
             sub = idx[closer]
             best_t[sub] = t[closer]
-            inst[sub] = prim.instance_id
+            inst[sub] = instance_id
 
     depth = np.where(np.isfinite(best_t), best_t, 0.0)
     shape = (cam.height, cam.width)

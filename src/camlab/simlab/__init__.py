@@ -17,27 +17,21 @@ from camlab.simlab.scenes import (
 )
 from camlab.simlab.world import (
     DT,
-    END_EFFECTOR,
     TICK_HZ,
-    WORLD,
     PolicyRuntime,
     PolicyScript,
     Simulation,
     SimObject,
     SimState,
     Waypoint,
-    box_shape,
-    cylinder_shape,
 )
 
 __all__ = [
     "CARRY_REF_TICKS",
     "DT",
-    "END_EFFECTOR",
     "MONITOR_MODES",
     "TEMPLATES",
     "TICK_HZ",
-    "WORLD",
     "Disturbance",
     "DisturbanceInjector",
     "EpisodeConfig",
@@ -50,10 +44,8 @@ __all__ = [
     "Simulation",
     "TaskBookkeeper",
     "Waypoint",
-    "box_shape",
     "build_scene",
     "build_script",
-    "cylinder_shape",
     "default_cameras",
     "extract_elements",
     "mask_bundle",

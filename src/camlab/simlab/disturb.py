@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from camlab.geom3d import Pose, quat_conj, quat_from_axis_angle, quat_mul
-from camlab.simlab.world import END_EFFECTOR
 
 __all__ = ["Disturbance", "DisturbanceInjector", "CARRY_REF_TICKS", "standard_disturbances"]
 
@@ -47,6 +46,16 @@ class Disturbance:
             raise ValueError("drop probability must be in [0, 1]")
         if not 0 <= self.q_cm < math.inf:
             raise ValueError("placement noise bound must be finite and >= 0")
+        if self.tick is not None and self.phase is not None:
+            raise ValueError("a disturbance triggers at a tick or at a phase, not both")
+
+
+def _reseat(obj, q, eq):
+    """Rotate a held object by the world rotation q about its grip: its
+    attach offset turns so that the EE (orientation eq) composed with it
+    gives the object's orientation turned by q."""
+    new_q = quat_mul(quat_conj(eq), quat_mul(q, quat_mul(eq, obj.attach_offset.q)))
+    obj.attach_offset = Pose(new_q, obj.attach_offset.t)
 
 
 class DisturbanceInjector:
@@ -55,12 +64,18 @@ class DisturbanceInjector:
     def __init__(self, disturbances, rng: np.random.Generator):
         self.disturbances = list(disturbances)
         self.rng = rng
-        self._armed: list = []  # (tick, disturbance) resolved triggers
-        self._fired: set = set()
+        self._armed: list = []  # (tick, index) resolved triggers not yet fired
         self._phase_seen: set = set()
         for i, d in enumerate(self.disturbances):
             if d.tick is not None:
                 self._armed.append((d.tick, i))
+        self._noise_q = max((d.q_cm for d in self.disturbances if d.kind == "placement_noise"), default=0.0)
+        # per-tick drop probability while anything is held; None draws nothing
+        p_step = max((d.p for d in self.disturbances if d.kind == "drop_with_prob" and d.p > 0), default=None)
+        if p_step is None or p_step >= 1.0:
+            self._drop_p_tick = p_step
+        else:
+            self._drop_p_tick = 1.0 - (1.0 - p_step) ** (1.0 / CARRY_REF_TICKS)
 
     # -- phase anchoring
 
@@ -79,7 +94,7 @@ class DisturbanceInjector:
     def placement_offset(self) -> np.ndarray:
         """XY offset applied to a placement target: magnitude uniform in
         [0, q] cm, direction uniform. Zero when no noise is configured."""
-        q = max((d.q_cm for d in self.disturbances if d.kind == "placement_noise"), default=0.0)
+        q = self._noise_q
         if q <= 0:
             return np.zeros(2)
         mag = self.rng.uniform(0.0, q) * 0.01
@@ -90,17 +105,13 @@ class DisturbanceInjector:
 
     def apply(self, sim):
         state = sim.state
-        for tick, i in sorted(self._armed):
-            if tick > state.tick or i in self._fired:
-                continue
-            self._fired.add(i)
-            self._dispatch(sim, self.disturbances[i])
+        due = sorted(armed for armed in self._armed if armed[0] <= state.tick)
+        for armed in due:
+            self._armed.remove(armed)
+            self._dispatch(sim, self.disturbances[armed[1]])
         # continuous drop hazard while anything is held
-        probs = [d.p for d in self.disturbances if d.kind == "drop_with_prob" and d.p > 0]
-        if probs and state.held:
-            p_step = max(probs)
-            p_tick = 1.0 - (1.0 - p_step) ** (1.0 / CARRY_REF_TICKS) if p_step < 1.0 else 1.0
-            if self.rng.random() < p_tick:
+        if self._drop_p_tick is not None and state.held:
+            if self.rng.random() < self._drop_p_tick:
                 dropped = list(state.held)
                 self._tumble_release(sim)
                 state.log("injection", kind="drop", oids=dropped)
@@ -110,21 +121,18 @@ class DisturbanceInjector:
         if d.kind == "move_object":
             obj = state.objects[d.oid]
             obj.pose = Pose(obj.pose.q, obj.pose.t + np.asarray(d.delta, dtype=np.float64))
-            if obj.attached_to != END_EFFECTOR:
+            if d.oid not in state.held:
                 sim.drop_to_support(d.oid)
             state.log("injection", kind="move_object", oid=d.oid, delta=list(d.delta))
         elif d.kind == "rotate_object":
             obj = state.objects[d.oid]
             q = quat_from_axis_angle(_AXES[d.axis], np.deg2rad(d.angle_deg))
-            if obj.attached_to == END_EFFECTOR:
-                eq = state.ee_pose.q
-                new_q = quat_mul(quat_conj(eq), quat_mul(q, quat_mul(eq, obj.attach_offset.q)))
-                obj.attach_offset = Pose(new_q, obj.attach_offset.t)
+            if d.oid in state.held:
+                _reseat(obj, q, state.ee_pose.q)
                 sim.refresh_attached()
-                state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
-                return
-            obj.pose = Pose(quat_mul(q, obj.pose.q), obj.pose.t + np.asarray(d.delta, dtype=np.float64))
-            sim.drop_to_support(d.oid)
+            else:
+                obj.pose = Pose(quat_mul(q, obj.pose.q), obj.pose.t + np.asarray(d.delta, dtype=np.float64))
+                sim.drop_to_support(d.oid)
             state.log("injection", kind="rotate_object", oid=d.oid, axis=d.axis, angle_deg=d.angle_deg)
         elif d.kind == "force_release":
             if state.held:
@@ -134,12 +142,8 @@ class DisturbanceInjector:
         elif d.kind == "tilt_held":
             if state.held:
                 tilt = quat_from_axis_angle(_AXES[d.axis], np.deg2rad(d.angle_deg))
-                eq = state.ee_pose.q
                 for oid in state.held:
-                    obj = state.objects[oid]
-                    # rotate the held object about a world axis through its grip
-                    new_q = quat_mul(quat_conj(eq), quat_mul(tilt, quat_mul(eq, obj.attach_offset.q)))
-                    obj.attach_offset = Pose(new_q, obj.attach_offset.t)
+                    _reseat(state.objects[oid], tilt, state.ee_pose.q)
                 sim.refresh_attached()
                 state.log("injection", kind="tilt_held", axis=d.axis, angle_deg=d.angle_deg, oids=list(state.held))
         elif d.kind == "relevel_held":

@@ -28,7 +28,7 @@ from camlab.geom3d import (
     unproject_pixels,
     vec3,
 )
-from camlab.simlab.world import SimObject, SimState, box_shape, cylinder_shape
+from camlab.simlab.world import SimObject, SimState
 
 __all__ = [
     "TEMPLATES",
@@ -77,7 +77,7 @@ def _register(scene: Scene, state: SimState, obj: SimObject):
 
 
 def _table() -> SimObject:
-    return SimObject("table", box_shape(0.6, 0.6, 0.04), Pose(t=vec3(0, 0, -0.02)))
+    return SimObject("table", Box((0.6, 0.6, 0.04)), Pose(t=vec3(0, 0, -0.02)))
 
 
 def _scatter(rng, n, lo, hi, min_gap, keepout=()):
@@ -108,14 +108,14 @@ def build_scene(template: str, rng: np.random.Generator):
         pad_xy = np.array([0.16, 0.10])
         # pad footprint matches the blocks so off-target placements fall off,
         # and it is tall enough that a miss lands measurably lower
-        pad = SimObject("pad", box_shape(BLOCK, BLOCK, 0.03), Pose(t=vec3(pad_xy[0], pad_xy[1], 0.015)))
+        pad = SimObject("pad", Box((BLOCK, BLOCK, 0.03)), Pose(t=vec3(pad_xy[0], pad_xy[1], 0.015)))
         _register(scene, state, pad)
         spots = _scatter(
             rng, 3, np.array([-0.22, -0.16]), np.array([0.0, 0.16]), 0.09,
             keepout=[(pad_xy, 0.10)],
         )
         for name, xy in zip(("red", "green", "blue"), spots):
-            blk = SimObject(name, box_shape(BLOCK, BLOCK, BLOCK), Pose(t=vec3(xy[0], xy[1], BLOCK / 2)))
+            blk = SimObject(name, Box((BLOCK, BLOCK, BLOCK)), Pose(t=vec3(xy[0], xy[1], BLOCK / 2)))
             _register(scene, state, blk)
         scene.meta = {
             "order": ["red", "green", "blue"],
@@ -134,7 +134,7 @@ def build_scene(template: str, rng: np.random.Generator):
             for c in cols:
                 xy = np.array([c, r]) + rng.uniform(-0.006, 0.006, size=2)
                 oid = f"blk{i:02d}"
-                blk = SimObject(oid, box_shape(MINI, MINI, MINI), Pose(t=vec3(xy[0], xy[1], MINI / 2)))
+                blk = SimObject(oid, Box((MINI, MINI, MINI)), Pose(t=vec3(xy[0], xy[1], MINI / 2)))
                 _register(scene, state, blk)
                 order.append(oid)
                 i += 1
@@ -151,12 +151,12 @@ def build_scene(template: str, rng: np.random.Generator):
     elif template == "slot_pen":
         pen_xy = np.array([-0.14, -0.06]) + rng.uniform(-0.03, 0.03, size=2)
         pen = SimObject(
-            "pen", cylinder_shape(0.009, 0.13), Pose(_LYING, vec3(pen_xy[0], pen_xy[1], 0.009)),
+            "pen", Cylinder(0.009, 0.13), Pose(_LYING, vec3(pen_xy[0], pen_xy[1], 0.009)),
             parts={"tip": (np.array([-0.0091, -0.0091, -0.0651]), np.array([0.0091, 0.0091, -0.0409]))},
         )
         holder_xy = np.array([0.15, 0.08]) + rng.uniform(-0.015, 0.015, size=2)
         holder = SimObject(
-            "holder", cylinder_shape(0.028, 0.08), Pose(t=vec3(holder_xy[0], holder_xy[1], 0.04)),
+            "holder", Cylinder(0.028, 0.08), Pose(t=vec3(holder_xy[0], holder_xy[1], 0.04)),
             bore_radius=0.02, bore_floor_z=-0.03,
         )
         _register(scene, state, pen)
@@ -173,10 +173,10 @@ def build_scene(template: str, rng: np.random.Generator):
     elif template == "stow_book":
         book_xy = np.array([-0.12, -0.05]) + rng.uniform(-0.03, 0.03, size=2)
         book = SimObject(
-            "book", box_shape(0.04, 0.14, 0.22), Pose(_LYING, vec3(book_xy[0], book_xy[1], 0.02)),
+            "book", Box((0.04, 0.14, 0.22)), Pose(_LYING, vec3(book_xy[0], book_xy[1], 0.02)),
             parts={"spine": (np.array([-0.0201, -0.0701, -0.1101]), np.array([0.0201, -0.0500, 0.1101]))},
         )
-        shelf = SimObject("shelf", box_shape(0.22, 0.30, 0.02), Pose(t=vec3(0.18, 0.05, 0.01)))
+        shelf = SimObject("shelf", Box((0.22, 0.30, 0.02)), Pose(t=vec3(0.18, 0.05, 0.01)))
         _register(scene, state, book)
         _register(scene, state, shelf)
         scene.regions["slot"] = (np.array([0.10, -0.05, 0.02]), np.array([0.26, 0.15, 0.30]))
@@ -191,11 +191,11 @@ def build_scene(template: str, rng: np.random.Generator):
     elif template == "pour_tea":
         pot_xy = np.array([-0.13, 0.0]) + rng.uniform(-0.025, 0.025, size=2)
         pot = SimObject(
-            "teapot", cylinder_shape(0.06, 0.12), Pose(t=vec3(pot_xy[0], pot_xy[1], 0.06)),
+            "teapot", Cylinder(0.06, 0.12), Pose(t=vec3(pot_xy[0], pot_xy[1], 0.06)),
             parts={"lid": (np.array([-0.0601, -0.0601, 0.0499]), np.array([0.0601, 0.0601, 0.0601]))},
         )
         cup_xy = np.array([0.14, 0.02]) + rng.uniform(-0.02, 0.02, size=2)
-        cup = SimObject("teacup", cylinder_shape(0.035, 0.05), Pose(t=vec3(cup_xy[0], cup_xy[1], 0.025)))
+        cup = SimObject("teacup", Cylinder(0.035, 0.05), Pose(t=vec3(cup_xy[0], cup_xy[1], 0.025)))
         _register(scene, state, pot)
         _register(scene, state, cup)
         scene.meta = {
@@ -228,16 +228,10 @@ class View(NamedTuple):
 
 def render(state: SimState, scene: Scene):
     """One View per camera, in scene.cameras order."""
-    prims = []
-    for oid, obj in state.objects.items():
-        iid = scene.instance_ids[oid]
-        if obj.shape.kind == "box":
-            prims.append(Box(obj.pose, obj.shape.extents, iid))
-        else:
-            prims.append(Cylinder(obj.pose, obj.shape.radius, obj.shape.height, iid))
+    solids = [(obj.pose, obj.shape, scene.instance_ids[oid]) for oid, obj in state.objects.items()]
     views = []
     for cam in scene.cameras:
-        depth, inst = raycast_depth(prims, cam)
+        depth, inst = raycast_depth(solids, cam)
         views.append(View(depth, inst, LabelIndex(depth, inst)))
     return views
 
@@ -266,19 +260,10 @@ def mask_bundle(scene: Scene, views, obj: SimObject, part: str, etype, constrain
 
 
 def scene_summary(state: SimState, scene: Scene) -> dict:
-    objs = {}
-    for oid, obj in state.objects.items():
-        r = obj.pose.rotation()
-        objs[oid] = {
-            "pos": [float(x) for x in obj.pose.t],
-            "top_z": obj.top_z(),
-            "axis_z": [float(x) for x in r[:, 2]],  # local z in world
-            "held": obj.attached_to == "end_effector",
-        }
+    """What the planner reads of the scene: each object's position and top,
+    the regions and the template's meta."""
     return {
-        "objects": objs,
-        "ee": [float(x) for x in state.ee_pose.t],
-        "held": list(state.held),
+        "objects": {oid: {"pos": obj.pose.t.tolist(), "top_z": obj.top_z()} for oid, obj in state.objects.items()},
         "regions": {k: [list(map(float, v[0])), list(map(float, v[1]))] for k, v in scene.regions.items()},
         "meta": scene.meta,
     }

@@ -1,4 +1,4 @@
-"""Kinematic world model: primitive objects, attachment, drop-to-support.
+"""Kinematic world model: solid objects, attachment, drop-to-support.
 
 No dynamics: a released object falls instantly to rest on the highest
 supporting surface beneath its center, held objects follow the end-effector
@@ -13,16 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from camlab.geom3d import Pose, quat_mul, quat_slerp
+from camlab.geom3d import Box, Cylinder, Pose, quat_mul, quat_slerp
 
 __all__ = [
     "DT",
     "TICK_HZ",
-    "WORLD",
-    "END_EFFECTOR",
-    "Shape",
-    "box_shape",
-    "cylinder_shape",
     "SimObject",
     "SimState",
     "Waypoint",
@@ -34,50 +29,14 @@ __all__ = [
 TICK_HZ = 20
 DT = 1.0 / TICK_HZ
 
-WORLD = "world"
-END_EFFECTOR = "end_effector"
-
-
-@dataclass(frozen=True)
-class Shape:
-    kind: str  # "box" | "cylinder"
-    extents: np.ndarray | None = None  # full side lengths for boxes
-    radius: float = 0.0
-    height: float = 0.0
-    # half the side of the xy square, centred on the axis, that holds the
-    # footprint; extents are stored read-only, so it cannot go stale
-    footprint: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.extents is not None:
-            ext = np.array(self.extents, dtype=np.float64)
-            ext.setflags(write=False)
-            object.__setattr__(self, "extents", ext)
-        half = max(self.extents[0], self.extents[1]) / 2.0 if self.kind == "box" else self.radius
-        object.__setattr__(self, "footprint", float(half))
-
-    def half_extents(self) -> np.ndarray:
-        if self.kind == "box":
-            return self.extents / 2.0
-        return np.array([self.radius, self.radius, self.height / 2.0])
-
-
-def box_shape(ex: float, ey: float, ez: float) -> Shape:
-    return Shape("box", extents=np.array([ex, ey, ez], dtype=np.float64))
-
-
-def cylinder_shape(radius: float, height: float) -> Shape:
-    return Shape("cylinder", radius=radius, height=height)
-
 
 @dataclass
 class SimObject:
     oid: str
-    shape: Shape
+    shape: Box | Cylinder
     pose: Pose
     parts: dict = field(default_factory=dict)  # name -> (lo, hi) local AABB
-    attached_to: str = WORLD
-    attach_offset: Pose = field(default_factory=Pose.identity)
+    attach_offset: Pose = field(default_factory=Pose.identity)  # from the EE, while held
     # container objects (e.g. a pen holder) accept dropped objects whose
     # center lands within bore_radius of the axis; they rest on the inner floor
     bore_radius: float = 0.0
@@ -85,23 +44,14 @@ class SimObject:
 
     def world_half_z(self) -> float:
         """Half the world-frame z-extent (handles rotated objects)."""
-        r = self.pose.rotation()
-        if self.shape.kind == "box":
-            return float(np.abs(r[2]) @ (self.shape.extents / 2.0))
-        ax = abs(r[2, 2])
-        lat = math.sqrt(max(1.0 - ax * ax, 0.0))
-        return ax * self.shape.height / 2.0 + lat * self.shape.radius
+        return self.shape.world_half_z(self.pose.rotation())
 
     def top_z(self) -> float:
         return float(self.pose.t[2]) + self.world_half_z()
 
     def supports_xy(self, xy: np.ndarray) -> bool:
         """True if a center at xy (world) would rest on this object's top."""
-        d = xy - self.pose.t[:2]
-        half = self.shape.half_extents()
-        if self.shape.kind == "box":
-            return bool(abs(d[0]) <= half[0] and abs(d[1]) <= half[1])
-        return bool(d[0] ** 2 + d[1] ** 2 <= self.shape.radius**2)
+        return self.shape.covers_xy(xy - self.pose.t[:2])
 
     def in_bore_xy(self, xy: np.ndarray) -> bool:
         if self.bore_radius <= 0:
@@ -111,13 +61,7 @@ class SimObject:
 
     def lateral_half_extent(self) -> float:
         """Worst-case world-frame horizontal half-extent (for bore fit)."""
-        r = self.pose.rotation()
-        if self.shape.kind == "box":
-            h = self.shape.extents / 2.0
-            return float(max(np.abs(r[0]) @ h, np.abs(r[1]) @ h))
-        ax = abs(r[2, 2])
-        lat = math.sqrt(max(1.0 - ax * ax, 0.0))
-        return lat * self.shape.height / 2.0 + self.shape.radius
+        return self.shape.lateral_half_extent(self.pose.rotation())
 
 
 @dataclass
@@ -125,7 +69,7 @@ class SimState:
     tick: int = 0
     objects: dict = field(default_factory=dict)  # oid -> SimObject
     ee_pose: Pose = field(default_factory=Pose.identity)
-    held: list = field(default_factory=list)  # oids attached to the EE
+    held: list = field(default_factory=list)  # oids attached to the EE, the one record of holding
     events: list = field(default_factory=list)
 
     def log(self, kind: str, /, **payload):
@@ -284,14 +228,11 @@ class Simulation:
 
     def attach(self, oid: str):
         obj = self.state.objects[oid]
-        obj.attached_to = END_EFFECTOR
         obj.attach_offset = self.state.ee_pose.inverse().compose(obj.pose)
         if oid not in self.state.held:
             self.state.held.append(oid)
 
     def detach(self, oid: str, settle: bool = True):
-        obj = self.state.objects[oid]
-        obj.attached_to = WORLD
         if oid in self.state.held:
             self.state.held.remove(oid)
         if settle:
@@ -304,7 +245,8 @@ class Simulation:
     # -- settling
 
     def drop_to_support(self, oid: str):
-        """Rest the object on the highest support beneath its center.
+        """Rest the object on the highest support beneath its center; held
+        objects support nothing.
 
         An object whose axis lies farther from the center than its
         footprint half-width or bore radius along x or y is skipped before
@@ -323,7 +265,7 @@ class Simulation:
             reach = max(other.shape.footprint, other.bore_radius) * (1.0 + 1e-6) + 1e-9
             if abs(ox - x) > reach or abs(oy - y) > reach:
                 continue
-            if other.oid == oid or other.attached_to == END_EFFECTOR:
+            if other.oid == oid or other.oid in self.state.held:
                 continue
             if other.in_bore_xy(xy) and obj.lateral_half_extent() <= other.bore_radius:
                 floor = float(other.pose.t[2]) + other.bore_floor_z

@@ -1,6 +1,6 @@
 """Geometry references that only tests use: pixel unprojection written with
 the per-call divmod arithmetic, mask unprojection, projection, the distance
-from a point to a primitive's surface, a voxel grid's frame, and the
+from a point to a solid's surface, a voxel grid's frame, and the
 settling loop that tests every object.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
@@ -13,7 +13,6 @@ import numpy as np
 
 from camlab.errors import DimensionMismatch
 from camlab.geom3d import Box, CameraModel, Cylinder, unproject_pixels
-from camlab.simlab.world import END_EFFECTOR
 
 
 def unproject_pixels_divmod(depth, pixels, cam: CameraModel) -> np.ndarray:
@@ -52,21 +51,21 @@ def project(points, cam: CameraModel):
     return np.stack([u, v], axis=-1), in_front
 
 
-def surface_distance(point, prim) -> float:
-    """Unsigned distance from a point to the primitive's surface."""
-    p = prim.pose.inverse().apply(np.asarray(point, dtype=np.float64))
-    if isinstance(prim, Box):
-        q = np.abs(p) - prim.extents / 2.0
+def surface_distance(point, pose, solid) -> float:
+    """Unsigned distance from a point to the surface of the solid at pose."""
+    p = pose.inverse().apply(np.asarray(point, dtype=np.float64))
+    if isinstance(solid, Box):
+        q = np.abs(p) - solid.extents / 2.0
         outside = float(np.linalg.norm(np.clip(q, 0.0, None)))
         inside = float(min(np.max(q), 0.0))
         return abs(outside + inside)
-    if isinstance(prim, Cylinder):
-        dr = math.hypot(p[0], p[1]) - prim.radius
-        dz = abs(p[2]) - prim.height / 2.0
+    if isinstance(solid, Cylinder):
+        dr = math.hypot(p[0], p[1]) - solid.radius
+        dz = abs(p[2]) - solid.height / 2.0
         if dr <= 0 and dz <= 0:
             return abs(max(dr, dz))
         return math.hypot(max(dr, 0.0), max(dz, 0.0))
-    raise TypeError(f"unsupported primitive {type(prim).__name__}")
+    raise TypeError(f"unsupported solid {type(solid).__name__}")
 
 
 def voxel_frame(points, cells_per_axis):
@@ -89,7 +88,7 @@ def settle_reference(state, oid):
     best = 0.0
     inside_bore = False
     for other in state.objects.values():
-        if other.oid == oid or other.attached_to == END_EFFECTOR:
+        if other.oid == oid or other.oid in state.held:
             continue
         if other.in_bore_xy(xy) and obj.lateral_half_extent() <= other.bore_radius:
             floor = float(other.pose.t[2]) + other.bore_floor_z

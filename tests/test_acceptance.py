@@ -225,13 +225,14 @@ def test_P2_unproject_raycast_residual():
             q = quat_from_axis_angle(rng.normal(size=3) + 1e-3, float(rng.uniform(0, math.pi)))
             pose = Pose(q, center)
             if rng.random() < 0.5:
-                prims.append(Box(pose, extents=rng.uniform(0.1, 0.4, size=3), instance_id=i))
+                solid = Box(rng.uniform(0.1, 0.4, size=3))
             else:
-                prims.append(Cylinder(pose, radius=float(rng.uniform(0.05, 0.2)), height=float(rng.uniform(0.1, 0.4)), instance_id=i))
+                solid = Cylinder(radius=float(rng.uniform(0.05, 0.2)), height=float(rng.uniform(0.1, 0.4)))
+            prims.append((pose, solid, i))
         depth, inst = raycast_depth(prims, cam)
-        for prim in prims:
-            for p in unproject(depth, inst == prim.instance_id, cam):
-                worst = max(worst, surface_distance(p, prim))
+        for pose, solid, iid in prims:
+            for p in unproject(depth, inst == iid, cam):
+                worst = max(worst, surface_distance(p, pose, solid))
     assert worst < 1e-5, f"worst residual {worst:.2e}"
     print(f"\nP2 PASS: worst surface residual {worst:.2e} < 1e-5 over 100 scenes")
 

@@ -739,6 +739,35 @@ def test_deep_and_long_programs_raise_only_parse_and_validation_errors(validate_
     assert rc == 2 if height > MAX_NESTING else rc in (0, 2)
 
 
+# a value past the float range turns a vector infinite, so its measurements
+# are NaN: each program must fail validation, not hold on every tick
+_NAN_PROGRAMS = {
+    "angle": "tol big = 1e308 m\ntol lmax = 0.1 rad\n{ angle(vec(big * 10, 0, 0), axis_z) <= lmax }\n",
+    "not_dist": "tol big = 1e308 m\ntol lim = 0.1 m\n{ not (dist(vec(big * 10, 0, 0), vec(big * 10, 0, 0)) > lim) }\n",
+    "not_within": "tol big = 1e308 m\ntol lim = 0.1 m\n{ not (vec(big * 10, 0, 0) within lim of vec(big * 10, 0, 0)) }\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_PROGRAMS))
+def test_validate_rejects_a_program_that_measures_nan(tmp_path, name):
+    f = tmp_path / f"{name}.cam"
+    f.write_text(f'constraint "{name}" mode during\n{_NAN_PROGRAMS[name]}fail "r"\n')
+    with contextlib.redirect_stdout(io.StringIO()), np.errstate(all="ignore"):
+        assert main(["validate", str(f)]) == 2
+
+
+def test_overflowing_tracker_noise_fails_safe_and_replays(tmp_path):
+    """Noise of sigma 1e308 overflows the tracked points to inf: the fits
+    on them are degenerate geometry, so the monitor gives violation
+    verdicts, and the run completes and replays to the same report."""
+    spec = ExperimentSpec.loads("task = stow_book\nepisodes = 1\nmodes = full\ntracker.sigma = 1e308\n")
+    log = tmp_path / "run.jsonl"
+    with JsonlLogWriter(log) as w, np.errstate(all="ignore"):
+        report = run_spec(spec, w)
+    assert report_bytes(replay_log(log)) == report_bytes(report)
+    assert any(r["kind"] == "verdict" for r in read_log(log))
+
+
 def test_validate_bad_element(tmp_path):
     f = tmp_path / "bad.cam"
     f.write_text(

@@ -38,7 +38,7 @@ from camlab.geom3d import (
     voxelize,
 )
 from camlab.simlab.scenes import Scene, View, mask_bundle
-from camlab.simlab.world import SimObject, box_shape
+from camlab.simlab.world import SimObject
 from oracles import unproject
 
 
@@ -82,7 +82,7 @@ def test_fuse_single_view_three_pixels():
 
 
 def test_fuse_two_views_box_face():
-    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(0.4, 0.4, 0.4), instance_id=1)
+    box = (Pose(t=vec3(0, 0, 1)), Box(vec3(0.4, 0.4, 0.4)), 1)
     c1 = cam()
     c2 = cam(f=50.0)
     d1, i1 = raycast_depth([box], c1)
@@ -136,7 +136,7 @@ def labelled_views(draw):
         q = quat_from_axis_angle([0.0, 0.4, 1.0], draw(st.floats(-3.0, 3.0)))
         corners = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))).reshape(2, 3)
         top = (corners.min(axis=0), corners.max(axis=0))
-        objects[oid] = SimObject(oid, box_shape(0.1, 0.1, 0.1), Pose(q, [0.1, -0.2, 0.4]), parts={"top": top})
+        objects[oid] = SimObject(oid, Box((0.1, 0.1, 0.1)), Pose(q, [0.1, -0.2, 0.4]), parts={"top": top})
     return views, c, objects
 
 
@@ -556,7 +556,7 @@ def test_order_and_connect_matches_the_per_kind_fit(case):
 
 
 def test_extract_element_from_render():
-    box = Box(Pose(t=vec3(0, 0, 0.6)), extents=vec3(0.1, 0.1, 0.04), instance_id=7)
+    box = (Pose(t=vec3(0, 0, 0.6)), Box(vec3(0.1, 0.1, 0.04)), 7)
     c = cam(w=32, h=24, f=60.0)
     depth, inst = raycast_depth([box], c)
     b = MaskBundle(
@@ -574,7 +574,7 @@ def test_extract_element_from_render():
 
 
 def test_view_monotonicity():
-    box = Box(Pose(t=vec3(0, 0, 0.6)), extents=vec3(0.1, 0.1, 0.04), instance_id=7)
+    box = (Pose(t=vec3(0, 0, 0.6)), Box(vec3(0.1, 0.1, 0.04)), 7)
     c1 = cam(w=32, h=24, f=60.0)
     c2 = cam(w=32, h=24, f=45.0)
     d1, i1 = raycast_depth([box], c1)

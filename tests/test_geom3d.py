@@ -79,6 +79,39 @@ def test_angle_symmetry_and_scale(u, v, a, b):
     assert angle_between(a * u, b * v) == pytest.approx(ang, abs=1e-9)
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def non_finite_points(draw, min_size=1):
+    """(n, 3) points of moderate finite coordinates with NaN or +-inf at one
+    or more random positions."""
+    n = draw(st.integers(min_size, 8))
+    pts = np.array(draw(st.lists(st.floats(-10, 10), min_size=3 * n, max_size=3 * n)))
+    at = draw(st.lists(st.integers(0, 3 * n - 1), min_size=1, max_size=3 * n, unique=True))
+    pts[at] = draw(st.lists(st.sampled_from(_NON_FINITE), min_size=len(at), max_size=len(at)))
+    return pts.reshape(n, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_finite_points(min_size=2), st.integers(0, 1))
+def test_non_finite_input_raises_only_degenerate_geometry(pts, swap):
+    """A non-finite point or vector component leaves an angle or a fit
+    undefined: each raises DegenerateGeometry, never returns (a NaN cosine
+    once clamped to angle 0) and never raises numpy's LinAlgError."""
+    bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+    u, v = pts[bad], pts[bad - 1]  # a row with a non-finite component, and another row
+    if swap:
+        u, v = v, u
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateGeometry):
+            angle_between(u, v)
+        with pytest.raises(DegenerateGeometry):
+            fit_line(pts)
+        with pytest.raises(DegenerateGeometry):
+            fit_plane(pts)
+
+
 # ---------------------------------------------------------------------------
 # cross product
 
@@ -447,16 +480,15 @@ def test_raycast_empty_scene():
 def test_raycast_unit_box_principal_pixel():
     # unit box centered 1 m ahead: near face at z = 0.5 by hand
     cam = CameraModel(fx=10, fy=10, cx=4, cy=3, width=8, height=6)
-    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=5)
-    depth, inst = raycast_depth([box], cam)
+    depth, inst = raycast_depth([(Pose(t=vec3(0, 0, 1)), Box(vec3(1, 1, 1)), 5)], cam)
     assert depth[3, 4] == pytest.approx(0.5)
     assert inst[3, 4] == 5
 
 
 def test_raycast_occlusion_z_order():
     cam = cam_identity(w=16, h=12, f=20.0)
-    near = Box(Pose(t=vec3(0, 0, 0.8)), extents=vec3(0.5, 0.5, 0.1), instance_id=1)
-    far = Box(Pose(t=vec3(0, 0, 1.5)), extents=vec3(2.0, 2.0, 0.1), instance_id=2)
+    near = (Pose(t=vec3(0, 0, 0.8)), Box(vec3(0.5, 0.5, 0.1)), 1)
+    far = (Pose(t=vec3(0, 0, 1.5)), Box(vec3(2.0, 2.0, 0.1)), 2)
     depth, inst = raycast_depth([far, near], cam)
     h, w = depth.shape
     assert inst[h // 2, w // 2] == 1  # nearer box wins where they overlap
@@ -466,11 +498,108 @@ def test_raycast_occlusion_z_order():
 
 def test_raycast_cylinder_side_depth():
     cam = CameraModel(fx=50, fy=50, cx=8, cy=6, width=16, height=12)
-    cyl = Cylinder(Pose(t=vec3(0, 0, 2.0)), radius=0.5, height=1.0, instance_id=3)
+    cyl = (Pose(t=vec3(0, 0, 2.0)), Cylinder(radius=0.5, height=1.0), 3)
     depth, inst = raycast_depth([cyl], cam)
     # principal ray hits the near wall at z = 2 - 0.5
     assert depth[6, 8] == pytest.approx(1.5)
     assert inst[6, 8] == 3
+
+
+# ---------------------------------------------------------------------------
+# the solids: validation and their facts against geometry
+
+
+@pytest.mark.parametrize(
+    "extents",
+    [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (-1.0, 0.0, math.nan),
+     (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), [[1.0, 1.0, 1.0]], 1.0],
+)
+def test_box_rejects_bad_extents(extents):
+    with pytest.raises(ValueError):
+        Box(extents)
+
+
+@pytest.mark.parametrize(
+    "radius, height", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan),
+                       (math.inf, 1.0), (-2.0, math.inf)],
+)
+def test_cylinder_rejects_bad_dimensions(radius, height):
+    with pytest.raises(ValueError):
+        Cylinder(radius, height)
+
+
+def test_box_extents_are_a_read_only_copy():
+    given_extents = np.array([0.1, 0.2, 0.3])
+    box = Box(given_extents)
+    given_extents[0] = 5.0
+    assert box.extents.tolist() == [0.1, 0.2, 0.3]
+    with pytest.raises(ValueError):
+        box.extents[0] = 1.0
+
+
+_DIMS = st.floats(0.005, 0.5)
+
+
+@st.composite
+def rotations(draw):
+    """A rotation matrix: upright, turned about z, or about a random axis."""
+    kind = draw(st.sampled_from(["upright", "about_z", "random"]))
+    angle = draw(st.floats(-math.pi, math.pi))
+    if kind == "upright":
+        return quat_to_mat(np.array([1.0, 0.0, 0.0, 0.0])), True
+    if kind == "about_z":
+        return quat_to_mat(quat_from_axis_angle([0.0, 0.0, 1.0], angle)), True
+    axis = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    if np.linalg.norm(axis) < 1e-3:
+        axis = np.array([1.0, 0.0, 0.0])
+    return quat_to_mat(quat_from_axis_angle(axis, angle)), False
+
+
+def _box_corners(box):
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
+    return signs * box.half_extents()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_DIMS, _DIMS, _DIMS), rotations(), st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)))
+def test_box_facts_match_its_rotated_corners(extents, rotation, d):
+    r, _ = rotation
+    box = Box(extents)
+    corners = _box_corners(box) @ r.T
+    assert box.world_half_z(r) == pytest.approx(np.abs(corners[:, 2]).max(), rel=1e-12)
+    assert box.lateral_half_extent(r) == pytest.approx(np.abs(corners[:, :2]).max(), rel=1e-12)
+    assert box.bounding_radius == pytest.approx(np.linalg.norm(corners, axis=1).max(), rel=1e-12)
+    ex, ey, _ = box.extents
+    assert box.footprint == max(ex, ey) / 2.0
+    # the unrotated footprint test drop_to_support settles with
+    assert box.covers_xy(np.array(d)) == (abs(d[0]) <= ex / 2.0 and abs(d[1]) <= ey / 2.0)
+    for corner in _box_corners(box):  # the footprint's own corners are covered
+        assert box.covers_xy(corner[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIMS, _DIMS, rotations(), st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)))
+def test_cylinder_facts_match_its_rotated_rim(radius, height, rotation, d):
+    """The rim circles of radius r at z = +-h/2 rotated by R reach
+    |R[i, 2]| h/2 + r hypot(R[i, 0], R[i, 1]) along world axis i.
+
+    The solid takes the rim's sine as sqrt(1 - R[2, 2]**2). Near upright
+    that difference cancels: a rounding of a few ulps in the square moves
+    the sine by up to sqrt(32 eps), so the radius term gets that much
+    absolute slack on top of the 1e-12 relative."""
+    r, upright = rotation
+    cyl = Cylinder(radius, height)
+    reach = [abs(r[i, 2]) * height / 2.0 + radius * math.hypot(r[i, 0], r[i, 1]) for i in range(3)]
+    slack = radius * math.sqrt(32 * np.finfo(float).eps)
+    assert cyl.world_half_z(r) == pytest.approx(reach[2], rel=1e-12, abs=slack)
+    lateral = cyl.lateral_half_extent(r)
+    assert lateral >= max(reach[0], reach[1]) * (1.0 - 1e-12) - slack
+    if upright:
+        assert lateral == pytest.approx(max(reach[0], reach[1]), rel=1e-12)
+    assert cyl.bounding_radius == pytest.approx(math.sqrt(radius**2 + (height / 2.0) ** 2), rel=1e-12)
+    assert cyl.footprint == radius
+    assert cyl.half_extents().tolist() == [radius, radius, height / 2.0]
+    assert cyl.covers_xy(np.array(d)) == (d[0] ** 2 + d[1] ** 2 <= radius**2)
 
 
 def test_unproject_principal_point():
@@ -539,8 +668,7 @@ def test_unproject_pixels_matches_the_divmod_formula_to_the_bit(case):
 def test_unproject_raycast_box_face_residual():
     # render a box face, unproject, and measure the plane residual
     cam = CameraModel(fx=40, fy=40, cx=8, cy=6, width=16, height=12)
-    box = Box(Pose(t=vec3(0, 0, 1)), extents=vec3(1, 1, 1), instance_id=1)
-    depth, inst = raycast_depth([box], cam)
+    depth, inst = raycast_depth([(Pose(t=vec3(0, 0, 1)), Box(vec3(1, 1, 1)), 1)], cam)
     pts = unproject(depth, inst == 1, cam)
     assert len(pts) >= 4
     # all hits land on the near face plane z = 0.5
@@ -554,16 +682,10 @@ def random_scene(rng):
         q = quat_from_axis_angle(rng.normal(size=3) + 1e-3, float(rng.uniform(0, math.pi)))
         pose = Pose(q, center)
         if rng.random() < 0.5:
-            prims.append(Box(pose, extents=rng.uniform(0.1, 0.4, size=3), instance_id=i))
+            solid = Box(rng.uniform(0.1, 0.4, size=3))
         else:
-            prims.append(
-                Cylinder(
-                    pose,
-                    radius=float(rng.uniform(0.05, 0.2)),
-                    height=float(rng.uniform(0.1, 0.4)),
-                    instance_id=i,
-                )
-            )
+            solid = Cylinder(radius=float(rng.uniform(0.05, 0.2)), height=float(rng.uniform(0.1, 0.4)))
+        prims.append((pose, solid, i))
     return prims
 
 
@@ -574,10 +696,10 @@ def test_unproject_raycast_consistency_random_scenes():
     for _ in range(100):
         prims = random_scene(rng)
         depth, inst = raycast_depth(prims, cam)
-        for prim in prims:
-            pts = unproject(depth, inst == prim.instance_id, cam)
+        for pose, solid, iid in prims:
+            pts = unproject(depth, inst == iid, cam)
             for p in pts:
-                assert surface_distance(p, prim) < 1e-5
+                assert surface_distance(p, pose, solid) < 1e-5
 
 
 def test_project_round_trip():

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camlab.geom3d import Pose, quat_from_axis_angle, quat_mul, vec3
+from camlab.geom3d import Box, Cylinder, Pose, quat_from_axis_angle, quat_mul, vec3
 from camlab.simlab import (
-    END_EFFECTOR,
     Disturbance,
     DisturbanceInjector,
     EpisodeConfig,
@@ -17,9 +16,7 @@ from camlab.simlab import (
     SimObject,
     SimState,
     Waypoint,
-    box_shape,
     build_scene,
-    cylinder_shape,
     mask_bundle,
     oracle_success,
     render,
@@ -35,8 +32,8 @@ from oracles import settle_reference, unproject
 
 def simple_world():
     state = SimState()
-    state.objects["table"] = SimObject("table", box_shape(0.6, 0.6, 0.04), Pose(t=vec3(0, 0, -0.02)))
-    state.objects["blk"] = SimObject("blk", box_shape(0.04, 0.04, 0.04), Pose(t=vec3(0.1, 0.0, 0.02)))
+    state.objects["table"] = SimObject("table", Box((0.6, 0.6, 0.04)), Pose(t=vec3(0, 0, -0.02)))
+    state.objects["blk"] = SimObject("blk", Box((0.04, 0.04, 0.04)), Pose(t=vec3(0.1, 0.0, 0.02)))
     state.ee_pose = Pose(t=vec3(0, 0, 0.2))
     return Simulation(state)
 
@@ -70,7 +67,7 @@ def test_release_drops_to_table():
 
 def test_release_stacks_on_block():
     sim = simple_world()
-    other = SimObject("top", box_shape(0.04, 0.04, 0.04), Pose(t=vec3(0.1, 0.0, 0.30)))
+    other = SimObject("top", Box((0.04, 0.04, 0.04)), Pose(t=vec3(0.1, 0.0, 0.30)))
     sim.state.objects["top"] = other
     sim.drop_to_support("top")
     assert other.pose.t[2] == pytest.approx(0.06)  # rests on blk at 0.04 + 0.02
@@ -91,10 +88,10 @@ def test_held_object_follows_ee_exactly():
 def test_pen_drops_into_bore():
     sim = simple_world()
     holder = SimObject(
-        "holder", cylinder_shape(0.028, 0.08), Pose(t=vec3(0.2, 0.2, 0.04)),
+        "holder", Cylinder(0.028, 0.08), Pose(t=vec3(0.2, 0.2, 0.04)),
         bore_radius=0.02, bore_floor_z=-0.03,
     )
-    pen = SimObject("pen", cylinder_shape(0.009, 0.13), Pose(t=vec3(0.2, 0.2, 0.3)))
+    pen = SimObject("pen", Cylinder(0.009, 0.13), Pose(t=vec3(0.2, 0.2, 0.3)))
     sim.state.objects["holder"] = holder
     sim.state.objects["pen"] = pen
     sim.drop_to_support("pen")
@@ -105,13 +102,13 @@ def test_pen_drops_into_bore():
 def test_lying_pen_cannot_enter_bore():
     sim = simple_world()
     holder = SimObject(
-        "holder", cylinder_shape(0.028, 0.08), Pose(t=vec3(0.2, 0.2, 0.04)),
+        "holder", Cylinder(0.028, 0.08), Pose(t=vec3(0.2, 0.2, 0.04)),
         bore_radius=0.02, bore_floor_z=-0.03,
     )
     from camlab.geom3d import quat_from_axis_angle
 
     lying = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-    pen = SimObject("pen", cylinder_shape(0.009, 0.13), Pose(lying, vec3(0.2, 0.2, 0.3)))
+    pen = SimObject("pen", Cylinder(0.009, 0.13), Pose(lying, vec3(0.2, 0.2, 0.3)))
     sim.state.objects["holder"] = holder
     sim.state.objects["pen"] = pen
     sim.drop_to_support("pen")
@@ -127,12 +124,12 @@ def settling_scenes(draw):
     another object's footprint or bore edge, or one ulp either side of it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     state = SimState()
-    state.objects["table"] = SimObject("table", box_shape(0.6, 0.6, 0.04), Pose(t=vec3(0, 0, -0.02)))
+    state.objects["table"] = SimObject("table", Box((0.6, 0.6, 0.04)), Pose(t=vec3(0, 0, -0.02)))
     for i in range(draw(st.integers(2, 12))):
         if rng.random() < 0.5:
-            shape = box_shape(*rng.uniform(0.01, 0.08, size=3))
+            shape = Box(rng.uniform(0.01, 0.08, size=3))
         else:
-            shape = cylinder_shape(rng.uniform(0.005, 0.04), rng.uniform(0.01, 0.12))
+            shape = Cylinder(rng.uniform(0.005, 0.04), rng.uniform(0.01, 0.12))
         xy = rng.uniform(-0.06, 0.06, size=2)
         others = list(state.objects.values())[1:]
         if others and rng.random() < 0.4:
@@ -151,7 +148,6 @@ def settling_scenes(draw):
             obj.bore_radius = rng.uniform(0.005, 0.04)
             obj.bore_floor_z = rng.uniform(-0.05, 0.0)
         if rng.random() < 0.15:
-            obj.attached_to = END_EFFECTOR
             state.held.append(obj.oid)
         state.objects[obj.oid] = obj
     return Simulation(state)
@@ -273,6 +269,32 @@ def test_phase_anchored_disturbance():
     recorded = _injections(sim)
     assert len(recorded) == 1
     assert recorded[0]["tick"] == 8  # 5 + offset 3
+
+
+def test_disturbance_triggers_at_a_tick_or_a_phase_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        Disturbance(kind="force_release", tick=3, phase="pick")
+
+
+def test_due_triggers_fire_in_tick_then_list_order_and_are_disarmed():
+    """Triggers that come due together fire by (tick, list index), each
+    once; a trigger armed for a later tick waits."""
+    sim = simple_world()
+    inj = DisturbanceInjector(
+        [
+            Disturbance(kind="move_object", oid="blk", delta=(0.01, 0, 0), tick=3),
+            Disturbance(kind="move_object", oid="blk", delta=(0.02, 0, 0), tick=2),
+            Disturbance(kind="move_object", oid="blk", delta=(0.03, 0, 0), tick=2),
+            Disturbance(kind="move_object", oid="blk", delta=(0.04, 0, 0), tick=9),
+        ],
+        np.random.default_rng(0),
+    )
+    sim.injector = inj
+    sim.state.tick = 4  # the first step runs at tick 5: three triggers are due
+    for _ in range(8):
+        sim.step()
+    fired = [(e["tick"], e["payload"]["delta"][0]) for e in _injections(sim)]
+    assert fired == [(5, 0.02), (5, 0.03), (5, 0.01), (9, 0.04)]
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +553,6 @@ def test_scene_summary_shape():
     assert "teapot" in s["objects"]
     assert len(s["objects"]["teapot"]["pos"]) == 3
     assert s["meta"]["cup_radius"] == 0.035
-    assert s["held"] == []
 
 
 def test_clean_runs_all_templates_monitored():

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camlab.simlab.episode as episode
-from camlab.geom3d import Pose, quat_mul, quat_to_mat
+from camlab.geom3d import Box, Pose, quat_mul, quat_to_mat
 from camlab.monitor import RealTimeMonitor, SimTracker, TrackerConfig
 from camlab.simlab import EpisodeConfig
 from camlab.simlab.disturb import Disturbance, DisturbanceInjector, standard_disturbances
-from camlab.simlab.world import PolicyScript, SimObject, SimState, Simulation, Waypoint, box_shape
+from camlab.simlab.world import PolicyScript, SimObject, SimState, Simulation, Waypoint
 
 
 class DictTruth:
@@ -165,7 +165,7 @@ _OPS = st.one_of(
 def _world(layout):
     objects = {}
     for oid, (x, y) in zip(OIDS, layout):
-        objects[oid] = SimObject(oid, box_shape(0.04, 0.04, 0.04), Pose(t=[x, y, 0.02]))
+        objects[oid] = SimObject(oid, Box((0.04, 0.04, 0.04)), Pose(t=[x, y, 0.02]))
     return SimState(objects=objects, ee_pose=Pose(t=[0.0, 0.0, 0.2]))
 
 
