@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from camlab.conlang.kb import key_value_lines
 from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
 from camlab.monitor import DebouncePolicy, RealTimeMonitor, SimTracker, TrackerConfig, latency_report
 from camlab.simlab import TICK_HZ, EpisodeConfig, run_episode
@@ -53,21 +54,6 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # experiment spec
-
-
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"spec line {lineno}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key in out:
-            raise ValueError(f"spec line {lineno}: duplicate key '{key}'")
-        out[key] = value
-    return out
 
 
 # One row per spec field: text key (also its dotted path in as_dict()) ->
@@ -158,7 +144,7 @@ class ExperimentSpec:
     @classmethod
     def loads(cls, text: str) -> "ExperimentSpec":
         """Parse flat `key = value` text; CAM_SEED overrides seed_base."""
-        kv = _parse_kv(text)
+        kv = {key: value for _, key, value in key_value_lines(text, "spec", "key = value")}
         unknown = sorted(set(kv) - set(_FIELDS))
         if unknown:
             raise ValueError(f"unknown spec keys: {unknown}")
@@ -498,7 +484,6 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
     elements, extracted from a seed-0 scene as the episode loop extracts
     them. Returns [] when the program loads, else [the text a
     validation_failure event would carry]."""
-    from camlab.conlang import load_default_kb
     from camlab.monitor import PointRing
     from camlab.simlab import build_scene, extract_elements, scene_summary
     from camlab.simlab.episode import load_program
@@ -507,7 +492,7 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     state, scene = build_scene(task, np.random.default_rng(0))
-    sg = Planner(task, load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    sg = Planner(task, scene.meta).plan_next(scene_summary(state, scene))
     es, _ = extract_elements(sg, state, scene)
     try:
         load_program(source, None, PointRing(es.elements, state.tick))

@@ -87,7 +87,12 @@ def _as_box(values) -> tuple:
 
 def _inside(p, box) -> bool:
     lo, hi = box
-    return bool(np.all(p >= lo) and np.all(p <= hi))
+    if np.all(p >= lo) and np.all(p <= hi):
+        return True
+    # NaN compares outside; a NaN corner makes both lo and hi NaN
+    if np.isnan(p).any() or np.isnan(lo).any():
+        raise EvalError("inside: operand holds NaN")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +204,12 @@ def _count_within(ring, back, eids, box):
 
 def _above(ring, back, a, b, margin):
     def above():
-        x, y, m = a(), b(), margin()
-        return bool(x[2] >= y[2] + m)
+        x, floor = a()[2], b()[2] + margin()
+        if x >= floor:
+            return True
+        if x != x or floor != floor:  # NaN compares below
+            raise EvalError("above: operand holds NaN")
+        return False
 
     return above
 

@@ -14,7 +14,7 @@ from importlib import resources
 
 from camlab.conlang.ast import UNITS
 
-__all__ = ["ThresholdKB", "kb_lookup", "load_default_kb", "KIND_FALLBACKS"]
+__all__ = ["ThresholdKB", "kb_lookup", "load_default_kb", "key_value_lines", "KIND_FALLBACKS"]
 
 # documented per-kind defaults (SI)
 KIND_FALLBACKS = {
@@ -32,6 +32,25 @@ KIND_FALLBACKS = {
 _GENERIC_FALLBACK = 0.03  # meters
 
 
+def key_value_lines(text: str, what: str, form: str):
+    """Yield (line number, key, value) for each `key = value` line of text,
+    both stripped; `#` starts a comment. A line without `=` or with a key
+    seen before raises ValueError naming `what` (the file kind) and the
+    line; `form` is the line shape the first message asks for."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {lineno}: expected '{form}'")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise ValueError(f"{what} line {lineno}: duplicate key '{key}'")
+        seen.add(key)
+        yield lineno, key, value
+
+
 @dataclass
 class ThresholdKB:
     entries: dict = field(default_factory=dict)  # (task, kind) -> (value SI, dim)
@@ -39,16 +58,13 @@ class ThresholdKB:
     @classmethod
     def loads(cls, text: str) -> "ThresholdKB":
         entries = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        form = "task.kind = value unit"
+        for lineno, key, value in key_value_lines(text, "KB", form):
             try:
-                key, value = line.split("=", 1)
-                task, kind = key.strip().split(".", 1)
+                task, kind = key.split(".", 1)
                 num, unit = value.split()
             except ValueError as err:
-                raise ValueError(f"KB line {lineno}: expected 'task.kind = value unit'") from err
+                raise ValueError(f"KB line {lineno}: expected '{form}'") from err
             if unit not in UNITS:
                 raise ValueError(f"KB line {lineno}: unknown unit '{unit}'")
             dim, factor = UNITS[unit]

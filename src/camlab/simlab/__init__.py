@@ -19,7 +19,6 @@ from camlab.simlab.world import (
     DT,
     TICK_HZ,
     PolicyRuntime,
-    PolicyScript,
     Simulation,
     SimObject,
     SimState,
@@ -37,7 +36,6 @@ __all__ = [
     "EpisodeConfig",
     "EpisodeResult",
     "PolicyRuntime",
-    "PolicyScript",
     "Scene",
     "SimObject",
     "SimState",

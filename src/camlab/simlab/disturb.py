@@ -1,9 +1,10 @@
 """Disturbance taxonomy and injection.
 
-Disturbances trigger at an absolute tick or anchored to a policy phase
-(script id + tick offset); the drop hazard is continuous while an object is
-held. Every applied disturbance logs exactly one `injection` event with its
-tick, so detection latency can be measured from the log.
+Disturbances trigger at an absolute tick or anchored to a phase (a subgoal
+base sid such as `move_pot` + tick offset); the drop hazard is continuous
+while an object is held. Every applied disturbance logs exactly one
+`injection` event with its tick, so detection latency can be measured from
+the log.
 
 The drop hazard maps a per-step release probability p onto ticks: the
 per-tick hazard is 1 - (1 - p)^(1/T) with T the nominal carry span, so the
@@ -38,8 +39,8 @@ class Disturbance:
     axis: str = "x"  # rotate_object / tilt_held
     angle_deg: float = 0.0
     tick: int | None = None  # absolute trigger
-    phase: str | None = None  # or: anchored to a script id...
-    phase_offset: int = 0  # ...this many ticks after that script starts
+    phase: str | None = None  # or: anchored to a subgoal base sid...
+    phase_offset: int = 0  # ...this many ticks after that subgoal starts
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -79,13 +80,13 @@ class DisturbanceInjector:
 
     # -- phase anchoring
 
-    def on_script_start(self, script_id: str, tick: int):
-        """Resolve phase-anchored disturbances the first time their script
-        runs."""
+    def on_subgoal_start(self, base_sid: str, tick: int):
+        """Resolve phase-anchored disturbances the first time a subgoal with
+        their base sid starts."""
         for i, d in enumerate(self.disturbances):
             if d.phase is None or i in self._phase_seen:
                 continue
-            if d.phase == script_id:
+            if d.phase == base_sid:
                 self._phase_seen.add(i)
                 self._armed.append((tick + d.phase_offset, i))
 

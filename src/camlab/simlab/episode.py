@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # evaluate is unused here; perfbench's tracer patches it by name in this module
-from camlab.conlang import evaluate, load_default_kb, parse, typecheck, whitebox_validate
+from camlab.conlang import evaluate, parse, typecheck, whitebox_validate
 from camlab.conlang.check import ValidationFailure
 from camlab.elementizer import element_set_fingerprint, end_effector_element, extract_element, make_element_set
 from camlab.errors import CamlabError
@@ -227,7 +227,7 @@ def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
             state.log("halt", sid=sg.sid)
         elif v.is_violation:
             state.log("verdict", outcome="violation", cid=v.cid, mode=v.mode.value, reason=v.reason)
-            return FailureFeedback(sg.sid, v.reason, v.cid, v.mode)
+            return FailureFeedback(v.reason, v.cid, v.mode)
         elif v.kind is VerdictKind.SUBGOAL_COMPLETE:
             if v.mode is None:  # no completion programs confirmed it
                 state.log("subgoal_complete", sid=sg.sid)
@@ -244,21 +244,20 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
     injector = DisturbanceInjector(cfg.disturbances, np.random.default_rng(disturb_ss))
     sim = Simulation(state, injector)
     book = TaskBookkeeper(cfg.template, scene)
-    kb = load_default_kb()
-    planner = Planner(cfg.template, kb, scene.meta, max_retries=cfg.max_retries)
+    planner = Planner(cfg.template, scene.meta, max_retries=cfg.max_retries)
     tracker_seeds = tracker_ss.generate_state(64)
     memo = ElementMemo(scene.cameras)
 
     monitored = cfg.monitor_mode != "off"
 
     state.log("episode_start", template=cfg.template, mode=cfg.monitor_mode, seed=cfg.seed)
-    l_pre, f_pre = None, None
+    f_pre = None
     aborted = None
     planner_done = False
     subgoal_n = 0
 
     while state.tick < cfg.budget_ticks:
-        nxt = planner.plan_next(scene_summary(state, scene), l_pre, f_pre)
+        nxt = planner.plan_next(scene_summary(state, scene), f_pre)
         f_pre = None
         if isinstance(nxt, TaskDone):
             planner_done = True
@@ -269,7 +268,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
             break
         sg = nxt
         state.log("subgoal_start", sid=sg.sid, text=sg.text, script=sg.script_id)
-        injector.on_script_start(sg.base_sid, state.tick)
+        injector.on_subgoal_start(sg.base_sid, state.tick)
         sim.set_policy(build_script(sim, scene, sg.script_id, sg.script_params, injector))
 
         bound = None
@@ -290,12 +289,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
                     break
 
         outcome = _run_subgoal(sg, sim, bound, book, cfg)
-        if outcome == "complete":
-            l_pre, f_pre = sg.sid, None
-        elif outcome == "budget":
+        if outcome == "budget":
             break
-        else:
-            l_pre, f_pre = sg.sid, outcome
+        if outcome != "complete":
+            f_pre = outcome
             state.log("replan", sid=sg.sid, reason=outcome.reason)
 
     oracle = oracle_success(state, scene, book)

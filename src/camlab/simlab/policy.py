@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from camlab.geom3d import quat_from_axis_angle, vec3
-from camlab.simlab.world import DT, PolicyScript, Simulation, Waypoint
+from camlab.simlab.world import DT, Simulation, Waypoint
 
 __all__ = ["build_script"]
 
 
-def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=None) -> PolicyScript:
+def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=None) -> list[Waypoint]:
     state = sim.state
     meta = scene.meta
     ee = state.ee_pose.t
@@ -118,4 +118,4 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
     else:
         raise ValueError(f"unknown script id '{script_id}'")
 
-    return PolicyScript(script_id, wps)
+    return wps

@@ -218,11 +218,10 @@ def build_scene(template: str, rng: np.random.Generator):
 
 
 class View(NamedTuple):
-    """One rendered camera view: depth and instance images plus the label
-    index of its pixels."""
+    """One rendered camera view: the depth image and the label index of its
+    pixels."""
 
     depth: np.ndarray
-    inst: np.ndarray
     labels: LabelIndex
 
 
@@ -232,7 +231,7 @@ def render(state: SimState, scene: Scene):
     views = []
     for cam in scene.cameras:
         depth, inst = raycast_depth(solids, cam)
-        views.append(View(depth, inst, LabelIndex(depth, inst)))
+        views.append(View(depth, LabelIndex(depth, inst)))
     return views
 
 

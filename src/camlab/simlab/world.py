@@ -21,7 +21,6 @@ __all__ = [
     "SimObject",
     "SimState",
     "Waypoint",
-    "PolicyScript",
     "PolicyRuntime",
     "Simulation",
 ]
@@ -98,17 +97,11 @@ class Waypoint:
             raise ValueError("waypoint speeds must be positive")
 
 
-@dataclass
-class PolicyScript:
-    script_id: str
-    waypoints: list
-
-
 class PolicyRuntime:
-    """Executes a waypoint script one tick at a time."""
+    """Executes a waypoint script, a list of Waypoints, one tick at a time."""
 
-    def __init__(self, script: PolicyScript):
-        self.script = script
+    def __init__(self, waypoints: list):
+        self.waypoints = waypoints
         self.index = 0
         self.dwelled = 0
         self.halted = False
@@ -116,7 +109,7 @@ class PolicyRuntime:
     @property
     def motion_done(self) -> bool:
         """The script ran to its end or the policy was halted."""
-        return self.halted or self.index >= len(self.script.waypoints)
+        return self.halted or self.index >= len(self.waypoints)
 
     def halt(self):
         """Freeze the policy for good: advance no longer moves the EE."""
@@ -127,7 +120,7 @@ class PolicyRuntime:
         if self.motion_done:
             return
         state = sim.state
-        wp = self.script.waypoints[self.index]
+        wp = self.waypoints[self.index]
         pose = state.ee_pose
         new_t = pose.t
         new_q = pose.q
@@ -187,8 +180,8 @@ class Simulation:
 
     # -- policy & attachment plumbing
 
-    def set_policy(self, script: PolicyScript):
-        self.policy = PolicyRuntime(script)
+    def set_policy(self, waypoints: list):
+        self.policy = PolicyRuntime(waypoints)
 
     @property
     def motion_done(self) -> bool:
@@ -238,9 +231,9 @@ class Simulation:
         if settle:
             self.drop_to_support(oid)
 
-    def detach_all(self, settle: bool = True):
+    def detach_all(self):
         for oid in list(self.state.held):
-            self.detach(oid, settle=settle)
+            self.detach(oid)
 
     # -- settling
 
@@ -321,8 +314,6 @@ class Simulation:
                 obj.attach_offset = Pose(inv.q, inv.apply(state.ee_pose.t - np.array([0, 0, hang])))
             self.refresh_attached()
             state.log("orient_held", oids=list(state.held))
-        elif kind == "mark":
-            state.log("mark", label=action[1])
         else:
             raise ValueError(f"unknown action {action!r}")
 

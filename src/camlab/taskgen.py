@@ -18,7 +18,8 @@ from functools import lru_cache
 from importlib import resources
 
 from camlab.elementizer import LINE, POINT, SURFACE, ElementKind
-from camlab.conlang import Mode, kb_lookup
+from camlab.conlang import Mode, kb_lookup, load_default_kb
+from camlab.conlang.kb import key_value_lines
 from camlab.monitor import INTERNAL_ERROR_REASON
 
 __all__ = [
@@ -68,7 +69,8 @@ class Subgoal:
 
 @dataclass(frozen=True)
 class FailureFeedback:
-    l_pre: str  # subgoal sid that failed
+    """A violation of the current subgoal: the text, program and mode."""
+
     reason: str
     cid: str
     mode: Mode
@@ -99,15 +101,12 @@ class RecoveryRules:
     @classmethod
     def loads(cls, text: str) -> "RecoveryRules":
         rules = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        form = "task.kind.mode = action"
+        for lineno, key, action in key_value_lines(text, "rules", form):
             try:
-                key, action = (s.strip() for s in line.split("="))
                 task, kind, mode = key.split(".")
             except ValueError as err:
-                raise ValueError(f"rules line {lineno}: expected 'task.kind.mode = action'") from err
+                raise ValueError(f"rules line {lineno}: expected '{form}'") from err
             if action not in cls.ACTIONS:
                 raise ValueError(f"rules line {lineno}: unknown action '{action}'")
             rules[(task, kind, mode)] = action
@@ -468,22 +467,24 @@ _RELEVEL_PROGRAM = {
 
 
 class Planner:
-    """Per-episode subgoal state machine (Constraint Generator stand-in)."""
+    """Per-episode subgoal state machine (Constraint Generator stand-in).
 
-    def __init__(self, template: str, kb, scene_meta: dict, max_retries: int = MAX_RETRIES):
+    `current` is the last subgoal handed out. It and the base sid and
+    builder it was built from are the one record a failure is resolved
+    against: the subgoal to retry, the failed program's kind and the object
+    to re-pick all come from it."""
+
+    def __init__(self, template: str, scene_meta: dict, max_retries: int = MAX_RETRIES):
         if template not in _BUILDERS:
             raise ValueError(f"unknown template '{template}'")
         self.template = template
-        self.kb = kb
+        self.kb = load_default_kb()
         self.rules = load_default_rules()
         self.max_retries = max_retries
-        self._nominal = _BUILDERS[template](scene_meta)
-        self._by_sid = dict(self._nominal)
-        self._idx = 0
-        self._pending: list = []  # (base sid, builder) queued recoveries
+        self._queue = _BUILDERS[template](scene_meta)  # (base sid, builder) still to dispatch
+        self._by_sid = dict(self._queue)
         self._retries: dict = {}
         self._dispatch_count: dict = {}
-        self.kinds: dict = {}  # cid -> constraint kind
         self.current: Subgoal | None = None
 
     # -- internal dispatch
@@ -493,12 +494,9 @@ class Planner:
         self._dispatch_count[base_sid] = n + 1
         sid = base_sid if n == 0 else f"{base_sid}#r{n}"
         pf = _ProgramFactory(self.template, self.kb, relax)
-        sg = builder(scene, pf, sid)
-        for spec in sg.during + sg.completion:
-            self.kinds[spec.cid] = spec.kind
-        self.current = sg
+        self.current = builder(scene, pf, sid)
         self._current_builder = (base_sid, builder)
-        return sg
+        return self.current
 
     def rebuild_relaxed(self, scene: dict, relax: float = 2.0) -> Subgoal:
         """One retry with relaxed tolerances after a validation failure."""
@@ -506,55 +504,54 @@ class Planner:
         return self._build(base, builder, scene, relax=relax)
 
     def kind_of(self, cid: str, reason: str = "") -> str:
-        if reason == INTERNAL_ERROR_REASON:
-            return "internal"
-        return self.kinds.get(cid, "internal")
+        """The kind of the current subgoal's program `cid`; "internal" for a
+        monitor error or a cid the subgoal does not hold."""
+        if reason != INTERNAL_ERROR_REASON and self.current is not None:
+            for spec in self.current.during + self.current.completion:
+                if spec.cid == cid:
+                    return spec.kind
+        return "internal"
 
     # -- the Eq.-style interface: next subgoal from observations + feedback
 
-    def plan_next(self, scene: dict, l_pre: str | None = None, f_pre: FailureFeedback | None = None):
-        """Next subgoal given the scene summary and previous feedback.
+    def plan_next(self, scene: dict, f_pre: FailureFeedback | None = None):
+        """Next subgoal given the scene summary and the current subgoal's
+        failure, if it failed.
 
-        Success feedback advances the nominal sequence; failure feedback
-        consults the recovery rules and re-queues work. Returns a Subgoal,
-        TaskDone, or TaskAbort."""
+        Without feedback the next queued subgoal is dispatched; failure
+        feedback consults the recovery rules and queues recovery work in
+        front. Returns a Subgoal, TaskDone, or TaskAbort."""
         if f_pre is not None:
             outcome = self._handle_failure(f_pre)
             if outcome is not None:
                 return outcome
-        if self._pending:
-            base, builder = self._pending.pop(0)
-            return self._build(base, builder, scene)
-        if self._idx < len(self._nominal):
-            base, builder = self._nominal[self._idx]
-            self._idx += 1
-            return self._build(base, builder, scene)
-        return TaskDone()
+        if not self._queue:
+            return TaskDone()
+        base, builder = self._queue.pop(0)
+        return self._build(base, builder, scene)
 
     def _handle_failure(self, f_pre: FailureFeedback):
-        base = f_pre.l_pre.split("#", 1)[0]
-        self._retries[base] = self._retries.get(base, 0) + 1
-        if self._retries[base] > self.max_retries:
-            return TaskAbort(f"subgoal '{base}' failed {self._retries[base]} times: {f_pre.reason}")
+        base, builder = self._current_builder
+        n = self._retries[base] = self._retries.get(base, 0) + 1
+        if n > self.max_retries:
+            return TaskAbort(f"subgoal '{base}' failed {n} times: {f_pre.reason}")
         kind = self.kind_of(f_pre.cid, f_pre.reason)
         action = self.rules.lookup(self.template, kind, f_pre.mode)
         if action is None or action == "abort":
             return TaskAbort(f"no recovery for {self.template}.{kind}.{f_pre.mode.value}: {f_pre.reason}")
-        failed_builder = self._by_sid.get(base)
-        if failed_builder is None:
+        if base not in self._by_sid:
             return TaskAbort(f"cannot rebuild unknown subgoal '{base}'")
-        queue: list = []
+        recovery: list = []
         if action in ("repick_then_retry", "repick_orient_then_retry"):
-            oid = self.current.script_params.get("oid", "") if self.current else ""
-            grasp_base = _GRASP_SID[self.template].format(oid=oid)
-            queue.append((grasp_base, self._by_sid[grasp_base]))
+            grasp_base = _GRASP_SID[self.template].format(oid=self.current.script_params.get("oid", ""))
+            recovery.append((grasp_base, self._by_sid[grasp_base]))
             if action == "repick_orient_then_retry":
                 orient_base = _ORIENT_SID[self.template]
-                queue.append((orient_base, self._by_sid[orient_base]))
+                recovery.append((orient_base, self._by_sid[orient_base]))
         elif action == "relevel_then_retry":
-            queue.append(("relevel", self._relevel_builder()))
-        queue.append((base, failed_builder))
-        self._pending = queue + self._pending
+            recovery.append(("relevel", self._relevel_builder()))
+        recovery.append((base, builder))
+        self._queue[:0] = recovery
         return None
 
     def _relevel_builder(self):

@@ -1,7 +1,8 @@
-"""Geometry references that only tests use: pixel unprojection written with
-the per-call divmod arithmetic, mask unprojection, projection, the distance
-from a point to a solid's surface, a voxel grid's frame, and the
-settling loop that tests every object.
+"""References that only tests use: pixel unprojection written with the
+per-call divmod arithmetic, mask unprojection, projection, the distance
+from a point to a solid's surface, a voxel grid's frame, the settling loop
+that tests every object, and the planner that resolved a failure from the
+failed sid and an episode-long kind map.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -11,8 +12,12 @@ import math
 
 import numpy as np
 
+from camlab.elementizer import POINT
 from camlab.errors import DimensionMismatch
 from camlab.geom3d import Box, CameraModel, Cylinder, unproject_pixels
+from camlab.monitor import INTERNAL_ERROR_REASON
+from camlab.taskgen import _BUILDERS, _GRASP_SID, _ORIENT_SID, _RELEVEL_PROGRAM, _ProgramFactory
+from camlab.taskgen import ElementSpec, Subgoal, TaskAbort, TaskDone, load_default_rules
 
 
 def unproject_pixels_divmod(depth, pixels, cam: CameraModel) -> np.ndarray:
@@ -101,3 +106,98 @@ def settle_reference(state, oid):
             if top <= bottom + 1e-6:
                 best = max(best, top)
     return best + obj.world_half_z(), inside_bore
+
+
+class ReferencePlanner:
+    """taskgen.Planner as it was before it resolved a failure from the
+    subgoal it handed out: the failed sid comes in as `l_pre` and its base
+    is split off at "#", a failed program's kind is looked up in a map of
+    every program built in the episode, and recoveries wait in a pending
+    queue in front of a nominal list and its index. Its KB is an argument."""
+
+    def __init__(self, template: str, kb, scene_meta: dict, max_retries: int):
+        self.template = template
+        self.kb = kb
+        self.rules = load_default_rules()
+        self.max_retries = max_retries
+        self._nominal = _BUILDERS[template](scene_meta)
+        self._by_sid = dict(self._nominal)
+        self._idx = 0
+        self._pending: list = []  # (base sid, builder) queued recoveries
+        self._retries: dict = {}
+        self._dispatch_count: dict = {}
+        self.kinds: dict = {}  # cid -> constraint kind
+        self.current = None
+
+    def _build(self, base_sid, builder, scene, relax=1.0):
+        n = self._dispatch_count.get(base_sid, 0)
+        self._dispatch_count[base_sid] = n + 1
+        sid = base_sid if n == 0 else f"{base_sid}#r{n}"
+        sg = builder(scene, _ProgramFactory(self.template, self.kb, relax), sid)
+        for spec in sg.during + sg.completion:
+            self.kinds[spec.cid] = spec.kind
+        self.current = sg
+        self._current_builder = (base_sid, builder)
+        return sg
+
+    def rebuild_relaxed(self, scene, relax=2.0):
+        base, builder = self._current_builder
+        return self._build(base, builder, scene, relax=relax)
+
+    def kind_of(self, cid, reason=""):
+        if reason == INTERNAL_ERROR_REASON:
+            return "internal"
+        return self.kinds.get(cid, "internal")
+
+    def plan_next(self, scene, l_pre=None, f_pre=None):
+        if f_pre is not None:
+            outcome = self._handle_failure(l_pre, f_pre)
+            if outcome is not None:
+                return outcome
+        if self._pending:
+            base, builder = self._pending.pop(0)
+            return self._build(base, builder, scene)
+        if self._idx < len(self._nominal):
+            base, builder = self._nominal[self._idx]
+            self._idx += 1
+            return self._build(base, builder, scene)
+        return TaskDone()
+
+    def _handle_failure(self, l_pre, f_pre):
+        base = l_pre.split("#", 1)[0]
+        self._retries[base] = self._retries.get(base, 0) + 1
+        if self._retries[base] > self.max_retries:
+            return TaskAbort(f"subgoal '{base}' failed {self._retries[base]} times: {f_pre.reason}")
+        kind = self.kind_of(f_pre.cid, f_pre.reason)
+        action = self.rules.lookup(self.template, kind, f_pre.mode)
+        if action is None or action == "abort":
+            return TaskAbort(f"no recovery for {self.template}.{kind}.{f_pre.mode.value}: {f_pre.reason}")
+        failed_builder = self._by_sid.get(base)
+        if failed_builder is None:
+            return TaskAbort(f"cannot rebuild unknown subgoal '{base}'")
+        queue: list = []
+        if action in ("repick_then_retry", "repick_orient_then_retry"):
+            oid = self.current.script_params.get("oid", "") if self.current else ""
+            grasp_base = _GRASP_SID[self.template].format(oid=oid)
+            queue.append((grasp_base, self._by_sid[grasp_base]))
+            if action == "repick_orient_then_retry":
+                orient_base = _ORIENT_SID[self.template]
+                queue.append((orient_base, self._by_sid[orient_base]))
+        elif action == "relevel_then_retry":
+            queue.append(("relevel", self._relevel_builder()))
+        queue.append((base, failed_builder))
+        self._pending = queue + self._pending
+        return None
+
+    def _relevel_builder(self):
+        program, (oid, part, etype) = _RELEVEL_PROGRAM[self.template]
+
+        def relevel(scene, pf, sid, program=program, oid=oid, part=part, etype=etype):
+            return Subgoal(
+                sid, "re-level the held object", "relevel", {"oid": oid},
+                (ElementSpec(oid, "body", POINT), ElementSpec(oid, part, etype)),
+                during=(),
+                completion=(program(pf, sid, 2, "on_completion"),),
+            )
+
+        return relevel

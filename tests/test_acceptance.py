@@ -288,12 +288,11 @@ def test_P4_round_trip_and_eval_determinism():
 
 _P5_SNIPPET = """
 import numpy as np
-from camlab.conlang import load_default_kb
 from camlab.elementizer import element_set_fingerprint, end_effector_element, extract_element, make_element_set
 from camlab.simlab import build_scene, mask_bundle, render, scene_summary
 from camlab.taskgen import Planner
 state, scene = build_scene("pour_tea", np.random.default_rng(99))
-planner = Planner("pour_tea", load_default_kb(), scene.meta)
+planner = Planner("pour_tea", scene.meta)
 sg = planner.plan_next(scene_summary(state, scene))
 views = render(state, scene)
 protos = [end_effector_element([state.ee_pose.t])]

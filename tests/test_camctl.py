@@ -23,7 +23,7 @@ from camlab.camctl import (
     run_spec,
     validate_dsl,
 )
-from camlab.conlang import MAX_NESTING, DslSyntaxError, ValidationFailure, load_default_kb
+from camlab.conlang import MAX_NESTING, DslSyntaxError, ValidationFailure
 from camlab.errors import CamlabError, LogChecksumError, TruncatedLog
 from camlab.monitor import DebouncePolicy, PointRing, TrackerConfig
 from camlab.simlab import MONITOR_MODES, TEMPLATES, build_scene, extract_elements, scene_summary
@@ -660,7 +660,7 @@ def test_validate_good_program(tmp_path):
 @pytest.mark.parametrize("task", TEMPLATES)
 def test_validate_accepts_generated_first_subgoal_programs(task, tmp_path):
     state, scene = build_scene(task, np.random.default_rng(0))  # the scene validate_dsl binds against
-    sg = Planner(task, load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    sg = Planner(task, scene.meta).plan_next(scene_summary(state, scene))
     for ps in sg.during + sg.completion:
         f = tmp_path / f"{ps.cid}.cam"
         f.write_text(ps.source)
@@ -712,7 +712,7 @@ def deep_programs(draw):
 def validate_ring():
     """The ring camctl validate binds programs to."""
     state, scene = build_scene("stack_in_order", np.random.default_rng(0))
-    sg = Planner("stack_in_order", load_default_kb(), scene.meta).plan_next(scene_summary(state, scene))
+    sg = Planner("stack_in_order", scene.meta).plan_next(scene_summary(state, scene))
     es, _ = extract_elements(sg, state, scene)
     return PointRing(es.elements, state.tick)
 
@@ -745,6 +745,9 @@ _NAN_PROGRAMS = {
     "angle": "tol big = 1e308 m\ntol lmax = 0.1 rad\n{ angle(vec(big * 10, 0, 0), axis_z) <= lmax }\n",
     "not_dist": "tol big = 1e308 m\ntol lim = 0.1 m\n{ not (dist(vec(big * 10, 0, 0), vec(big * 10, 0, 0)) > lim) }\n",
     "not_within": "tol big = 1e308 m\ntol lim = 0.1 m\n{ not (vec(big * 10, 0, 0) within lim of vec(big * 10, 0, 0)) }\n",
+    # inf - inf is NaN, which compares outside a box and below a height
+    "not_inside": "tol big = 1e308 m\n{ not inside(vec(big * 10 - big * 10, 0, 0), box(-1, -1, -1, 1, 1, 1)) }\n",
+    "not_above": "tol big = 1e308 m\n{ not above(vec(0, 0, big * 10 - big * 10), vec(0, 0, 0), 0 m) }\n",
 }
 
 

@@ -460,6 +460,33 @@ def test_evaluate_count_within():
     assert ok  # point at z=0.4 and surface at z=0.5; line at z=0 is outside
 
 
+_NAN = "(big * 10 - big * 10)"  # inf - inf
+
+
+@st.composite
+def nan_operand_programs(draw):
+    """A program calling inside or above with NaN at one or more drawn
+    operand positions and finite values elsewhere: a point's or a box
+    corner's coordinate, or above's margin (above compares only z, so its
+    NaN goes into a z or the margin)."""
+    fn = draw(st.sampled_from(["inside", "above"]))
+    n = 9 if fn == "inside" else 3
+    nan_at = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    args = [_NAN if i in nan_at else f"{draw(st.floats(-2.0, 2.0)):.3f}" for i in range(n)]
+    if fn == "inside":
+        body = f"inside(vec({', '.join(args[:3])}), box({', '.join(args[3:])}))"
+    else:
+        body = f"above(vec(0, 0, {args[0]}), vec(1, 1, {args[1]}), {args[2]})"
+    return f'constraint "nan" mode during\ntol big = 1e308 m\n{{ {body} }}\nfail "r"'
+
+
+@settings(max_examples=300, deadline=None)
+@given(nan_operand_programs())
+def test_boolean_builtins_raise_on_a_nan_operand(source):
+    with pytest.raises(EvalError, match="operand holds NaN"), np.errstate(all="ignore"):
+        evaluate(compiled(parse(source), ctx_for(level_elements())))
+
+
 def test_evaluate_at_shifts_history():
     hist = [np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]])]
     ctx = history_ctx(hist, POINT)
@@ -547,6 +574,11 @@ def test_kb_unknown_task_falls_back():
 def test_kb_stack_point_coincidence():
     kb = load_default_kb()
     assert kb_lookup(kb, "stack_in_order", "point_coincidence") == pytest.approx(0.03)
+
+
+def test_kb_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="KB line 2: duplicate key 'pour_tea.hold'"):
+        ThresholdKB.loads("pour_tea.hold = 0.08 m\npour_tea.hold = 8 m\n")
 
 
 def test_kb_parse_roundtrip():

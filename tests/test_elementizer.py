@@ -116,35 +116,36 @@ _IDS = {"none": -1, "a": 0, "b": 1, "c": 2, "d": 3}
 
 @st.composite
 def labelled_views(draw):
-    """1-3 random (depth, instance) views of one small camera, and one posed
-    object per instance id with a random "top" part box near the camera;
-    each view draws its instance ids from a subset of _IDS, so ids miss
-    views."""
+    """1-3 random views of one small camera with their instance images, and
+    one posed object per instance id with a random "top" part box near the
+    camera; each view draws its instance ids from a subset of _IDS, so ids
+    miss views."""
     h, w = draw(st.integers(1, 6)), draw(st.integers(2, 7))
     n = h * w
     angle = draw(st.floats(-3.0, 3.0))
     pose = Pose(quat_from_axis_angle([0.3, -1.0, 0.2], angle), [0.1, -0.2, 0.4])
     c = CameraModel(20.0, 25.0, w / 2, h / 2, w, h, pose)
-    views = []
+    views, insts = [], []
     for _ in range(draw(st.integers(1, 3))):
         ids = draw(st.lists(st.sampled_from(sorted(_IDS.values())), min_size=1, max_size=5, unique=True))
         depth = np.array(draw(st.lists(_DEPTHS, min_size=n, max_size=n))).reshape(h, w)
         inst = np.array(draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)), dtype=np.int32).reshape(h, w)
-        views.append(View(depth, inst, LabelIndex(depth, inst)))
+        views.append(View(depth, LabelIndex(depth, inst)))
+        insts.append(inst)
     objects = {}
     for oid in _IDS:
         q = quat_from_axis_angle([0.0, 0.4, 1.0], draw(st.floats(-3.0, 3.0)))
         corners = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))).reshape(2, 3)
         top = (corners.min(axis=0), corners.max(axis=0))
         objects[oid] = SimObject(oid, Box((0.1, 0.1, 0.1)), Pose(q, [0.1, -0.2, 0.4]), parts={"top": top})
-    return views, c, objects
+    return views, insts, c, objects
 
 
-def part_mask(view, obj, iid, c):
+def part_mask(view, inst, obj, iid, c):
     """The mask path for a named part: the instance's full-image mask,
     unprojected, moved into the object's frame and tested against the part
     box, kept as a full-image mask."""
-    mask = view.inst == iid
+    mask = inst == iid
     local = obj.pose.inverse().apply(unproject(view.depth, mask, c))
     lo, hi = obj.parts["top"]
     out = np.zeros(mask.size, dtype=bool)
@@ -155,15 +156,15 @@ def part_mask(view, obj, iid, c):
 @settings(max_examples=200, deadline=None)
 @given(labelled_views())
 def test_label_index_pixels_and_clouds_equal_the_mask_path(case):
-    views, c, objects = case
+    views, insts, c, objects = case
     scene = Scene("test", instance_ids=_IDS, cameras=[c] * len(views))
     depths, cams = [v.depth for v in views], scene.cameras
     for oid, iid in _IDS.items():
         for part in ("body", "top"):
             if part == "top":
-                masks = [part_mask(v, objects[oid], iid, c) for v in views]
+                masks = [part_mask(v, inst, objects[oid], iid, c) for v, inst in zip(views, insts)]
             else:
-                masks = [v.inst == iid for v in views]
+                masks = [inst == iid for inst in insts]
             b = mask_bundle(scene, views, objects[oid], part, POINT)
             for pix, mask, v in zip(b.pixels, masks, views):
                 assert np.array_equal(pix, valid_pixels(v.depth, mask))

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camlab.geom3d import Box, Cylinder, Pose, quat_from_axis_angle, quat_mul, vec3
+from camlab.geom3d import Box, Cylinder, Pose, quat_from_axis_angle, quat_mul, raycast_depth, vec3
 from camlab.simlab import (
     Disturbance,
     DisturbanceInjector,
     EpisodeConfig,
-    PolicyScript,
     Simulation,
     SimObject,
     SimState,
@@ -170,10 +169,10 @@ def test_drop_to_support_matches_the_loop_over_every_object(sim, data):
 def test_policy_moves_and_grasps():
     sim = simple_world()
     target = sim.grasp_point("blk")
-    sim.set_policy(PolicyScript("test", [
+    sim.set_policy([
         Waypoint(vec3(0.1, 0.0, 0.2), speed=0.5),
         Waypoint(target, speed=0.5, action=("grasp", "blk")),
-    ]))
+    ])
     for _ in range(100):
         sim.step()
         if sim.motion_done:
@@ -187,7 +186,7 @@ def test_held_object_keeps_its_pose_while_the_ee_stands_still():
     sim.attach("blk")
     blk = sim.state.objects["blk"]
     here = sim.state.ee_pose.t.copy()
-    sim.set_policy(PolicyScript("test", [Waypoint(here, dwell=3), Waypoint(here + [0.0, 0.0, 0.1])]))
+    sim.set_policy([Waypoint(here, dwell=3), Waypoint(here + [0.0, 0.0, 0.1])])
     sim.step()  # arrive: the EE gets a new Pose with the same q and t
     pose = blk.pose
     for _ in range(3):  # dwell ticks
@@ -204,7 +203,7 @@ def test_held_object_keeps_its_pose_while_the_ee_stands_still():
 
 def test_halt_freezes_policy_but_disturbances_continue():
     sim = simple_world()
-    sim.set_policy(PolicyScript("test", [Waypoint(vec3(0.5, 0.5, 0.2), speed=0.1)]))
+    sim.set_policy([Waypoint(vec3(0.5, 0.5, 0.2), speed=0.1)])
     inj = DisturbanceInjector(
         [Disturbance(kind="move_object", oid="blk", delta=(0.05, 0, 0), tick=3)],
         np.random.default_rng(0),
@@ -263,7 +262,7 @@ def test_phase_anchored_disturbance():
     for _ in range(5):
         sim.step()
     assert _injections(sim) == []  # phase never started
-    inj.on_script_start("pick", sim.state.tick)
+    inj.on_subgoal_start("pick", sim.state.tick)
     for _ in range(5):
         sim.step()
     recorded = _injections(sim)
@@ -315,8 +314,9 @@ def reference_part_pixels(state, scene, views):
     parted = [oid for oid, obj in state.objects.items() if obj.parts]
     parted_ids = np.array([scene.instance_ids[o] for o in parted], dtype=np.int32)
     out = {key: [] for key in part_ids}
+    solids = [(obj.pose, obj.shape, scene.instance_ids[oid]) for oid, obj in state.objects.items()]
     for view, cam in zip(views, scene.cameras):
-        depth, inst = view.depth, view.inst
+        depth, inst = view.depth, raycast_depth(solids, cam)[1]
         part = np.zeros(inst.shape, dtype=np.int32)
         hit = (depth > 0) & np.isin(inst, parted_ids)
         pts = unproject(depth, hit, cam)
@@ -412,14 +412,12 @@ def test_render_top_view_occlusion():
     green = state.objects["green"]
     green.pose = Pose(green.pose.q, vec3(red.pose.t[0], red.pose.t[1], red.pose.t[2] + 0.04))
     views = render(state, scene)
-    top = views[1]
-    rid = scene.instance_ids["red"]
-    gid = scene.instance_ids["green"]
-    assert (top[1] == gid).sum() > 0
+    top = views[1].labels
+    red_px = top.of(scene.instance_ids["red"])
+    green_px = top.of(scene.instance_ids["green"])
+    assert len(green_px) > 0
     # red's top face is fully hidden by green; only its sides might peek
-    red_px = top[1] == rid
-    green_px = top[1] == gid
-    assert green_px.sum() >= red_px.sum()
+    assert len(green_px) >= len(red_px)
 
 
 def test_mask_bundle_subset():

@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlab.conlang import Mode, load_default_kb, parse
-from camlab.monitor import PointRing
-from camlab.simlab import build_scene, extract_elements, scene_summary
+from camlab.monitor import INTERNAL_ERROR_REASON, PointRing
+from camlab.simlab import TEMPLATES, build_scene, extract_elements, scene_summary
 from camlab.simlab.episode import load_program
 from camlab.taskgen import (
     FailureFeedback,
@@ -14,13 +18,12 @@ from camlab.taskgen import (
     TaskDone,
     load_default_rules,
 )
-
-KB = load_default_kb()
+from oracles import ReferencePlanner
 
 
 def planner_for(template, seed=0):
     state, scene = build_scene(template, np.random.default_rng(seed))
-    return Planner(template, KB, scene.meta), state, scene
+    return Planner(template, scene.meta), state, scene
 
 
 def summary_of(state, scene):
@@ -42,7 +45,7 @@ def test_success_chain_reaches_done():
     planner, state, scene = planner_for("slot_pen")
     sids = []
     while True:
-        nxt = planner.plan_next(summary_of(state, scene), l_pre=sids[-1] if sids else None)
+        nxt = planner.plan_next(summary_of(state, scene))
         if isinstance(nxt, TaskDone):
             break
         sids.append(nxt.sid)
@@ -57,11 +60,11 @@ def test_drop_feedback_inserts_repick():
     planner, state, scene = planner_for("stack_in_order")
     s = summary_of(state, scene)
     planner.plan_next(s)  # pick_red
-    planner.plan_next(s, "pick_red")  # place_red
-    fb = FailureFeedback("place_red", "object left the gripper (0.15 m)", "place_red.hold", Mode.DURING)
-    rec = planner.plan_next(s, "place_red", fb)
+    planner.plan_next(s)  # place_red
+    fb = FailureFeedback("object left the gripper (0.15 m)", "place_red.hold", Mode.DURING)
+    rec = planner.plan_next(s, fb)
     assert rec.sid.startswith("pick_red")  # re-pick the dropped block first
-    nxt = planner.plan_next(s, rec.sid)
+    nxt = planner.plan_next(s)
     assert nxt.base_sid == "place_red"  # then retry the placement
 
 
@@ -69,12 +72,12 @@ def test_pour_tilt_feedback_inserts_relevel():
     planner, state, scene = planner_for("pour_tea")
     s = summary_of(state, scene)
     planner.plan_next(s)  # reach
-    planner.plan_next(s, "reach_pot")  # lift
-    planner.plan_next(s, "lift_pot")  # move
-    fb = FailureFeedback("move_pot", "held surface tilted 0.3491 rad", "move_pot.level", Mode.DURING)
-    rec = planner.plan_next(s, "move_pot", fb)
+    planner.plan_next(s)  # lift
+    planner.plan_next(s)  # move
+    fb = FailureFeedback("held surface tilted 0.3491 rad", "move_pot.level", Mode.DURING)
+    rec = planner.plan_next(s, fb)
     assert rec.base_sid == "relevel"
-    nxt = planner.plan_next(s, rec.sid)
+    nxt = planner.plan_next(s)
     assert nxt.base_sid == "move_pot"  # resume the transport
 
 
@@ -85,8 +88,8 @@ def test_max_retries_aborts():
     sg = planner.plan_next(s)
     out = None
     for _ in range(5):
-        fb = FailureFeedback(sg.sid, "grasp missed (0.1 m off the gripper axis)", f"{sg.sid}.grasp_hold", Mode.ON_COMPLETION)
-        out = planner.plan_next(s, sg.sid, fb)
+        fb = FailureFeedback("grasp missed (0.1 m off the gripper axis)", f"{sg.sid}.grasp_hold", Mode.ON_COMPLETION)
+        out = planner.plan_next(s, fb)
         if isinstance(out, TaskAbort):
             break
         sg = out
@@ -97,6 +100,84 @@ def test_internal_error_kind_maps_to_retry():
     planner, state, scene = planner_for("sweep_half")
     assert planner.kind_of("whatever", reason="monitor internal error") == "internal"
     assert planner.rules.lookup("sweep_half", "internal", Mode.DURING) == "retry"
+
+
+# ---------------------------------------------------------------------------
+# failures resolved against the current subgoal, as the reference resolved them
+
+
+@lru_cache(maxsize=None)
+def _meta_and_summary(template):
+    state, scene = build_scene(template, np.random.default_rng(0))
+    return scene.meta, summary_of(state, scene)
+
+
+_REASON = "object moved 0.05 m"
+
+# a step: the subgoal completes; it fails, naming one of its programs (an
+# index, taken modulo their number) or an unknown cid (None), with the
+# monitor's internal-error text or another, in either mode; or its programs
+# fail validation and it is rebuilt relaxed
+_COMPLETE, _RELAX = ("complete",), ("relax",)
+_STEPS = st.one_of(
+    st.just(_COMPLETE),
+    st.tuples(st.just("fail"), st.none() | st.integers(0, 3), st.booleans(), st.sampled_from(list(Mode))),
+    st.just(_RELAX),
+)
+
+
+def drive_both(template, max_retries, steps):
+    """Run the planner and the reference through `steps` until a TaskDone or
+    TaskAbort, asserting after each step that both gave the same output;
+    returns the planner's outputs."""
+    meta, s = _meta_and_summary(template)
+    planner = Planner(template, meta, max_retries)
+    ref = ReferencePlanner(template, load_default_kb(), meta, max_retries)
+    out = planner.plan_next(s)
+    assert out == ref.plan_next(s)
+    outs = [out]
+    for step in steps:
+        if not isinstance(out, Subgoal):
+            break
+        if step == _RELAX:
+            want, out = ref.rebuild_relaxed(s), planner.rebuild_relaxed(s)
+        elif step == _COMPLETE:
+            want, out = ref.plan_next(s, out.sid), planner.plan_next(s)
+        else:
+            _, pick, internal, mode = step
+            cids = [p.cid for p in out.during + out.completion]
+            cid = "unknown.cid" if pick is None or not cids else cids[pick % len(cids)]
+            fb = FailureFeedback(INTERNAL_ERROR_REASON if internal else _REASON, cid, mode)
+            want, out = ref.plan_next(s, out.sid, fb), planner.plan_next(s, fb)
+        # Subgoal equality covers sid, text, script id and params, element
+        # specs and every program's cid, kind and source
+        assert out == want
+        outs.append(out)
+    return outs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TEMPLATES), st.integers(0, 5), st.lists(_STEPS, max_size=40))
+def test_failures_resolve_as_the_reference_planner_resolves_them(template, max_retries, steps):
+    drive_both(template, max_retries, steps)
+
+
+@pytest.mark.parametrize(
+    "template, max_retries, steps, reason",
+    [
+        ("stack_in_order", 0, [("fail", 0, False, Mode.ON_COMPLETION)], f"subgoal 'pick_red' failed 1 times: {_REASON}"),
+        ("pour_tea", 1, [_RELAX, ("fail", 0, True, Mode.DURING)] * 2, f"subgoal 'reach_pot' failed 2 times: {INTERNAL_ERROR_REASON}"),
+        ("sweep_half", 5, [("fail", 0, False, Mode.ON_COMPLETION)], f"no recovery for sweep_half.region_band.on_completion: {_REASON}"),
+        ("slot_pen", 5, [("fail", 0, False, Mode.ON_COMPLETION)], f"no recovery for slot_pen.still.on_completion: {_REASON}"),
+        # lift_pot's level program (index 1) fails in transit: re-level, then the re-level fails
+        ("pour_tea", 5, [_COMPLETE, ("fail", 1, False, Mode.DURING), ("fail", 0, True, Mode.ON_COMPLETION)],
+         "cannot rebuild unknown subgoal 'relevel'"),
+        ("stow_book", 5, [_COMPLETE, _COMPLETE, ("fail", 1, False, Mode.DURING), _RELAX, ("fail", 0, False, Mode.DURING)],
+         "cannot rebuild unknown subgoal 'relevel'"),
+    ],
+)
+def test_every_abort_text_matches_the_reference(template, max_retries, steps, reason):
+    assert drive_both(template, max_retries, steps)[-1] == TaskAbort(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +196,11 @@ def test_rules_reject_unknown_action():
         RecoveryRules.loads("a.b.during = explode\n")
 
 
+def test_rules_reject_a_repeated_key():
+    with pytest.raises(ValueError, match="rules line 3: duplicate key 'a.b.during'"):
+        RecoveryRules.loads("a.b.during = retry\n# the same key again\na.b.during = abort\n")
+
+
 def test_closedness_every_emitted_kind_has_a_rule():
     # exhaustiveness: for every task, every constraint kind emitted by any
     # reachable subgoal resolves to a recovery action (or an explicit abort)
@@ -128,7 +214,7 @@ def test_closedness_every_emitted_kind_has_a_rule():
                 for spec in specs:
                     action = rules.lookup(template, spec.kind, mode)
                     assert action is not None, (template, spec.kind, mode)
-            sg = planner.plan_next(s, sg.sid)
+            sg = planner.plan_next(s)
         assert rules.lookup(template, "internal", Mode.DURING) is not None
 
 

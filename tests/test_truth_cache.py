@@ -22,7 +22,7 @@ from camlab.geom3d import Box, Pose, quat_mul, quat_to_mat
 from camlab.monitor import RealTimeMonitor, SimTracker, TrackerConfig
 from camlab.simlab import EpisodeConfig
 from camlab.simlab.disturb import Disturbance, DisturbanceInjector, standard_disturbances
-from camlab.simlab.world import PolicyScript, SimObject, SimState, Simulation, Waypoint
+from camlab.simlab.world import SimObject, SimState, Simulation, Waypoint
 
 
 class DictTruth:
@@ -237,7 +237,7 @@ def test_in_place_truth_matches_dict_truth_and_compose_every_time(layout, n_loca
             both(lambda s: setattr(s.state, "ee_pose", pose))
         elif kind == "policy":
             quat = None if op[2] is None else _unit(op[2])
-            script = PolicyScript("p", [Waypoint(op[1], quat, speed=0.5, dwell=op[3])])
+            script = [Waypoint(op[1], quat, speed=0.5, dwell=op[3])]
             both(lambda s: s.set_policy(script))
             for _ in range(op[4]):
                 step()
@@ -357,7 +357,7 @@ def test_refresh_and_truth_equal_compose_and_apply_over_ee_paths(n_held, start_q
             state.ee_pose = Pose(ee.q, ee.t + np.array(op[1]))
         elif kind == "policy":
             quat = None if op[2] is None else _unit(op[2])
-            sim.set_policy(PolicyScript("p", [Waypoint(op[1], quat, speed=0.5)]))
+            sim.set_policy([Waypoint(op[1], quat, speed=0.5)])
             for _ in range(op[3]):
                 sim.policy.advance(sim)
                 check()
