@@ -511,8 +511,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
     for i in range(n_elements - 1):
         protos.append(end_effector_element(rng.uniform(-0.2, 0.2, size=(1, 3)), entity=f"obj{i}"))
     es = make_element_set(protos, "bench")
-    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), seed=1)
-    tracker.register(es, 0)
+    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), 1, es.elements, 0)
     programs = []
     for i in range(n_programs):
         a = i % n_elements
@@ -523,7 +522,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
             f'fail "r"'
         )
         programs.append(load_program(src, f"c{i}", tracker.ring))
-    mon = RealTimeMonitor(programs, tracker, DebouncePolicy())
+    mon = RealTimeMonitor(programs, DebouncePolicy())
     truth = tracker.ring.pack({e.eid: e.points for e in es.elements})
     samples = []
     for t in range(1, n_ticks + 1):

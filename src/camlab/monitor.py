@@ -201,20 +201,15 @@ class TruthRow:
 
 
 class SimTracker:
-    """Noisy tracker over ground-truth element points."""
+    """Noisy tracker over ground-truth element points, with tracks started
+    from the elements' own points (the extraction snapshot, exact) at
+    `tick`; fk_eids are the elements served noiselessly."""
 
-    def __init__(self, cfg: TrackerConfig = TrackerConfig(), seed: int = 0, capacity: int = RING_CAPACITY):
+    def __init__(self, cfg: TrackerConfig, seed: int, elements, tick: int, fk_eids=(), capacity: int = RING_CAPACITY):
         self.cfg = cfg
-        self.capacity = capacity
         self.rng = np.random.default_rng(seed)
-        self.ring: PointRing | None = None  # set by register
-
-    def register(self, element_set, tick: int, fk_eids=()):
-        """Start tracks for a fresh element set, seeded with the extraction
-        snapshot (exact)."""
-        ring = PointRing(element_set.elements, tick, self.capacity, set(fk_eids))
-        self.ring = ring
-        n_noisy = ring.n_points - ring.noisy_lo
+        self.ring = PointRing(elements, tick, capacity, set(fk_eids))
+        n_noisy = self.ring.n_points - self.ring.noisy_lo
         self._uniform = np.empty(n_noisy)
         self._normal = np.empty((n_noisy, 3))
 
@@ -305,19 +300,17 @@ class RealTimeMonitor:
     (conlang.typecheck, as simlab.episode.load_program does), against the
     tracked element state."""
 
-    def __init__(
-        self, programs, tracker: SimTracker, policy: DebouncePolicy = DebouncePolicy(), halt_on_completion=False
-    ):
+    def __init__(self, programs, policy: DebouncePolicy = DebouncePolicy(), halt_on_completion=False):
         self.during = [p for p in programs if p.mode is Mode.DURING]
         self.completion = [p for p in programs if p.mode is Mode.ON_COMPLETION]
-        self.tracker = tracker
         self.policy = policy
         self.halt_on_completion = halt_on_completion
         self._false_streak = {p.cid: 0 for p in self.during}
         self._reported: set = set()
-        self._entered_streak = 0
+        # ticks in a row on which every ON_COMPLETION program held: in
+        # motion the entry check, after motion end the completion hold
+        self._held_streak = 0
         self._motion_end: int | None = None
-        self._hold_streak = 0
 
     def monitor_tick(self, tick: int) -> Verdict:
         """Evaluate all DURING programs; a program false K ticks in a row
@@ -342,16 +335,20 @@ class RealTimeMonitor:
         return Verdict(tick, VerdictKind.OK)
 
     def note_motion_end(self, tick: int):
+        """The first call marks the motion end and restarts the held streak,
+        so the completion hold counts only ticks after it."""
         if self._motion_end is None:
             self._motion_end = tick
-            self._hold_streak = 0
+            self._held_streak = 0
 
     def next_verdict(self, tick: int, motion_done: bool) -> Verdict:
         """The verdict for this tick, given whether policy motion has ended.
 
         In motion: a DURING violation, else HALT once a halt-on-completion
-        subgoal has entered its completion region, else OK. After motion:
-        the completion hold (check_completion), or SUBGOAL_COMPLETE at once
+        subgoal has entered its completion region (every ON_COMPLETION
+        program held K ticks in a row, so objects still crossing the region
+        boundary settle clearly inside), else OK. After motion: the
+        completion hold (check_completion), or SUBGOAL_COMPLETE at once
         when there are no ON_COMPLETION programs."""
         if motion_done:
             if not self.completion:
@@ -361,18 +358,24 @@ class RealTimeMonitor:
         verdict = self.monitor_tick(tick) if self.during else Verdict(tick, VerdictKind.OK)
         if verdict.is_violation:
             return verdict
-        if self.halt_on_completion and self.completion and self._entered():
-            self.note_motion_end(tick)
-            return Verdict(tick, VerdictKind.HALT)
+        if self.halt_on_completion and self.completion:
+            self._hold_tick()
+            if self._held_streak >= self.policy.k:
+                self.note_motion_end(tick)
+                return Verdict(tick, VerdictKind.HALT)
         return verdict
 
-    def _entered(self) -> bool:
-        """Entry check: every ON_COMPLETION program true for K ticks in a row,
-        so objects still crossing the region boundary settle clearly inside.
-        An evaluation error counts as not entered."""
-        entered = all(_fail_safe(p)[0] for p in self.completion)
-        self._entered_streak = self._entered_streak + 1 if entered else 0
-        return self._entered_streak >= self.policy.k
+    def _hold_tick(self):
+        """Evaluate every ON_COMPLETION program, extend or reset the held
+        streak, and return (cid, reason) of the first that does not hold (an
+        evaluation error counts as not holding), or None."""
+        first_bad = None
+        for prog in self.completion:
+            ok, reason = _fail_safe(prog)
+            if not ok and first_bad is None:
+                first_bad = (prog.cid, reason)
+        self._held_streak = 0 if first_bad else self._held_streak + 1
+        return first_bad
 
     def check_completion(self, tick: int) -> Verdict:
         """After motion end: SUBGOAL_COMPLETE once every ON_COMPLETION program
@@ -380,21 +383,12 @@ class RealTimeMonitor:
         3H ticks after motion end; NOT_YET in between."""
         if self._motion_end is None:
             raise ValueError("check_completion before motion end")
-        first_bad = None
-        for prog in self.completion:
-            ok, reason = _fail_safe(prog)
-            if not ok and first_bad is None:
-                first_bad = (prog.cid, reason)
+        first_bad = self._hold_tick()
         if first_bad is None:
-            self._hold_streak += 1
-            if self._hold_streak >= self.policy.h:
+            if self._held_streak >= self.policy.h:
                 return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE, mode=Mode.ON_COMPLETION)
-        else:
-            self._hold_streak = 0
-            if tick - self._motion_end >= 3 * self.policy.h:
-                return Verdict(
-                    tick, VerdictKind.VIOLATION, first_bad[0], Mode.ON_COMPLETION, first_bad[1]
-                )
+        elif tick - self._motion_end >= 3 * self.policy.h:
+            return Verdict(tick, VerdictKind.VIOLATION, first_bad[0], Mode.ON_COMPLETION, first_bad[1])
         return Verdict(tick, VerdictKind.NOT_YET)
 
 

@@ -67,12 +67,13 @@ class EpisodeResult:
 
 
 class _Bound:
-    """Everything the monitor needs for one subgoal, and the ground-truth
-    row its tracker steps from."""
+    """One subgoal's tracker and monitor, and the ground-truth row the
+    tracker steps from."""
 
-    def __init__(self, monitor, truth_specs):
+    def __init__(self, tracker, monitor, truth_specs):
+        self.tracker = tracker
         self.monitor = monitor
-        ring = monitor.tracker.ring
+        ring = tracker.ring
         # per element: its span of the row, its object (None: the
         # end-effector), its points in the object's frame, the Pose its span
         # was last written from, and the rotation matrix and rotated points
@@ -196,13 +197,12 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed, mem
     specs = (sg.during if mode in ("proactive_only", "full") else ()) + (
         sg.completion if mode in ("reactive_only", "full") else ()
     )
-    tracker = SimTracker(cfg.tracker, tracker_seed)
-    tracker.register(es, state.tick, fk_eids=(0,))
+    tracker = SimTracker(cfg.tracker, tracker_seed, es.elements, state.tick, fk_eids=(0,))
     programs = [load_program(ps.source, ps.cid, tracker.ring) for ps in specs]
     state.log("programs", sid=sg.sid, sources=[ps.source for ps in specs])
 
-    monitor = RealTimeMonitor(programs, tracker, cfg.debounce, halt_on_completion=sg.halt_on_completion)
-    return _Bound(monitor, truth_specs)
+    monitor = RealTimeMonitor(programs, cfg.debounce, halt_on_completion=sg.halt_on_completion)
+    return _Bound(tracker, monitor, truth_specs)
 
 
 def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
@@ -219,7 +219,7 @@ def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
                 state.log("subgoal_complete", sid=sg.sid)
                 return "complete"
             continue
-        bound.monitor.tracker.step(bound.truth(sim), state.tick)
+        bound.tracker.step(bound.truth(sim), state.tick)
         v = bound.monitor.next_verdict(state.tick, sim.motion_done)
         if v.kind is VerdictKind.HALT:
             sim.policy.halt()
@@ -243,7 +243,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeResult:
     state, scene = build_scene(cfg.template, np.random.default_rng(layout_ss))
     injector = DisturbanceInjector(cfg.disturbances, np.random.default_rng(disturb_ss))
     sim = Simulation(state, injector)
-    book = TaskBookkeeper(cfg.template, scene)
+    book = TaskBookkeeper(cfg.template)
     planner = Planner(cfg.template, scene.meta, max_retries=cfg.max_retries)
     tracker_seeds = tracker_ss.generate_state(64)
     memo = ElementMemo(scene.cameras)

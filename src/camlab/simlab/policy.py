@@ -63,7 +63,7 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
 
     elif script_id == "insert":
         holder = state.objects["holder"]
-        pen_len = meta["pen_length"]
+        pen_len = state.objects["pen"].shape.height
         carry, carry_z = meta["carry_speed"], meta["carry_z"]
         hx, hy = float(holder.pose.t[0]), float(holder.pose.t[1])
         # descend until the tip (pen_len below the EE) sits just above the bore floor
@@ -76,7 +76,8 @@ def build_script(sim: Simulation, scene, script_id: str, params: dict, injector=
     elif script_id == "place_book":
         lo, hi = scene.regions["slot"]
         sx, sy = float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2)
-        ee_z = meta["shelf_top"] + meta["book_height"] + 0.004
+        shelf, book = state.objects["shelf"], state.objects["book"]
+        ee_z = shelf.top_z() + float(book.shape.extents[2]) + 0.004
         carry, carry_z = meta["carry_speed"], meta["carry_z"]
         wps = [
             Waypoint(vec3(sx, sy, carry_z), speed=carry),

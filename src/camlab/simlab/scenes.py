@@ -138,11 +138,9 @@ def build_scene(template: str, rng: np.random.Generator):
                 _register(scene, state, blk)
                 order.append(oid)
                 i += 1
-        region = (np.array([0.08, -0.16, 0.0]), np.array([0.29, 0.16, 0.06]))
-        scene.regions["target"] = region
+        scene.regions["target"] = (np.array([0.08, -0.16, 0.0]), np.array([0.29, 0.16, 0.06]))
         scene.meta = {
             "blocks": order,
-            "region": [list(map(float, region[0])), list(map(float, region[1]))],
             "group_size": 3,
             "stroke_speed": 0.30,
             "band": list(SWEEP_BAND),
@@ -162,9 +160,7 @@ def build_scene(template: str, rng: np.random.Generator):
         _register(scene, state, pen)
         _register(scene, state, holder)
         scene.meta = {
-            "bore_radius": 0.02,
-            "rim_z": 0.08,
-            "pen_length": 0.13,
+            "bore_radius": holder.bore_radius,
             "approach_speed": 0.30,
             "carry_speed": 0.12,
             "carry_z": 0.20,
@@ -181,8 +177,6 @@ def build_scene(template: str, rng: np.random.Generator):
         _register(scene, state, shelf)
         scene.regions["slot"] = (np.array([0.10, -0.05, 0.02]), np.array([0.26, 0.15, 0.30]))
         scene.meta = {
-            "shelf_top": 0.02,
-            "book_height": 0.22,
             "approach_speed": 0.30,
             "carry_speed": 0.12,
             "carry_z": 0.28,
@@ -199,7 +193,6 @@ def build_scene(template: str, rng: np.random.Generator):
         _register(scene, state, pot)
         _register(scene, state, cup)
         scene.meta = {
-            "cup_radius": 0.035,
             "pour_tilt_deg": 50.0,
             "pour_hold_ticks": 25,
             "approach_speed": 0.30,
@@ -290,9 +283,8 @@ class TaskBookkeeper:
     POUR_TILT = math.radians(40.0)
     POUR_TICKS = 10
 
-    def __init__(self, template: str, scene: Scene):
+    def __init__(self, template: str):
         self.template = template
-        self.scene = scene
         self.spill_streak = 0
         self.spilled = False
         self.pour_ticks = 0
@@ -307,7 +299,7 @@ class TaskBookkeeper:
         tilt = _tilt_from_vertical(pot)
         over_cup = (
             float(np.linalg.norm(pot.pose.t[:2] - cup.pose.t[:2]))
-            <= self.scene.meta["cup_radius"] + 0.05
+            <= cup.shape.radius + 0.05
         )
         if tilt >= self.POUR_TILT and over_cup:
             self.pour_ticks += 1
@@ -346,7 +338,7 @@ def oracle_success(state: SimState, scene: Scene, book: TaskBookkeeper | None = 
         holder = state.objects["holder"]
         tip = pen.pose.apply(vec3(0, 0, -0.053))
         dxy = float(np.linalg.norm(tip[:2] - holder.pose.t[:2]))
-        return dxy <= scene.meta["bore_radius"] and 0.0 < tip[2] < scene.meta["rim_z"]
+        return dxy <= holder.bore_radius and 0.0 < tip[2] < holder.top_z()
     if t == "stow_book":
         bookobj = state.objects["book"]
         lo, hi = scene.regions["slot"]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 
 from camlab.elementizer import LINE, POINT, SURFACE, ElementKind
-from camlab.conlang import Mode, kb_lookup, load_default_kb
+from camlab.conlang import Mode, load_default_kb
 from camlab.conlang.kb import key_value_lines
 from camlab.monitor import INTERNAL_ERROR_REASON
 
@@ -102,14 +102,10 @@ class RecoveryRules:
     def loads(cls, text: str) -> "RecoveryRules":
         rules = {}
         form = "task.kind.mode = action"
-        for lineno, key, action in key_value_lines(text, "rules", form):
-            try:
-                task, kind, mode = key.split(".")
-            except ValueError as err:
-                raise ValueError(f"rules line {lineno}: expected '{form}'") from err
+        for lineno, key, action in key_value_lines(text, "rules", form, segments=3):
             if action not in cls.ACTIONS:
                 raise ValueError(f"rules line {lineno}: unknown action '{action}'")
-            rules[(task, kind, mode)] = action
+            rules[key] = action
         return cls(rules)
 
     def lookup(self, task: str, kind: str, mode: Mode) -> str | None:
@@ -153,13 +149,15 @@ def _prog(name, mode, tol_lines, body, fail):
 
 
 class _ProgramFactory:
-    def __init__(self, task: str, kb, relax: float = 1.0):
+    def __init__(self, task: str, kb: dict, relax: float = 1.0):
         self.task = task
         self.kb = kb
         self.relax = relax
 
     def tol(self, kind: str) -> float:
-        return kb_lookup(self.kb, self.task, kind) * self.relax
+        """The KB tolerance of `kind` for this task, relaxed; a pair the KB
+        lacks is a KeyError (the KB holds every pair a builder asks for)."""
+        return self.kb[(self.task, kind)] * self.relax
 
     def hold(self, sid, ei, mode="during") -> ProgramSpec:
         src = _prog(
@@ -276,7 +274,7 @@ def _stack_builders(meta):
 def _sweep_builders(meta):
     def sweep(scene, pf, sid):
         blocks = scene["meta"]["blocks"]
-        lo, hi = scene["meta"]["region"]
+        lo, hi = scene["regions"]["target"]
         band_lo, band_hi = scene["meta"]["band"]
         mid = (band_lo + band_hi) / 2.0
         width = (band_hi - band_lo) / 2.0

@@ -19,15 +19,14 @@ from camlab.conlang import (
     Mode,
     MonitorProgram,
     Num,
-    ThresholdKB,
     ToleranceDecl,
     TolRef,
     Unary,
     ValidationFailure,
     Within,
     evaluate,
-    kb_lookup,
     load_default_kb,
+    loads_kb,
     parse,
     pretty,
     typecheck,
@@ -254,6 +253,12 @@ def _gen_expr(rng, tolnames, depth):
     return Call(fn, tuple(sub() for _ in range(nargs)))
 
 
+def _gen_text(rng, stem):
+    """stem and up to five characters drawn from a set holding the two that
+    pretty escapes, `"` and `\\`."""
+    return stem + "".join(rng.choice(['"', "\\", " ", "x", "{", "}"], size=rng.integers(0, 6)))
+
+
 def _gen_program(rng):
     tolnames = [f"t{i}" for i in range(rng.integers(0, 3))]
     tols = tuple(
@@ -261,11 +266,11 @@ def _gen_program(rng):
         for n in tolnames
     )
     return MonitorProgram(
-        name=f"gen{rng.integers(0, 1000)}",
+        name=_gen_text(rng, f"gen{rng.integers(0, 1000)}"),
         mode=Mode.DURING if rng.random() < 0.5 else Mode.ON_COMPLETION,
         tolerances=tols,
         body=_gen_expr(rng, tolnames, int(rng.integers(1, 5))),
-        reason_template="value {dist} tol {t0}",
+        reason_template=_gen_text(rng, "value {dist} tol {t0}"),
     )
 
 
@@ -278,6 +283,7 @@ def test_parse_pretty_round_trip_1000():
         assert back.body == prog.body, text
         assert back.tolerances == prog.tolerances
         assert back.mode == prog.mode
+        assert (back.name, back.reason_template) == (prog.name, prog.reason_template), text
         # fixpoint: printing again yields byte-identical source
         assert pretty(back) == text
 
@@ -562,26 +568,30 @@ def test_max_history_ticks():
 
 
 def test_kb_level_surface_default():
-    kb = load_default_kb()
-    assert kb_lookup(kb, "pour_tea", "level_surface") == pytest.approx(math.radians(15))
-
-
-def test_kb_unknown_task_falls_back():
-    kb = ThresholdKB()
-    assert kb_lookup(kb, "unheard_of", "level_surface") == pytest.approx(math.radians(15))
+    assert load_default_kb()[("pour_tea", "level_surface")] == pytest.approx(math.radians(15))
 
 
 def test_kb_stack_point_coincidence():
-    kb = load_default_kb()
-    assert kb_lookup(kb, "stack_in_order", "point_coincidence") == pytest.approx(0.03)
+    assert load_default_kb()[("stack_in_order", "point_coincidence")] == pytest.approx(0.03)
 
 
 def test_kb_rejects_a_repeated_key():
     with pytest.raises(ValueError, match="KB line 2: duplicate key 'pour_tea.hold'"):
-        ThresholdKB.loads("pour_tea.hold = 0.08 m\npour_tea.hold = 8 m\n")
+        loads_kb("pour_tea.hold = 0.08 m\npour_tea.hold = 8 m\n")
+
+
+def test_kb_rejects_a_key_repeated_with_spaces():
+    # the segments are stripped before the repeated-key check
+    with pytest.raises(ValueError, match="KB line 2: duplicate key 'pour_tea.hold'"):
+        loads_kb("pour_tea.hold = 0.08 m\npour_tea . hold = 8 m\n")
+
+
+@pytest.mark.parametrize("key", ["a.b.c", "a", "a.b.", ". b"])
+def test_kb_rejects_a_key_without_two_segments(key):
+    with pytest.raises(ValueError, match=r"KB line 1: expected 'task\.kind = value unit'"):
+        loads_kb(f"{key} = 1 m\n")
 
 
 def test_kb_parse_roundtrip():
-    kb = ThresholdKB.loads("a.b = 2 cm\n# comment\nc.d = 90 deg\n")
-    assert kb.entries[("a", "b")] == (pytest.approx(0.02), "len")
-    assert kb.entries[("c", "d")][0] == pytest.approx(math.pi / 2)
+    kb = loads_kb("a.b = 2 cm\n# comment\n c . d = 90 deg\n")
+    assert kb == {("a", "b"): pytest.approx(0.02), ("c", "d"): pytest.approx(math.pi / 2)}

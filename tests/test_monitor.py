@@ -39,8 +39,7 @@ DONE_SRC = (
 
 
 def tracker_for(es, cfg=None, fk=(0,), seed=1):
-    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed)
-    tr.register(es, tick=0, fk_eids=fk)
+    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed, es.elements, 0, fk_eids=fk)
     return tr
 
 
@@ -154,7 +153,7 @@ def run_ticks(mon, tr, truths, start=1):
 def test_monitor_all_ok():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=3))
     vs = run_ticks(mon, tr, [truth_of(es)] * 5)
     assert all(v.kind is VerdictKind.OK for v in vs)
 
@@ -163,7 +162,7 @@ def test_monitor_violation_fires_at_kth_tick():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
     k = 3
-    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=k))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=k))
     good = truth_of(es)
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}  # block fell 20 cm
     vs = run_ticks(mon, tr, [good, good, bad, bad, bad, bad])
@@ -180,7 +179,7 @@ def test_monitor_violation_fires_at_kth_tick():
 def test_monitor_single_tick_spike_silent():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=3))
     good = truth_of(es)
     spike = {0: good[0], 1: good[1] + [0, 0, 0.5]}
     vs = run_ticks(mon, tr, [good, spike, good, good, spike, good, good])
@@ -194,7 +193,7 @@ def test_monitor_internal_error_fail_safe():
     src = 'constraint "boom" mode during { 1 / 0 < 2 } fail "r"'
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(src, tr)], tr, DebouncePolicy(k=2))
+    mon = RealTimeMonitor([program(src, tr)], DebouncePolicy(k=2))
     vs = run_ticks(mon, tr, [truth_of(es)] * 3)
     assert vs[1].is_violation
     assert vs[1].reason == INTERNAL_ERROR_REASON
@@ -205,7 +204,7 @@ def test_first_violation_wins_in_order():
     tr = tracker_for(es, fk=(0, 1))
     p1 = program(HOLD_SRC.replace('"hold"', '"a"'), tr, cid="a")
     p2 = program(HOLD_SRC.replace('"hold"', '"b"'), tr, cid="b")
-    mon = RealTimeMonitor([p1, p2], tr, DebouncePolicy(k=1))
+    mon = RealTimeMonitor([p1, p2], DebouncePolicy(k=1))
     good = truth_of(es)
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
     tr.step(tr.ring.pack(bad), 1)
@@ -219,7 +218,7 @@ def test_first_violation_wins_in_order():
 
 def completion_monitor(es, h=5):
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(DONE_SRC, tr)], tr, DebouncePolicy(h=h))
+    mon = RealTimeMonitor([program(DONE_SRC, tr)], DebouncePolicy(h=h))
     return tr, mon
 
 
@@ -278,16 +277,14 @@ def test_completion_settle_then_hold():
 
 def test_history_capacity_enforced_at_load():
     es = two_point_set()
-    tr = SimTracker(TrackerConfig(), capacity=16)
-    tr.register(es, 0, fk_eids=(0, 1))
+    tr = SimTracker(TrackerConfig(), 0, es.elements, 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during { displacement(e(1), 200) <= 1 m } fail "r"'
     with pytest.raises(ValidationFailure, match="reaches 200 ticks back, ring capacity 16"):
         load_program(src, "x", tr.ring)
 
 
 def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
-    tr = SimTracker(TrackerConfig(), capacity=16)
-    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during {{ at(displacement(e(1), 10), {}) <= 1 m }} fail "r"'
     assert load_program(src.format(5), "x", tr.ring).cid == "x"  # 15 ticks back
     with pytest.raises(ValidationFailure, match="reaches 16 ticks back, ring capacity 16"):
@@ -303,15 +300,13 @@ def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
     ids=["elem", "elemlist"],
 )
 def test_at_around_element_reference_is_rejected_at_load(body):
-    tr = SimTracker(TrackerConfig(), capacity=16)
-    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
     with pytest.raises(ValidationFailure, match=r"at\(\) cannot shift an element reference; wrap the builtin"):
         load_program(f'constraint "x" mode during {{ {body} }} fail "r"', "x", tr.ring)
 
 
 def test_at_around_builtin_loads():
-    tr = SimTracker(TrackerConfig(), capacity=16)
-    tr.register(two_point_set(), 0, fk_eids=(0, 1))
+    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) <= 1 m } fail "r"'
     assert load_program(src, "x", tr.ring).cid == "x"
 
@@ -361,9 +356,8 @@ def test_noise_robustness_no_false_positives():
     for seed in range(20):
         cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20)
         es = two_point_set()
-        tr = SimTracker(cfg, seed)
-        tr.register(es, 0, fk_eids=(0,))
-        mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy(k=3))
+        tr = SimTracker(cfg, seed, es.elements, 0, fk_eids=(0,))
+        mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=3))
         truth = truth_of(es)
         for t in range(1, 501):
             tr.step(tr.ring.pack(truth), t)
@@ -377,7 +371,7 @@ def test_next_verdict_pull_api():
     bad = {0: good[0], 1: good[1] - [0, 0, 0.2]}
     # in motion the DURING checks run; after motion end the H-tick hold
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(HOLD_SRC, tr), program(DONE_SRC, tr)], tr, DebouncePolicy(k=1, h=2))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr), program(DONE_SRC, tr)], DebouncePolicy(k=1, h=2))
     tr.step(tr.ring.pack(good), 1)
     assert mon.next_verdict(1, False).kind is VerdictKind.OK
     vs = []
@@ -388,7 +382,7 @@ def test_next_verdict_pull_api():
     assert vs[1].mode is Mode.ON_COMPLETION
     # still false 3H ticks after motion end: a completion violation
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(DONE_SRC, tr)], tr, DebouncePolicy(h=2))
+    mon = RealTimeMonitor([program(DONE_SRC, tr)], DebouncePolicy(h=2))
     for t in range(1, 20):
         tr.step(tr.ring.pack(bad), t)
         v = mon.next_verdict(t, True)
@@ -397,7 +391,7 @@ def test_next_verdict_pull_api():
     assert v.is_violation and v.mode is Mode.ON_COMPLETION and v.tick == 1 + 3 * 2
     # no ON_COMPLETION programs: the subgoal completes at motion end
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(HOLD_SRC, tr)], tr, DebouncePolicy())
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy())
     tr.step(tr.ring.pack(bad), 1)
     v = mon.next_verdict(1, True)
     assert v.kind is VerdictKind.SUBGOAL_COMPLETE and v.mode is None
@@ -420,7 +414,7 @@ def moving_verdicts(mon, tr, truths, start=1):
 
 def entry_monitor(es, sources, k, halt=True):
     tr = tracker_for(es, fk=(0, 1))
-    mon = RealTimeMonitor([program(src, tr) for src in sources], tr, DebouncePolicy(k=k, h=2), halt_on_completion=halt)
+    mon = RealTimeMonitor([program(src, tr) for src in sources], DebouncePolicy(k=k, h=2), halt_on_completion=halt)
     return tr, mon
 
 
@@ -444,6 +438,21 @@ def test_entry_needs_k_consecutive_true_ticks():
     # a subgoal without halt_on_completion never halts
     tr, mon = entry_monitor(es, [DONE_SRC], k=3, halt=False)
     assert all(v.kind is VerdictKind.OK for v in moving_verdicts(mon, tr, seq))
+
+
+def test_motion_end_restarts_the_held_streak():
+    # K - 1 = 2 entered ticks in motion, then the motion ends on its own:
+    # those ticks do not count toward the hold, which needs H = 3 fresh ticks
+    es = two_point_set()
+    good = truth_of(es)
+    tr = tracker_for(es, fk=(0, 1))
+    mon = RealTimeMonitor([program(DONE_SRC, tr)], DebouncePolicy(k=3, h=3), halt_on_completion=True)
+    assert [v.kind for v in moving_verdicts(mon, tr, [good, good])] == [VerdictKind.OK] * 2
+    vs = []
+    for t in (3, 4, 5):
+        tr.step(tr.ring.pack(good), t)
+        vs.append(mon.next_verdict(t, True))
+    assert [v.kind for v in vs] == [VerdictKind.NOT_YET] * 2 + [VerdictKind.SUBGOAL_COMPLETE]
 
 
 def test_entry_eval_error_means_not_entered():

@@ -550,7 +550,6 @@ def test_scene_summary_shape():
     s = scene_summary(state, scene)
     assert "teapot" in s["objects"]
     assert len(s["objects"]["teapot"]["pos"]) == 3
-    assert s["meta"]["cup_radius"] == 0.035
 
 
 def test_clean_runs_all_templates_monitored():

@@ -10,12 +10,15 @@ from camlab.monitor import INTERNAL_ERROR_REASON, PointRing
 from camlab.simlab import TEMPLATES, build_scene, extract_elements, scene_summary
 from camlab.simlab.episode import load_program
 from camlab.taskgen import (
+    _BUILDERS,
+    _RELEVEL_PROGRAM,
     FailureFeedback,
     Planner,
     RecoveryRules,
     Subgoal,
     TaskAbort,
     TaskDone,
+    _ProgramFactory,
     load_default_rules,
 )
 from oracles import ReferencePlanner
@@ -199,6 +202,40 @@ def test_rules_reject_unknown_action():
 def test_rules_reject_a_repeated_key():
     with pytest.raises(ValueError, match="rules line 3: duplicate key 'a.b.during'"):
         RecoveryRules.loads("a.b.during = retry\n# the same key again\na.b.during = abort\n")
+
+
+def test_rules_split_keys_into_three_stripped_segments():
+    assert RecoveryRules.loads("a . b . during = abort\n").lookup("a", "b", Mode.DURING) == "abort"
+    for key in ("a.b", "a.b.c.d", "a..during"):
+        with pytest.raises(ValueError, match=r"rules line 1: expected 'task\.kind\.mode = action'"):
+            RecoveryRules.loads(f"{key} = retry\n")
+
+
+class _AskedKB(dict):
+    """A KB that records every (task, kind) pair looked up in it."""
+
+    def __init__(self, kb):
+        super().__init__(kb)
+        self.asked = set()
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+
+def test_kb_holds_exactly_the_pairs_the_builders_ask_for():
+    # every builder of every task, nominal and relaxed, and the relevel
+    # builder; a pair the KB lacks raises KeyError here
+    kb = _AskedKB(load_default_kb())
+    for template in TEMPLATES:
+        meta, s = _meta_and_summary(template)
+        builders = [builder for _, builder in _BUILDERS[template](meta)]
+        if template in _RELEVEL_PROGRAM:
+            builders.append(Planner(template, meta)._relevel_builder())
+        for builder in builders:
+            for relax in (1.0, 2.0):
+                builder(s, _ProgramFactory(template, kb, relax), "sg")
+    assert kb.asked == set(kb)
 
 
 def test_closedness_every_emitted_kind_has_a_rule():

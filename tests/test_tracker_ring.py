@@ -21,13 +21,11 @@ from camlab.monitor import SimTracker, TrackerConfig
 
 
 class ReferenceTracker:
-    def __init__(self, cfg, seed, capacity):
-        self.cfg, self.capacity = cfg, capacity
+    def __init__(self, cfg, seed, elements, tick, fk_eids, capacity):
+        self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-
-    def register(self, element_set, tick, fk_eids=()):
         self.fk_eids = set(fk_eids)
-        self.tracks = {el.eid: deque([el.points.copy()], self.capacity) for el in element_set.elements}
+        self.tracks = {el.eid: deque([el.points.copy()], capacity) for el in elements}
 
     def step(self, truth, tick):
         if tick % self.cfg.resync_interval == 0:  # draws nothing
@@ -80,9 +78,8 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
     eids = [el.eid for el in es.elements]
     fk = [e for i, e in enumerate(eids) if fk_mask >> i & 1]
     cfg = TrackerConfig(sigma=sigma, dropout=dropout, resync_interval=resync)
-    tracker, ref = SimTracker(cfg, seed, capacity), ReferenceTracker(cfg, seed, capacity)
-    tracker.register(es, 3, fk_eids=fk)
-    ref.register(es, 3, fk_eids=fk)
+    tracker = SimTracker(cfg, seed, es.elements, 3, fk_eids=fk, capacity=capacity)
+    ref = ReferenceTracker(cfg, seed, es.elements, 3, fk, capacity)
     truth = {el.eid: el.points for el in es.elements}
     groups = [tuple(eids), tuple(eids[::-1]), tuple(eids[:1]), tuple(eids[1::2])]
     for tick in range(4, 4 + capacity + extra_ticks):
@@ -102,8 +99,7 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
 def test_track_errors():
     rng = np.random.default_rng(0)
     es = element_set([1, 2], rng)
-    tr = SimTracker(TrackerConfig(), seed=1, capacity=4)
-    tr.register(es, 5)
+    tr = SimTracker(TrackerConfig(), 1, es.elements, 5, capacity=4)
     truth = {el.eid: el.points for el in es.elements}
     with pytest.raises(TrackError):
         tr.step(tr.ring.pack({**truth, 99: np.zeros((1, 3))}), 6)  # unknown id
@@ -111,8 +107,7 @@ def test_track_errors():
         tr.step(tr.ring.pack({es.elements[0].eid: es.elements[0].points}), 6)  # missing id
     with pytest.raises(TrackError):
         tr.step(tr.ring.pack({**truth, es.elements[0].eid: np.zeros((2, 3))}), 6)  # point count
-    other = SimTracker(TrackerConfig(), seed=1, capacity=4)
-    other.register(es, 5)
+    other = SimTracker(TrackerConfig(), 1, es.elements, 5, capacity=4)
     with pytest.raises(TrackError):
         tr.step(other.ring.pack(truth), 6)  # a row of another ring
     for tick in (5, 4):  # ticks must increase
@@ -127,8 +122,7 @@ def test_sigma_zero_turns_negative_zero_into_positive_zero():
     # truth + zeros, as the reference adds: the noisy tick gives +0.0, a resync tick keeps the exact -0.0
     pts = np.array([[-0.0, 1.0, -0.0], [0.5, -0.0, 2.0]])
     es = SimpleNamespace(elements=[SimpleNamespace(eid=0, etype=None, points=pts)])
-    tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), seed=0, capacity=4)
-    tr.register(es, 3)
+    tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), 0, es.elements, 3, capacity=4)
     tr.step(tr.ring.pack({0: pts}), 4)
     noisy = tr.ring.points_at(0, 0)
     assert same_bytes(noisy, pts + 0.0)

@@ -83,8 +83,8 @@ def test_cached_truth_equals_fresh_pose_apply(monkeypatch, template, disturbance
     checked = []
     original_init, original_truth = episode._Bound.__init__, episode._Bound.truth
 
-    def init(bound, monitor, truth_specs):
-        original_init(bound, monitor, truth_specs)
+    def init(bound, tracker, monitor, truth_specs):
+        original_init(bound, tracker, monitor, truth_specs)
         bound.reference = truth_specs
 
     def checked_truth(bound, sim):
@@ -189,9 +189,8 @@ def test_in_place_truth_matches_dict_truth_and_compose_every_time(layout, n_loca
     elements += [
         SimpleNamespace(eid=eid, etype=None, points=sim.state.objects[oid].pose.apply(local)) for eid, oid, local in specs[1:]
     ]
-    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1))
-    tracker.register(SimpleNamespace(elements=elements), 0, fk_eids=(0,))
-    bound = episode._Bound(RealTimeMonitor([], tracker), specs)
+    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1), 0, elements, 0, fk_eids=(0,))
+    bound = episode._Bound(tracker, RealTimeMonitor([]), specs)
     reference = DictTruth(specs)
     ee_poses = [sim.state.ee_pose]
     history = {oid: [sim.state.objects[oid].pose] for oid in OIDS}  # Poses each object held
@@ -320,9 +319,8 @@ def test_refresh_and_truth_equal_compose_and_apply_over_ee_paths(n_held, start_q
     specs = [(0, None, None)] + [(i + 1, oid, rng.normal(0, 0.02, (3, 3))) for i, oid in enumerate(OIDS)]
     elements = [SimpleNamespace(eid=0, etype=None, points=state.ee_pose.t.reshape(1, 3))]
     elements += [SimpleNamespace(eid=e, etype=None, points=local) for e, _, local in specs[1:]]
-    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1))
-    tracker.register(SimpleNamespace(elements=elements), 0, fk_eids=(0,))
-    bound = episode._Bound(RealTimeMonitor([], tracker), specs)
+    tracker = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=1), 0, elements, 0, fk_eids=(0,))
+    bound = episode._Bound(tracker, RealTimeMonitor([]), specs)
 
     def check():
         before = {oid: state.objects[oid].pose for oid in OIDS}
