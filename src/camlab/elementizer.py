@@ -5,11 +5,13 @@ Each rendered view is labelled once (LabelIndex: its valid pixels and their
 instance ids); an element's pixels are picked from those.
 Pipeline per element: fuse those depth pixels from all views into one world
 cloud, drop statistical outliers, rotate into the kind's canonical frame,
-voxelize (the kind's cell layout), pick one representative per occupied cell
-via DBSCAN, split cells until there is one per representative the kind needs
-(a point's one cell is the whole cloud, so it skips the frame and the
-cells), then connect the points (consecutive along the axis for lines, convex hull
-cycle for surfaces).
+voxelize (the kind's cell layout), split cells until there is one per
+representative the kind needs (a point's one cell is the whole cloud, so it
+skips the frame and the cells), pick one representative per cell via
+DBSCAN, then connect the points (consecutive along the axis for lines,
+convex hull cycle for surfaces). extract_element runs the outlier filter
+and the representatives of all its bundles in padded batches, with the
+bits of running them one element at a time.
 
 Every iteration order is fixed, so identical inputs give bit-identical
 elements.
@@ -17,20 +19,23 @@ elements.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from camlab.errors import EmptyPointSet, IrreducibleCloud
+from camlab.errors import CamlabError, EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
+    NOISE,
     ROW_BLOCK,
     as_points,
     cross,
     dbscan,
     fit_line,
     fit_plane,
+    pad_blocks,
     squared_distances,
     unit,
     unproject_pixels,
@@ -83,9 +88,11 @@ class LabelIndex:
     indices, with the instance id of each: one pass over the images per
     view, after which an element reads only the valid pixels, not the image.
 
-    Sorting them by id instead would make `of(iid)` a slice, but the sort
-    costs more than ~15 comparisons over the valid pixels, and most binds
-    read 1-3 elements."""
+    Sorting them by id instead would make `of(iid)` a slice. The sort costs
+    about as much as ~15 comparisons over the valid pixels: a disturbed bind
+    reads 1-3 elements, where the comparisons win, and a sweep_half bind
+    reads 40, where a stable argsort would save only ~0.05 ms per view
+    (5-7k valid pixels), under 1% of that bind."""
 
     __slots__ = ("pixels", "ids")
 
@@ -186,38 +193,93 @@ def fuse_views(bundle: MaskBundle, depths, cams) -> np.ndarray:
     return cloud
 
 
-def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
-    """(n, n) squared distances as max((|a|^2 + |b|^2) - 2 a.b, 0), built in
-    place in one (n, n) array, ROW_BLOCK rows at a time, so a 500-point
-    cloud's matrix stays the only large array alive. sqrt is monotone and
-    correctly rounded, so callers take the root only of the entries they
-    read and get the bits of a full sqrt."""
-    sq = np.sum(pts * pts, axis=1)
-    d = pts @ pts.T
+def _batches(sizes) -> list:
+    """Indices of the clouds or cells of the given sizes, in batches. In
+    ascending size (ties by index), a batch takes the next one while its
+    padded stack stays within the (4 * ROW_BLOCK)^2 entries that
+    squared_distances builds whole, and while the new size is within
+    ROW_BLOCK of the batch's smallest. Beyond either, padding and cache
+    misses cost more than the fixed per-call cost that batching saves, so a
+    cloud of more than 4 * ROW_BLOCK points is a batch of one."""
+    batches: list = []
+    for i in sorted(range(len(sizes)), key=lambda i: (sizes[i], i)):
+        if (
+            batches
+            and (len(batches[-1]) + 1) * sizes[i] ** 2 <= (4 * ROW_BLOCK) ** 2
+            and sizes[i] - sizes[batches[-1][0]] <= ROW_BLOCK
+        ):
+            batches[-1].append(i)
+        else:
+            batches.append([i])
+    return batches
+
+
+def _pairwise_sq(clouds) -> np.ndarray:
+    """(m, N, N) stack of each cloud's squared distances as
+    max((|a|^2 + |b|^2) - 2 a.b, 0), N the largest cloud, +inf outside each
+    cloud's (n, n) block. Each a.b matrix is one BLAS product per cloud
+    (such a product is not bit-invariant under row subsets or padding); the
+    rest is elementwise on the padded stack, ROW_BLOCK rows of every cloud
+    at a time, so a 500-point cloud's matrix stays the only large array
+    alive. sqrt is monotone and correctly rounded, so callers take the root
+    only of the entries they read and get the bits of a full sqrt."""
+    cat = np.concatenate(clouds)
+    sq, _ = pad_blocks(np.sum(cat * cat, axis=1), [len(c) for c in clouds], np.inf)
+    n = sq.shape[1]
+    if len(clouds) == 1:  # no padding: the product is the stack, without a copy
+        d = (clouds[0] @ clouds[0].T)[None]
+    else:
+        d = np.zeros((len(clouds), n, n))
+        for blk, pts in zip(d, clouds):
+            blk[: len(pts), : len(pts)] = pts @ pts.T
     d *= 2.0
-    for lo in range(0, len(pts), ROW_BLOCK):
-        blk = d[lo : lo + ROW_BLOCK]
-        np.subtract(np.add.outer(sq[lo : lo + ROW_BLOCK], sq), blk, out=blk)
+    for lo in range(0, n, ROW_BLOCK):
+        blk = d[:, lo : lo + ROW_BLOCK]
+        np.subtract(sq[:, lo : lo + ROW_BLOCK, None] + sq[:, None, :], blk, out=blk)
     return np.clip(d, 0.0, None, out=d)
 
 
-def filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> np.ndarray:
-    """Statistical outlier removal: drop points whose mean distance to their k
-    nearest neighbors exceeds mean + std_ratio * std of that statistic.
-    Returns the input unchanged when n <= k."""
+def _outlier_stats(clouds, k: int, std_ratio: float):
+    """For a batch of clouds of more than k points each: the (m, N) stack
+    of each point's mean distance to its k nearest neighbors (+inf on
+    padding), and each cloud's threshold, mean + std_ratio * std of its
+    points' statistics."""
+    d2 = _pairwise_sq(clouds)
+    d2.partition(k, axis=2)  # each row's k + 1 smallest first; root and sort only those
+    near = np.sqrt(d2[:, :, : k + 1])
+    near.sort(axis=2)
+    stats = near[:, :, 1:].mean(axis=2)  # column 0 is self-distance
+    # a cloud's mean and std sum in an order set by its length, so they are
+    # taken on the stacked rows of each run of clouds of one length
+    thresh = np.empty(len(clouds))
+    lo = 0
+    for n, run in itertools.groupby(len(c) for c in clouds):
+        hi = lo + len(list(run))
+        stat = stats[lo:hi, :n]
+        thresh[lo:hi] = stat.mean(axis=1) + std_ratio * stat.std(axis=1)
+        lo = hi
+    return stats, thresh
+
+
+def filter_outliers(clouds, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> list:
+    """Statistical outlier removal on each cloud of a batch: drop the points
+    whose mean distance to their k nearest neighbors exceeds mean +
+    std_ratio * std of that statistic over their cloud. Returns one array per
+    cloud, the input itself when it has n <= k points."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = as_points(points)
-    n = len(pts)
-    if n <= k:
-        return pts
-    d2 = _pairwise_sq(pts)
-    d2.partition(k, axis=1)  # each row's k + 1 smallest first; root and sort only those
-    near = np.sqrt(d2[:, : k + 1])
-    near.sort(axis=1)
-    stat = near[:, 1:].mean(axis=1)  # column 0 is self-distance
-    thresh = stat.mean() + std_ratio * stat.std()
-    return pts[stat <= thresh]
+    out = [as_points(c) for c in clouds]
+    big = [i for i, pts in enumerate(out) if len(pts) > k]
+    for batch in _batches([len(out[i]) for i in big]):
+        group = [out[big[j]] for j in batch]
+        stats, thresh = _outlier_stats(group, k, std_ratio)
+        valid = np.arange(stats.shape[1]) < np.array([len(c) for c in group])[:, None]
+        keep = (stats <= thresh[:, None]) & valid
+        kept = np.concatenate(group)[keep[valid]]
+        ends = keep.sum(axis=1).cumsum().tolist()
+        for j, lo, hi in zip(batch, [0, *ends], ends):
+            out[big[j]] = kept[lo:hi]
+    return out
 
 
 def _least_aligned_axis(v: np.ndarray) -> np.ndarray:
@@ -242,37 +304,59 @@ def _canonical_rotation(cloud: np.ndarray, etype: ElementKind) -> np.ndarray:
     return np.vstack([u, v, w])
 
 
-def _p90(values: np.ndarray) -> float:
-    """np.percentile(values, 90) to the bit, for a 1-D float array of at
-    least two values, none NaN: numpy's 'linear' method at virtual index
-    (n - 1) * 0.9, interpolated as numpy's _lerp does (from the upper
-    neighbor when the weight is >= 0.5), minus the generic quantile
-    machinery."""
-    at = (len(values) - 1) * 0.9  # < n - 1, so both neighbors exist
+def _p90(ascending: np.ndarray, count: int) -> float:
+    """np.percentile(values, 90) to the bit, where `ascending` starts with
+    the count values (at least two, none NaN) in ascending order: numpy's
+    'linear' method at virtual index (count - 1) * 0.9, interpolated as
+    numpy's _lerp does (from the upper neighbor when the weight is >= 0.5),
+    minus the generic quantile machinery."""
+    at = (count - 1) * 0.9  # < count - 1, so both neighbors are values
     k = math.floor(at)
     t = at - k
-    lo, hi = np.sort(values)[k : k + 2].tolist()  # on a cell's <= 500 values a sort beats partition
+    lo, hi = ascending[k : k + 2].tolist()
     if t >= 0.5:
         return hi - (hi - lo) * (1 - t)
     return lo + (hi - lo) * t
 
 
-def _representative(members: np.ndarray) -> np.ndarray:
-    """Centroid of the largest DBSCAN cluster (ties: lowest label); if every
-    member is noise, fall back to the centroid of the whole cell.
+def _representatives(cells) -> np.ndarray:
+    """(m, 3): per cell, the centroid of its largest DBSCAN cluster (ties:
+    lowest label), or of the whole cell if every member is noise.
 
-    One exact distance matrix serves both eps and DBSCAN. eps scales with
-    the p90 nearest-neighbor gap: clouds fused from several views mix pixel
-    densities, and a mean-based scale under-sizes eps for the sparsest view
-    and fragments thin masks."""
-    d2 = squared_distances(members)
-    np.fill_diagonal(d2, np.inf)
-    gap = _p90(np.sqrt(d2.min(axis=1))) if len(members) > 1 else LONE_POINT_GAP
-    lab = dbscan(members, eps=max(EPS_FACTOR * gap, 1e-9), min_pts=DBSCAN_MIN_PTS, d2=d2)
-    if lab.n_clusters == 0:
-        return members.mean(axis=0)
-    best = np.argmax(np.bincount(lab.labels + 1)[1:])  # first maximum: lowest label
-    return members[lab.labels == best].mean(axis=0)
+    The cells are worked in padded batches. One exact distance stack serves
+    both eps and DBSCAN. eps scales with the p90 nearest-neighbor gap:
+    clouds fused from several views mix pixel densities, and a mean-based
+    scale under-sizes eps for the sparsest view and fragments thin masks.
+    The centroids sum in an order set by the member count, so they are taken
+    per cell."""
+    reps = np.empty((len(cells), 3))
+    for batch in _batches([len(c) for c in cells]):
+        group = [cells[i] for i in batch]
+        sizes = [len(c) for c in group]
+        points = np.concatenate(group)
+        padded, valid = pad_blocks(points, sizes, 0.0)
+        m, n = valid.shape
+        d2 = squared_distances(padded)
+        if min(sizes) < n:
+            np.copyto(d2, np.inf, where=~(valid[:, :, None] & valid[:, None, :]))
+        d2.reshape(m, n * n)[:, :: n + 1] = np.inf
+        gaps = np.sort(np.sqrt(d2.min(axis=2)), axis=1)  # padding's inf sorts last
+        eps = [
+            max(EPS_FACTOR * (_p90(row, size) if size > 1 else LONE_POINT_GAP), 1e-9)
+            for row, size in zip(gaps, sizes)
+        ]
+        labels = dbscan(points, eps, DBSCAN_MIN_PTS, sizes=sizes, d2=d2).labels
+        # per cell, each label's member count; the first maximum is the lowest label
+        clustered = labels >= 0
+        counts = np.bincount(
+            (np.arange(0, m * n, n).repeat(sizes) + labels)[clustered], minlength=m * n
+        ).reshape(m, n)
+        best = np.where(counts.any(axis=1), counts.argmax(axis=1), NOISE).tolist()
+        for i, members, b, hi in zip(batch, group, best, itertools.accumulate(sizes)):
+            if b != NOISE:
+                members = members[labels[hi - len(members) : hi] == b]
+            reps[i] = members.mean(axis=0)
+    return reps
 
 
 def _split_bin(members: np.ndarray):
@@ -332,14 +416,24 @@ def _order_and_connect(reps: np.ndarray, etype: ElementKind):
     return pts, edges
 
 
-def _binned_representatives(cloud: np.ndarray, etype: ElementKind, entity: str, part: str) -> np.ndarray:
-    """The kind's representatives of a line or surface cloud, in the world
-    frame: voxelize the cloud in its canonical frame, split bins until there
-    is one per representative, and take each bin's representative."""
+def _cells(cloud: np.ndarray, etype: ElementKind, entity: str, part: str):
+    """The cells whose representatives make an element of a cloud, in the
+    frame they are taken in, and the rotation R that takes them back to the
+    world frame (reps @ R).
+
+    A line or surface cloud is voxelized in its canonical frame, and bins
+    are split until there is one per representative. A point's one
+    (1, 1, 1) cell under the identity rotation is the whole cloud, so it
+    skips the frame fit and the voxel pass; the identity products stay,
+    since they can turn -0.0 into +0.0."""
     target = etype.target_points
+    if len(cloud) < target:
+        raise IrreducibleCloud(f"{entity}/{part}: {len(cloud)} points cannot yield {target}")
+    if etype is POINT:
+        eye = np.eye(3)
+        return [cloud @ eye.T], eye
     rot = _canonical_rotation(cloud, etype)
-    local = cloud @ rot.T
-    grid = voxelize(local, etype.cells)
+    grid = voxelize(cloud @ rot.T, etype.cells)
     bins = [grid.points[idx] for idx in grid.cells.values()]
 
     # grow: recursively split the most populated cell until enough bins exist
@@ -352,10 +446,43 @@ def _binned_representatives(cloud: np.ndarray, etype: ElementKind, entity: str, 
                 break
         else:
             raise IrreducibleCloud(f"{entity}/{part}: cloud collapsed below {target} separable cells")
-
     # the kind's cells hold at most `target` bins and growing stops there
-    reps = np.vstack([_representative(b) for b in bins])
-    return reps @ rot  # back to the world frame
+    return bins, rot
+
+
+def _elements_from_clouds(clouds, specs) -> list:
+    """Elements of already-fused, already-filtered clouds, one per spec
+    (element kind, entity, part, constraint), with the representatives of
+    all their cells taken in one batch. Raises the first failure in spec
+    order, as extracting them one by one would."""
+    cells, frames, failure = [], [], None
+    for cloud, (etype, entity, part, _) in zip(clouds, specs):
+        try:
+            bins, rot = _cells(as_points(cloud), etype, entity, part)
+        except CamlabError as exc:  # the later clouds cannot change what is raised
+            failure = exc
+            break
+        frames.append((len(cells), len(bins), rot))
+        cells.extend(bins)
+    reps = _representatives(cells)
+    elements = []
+    for (lo, n, rot), (etype, entity, part, constraint) in zip(frames, specs):
+        pts, edges = _order_and_connect(reps[lo : lo + n] @ rot, etype)
+        element = ConstraintElement(
+            eid=-1,
+            etype=etype,
+            points=pts,
+            connections=edges,
+            entity=entity,
+            part=part,
+            constraint=constraint,
+        )
+        if etype is SURFACE:
+            fit_plane(element.points)  # raises DegenerateGeometry if collinear
+        elements.append(element)
+    if failure is not None:
+        raise failure
+    return elements
 
 
 def element_from_cloud(
@@ -365,53 +492,48 @@ def element_from_cloud(
     part: str = "",
     constraint: str = "",
 ) -> ConstraintElement:
-    """Turn an already-fused, already-filtered cloud into an element.
+    """Turn one already-fused, already-filtered cloud into an element (a
+    batch of one).
 
     Raises DegenerateGeometry (e.g. a surface cloud that is collinear) or
     IrreducibleCloud (cannot reach the kind's representative count even
     after recursive cell splitting).
     """
-    cloud = as_points(cloud)
-    target = etype.target_points
-    if len(cloud) < target:
-        raise IrreducibleCloud(f"{entity}/{part}: {len(cloud)} points cannot yield {target}")
-
-    if etype is POINT:
-        # the binned path for one (1, 1, 1) cell, a target of 1 and the
-        # identity rotation is one bin holding the whole cloud; the identity
-        # products stay, since they can turn -0.0 into +0.0
-        eye = np.eye(3)
-        reps = _representative(cloud @ eye.T).reshape(1, 3) @ eye
-    else:
-        reps = _binned_representatives(cloud, etype, entity, part)
-    pts, edges = _order_and_connect(reps, etype)
-    element = ConstraintElement(
-        eid=-1,
-        etype=etype,
-        points=pts,
-        connections=edges,
-        entity=entity,
-        part=part,
-        constraint=constraint,
-    )
-    if etype is SURFACE:
-        fit_plane(element.points)  # raises DegenerateGeometry if collinear
-    return element
+    return _elements_from_clouds([cloud], [(etype, entity, part, constraint)])[0]
 
 
-def extract_element(bundle: MaskBundle, depths, cams) -> ConstraintElement:
-    """Run the full pipeline for one bundle of part pixels, on at most MAX_CLOUD_POINTS
-    fused points.
+def _subsample(cloud: np.ndarray) -> np.ndarray:
+    """The cloud, evenly subsampled to MAX_CLOUD_POINTS rows when it is
+    longer. The linspace step then exceeds 1, so the truncated indices
+    strictly increase: no index repeats."""
+    if len(cloud) <= MAX_CLOUD_POINTS:
+        return cloud
+    return cloud[np.linspace(0, len(cloud) - 1, MAX_CLOUD_POINTS).astype(np.int64)]
 
-    Raises EmptyPointSet (nothing visible), DegenerateGeometry, or
+
+def extract_element(bundles, depths, cams) -> list:
+    """Run the full pipeline for each bundle of part pixels, on at most
+    MAX_CLOUD_POINTS fused points each: fusion per bundle, then the outlier
+    filter and the representatives of all of them in one batch. Returns one
+    element per bundle.
+
+    Raises the first failure in bundle order, as extracting them one by one
+    would: EmptyPointSet (nothing visible), DegenerateGeometry, or
     IrreducibleCloud; see element_from_cloud.
     """
-    cloud = fuse_views(bundle, depths, cams)
-    if len(cloud) > MAX_CLOUD_POINTS:
-        idx = np.unique(np.linspace(0, len(cloud) - 1, MAX_CLOUD_POINTS).astype(np.int64))
-        cloud = cloud[idx]
-    cloud = filter_outliers(cloud)
-    return element_from_cloud(cloud, bundle.element_type, bundle.entity, bundle.part, bundle.constraint)
+    clouds, failure = [], None
+    for bundle in bundles:
+        try:
+            cloud = fuse_views(bundle, depths, cams)
+        except CamlabError as exc:  # the later bundles cannot change what is raised
+            failure = exc
+            break
+        clouds.append(_subsample(cloud))
+    specs = [(b.element_type, b.entity, b.part, b.constraint) for b in bundles[: len(clouds)]]
+    elements = _elements_from_clouds(filter_outliers(clouds), specs)
+    if failure is not None:
+        raise failure
+    return elements
 
 
 def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintElement:

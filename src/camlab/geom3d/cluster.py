@@ -15,7 +15,16 @@ import numpy as np
 from camlab.errors import EmptyPointSet
 from camlab.geom3d.core import as_points
 
-__all__ = ["NOISE", "ROW_BLOCK", "VoxelGrid", "voxelize", "ClusterLabeling", "squared_distances", "dbscan"]
+__all__ = [
+    "NOISE",
+    "ROW_BLOCK",
+    "VoxelGrid",
+    "voxelize",
+    "ClusterLabeling",
+    "pad_blocks",
+    "squared_distances",
+    "dbscan",
+]
 
 NOISE = -1
 
@@ -70,29 +79,51 @@ class ClusterLabeling:
         return int(self.labels.max()) + 1 if np.any(self.labels >= 0) else 0
 
 
+def pad_blocks(rows, sizes, fill):
+    """Blocks of consecutive rows as one padded stack: rows[0:sizes[0]] is
+    block 0, the next sizes[1] rows block 1, and so on. Returns the
+    (m, N, ...) stack, N the largest size, with each block's rows first and
+    fill after them (one block: a view of rows), and the (m, N) mask of the
+    real rows."""
+    if len(sizes) == 1:
+        return rows[None], np.ones((1, len(rows)), dtype=bool)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    out = np.full(valid.shape + rows.shape[1:], fill, dtype=np.float64)
+    out[valid] = rows
+    return out, valid
+
+
 def squared_distances(points) -> np.ndarray:
     """(n, n) squared Euclidean distances, summed per coordinate as
     (dx*dx + dy*dy) + dz*dz: the bits of np.sum(diff ** 2, axis=-1) over the
-    (n, n, 3) differences. Up to 4 * ROW_BLOCK points the matrix is built
-    whole; above that, ROW_BLOCK rows at a time, so each block is summed
-    while it is in cache. Every entry gets the same operations either way."""
-    x, y, z = as_points(points).T.copy()  # contiguous coordinate columns
-    n = len(x)
-    step = ROW_BLOCK if n > 4 * ROW_BLOCK else max(n, 1)
-    d2 = np.empty((n, n))
-    t = np.empty((step, n))
+    (n, n, 3) differences. An (m, n, 3) stack gives the (m, n, n) stack of
+    each block's matrix. Up to (4 * ROW_BLOCK)^2 entries in all the stack is
+    built whole; above that, ROW_BLOCK rows of every block at a time, so
+    each block is summed while it is in cache. Every entry gets the same
+    operations either way."""
+    pts = np.asarray(points, dtype=np.float64)
+    stack = pts.ndim == 3
+    if not stack:
+        pts = as_points(pts)[None]
+    cols = pts.transpose(2, 0, 1).copy()  # contiguous (3, m, n) coordinate columns
+    _, m, n = cols.shape
+    step = ROW_BLOCK if m * n * n > (4 * ROW_BLOCK) ** 2 else max(n, 1)
+    d2 = np.empty((m, n, n))
+    t = np.empty((m, step, n))
+    (x, y, z), (xt, yt, zt) = cols[..., None], cols[:, :, None, :]
     for lo in range(0, n, step):
-        blk = d2[lo : lo + step]
-        tb = t[: len(blk)]
-        np.subtract.outer(x[lo : lo + step], x, out=blk)
+        blk = d2[:, lo : lo + step]
+        tb = t[:, : blk.shape[1]]
+        np.subtract(x[:, lo : lo + step], xt, out=blk)
         blk *= blk
-        np.subtract.outer(y[lo : lo + step], y, out=tb)
+        np.subtract(y[:, lo : lo + step], yt, out=tb)
         tb *= tb
         blk += tb
-        np.subtract.outer(z[lo : lo + step], z, out=tb)
+        np.subtract(z[:, lo : lo + step], zt, out=tb)
         tb *= tb
         blk += tb
-    return d2
+    return d2 if stack else d2[0]
 
 
 def _component_roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -116,39 +147,60 @@ def _component_roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
             return parent
 
 
-def dbscan(points, eps: float, min_pts: int, d2=None) -> ClusterLabeling:
-    """Standard DBSCAN with fixed tie-breaking.
+def dbscan(points, eps, min_pts: int, sizes=None, d2=None) -> ClusterLabeling:
+    """Standard DBSCAN with fixed tie-breaking, on a batch of blocks.
+
+    The points are the blocks' points one block after another (sizes: the
+    block lengths; None: one block), eps is one radius or one per block, and
+    no point neighbors a point of another block: the neighbor graph is
+    block-diagonal, and each block gets the labels it would get alone.
 
     Neighborhoods are distance <= eps, self included; a core point has at
     least min_pts neighbors. Clusters are the connected components of the
-    core points' neighbor graph, numbered by their lowest core index. A
-    border point (not core, next to a core point) joins the smallest
-    cluster among its core neighbors; every other point is NOISE. These are
-    the labels of a breadth-first expansion that starts clusters in input
-    order and lets the first cluster to reach a border point keep it.
+    core points' neighbor graph, numbered within each block by their lowest
+    core index. A border point (not core, next to a core point) joins the
+    smallest cluster among its core neighbors; every other point is NOISE.
+    These are the labels of a breadth-first expansion that starts clusters
+    in input order and lets the first cluster to reach a border point keep
+    it.
 
-    d2, when given, is the caller's squared_distances(points), read only;
-    its diagonal may hold anything, since every point is its own neighbor.
+    d2, when given, is the caller's squared_distances, read only: for one
+    block its (n, n) matrix, else an (m, N, N) stack (N the largest size)
+    holding block b's matrix in d2[b, :n_b, :n_b]. Nothing outside those is
+    read, and their diagonals may hold anything, since every point is its
+    own neighbor.
     """
-    if eps <= 0:
+    pts = as_points(points)
+    sizes = [len(pts)] if sizes is None else np.asarray(sizes).tolist()
+    eps = np.asarray(eps, dtype=np.float64)
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    pts = as_points(points)
-    n = len(pts)
+    if sum(sizes) != len(pts) or min(sizes, default=0) < 0:
+        raise ValueError(f"block sizes {list(sizes)} do not partition {len(pts)} points")
+    m, n = len(sizes), max(sizes, default=0)
+    full = min(sizes, default=0) == n
+    valid = True if full else np.arange(n) < np.asarray(sizes)[:, None]
     if d2 is None:
-        d2 = squared_distances(pts)
-    adj = d2 <= eps * eps
-    np.fill_diagonal(adj, True)
-    core = np.count_nonzero(adj, axis=1) >= min_pts
-    rows, cols = np.divmod(np.flatnonzero(adj), n)  # neighbor pairs, row-major
+        d2 = squared_distances(pad_blocks(pts, sizes, 0.0)[0])
+    adj = d2.reshape(m, n, n) <= (eps * eps).reshape(-1, 1, 1)
+    if not full:  # padding neighbors nothing
+        adj &= valid[:, :, None]
+        adj &= valid[:, None, :]
+    adj.reshape(m, n * n)[:, :: n + 1] = valid
+    core = np.count_nonzero(adj, axis=2).ravel() >= min_pts
+    # neighbor pairs, row-major, as nodes b * n + i of the padded stack
+    rows, cols = np.divmod(np.flatnonzero(adj), n)
+    if m > 1:
+        cols += rows - rows % n
     to_core = core[cols]
     inner = core[rows] & to_core
-    root = _component_roots(rows[inner], cols[inner], n)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    # a core component's root is its lowest core index: number the roots
-    # in index order and give each core point its root's number
-    rank = np.cumsum(core & (root == np.arange(n))) - 1
+    root = _component_roots(rows[inner], cols[inner], m * n)
+    labels = np.full(m * n, NOISE, dtype=np.int64)
+    # a core component's root is its lowest core index: number each block's
+    # roots in index order and give each core point its root's number
+    rank = np.cumsum((core & (root == np.arange(m * n))).reshape(m, n), axis=1).ravel() - 1
     labels[core] = rank[root[core]]
     border = to_core & ~core[rows]
     rows, cols = rows[border], cols[border]
@@ -156,4 +208,4 @@ def dbscan(points, eps: float, min_pts: int, d2=None) -> ClusterLabeling:
         # rows ascend, so each border point's core neighbors are one run
         first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         labels[rows[first]] = np.minimum.reduceat(labels[cols], first)
-    return ClusterLabeling(labels=labels)
+    return ClusterLabeling(labels=labels if full else labels[valid.ravel()])

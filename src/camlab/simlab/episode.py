@@ -121,24 +121,36 @@ class ElementMemo:
     constraint text are labels that the geometry never reads, so a hit
     returns the stored element with the asking bundle's labels.
 
-    extract_element is a pure function of the kind, the pixels, their
-    depths and the cameras, so a hit is bit-equal to a fresh extraction.
-    An extraction that raises is not stored and raises again when asked."""
+    extract_element is a pure function of each bundle's kind, pixels and
+    depths and of the cameras, so a hit is bit-equal to a fresh extraction.
+    A batch that raises stores nothing and raises again when asked."""
 
     def __init__(self, cams):
         self._cams = cams
         self._elements = {}
 
-    def extract(self, bundle, depths):
-        key = (
-            bundle.element_type,
-            tuple((pix.tobytes(), depth.ravel()[pix].tobytes()) for pix, depth in zip(bundle.pixels, depths)),
-        )
-        el = self._elements.get(key)
-        if el is None:
-            el = self._elements[key] = extract_element(bundle, depths, self._cams)
-            return el
-        return replace(el, entity=bundle.entity, part=bundle.part, constraint=bundle.constraint)
+    def extract(self, bundles, depths) -> list:
+        """One element per bundle. The misses, each key once and in bundle
+        order, are extracted in one batch through this module's
+        extract_element, which raises the first failure in bundle order
+        (a hit cannot fail)."""
+        keys = [
+            (b.element_type, tuple((pix.tobytes(), d.ravel()[pix].tobytes()) for pix, d in zip(b.pixels, depths)))
+            for b in bundles
+        ]
+        misses = {}
+        for key, bundle in zip(keys, bundles):
+            if key not in self._elements:
+                misses.setdefault(key, bundle)
+        if misses:
+            self._elements.update(zip(misses, extract_element(list(misses.values()), depths, self._cams)))
+        out = []
+        for key, b in zip(keys, bundles):
+            el = self._elements[key]
+            if (el.entity, el.part, el.constraint) != (b.entity, b.part, b.constraint):
+                el = replace(el, entity=b.entity, part=b.part, constraint=b.constraint)
+            out.append(el)
+        return out
 
 
 def extract_elements(sg: Subgoal, state, scene, memo: ElementMemo | None = None):
@@ -148,19 +160,17 @@ def extract_elements(sg: Subgoal, state, scene, memo: ElementMemo | None = None)
 
     Returns the element set and, per element, (eid, oid-or-None, points in
     the object's frame) for the ground truth. Raises CamlabError when an
-    element cannot be extracted."""
+    element cannot be extracted: the first failure in spec order."""
     if memo is None:
         memo = ElementMemo(scene.cameras)
     views = render(state, scene)
-    depths = [v.depth for v in views]
-    protos = [end_effector_element([state.ee_pose.t])]
+    objs = [state.objects[spec.oid] for spec in sg.element_specs]
+    bundles = [mask_bundle(scene, views, obj, spec.part, spec.etype, sg.text) for obj, spec in zip(objs, sg.element_specs)]
+    els = memo.extract(bundles, [v.depth for v in views])
     truth_specs = [(0, None, None)]
-    for eid, spec in enumerate(sg.element_specs, 1):
-        obj = state.objects[spec.oid]
-        el = memo.extract(mask_bundle(scene, views, obj, spec.part, spec.etype, sg.text), depths)
-        protos.append(el)
+    for eid, (spec, obj, el) in enumerate(zip(sg.element_specs, objs, els), 1):
         truth_specs.append((eid, spec.oid, obj.pose.inverse().apply(el.points)))
-    return make_element_set(protos, sg.sid), truth_specs
+    return make_element_set([end_effector_element([state.ee_pose.t]), *els], sg.sid), truth_specs
 
 
 def load_program(source: str, cid: str | None, ring):

@@ -1,8 +1,9 @@
 """References that only tests use: pixel unprojection written with the
 per-call divmod arithmetic, mask unprojection, projection, the distance
 from a point to a solid's surface, a voxel grid's frame, the settling loop
-that tests every object, and the planner that resolved a failure from the
-failed sid and an episode-long kind map.
+that tests every object, the planner that resolved a failure from the
+failed sid and an episode-long kind map, and extraction one bundle, one
+cloud and one cell at a time, as it ran before it batched them.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -12,9 +13,32 @@ import math
 
 import numpy as np
 
-from camlab.elementizer import POINT
-from camlab.errors import DimensionMismatch
-from camlab.geom3d import Box, CameraModel, Cylinder, unproject_pixels
+from camlab import elementizer
+from camlab.elementizer import (
+    DBSCAN_MIN_PTS,
+    EPS_FACTOR,
+    LONE_POINT_GAP,
+    MAX_CLOUD_POINTS,
+    OUTLIER_K,
+    OUTLIER_STD_RATIO,
+    POINT,
+    SURFACE,
+    ConstraintElement,
+    fuse_views,
+)
+from camlab.errors import DimensionMismatch, IrreducibleCloud
+from camlab.geom3d import (
+    ROW_BLOCK,
+    Box,
+    CameraModel,
+    Cylinder,
+    as_points,
+    dbscan,
+    fit_plane,
+    squared_distances,
+    unproject_pixels,
+    voxelize,
+)
 from camlab.monitor import INTERNAL_ERROR_REASON
 from camlab.taskgen import _BUILDERS, _GRASP_SID, _ORIENT_SID, _RELEVEL_PROGRAM, _ProgramFactory
 from camlab.taskgen import ElementSpec, Subgoal, TaskAbort, TaskDone, load_default_rules
@@ -201,3 +225,107 @@ class ReferencePlanner:
             )
 
         return relevel
+
+
+# ---------------------------------------------------------------------------
+# extraction one bundle, one cloud and one cell at a time
+
+
+def per_cloud_pairwise_sq(pts: np.ndarray) -> np.ndarray:
+    """One cloud's (n, n) squared distances as max((|a|^2 + |b|^2) - 2 a.b,
+    0), built in place ROW_BLOCK rows at a time."""
+    sq = np.sum(pts * pts, axis=1)
+    d = pts @ pts.T
+    d *= 2.0
+    for lo in range(0, len(pts), ROW_BLOCK):
+        blk = d[lo : lo + ROW_BLOCK]
+        np.subtract(np.add.outer(sq[lo : lo + ROW_BLOCK], sq), blk, out=blk)
+    return np.clip(d, 0.0, None, out=d)
+
+
+def per_cloud_outlier_stat(pts: np.ndarray, k: int, std_ratio: float):
+    """One cloud's per-point mean distance to its k nearest neighbors, and
+    its threshold mean + std_ratio * std of those."""
+    d2 = per_cloud_pairwise_sq(pts)
+    d2.partition(k, axis=1)
+    near = np.sqrt(d2[:, : k + 1])
+    near.sort(axis=1)
+    stat = near[:, 1:].mean(axis=1)
+    return stat, stat.mean() + std_ratio * stat.std()
+
+
+def per_cloud_filter_outliers(points, k: int = OUTLIER_K, std_ratio: float = OUTLIER_STD_RATIO) -> np.ndarray:
+    """Statistical outlier removal on one cloud: drop points whose mean
+    distance to their k nearest neighbors exceeds mean + std_ratio * std of
+    that statistic. Returns the input unchanged when n <= k."""
+    pts = as_points(points)
+    if len(pts) <= k:
+        return pts
+    stat, thresh = per_cloud_outlier_stat(pts, k, std_ratio)
+    return pts[stat <= thresh]
+
+
+def p90_one(values: np.ndarray) -> float:
+    """np.percentile(values, 90) to the bit for one 1-D array of at least
+    two values, none NaN, in Python floats."""
+    at = (len(values) - 1) * 0.9
+    k = math.floor(at)
+    t = at - k
+    lo, hi = np.sort(values)[k : k + 2].tolist()
+    if t >= 0.5:
+        return hi - (hi - lo) * (1 - t)
+    return lo + (hi - lo) * t
+
+
+def per_cell_representative(members: np.ndarray) -> np.ndarray:
+    """One cell's representative: the centroid of its largest DBSCAN cluster
+    (ties: lowest label), or of the whole cell if every member is noise."""
+    d2 = squared_distances(members)
+    np.fill_diagonal(d2, np.inf)
+    gap = p90_one(np.sqrt(d2.min(axis=1))) if len(members) > 1 else LONE_POINT_GAP
+    lab = dbscan(members, eps=max(EPS_FACTOR * gap, 1e-9), min_pts=DBSCAN_MIN_PTS, d2=d2)
+    if lab.n_clusters == 0:
+        return members.mean(axis=0)
+    best = np.argmax(np.bincount(lab.labels + 1)[1:])
+    return members[lab.labels == best].mean(axis=0)
+
+
+def per_cloud_element(cloud, etype, entity="", part="", constraint="") -> ConstraintElement:
+    """element_from_cloud on one cloud, each cell's representative taken
+    alone."""
+    cloud = as_points(cloud)
+    target = etype.target_points
+    if len(cloud) < target:
+        raise IrreducibleCloud(f"{entity}/{part}: {len(cloud)} points cannot yield {target}")
+    if etype is POINT:
+        eye = np.eye(3)
+        reps = per_cell_representative(cloud @ eye.T).reshape(1, 3) @ eye
+    else:
+        rot = elementizer._canonical_rotation(cloud, etype)
+        grid = voxelize(cloud @ rot.T, etype.cells)
+        bins = [grid.points[idx] for idx in grid.cells.values()]
+        while len(bins) < target:
+            order = sorted(range(len(bins)), key=lambda i: (-len(bins[i]), i))
+            for i in order:
+                halves = elementizer._split_bin(bins[i])
+                if halves is not None:
+                    bins[i : i + 1] = [halves[0], halves[1]]
+                    break
+            else:
+                raise IrreducibleCloud(f"{entity}/{part}: cloud collapsed below {target} separable cells")
+        reps = np.vstack([per_cell_representative(b) for b in bins]) @ rot
+    pts, edges = elementizer._order_and_connect(reps, etype)
+    element = ConstraintElement(-1, etype, pts, edges, entity, part, constraint)
+    if etype is SURFACE:
+        fit_plane(element.points)
+    return element
+
+
+def per_bundle_extract(bundle, depths, cams) -> ConstraintElement:
+    """extract_element on one bundle, its cloud subsampled through
+    np.unique and filtered and reduced alone."""
+    cloud = fuse_views(bundle, depths, cams)
+    if len(cloud) > MAX_CLOUD_POINTS:
+        cloud = cloud[np.unique(np.linspace(0, len(cloud) - 1, MAX_CLOUD_POINTS).astype(np.int64))]
+    cloud = per_cloud_filter_outliers(cloud)
+    return per_cloud_element(cloud, bundle.element_type, bundle.entity, bundle.part, bundle.constraint)

@@ -295,9 +295,8 @@ state, scene = build_scene("pour_tea", np.random.default_rng(99))
 planner = Planner("pour_tea", scene.meta)
 sg = planner.plan_next(scene_summary(state, scene))
 views = render(state, scene)
-protos = [end_effector_element([state.ee_pose.t])]
-for spec in sg.element_specs:
-    protos.append(extract_element(mask_bundle(scene, views, state.objects[spec.oid], spec.part, spec.etype), [v[0] for v in views], scene.cameras))
+bundles = [mask_bundle(scene, views, state.objects[spec.oid], spec.part, spec.etype) for spec in sg.element_specs]
+protos = [end_effector_element([state.ee_pose.t]), *extract_element(bundles, [v[0] for v in views], scene.cameras)]
 print(element_set_fingerprint(make_element_set(protos, sg.sid)))
 """
 

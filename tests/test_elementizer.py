@@ -25,6 +25,7 @@ from camlab.errors import DegenerateGeometry, EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
     Box,
     CameraModel,
+    ClusterLabeling,
     Pose,
     angle_between,
     dbscan,
@@ -39,7 +40,13 @@ from camlab.geom3d import (
 )
 from camlab.simlab.scenes import Scene, View, mask_bundle
 from camlab.simlab.world import SimObject
-from oracles import unproject
+from oracles import (
+    per_cell_representative,
+    per_cloud_filter_outliers,
+    per_cloud_outlier_stat,
+    per_cloud_pairwise_sq,
+    unproject,
+)
 
 
 def cam(w=16, h=12, f=40.0, pose=None):
@@ -193,7 +200,7 @@ def test_filter_outliers_removes_far_point():
     rng = np.random.default_rng(5)
     cluster = rng.normal(0, 0.005, size=(20, 3))
     pts = np.vstack([cluster, [[1.0, 0, 0]]])
-    kept = filter_outliers(pts, k=5, std_ratio=2.0)
+    [kept] = filter_outliers([pts], k=5, std_ratio=2.0)
     assert len(kept) == 20
     # brute-force the statistic to confirm only the far point crosses it
     stat = brute_outlier_stat(pts, 5)
@@ -203,20 +210,20 @@ def test_filter_outliers_removes_far_point():
 
 def test_filter_outliers_small_n_guard():
     pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
-    kept = filter_outliers(pts, k=5, std_ratio=2.0)
+    [kept] = filter_outliers([pts], k=5, std_ratio=2.0)
     assert np.array_equal(kept, pts)
 
 
 def test_filter_outliers_loose_ratio_keeps_all():
     rng = np.random.default_rng(6)
     pts = rng.uniform(0, 0.1, size=(30, 3))
-    kept = filter_outliers(pts, k=5, std_ratio=10.0)
+    [kept] = filter_outliers([pts], k=5, std_ratio=10.0)
     assert len(kept) == 30
 
 
 def reference_pairwise_dist(pts):
-    """The original out-of-place distance matrix, the root of
-    elementizer._pairwise_sq."""
+    """The original out-of-place distance matrix, the root of a cloud's
+    block of elementizer._pairwise_sq."""
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     return np.sqrt(np.clip(d2, 0.0, None))
@@ -247,8 +254,113 @@ def clouds(draw):
 @settings(max_examples=150, deadline=None)
 @given(clouds(), st.integers(1, 12), st.floats(0.0, 3.0))
 def test_distance_kernels_match_out_of_place_forms(pts, k, std_ratio):
-    assert np.array_equal(np.sqrt(elementizer._pairwise_sq(pts)), reference_pairwise_dist(pts))
-    assert np.array_equal(filter_outliers(pts, k, std_ratio), reference_filter_outliers(pts, k, std_ratio))
+    assert np.array_equal(np.sqrt(elementizer._pairwise_sq([pts])[0]), reference_pairwise_dist(pts))
+    assert np.array_equal(filter_outliers([pts], k, std_ratio)[0], reference_filter_outliers(pts, k, std_ratio))
+
+
+@st.composite
+def cloud_batches(draw):
+    """1-10 clouds of 1-500 points for one batch. Sizes run from at most
+    OUTLIER_K through ROW_BLOCK-sized to MAX_CLOUD_POINTS, and a size may
+    repeat the one before it, so clouds of one length share a batch. A cloud
+    is a blob (optionally quantised, so points repeat), pairs of points far
+    from every other pair (every point is DBSCAN noise), or two clumps of
+    one size far apart (a tie between two clusters)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        band = draw(st.sampled_from(["tiny", "small", "mid", "large", "repeat"]))
+        if band == "repeat" and batch:
+            n = len(batch[-1])
+        else:
+            lo, hi = {"tiny": (1, elementizer.OUTLIER_K), "small": (9, 40), "mid": (41, 160)}.get(band, (161, 500))
+            n = int(rng.integers(lo, hi + 1))
+        kind = draw(st.sampled_from(["blob", "quantised", "pairs", "twin"]))
+        scale = 10.0 ** rng.uniform(-3, -1)
+        if kind == "pairs":
+            base = rng.uniform(-1, 1, size=((n + 1) // 2, 3)) * 100 * scale
+            pts = np.vstack([base, base + scale * 1e-3])[:n]
+        elif kind == "twin":
+            half = rng.normal(0, scale, size=((n + 1) // 2, 3))
+            pts = np.vstack([half, half[::-1] + 50 * scale])[:n]
+        else:
+            pts = rng.normal(0, scale, size=(n, 3))
+            far = rng.random(n) < 0.05
+            pts[far] *= 30
+            if kind == "quantised":
+                pts = np.round(pts / scale * 4) * (scale / 4)
+        batch.append(pts + rng.uniform(-1, 1, size=3))
+    return batch
+
+
+def dbscan_batches(cells):
+    """elementizer._representatives(cells) and, per dbscan call it makes,
+    (blocks, eps, labels per block)."""
+    calls = []
+
+    def spy(points, eps, min_pts, sizes=None, d2=None):
+        labels = dbscan(points, eps, min_pts, sizes=sizes, d2=d2).labels
+        ends = np.cumsum(sizes)
+        calls.append((np.split(points, ends[:-1]), list(eps), np.split(labels, ends[:-1])))
+        return ClusterLabeling(labels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elementizer, "dbscan", spy)
+        reps = elementizer._representatives(cells)
+    return reps, calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(cloud_batches())
+def test_a_batch_filters_and_represents_each_cloud_as_it_would_alone(batch):
+    k, ratio = elementizer.OUTLIER_K, elementizer.OUTLIER_STD_RATIO
+    filtered = filter_outliers(batch)
+    assert len(filtered) == len(batch)
+    for got, cloud in zip(filtered, batch):
+        want = per_cloud_filter_outliers(cloud)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the bits that a filtered cloud only rarely shows: each cloud's block
+    # of the distance stack, its statistics and its threshold
+    big = [c for c in batch if len(c) > k]
+    for idx in elementizer._batches([len(c) for c in big]):
+        group = [big[i] for i in idx]
+        d2 = elementizer._pairwise_sq(group)
+        stats, thresh = elementizer._outlier_stats(group, k, ratio)
+        for block, row, t, cloud in zip(d2, stats, thresh, group):
+            n = len(cloud)
+            assert block[:n, :n].tobytes() == per_cloud_pairwise_sq(cloud).tobytes()
+            assert np.all(block[n:] == np.inf) and np.all(block[:, n:] == np.inf)
+            stat, want_t = per_cloud_outlier_stat(cloud, k, ratio)
+            assert row[:n].tobytes() == stat.tobytes() and np.all(row[n:] == np.inf)
+            assert t.tobytes() == np.float64(want_t).tobytes()
+    reps, calls = dbscan_batches(batch)
+    assert reps.shape == (len(batch), 3)
+    for got, cloud in zip(reps, batch):
+        assert got.tobytes() == per_cell_representative(cloud).tobytes()
+    for blocks, eps, labels in calls:
+        for cell, e, lab in zip(blocks, eps, labels, strict=True):
+            assert e == reference_eps(cell)
+            assert np.array_equal(lab, dbscan(cell, e, elementizer.DBSCAN_MIN_PTS).labels)
+
+
+def test_batches_group_similar_small_sizes_and_leave_large_ones_alone():
+    sizes = [30, 500, 1, 35, 30, 120, 100, 257]
+    batches = elementizer._batches(sizes)
+    assert sorted(i for b in batches for i in b) == list(range(len(sizes)))
+    assert batches == [[2, 0, 4, 3], [6, 5], [7], [1]]
+    for b in batches:
+        assert len(b) == 1 or len(b) * max(sizes[i] for i in b) ** 2 <= (4 * elementizer.ROW_BLOCK) ** 2
+
+
+def test_subsample_takes_the_rows_of_the_unique_indices():
+    # above the cap the linspace step exceeds 1, so truncation never repeats
+    # an index and np.unique would change nothing
+    rows = np.arange(3.0 * 5000).reshape(5000, 3)
+    for n in range(elementizer.MAX_CLOUD_POINTS + 1, 5001):
+        idx = np.linspace(0, n - 1, elementizer.MAX_CLOUD_POINTS).astype(np.int64)
+        assert np.array_equal(elementizer._subsample(rows[:n]), rows[np.unique(idx)]), n
+    at_cap = rows[: elementizer.MAX_CLOUD_POINTS]
+    assert elementizer._subsample(at_cap) is at_cap
 
 
 def reference_eps(pts):
@@ -262,16 +374,17 @@ def reference_eps(pts):
 
 
 def representative_dbscan_calls(pts):
-    """_representative(pts) and the (eps, d2) of each dbscan call it makes."""
+    """pts's representative as a batch of one cell, and the (eps, d2) of
+    each dbscan call it makes."""
     calls = []
 
-    def spy(points, eps, min_pts, d2=None):
-        calls.append((eps, None if d2 is None else d2.copy()))
-        return dbscan(points, eps, min_pts, d2=d2)
+    def spy(points, eps, min_pts, sizes=None, d2=None):
+        calls.append((list(eps), None if d2 is None else d2.copy()))
+        return dbscan(points, eps, min_pts, sizes=sizes, d2=d2)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elementizer, "dbscan", spy)
-        rep = elementizer._representative(pts)
+        [rep] = elementizer._representatives([pts])
     return rep, calls
 
 
@@ -282,7 +395,8 @@ def test_nn_scale_matches_the_full_root_form(pts):
     # there; dbscan gets that same matrix
     _, calls = representative_dbscan_calls(pts)
     [(eps, d2)] = calls
-    assert eps == reference_eps(pts)
+    assert eps == [reference_eps(pts)]
+    [d2] = d2
     np.fill_diagonal(d2, 0.0)
     assert np.array_equal(d2, squared_distances(pts))
 
@@ -335,11 +449,12 @@ def p90_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(p90_inputs())
 def test_p90_is_np_percentile_to_the_bit(v):
-    before = v.copy()
-    got = elementizer._p90(v)
-    assert type(got) is float
-    assert got.hex() == float(np.percentile(v, 90)).hex()
-    assert np.array_equal(v, before)  # the input is not reordered
+    # the ascending values alone, and followed by the inf of a padded row
+    ascending = np.sort(v)
+    for row in (ascending, np.r_[ascending, np.inf, np.inf]):
+        got = elementizer._p90(row, len(v))
+        assert type(got) is float
+        assert got.hex() == float(np.percentile(v, 90)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +578,7 @@ def reference_point_element(cloud):
     grid = voxelize(cloud @ rot.T, POINT.cells)
     bins = [grid.points[idx] for idx in grid.cells.values()]
     assert len(bins) == POINT.target_points
-    return np.vstack([elementizer._representative(b) for b in bins]) @ rot
+    return np.vstack([per_cell_representative(b) for b in bins]) @ rot
 
 
 # signed zeros and the smallest subnormals: a mean of these can round to
@@ -567,7 +682,7 @@ def test_extract_element_from_render():
         entity="plate",
         part="top",
     )
-    el = extract_element(b, [depth], [c])
+    [el] = extract_element([b], [depth], [c])
     assert len(el.points) == 4
     normal, _, _ = fit_plane(el.points)
     # the visible near face is z = 0.58, normal along z
@@ -646,7 +761,7 @@ def test_extraction_invariants_random_clouds():
             etype = SURFACE
             cloud = np.column_stack([xy, rng.normal(0, 0.001, n)])
         cloud = cloud + rng.uniform(-0.2, 0.2, size=3)
-        filtered = filter_outliers(cloud)
+        [filtered] = filter_outliers([cloud])
         try:
             el = element_from_cloud(filtered, etype)
         except IrreducibleCloud:

@@ -401,6 +401,47 @@ def block_edge_case(n):
     return pts, 0.5, 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(dbscan_inputs(), min_size=1, max_size=6), st.integers(1, 6), st.booleans())
+def test_a_batch_of_blocks_labels_each_block_as_it_would_alone(cases, min_pts, given_d2):
+    # the neighbor graph is block-diagonal: no block sees another, and with
+    # a given stack, what lies outside each block's matrix (here 0, which
+    # would make every padding entry a neighbor) is never read
+    blocks = [pts for pts, _, _ in cases]
+    eps = np.array([e for _, e, _ in cases])
+    sizes = [len(b) for b in blocks]
+    d2 = None
+    if given_d2:
+        d2 = np.zeros((len(blocks), max(sizes), max(sizes)))
+        for stack, b in zip(d2, blocks):
+            stack[: len(b), : len(b)] = squared_distances(b)
+    got = dbscan(np.concatenate(blocks), eps, min_pts, sizes=sizes, d2=d2).labels
+    want = np.concatenate([dbscan(b, e, min_pts).labels for b, e in zip(blocks, eps)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(dbscan_inputs(), min_size=1, max_size=6))
+@example([block_edge_case(200), block_edge_case(150)])  # over (4 * ROW_BLOCK)^2 entries: built in row blocks
+@example([block_edge_case(321), block_edge_case(64), block_edge_case(1)])
+def test_a_stack_of_squared_distances_holds_each_blocks_matrix(cases):
+    blocks = [pts for pts, _, _ in cases]
+    n = max(len(b) for b in blocks)
+    stack = np.zeros((len(blocks), n, 3))
+    for row, b in zip(stack, blocks):
+        row[: len(b)] = b
+    got = squared_distances(stack)
+    for d2, b in zip(got, blocks):
+        assert np.array_equal(d2[: len(b), : len(b)], squared_distances(b))
+
+
+def test_dbscan_rejects_sizes_that_do_not_partition_the_points():
+    pts = np.zeros((5, 3))
+    for sizes in ([2, 2], [3, 3], [6, -1]):
+        with pytest.raises(ValueError, match="do not partition"):
+            dbscan(pts, 0.1, 2, sizes=sizes)
+
+
 # sizes on both sides of a ROW_BLOCK edge, of the whole-matrix limit
 # (4 * ROW_BLOCK) and of the last partial block
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -24,9 +25,10 @@ from camlab.simlab import (
 )
 from camlab.simlab.disturb import standard_disturbances
 import camlab.simlab.episode as episode
-from camlab.elementizer import POINT, SURFACE, MaskBundle, extract_element
-from camlab.errors import EmptyPointSet
-from oracles import settle_reference, unproject
+from camlab.elementizer import POINT, SURFACE, MaskBundle
+from camlab.errors import CamlabError, EmptyPointSet
+from camlab.taskgen import Planner
+from oracles import per_bundle_extract, settle_reference, unproject
 
 
 def simple_world():
@@ -476,13 +478,14 @@ def same_element(a, b):
 
 @pytest.fixture
 def memo_scene(monkeypatch):
-    """A rendered pour_tea scene, a fresh memo on its cameras, and the list
-    of bundles that reached extract_element through the episode module."""
+    """A rendered pour_tea scene, a fresh memo on its cameras, and the
+    batches of bundles that reached extract_element through the episode
+    module (one list per call)."""
     state, scene = build_scene("pour_tea", np.random.default_rng(0))
     views = render(state, scene)
     calls = []
     real = episode.extract_element
-    monkeypatch.setattr(episode, "extract_element", lambda b, d, c: calls.append(b) or real(b, d, c))
+    monkeypatch.setattr(episode, "extract_element", lambda b, d, c: calls.append(list(b)) or real(b, d, c))
     return state, scene, views, episode.ElementMemo(scene.cameras), calls
 
 
@@ -490,14 +493,14 @@ def test_memo_hit_is_a_fresh_extraction_with_the_new_labels(memo_scene):
     state, scene, views, memo, calls = memo_scene
     depths = [v.depth for v in views]
     teapot = state.objects["teapot"]
-    first = memo.extract(mask_bundle(scene, views, teapot, "lid", POINT, "lid above cup"), depths)
+    [first] = memo.extract([mask_bundle(scene, views, teapot, "lid", POINT, "lid above cup")], depths)
     again = mask_bundle(scene, views, teapot, "lid", POINT, "lid level")
-    hit = memo.extract(again, depths)
+    [hit] = memo.extract([again], depths)
     assert len(calls) == 1
-    assert same_element(hit, extract_element(again, depths, scene.cameras))
+    assert same_element(hit, per_bundle_extract(again, depths, scene.cameras))
     assert hit.constraint == "lid level" and first.constraint == "lid above cup"
     # another kind over the same pixels is another extraction
-    memo.extract(mask_bundle(scene, views, teapot, "lid", SURFACE, "lid level"), depths)
+    memo.extract([mask_bundle(scene, views, teapot, "lid", SURFACE, "lid level")], depths)
     assert len(calls) == 2
 
 
@@ -505,15 +508,15 @@ def test_memo_misses_when_one_depth_byte_of_the_bundle_changes(memo_scene):
     state, scene, views, memo, calls = memo_scene
     depths = [v.depth for v in views]
     bundle = mask_bundle(scene, views, state.objects["teapot"], "body", POINT, "c")
-    memo.extract(bundle, depths)
+    memo.extract([bundle], depths)
     v = next(i for i, pix in enumerate(bundle.pixels) if len(pix))
     outside = np.setdiff1d(np.arange(depths[v].size), np.concatenate(bundle.pixels))[0]
     for pixel, misses in ((outside, 0), (bundle.pixels[v][len(bundle.pixels[v]) // 2], 1)):
         changed = [d.copy() for d in depths]
         changed[v].reshape(-1).view(np.uint8)[8 * pixel] ^= 1  # lowest mantissa byte
-        got = memo.extract(bundle, changed)
+        [got] = memo.extract([bundle], changed)
         assert len(calls) == 1 + misses
-        assert same_element(got, extract_element(bundle, changed, scene.cameras))
+        assert same_element(got, per_bundle_extract(bundle, changed, scene.cameras))
 
 
 def test_memo_stores_no_failed_extraction(memo_scene):
@@ -522,8 +525,101 @@ def test_memo_stores_no_failed_extraction(memo_scene):
     empty = MaskBundle(tuple(np.zeros(0, dtype=np.int64) for _ in views), POINT, "c", "teapot", "body")
     for n in (1, 2):
         with pytest.raises(EmptyPointSet):
-            memo.extract(empty, depths)
+            memo.extract([empty], depths)
         assert len(calls) == n
+
+
+def test_memo_extracts_a_key_asked_twice_in_one_bind_once(memo_scene):
+    state, scene, views, memo, calls = memo_scene
+    depths = [v.depth for v in views]
+    teapot = state.objects["teapot"]
+    lid, lid_again = (mask_bundle(scene, views, teapot, "lid", POINT, c) for c in ("a", "b"))
+    body = mask_bundle(scene, views, teapot, "body", POINT, "c")
+    els = memo.extract([lid, body, lid_again], depths)
+    assert len(calls) == 1 and calls[0] == [lid, body]
+    assert [e.constraint for e in els] == ["a", "c", "b"]
+    for el, bundle in zip(els, (lid, body, lid_again)):
+        assert same_element(el, per_bundle_extract(bundle, depths, scene.cameras))
+
+
+def first_failure(bundles, depths, cams):
+    """The error that extracting the bundles one by one, in order, raises."""
+    for bundle in bundles:
+        try:
+            per_bundle_extract(bundle, depths, cams)
+        except CamlabError as exc:
+            return exc
+    return None
+
+
+def failing_bundles(views, good):
+    """good, then a surface of one pixel per view (too few points: fails
+    after fusion and filtering) and one of no pixels (fails in fusion)."""
+    few = MaskBundle(tuple(pix[:1] for pix in good.pixels), SURFACE, "c", "teapot", "few")
+    empty = MaskBundle(tuple(np.zeros(0, dtype=np.int64) for _ in views), POINT, "c", "teapot", "none")
+    return good, few, empty
+
+
+def test_memo_raises_the_first_failure_in_bundle_order_and_stores_nothing(memo_scene):
+    state, scene, views, memo, calls = memo_scene
+    depths = [v.depth for v in views]
+    good, few, empty = failing_bundles(views, mask_bundle(scene, views, state.objects["teapot"], "body", POINT, "c"))
+    for order in ([good, few, empty], [good, empty, few]):
+        want = first_failure(order, depths, scene.cameras)
+        assert type(want) is type(first_failure(order[1:2], depths, scene.cameras))  # the second bundle's
+        with pytest.raises(CamlabError) as got:
+            memo.extract(order, depths)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+    calls.clear()
+    memo.extract([good], depths)  # nothing of the failed batches was stored
+    assert calls == [[good]]
+
+
+def test_a_bind_whose_second_spec_fails_raises_that_specs_error(monkeypatch):
+    state, scene = build_scene("pour_tea", np.random.default_rng(0))
+    sg = Planner("pour_tea", scene.meta).plan_next(scene_summary(state, scene))
+    spec = sg.element_specs[0]
+    sg = dataclasses.replace(sg, element_specs=(spec, spec, spec))
+    views = render(state, scene)
+    depths = [v.depth for v in views]
+    good = mask_bundle(scene, views, state.objects[spec.oid], spec.part, spec.etype, sg.text)
+    for order in ((0, 1, 2), (0, 2, 1)):
+        bundles = [failing_bundles(views, good)[i] for i in order]
+        queue = list(bundles)
+        monkeypatch.setattr(episode, "mask_bundle", lambda *args: queue.pop(0))
+        want = first_failure(bundles, depths, scene.cameras)
+        assert type(want) is type(first_failure(bundles[1:2], depths, scene.cameras))
+        with pytest.raises(CamlabError) as got:
+            episode.extract_elements(sg, state, scene)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+        assert not queue
+
+
+@pytest.mark.parametrize("template, selector", [("sweep_half", None), ("stow_book", "abc")])
+def test_every_bind_of_an_episode_matches_extraction_bundle_by_bundle(monkeypatch, template, selector):
+    binds = []
+    real = episode.ElementMemo.extract
+
+    def extract(memo, bundles, depths):
+        want = first_failure(bundles, depths, memo._cams)
+        if want is not None:
+            with pytest.raises(CamlabError) as got:
+                real(memo, bundles, depths)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+            raise got.value
+        els = real(memo, bundles, depths)
+        for el, bundle in zip(els, bundles, strict=True):
+            assert same_element(el, per_bundle_extract(bundle, depths, memo._cams))
+        binds.append(len(bundles))
+        return els
+
+    monkeypatch.setattr(episode.ElementMemo, "extract", extract)
+    disturbances = standard_disturbances(template, selector=selector) if selector else ()
+    run_episode(EpisodeConfig(template=template, monitor_mode="full", seed=0, disturbances=disturbances))
+    if template == "sweep_half":
+        assert 40 in binds  # the sweep's one bind reads every block
+    else:
+        assert len(binds) > 3  # the disturbances force rebinds
 
 
 # ---------------------------------------------------------------------------
