@@ -2,8 +2,9 @@
 solids, and pixel unprojection.
 
 Box and Cylinder are the one model of each solid: the simulator settles
-objects with their facts (footprint, half-extents under a rotation) and the
-renderer casts rays with their hit kernels. The renderer is the oracle
+objects with their facts (half-extents under a rotation, bounding radius,
+whether a vertical line meets the solid) and the renderer casts rays with
+their hit kernels. The renderer is the oracle
 stand-in for learned segmentation: each posed solid carries an instance id,
 and the nearest hit per pixel yields a depth image plus an instance-id image.
 Parts are not rendered: a caller that needs one tests the unprojected hit
@@ -34,6 +35,17 @@ NONE_ID = -1
 _EPS = 1e-9
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 with the bits of a float's own power (C pow), one pow per run of
+    equal values: numpy's array square is x * x, which rounds about one
+    value in a thousand differently. x is 0-d or 1-d."""
+    if x.ndim == 0:
+        return np.float64(float(x) ** 2)
+    start = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    runs = np.diff(np.append(start, len(x)))
+    return np.repeat([v**2 for v in x[start].tolist()], runs)
+
+
 @dataclass(frozen=True)
 class Box:
     """A solid box centred on its pose origin: full side lengths (x, y, z)
@@ -41,10 +53,7 @@ class Box:
     construction cannot go stale."""
 
     extents: np.ndarray
-    # footprint: half the side of the xy square, centred on the axis, that
-    # holds the footprint; bounding_radius: the radius of the sphere about
-    # the centre that holds the solid
-    footprint: float = field(init=False, repr=False, compare=False)
+    # the radius of the sphere about the centre that holds the solid
     bounding_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -53,7 +62,6 @@ class Box:
             raise ValueError(f"box extents must be three finite positive lengths, got {self.extents!r}")
         ext.setflags(write=False)
         object.__setattr__(self, "extents", ext)
-        object.__setattr__(self, "footprint", float(max(ext[0], ext[1]) / 2.0))
         object.__setattr__(self, "bounding_radius", float(np.linalg.norm(self.half_extents())))
 
     def half_extents(self) -> np.ndarray:
@@ -68,17 +76,33 @@ class Box:
         h = self.half_extents()
         return float(max(np.abs(r[0]) @ h, np.abs(r[1]) @ h))
 
-    def covers_xy(self, d) -> bool:
-        """True if the unrotated footprint holds the xy offset d from the axis."""
-        half = self.half_extents()
-        return bool(abs(d[0]) <= half[0] and abs(d[1]) <= half[1])
+    def meets_line(self, o, v) -> bool:
+        """True if the line o + s v (local frame, 3-sequences of Python
+        floats) meets the box: the slab test of hit, over every s."""
+        lo, hi = -math.inf, math.inf
+        for oi, vi, ext in zip(o, v, self.extents.tolist()):
+            half = ext / 2.0
+            if abs(vi) < _EPS:  # parallel to the slab: inside it or never
+                if abs(oi) > half:
+                    return False
+                continue
+            t1, t2 = (-half - oi) / vi, (half - oi) / vi
+            if t1 > t2:
+                t1, t2 = t2, t1
+            if t1 > lo:
+                lo = t1
+            if t2 < hi:
+                hi = t2
+        return hi >= lo
 
-    def hit(self, o, d):
-        """Slab intersection; o, d are (n, 3) in the box local frame.
+    @staticmethod
+    def hit(o, d, half):
+        """Slab intersection; o, d are (n, 3) in the box local frame, and
+        half is the box's half_extents(), one row for every ray or (n, 3),
+        one row per ray.
 
         Returns t of the nearest surface hit with t > eps, +inf for misses.
         """
-        half = self.half_extents()
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d
             t1 = (-half - o) * inv
@@ -104,13 +128,11 @@ class Cylinder:
 
     radius: float
     height: float
-    footprint: float = field(init=False, repr=False, compare=False)
     bounding_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.radius < math.inf and 0.0 < self.height < math.inf):
             raise ValueError(f"cylinder radius and height must be finite and positive, got {self.radius}, {self.height}")
-        object.__setattr__(self, "footprint", float(self.radius))
         object.__setattr__(self, "bounding_radius", math.hypot(self.radius, self.height / 2.0))
 
     def half_extents(self) -> np.ndarray:
@@ -130,17 +152,39 @@ class Cylinder:
         lat = math.sqrt(max(1.0 - ax * ax, 0.0))
         return lat * self.height / 2.0 + self.radius
 
-    def covers_xy(self, d) -> bool:
-        """True if the unrotated footprint disk holds the xy offset d."""
-        return bool(d[0] ** 2 + d[1] ** 2 <= self.radius**2)
+    def meets_line(self, o, v) -> bool:
+        """True if the line o + s v (local frame, 3-sequences of Python
+        floats) meets the capped cylinder: the stretch of the line within
+        the radius overlaps the stretch between the caps."""
+        (ox, oy, oz), (vx, vy, vz) = o, v
+        half_h = self.height / 2.0
+        r2 = self.radius**2
+        a = vx * vx + vy * vy
+        if a < _EPS:  # along the axis: the disk test
+            return ox**2 + oy**2 <= r2
+        b = 2.0 * (ox * vx + oy * vy)
+        c = ox**2 + oy**2 - r2
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return False
+        sq = math.sqrt(disc)
+        lo, hi = (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
+        if abs(vz) < _EPS:
+            return abs(oz) <= half_h
+        t1, t2 = (-half_h - oz) / vz, (half_h - oz) / vz
+        return min(hi, max(t1, t2)) >= max(lo, min(t1, t2))
 
-    def hit(self, o, d):
+    @staticmethod
+    def hit(o, d, half):
         """Nearest hit against the capped cylinder; o, d are (n, 3) in its
-        local frame. +inf for misses."""
-        radius, half_h = self.radius, self.height / 2.0
+        local frame, and half is its half_extents() (radius, radius, half
+        height), one row for every ray or (n, 3), one row per ray. +inf
+        for misses."""
+        radius, half_h = half[..., 0], half[..., 2]
+        r2 = _squares(radius)
         a = d[:, 0] ** 2 + d[:, 1] ** 2
         b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-        c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius**2
+        c = o[:, 0] ** 2 + o[:, 1] ** 2 - r2
         disc = b * b - 4 * a * c
         best = np.full(len(o), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,12 +198,14 @@ class Cylinder:
                 t = (cap_z - o[:, 2]) / d[:, 2]
                 x = o[:, 0] + t * d[:, 0]
                 y = o[:, 1] + t * d[:, 1]
-                ok = (np.abs(d[:, 2]) > _EPS) & (t > _EPS) & (x**2 + y**2 <= radius**2)
+                ok = (np.abs(d[:, 2]) > _EPS) & (t > _EPS) & (x**2 + y**2 <= r2)
                 best = np.where(ok & (t < best), t, best)
         return best
 
 
 _RAY_CACHE: dict = {}
+_GRID_CACHE: dict = {}
+_NO_PIXELS = np.empty(0, dtype=np.int64)
 
 
 def _pixel_rays(cam: CameraModel):
@@ -177,19 +223,29 @@ def _pixel_rays(cam: CameraModel):
     return rays
 
 
+def _pixel_grid(cam: CameraModel):
+    """The (height, width) image of flat pixel indices, read-only."""
+    key = (cam.width, cam.height)
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = _GRID_CACHE[key] = np.arange(cam.width * cam.height, dtype=np.int64).reshape(cam.height, cam.width)
+        grid.setflags(write=False)
+    return grid
+
+
 def _candidate_pixels(pose: Pose, solid, cam: CameraModel):
-    """Flat pixel indices whose rays can hit the posed solid's bounding
-    sphere; None means all pixels (sphere spans the camera)."""
-    c = cam.pose.inverse().apply(pose.t)
+    """Flat pixel indices, in raster order, whose rays can hit the posed
+    solid's bounding sphere; None means all pixels (sphere spans the
+    camera)."""
+    x, y, z = cam.pose.inverse().apply(pose.t).tolist()
     rad = solid.bounding_radius
-    z = float(c[2])
     if z + rad <= _EPS:
-        return np.empty(0, dtype=np.int64)  # fully behind the camera
+        return _NO_PIXELS  # fully behind the camera
     near = z - rad
     if near <= _EPS:
         return None  # camera inside the bounding sphere
-    u = c[0] / z * cam.fx + cam.cx
-    v = c[1] / z * cam.fy + cam.cy
+    u = x / z * cam.fx + cam.cx
+    v = y / z * cam.fy + cam.cy
     du = rad / near * cam.fx + 2
     dv = rad / near * cam.fy + 2
     u0 = max(int(u - du), 0)
@@ -197,12 +253,10 @@ def _candidate_pixels(pose: Pose, solid, cam: CameraModel):
     v0 = max(int(v - dv), 0)
     v1 = min(int(v + dv) + 1, cam.height)
     if u0 >= u1 or v0 >= v1:
-        return np.empty(0, dtype=np.int64)
+        return _NO_PIXELS
     if (u1 - u0) * (v1 - v0) >= cam.width * cam.height:
         return None
-    rows = np.arange(v0, v1, dtype=np.int64) * cam.width
-    cols = np.arange(u0, u1, dtype=np.int64)
-    return (rows[:, None] + cols[None, :]).ravel()
+    return _pixel_grid(cam)[v0:v1, u0:u1].ravel()
 
 
 def raycast_depth(solids, cam: CameraModel):
@@ -211,25 +265,45 @@ def raycast_depth(solids, cam: CameraModel):
 
     Depth is camera-frame z of the nearest hit; 0.0 where nothing is hit,
     with NONE_ID in the id image. Rays are culled per solid by its
-    projected bounding sphere.
-    """
+    projected bounding sphere. The windowed rows of every solid of one
+    class run through its kernel in one call, with one row of sizes per
+    ray; a solid whose window is the whole image runs alone. Each solid
+    still rotates its own rays (a BLAS product is not row-subset
+    invariant), and the merge walks the solids in order with a strict <,
+    so a tie goes to the earlier solid."""
     n = cam.width * cam.height
-    dirs_cam = _pixel_rays(cam)
-    r = cam.pose.rotation()
-    dirs_w = dirs_cam @ r.T
+    dirs_w = _pixel_rays(cam) @ cam.pose.rotation().T
     origin_w = cam.pose.t
 
-    best_t = np.full(n, np.inf)
-    inst = np.full(n, NONE_ID, dtype=np.int32)
+    casts = []  # [pixels or None, t, instance id], in solid order
+    rows = {}  # solid class -> (origins, local rays, sizes, casts) of its windowed solids
     for pose, solid, instance_id in solids:
         idx = _candidate_pixels(pose, solid, cam)
         if idx is not None and len(idx) == 0:
             continue
-        rays = dirs_w if idx is None else dirs_w[idx]
         inv = pose.inverse()
-        rot = inv.rotation()
-        o_l = np.broadcast_to(inv.apply(origin_w), rays.shape)
-        t = solid.hit(o_l, rays @ rot.T)
+        o_l = inv.apply(origin_w)
+        d_l = (dirs_w if idx is None else dirs_w[idx]) @ inv.rotation().T
+        cast = [idx, None, instance_id]
+        casts.append(cast)
+        if idx is None:
+            cast[1] = solid.hit(np.broadcast_to(o_l, d_l.shape), d_l, solid.half_extents())
+            continue
+        origins, local, sizes, members = rows.setdefault(type(solid), ([], [], [], []))
+        origins.append(o_l)
+        local.append(d_l)
+        sizes.append(solid.half_extents())
+        members.append(cast)
+
+    for kind, (origins, local, sizes, members) in rows.items():
+        counts = [len(cast[0]) for cast in members]
+        t = kind.hit(np.repeat(origins, counts, axis=0), np.concatenate(local), np.repeat(sizes, counts, axis=0))
+        for cast, part in zip(members, np.split(t, np.cumsum(counts[:-1]))):
+            cast[1] = part
+
+    best_t = np.full(n, np.inf)
+    inst = np.full(n, NONE_ID, dtype=np.int32)
+    for idx, t, instance_id in casts:
         if idx is None:
             closer = t < best_t
             best_t = np.where(closer, t, best_t)

@@ -48,9 +48,15 @@ class SimObject:
     def top_z(self) -> float:
         return float(self.pose.t[2]) + self.world_half_z()
 
-    def supports_xy(self, xy: np.ndarray) -> bool:
-        """True if a center at xy (world) would rest on this object's top."""
-        return self.shape.covers_xy(xy - self.pose.t[:2])
+    def supports_xy(self, x: float, y: float) -> bool:
+        """True if a center at world (x, y) would rest on this object's top:
+        the vertical line through it meets the solid. In the local frame
+        that line passes through R^T (dx, dy, 0) along R^T z, the offset
+        (dx, dy) taken from the object's centre."""
+        tx, ty, _ = self.pose.t.tolist()
+        dx, dy = x - tx, y - ty
+        r0, r1, r2 = self.pose.rotation().tolist()
+        return self.shape.meets_line([a * dx + b * dy for a, b in zip(r0, r1)], r2)
 
     def in_bore_xy(self, xy: np.ndarray) -> bool:
         if self.bore_radius <= 0:
@@ -242,20 +248,21 @@ class Simulation:
         objects support nothing.
 
         An object whose axis lies farther from the center than its
-        footprint half-width or bore radius along x or y is skipped before
-        the per-object tests: neither its top nor its bore can hold the
-        center, so the result is that of testing every object."""
+        bounding radius or bore radius along x or y is skipped before the
+        per-object tests: neither its top nor its bore can hold the center,
+        so the result is that of testing every object."""
         obj = self.state.objects[oid]
         xy = obj.pose.t[:2]
-        bottom = obj.pose.t[2] - obj.world_half_z()
+        x, y, z = obj.pose.t.tolist()
+        half_z = obj.world_half_z()
+        bottom = z - half_z
         best = 0.0  # world floor fallback
         inside_bore = False
-        x, y = xy.tolist()
         for other in self.state.objects.values():
             ox, oy, _ = other.pose.t.tolist()
             # widened far beyond the rounding of the squared-radius tests
             # (relative 2**-52, and absolute where the squares underflow)
-            reach = max(other.shape.footprint, other.bore_radius) * (1.0 + 1e-6) + 1e-9
+            reach = max(other.shape.bounding_radius, other.bore_radius) * (1.0 + 1e-6) + 1e-9
             if abs(ox - x) > reach or abs(oy - y) > reach:
                 continue
             if other.oid == oid or other.oid in self.state.held:
@@ -266,12 +273,12 @@ class Simulation:
                     best = max(best, floor)
                     inside_bore = True
                 continue
-            if other.supports_xy(xy):
+            if other.supports_xy(x, y):
                 top = other.top_z()
                 if top <= bottom + 1e-6:
                     best = max(best, top)
-        rest = best + obj.world_half_z()
-        obj.pose = obj.pose.translated(np.array([xy[0], xy[1], rest]))
+        rest = best + half_z
+        obj.pose = obj.pose.translated(np.array([x, y, rest]))
         self.state.log("settled", oid=oid, z=rest, in_bore=inside_bore)
 
     # -- actions

@@ -1,9 +1,11 @@
 """References that only tests use: pixel unprojection written with the
-per-call divmod arithmetic, mask unprojection, projection, the distance
-from a point to a solid's surface, a voxel grid's frame, the settling loop
-that tests every object, the planner that resolved a failure from the
-failed sid and an episode-long kind map, and extraction one bundle, one
-cloud and one cell at a time, as it ran before it batched them.
+per-call divmod arithmetic, mask unprojection, projection, rendering one
+solid at a time with the per-solid ray kernels, the distance from a point
+to a solid's surface, a voxel grid's frame, a solid's xy footprint as a
+convex hull and the settling loop that tests every object against it, the
+planner that resolved a failure from the failed sid and an episode-long
+kind map, and extraction one bundle, one cloud and one cell at a time, as
+it ran before it batched them.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -30,8 +32,10 @@ from camlab.errors import DimensionMismatch, IrreducibleCloud
 from camlab.geom3d import (
     ROW_BLOCK,
     Box,
+    NONE_ID,
     CameraModel,
     Cylinder,
+    Pose,
     as_points,
     dbscan,
     fit_plane,
@@ -80,6 +84,135 @@ def project(points, cam: CameraModel):
     return np.stack([u, v], axis=-1), in_front
 
 
+# ---------------------------------------------------------------------------
+# rendering one solid at a time
+
+_EPS = 1e-9
+
+
+def ray_box(half, o, d):
+    """Slab intersection for a box of half extents half; o, d are (n, 3)
+    in the box local frame. t of the nearest surface hit with t > eps,
+    +inf for misses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        t1 = (-half - o) * inv
+        t2 = (half - o) * inv
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2)
+    # axis-parallel rays: inside the slab -> (-inf, +inf), outside -> empty
+    par = np.abs(d) < _EPS
+    inside = np.abs(o) <= half
+    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+    tmin = lo.max(axis=1)
+    tmax = hi.min(axis=1)
+    t = np.where(tmin > _EPS, tmin, tmax)
+    hit = (tmax >= np.maximum(tmin, _EPS)) & (t > _EPS)
+    return np.where(hit, t, np.inf)
+
+
+def ray_cylinder(radius, height, o, d):
+    """Nearest hit against a capped cylinder along local z; o, d are (n, 3)
+    in its local frame. +inf for misses."""
+    half_h = height / 2.0
+    a = d[:, 0] ** 2 + d[:, 1] ** 2
+    b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+    c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius**2
+    disc = b * b - 4 * a * c
+    best = np.full(len(o), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+        for sign in (-1.0, 1.0):
+            t = (-b + sign * sq) / (2 * a)
+            z = o[:, 2] + t * d[:, 2]
+            ok = (disc >= 0) & (a > _EPS) & (t > _EPS) & (np.abs(z) <= half_h)
+            best = np.where(ok & (t < best), t, best)
+        for cap_z in (-half_h, half_h):
+            t = (cap_z - o[:, 2]) / d[:, 2]
+            x = o[:, 0] + t * d[:, 0]
+            y = o[:, 1] + t * d[:, 1]
+            ok = (np.abs(d[:, 2]) > _EPS) & (t > _EPS) & (x**2 + y**2 <= radius**2)
+            best = np.where(ok & (t < best), t, best)
+    return best
+
+
+def solid_hit(solid, o, d):
+    if isinstance(solid, Box):
+        return ray_box(solid.half_extents(), o, d)
+    return ray_cylinder(solid.radius, solid.height, o, d)
+
+
+def pixel_rays(cam: CameraModel):
+    """Camera-frame rays (x/z, y/z, 1) of every pixel in raster order."""
+    uu, vv = np.meshgrid(np.arange(cam.width, dtype=np.float64), np.arange(cam.height, dtype=np.float64))
+    return np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu)], axis=-1).reshape(-1, 3)
+
+
+def candidate_pixels(pose: Pose, solid, cam: CameraModel):
+    """Flat pixel indices whose rays can hit the posed solid's bounding
+    sphere; None means all pixels (sphere spans the camera)."""
+    c = cam.pose.inverse().apply(pose.t)
+    rad = solid.bounding_radius
+    z = float(c[2])
+    if z + rad <= _EPS:
+        return np.empty(0, dtype=np.int64)  # fully behind the camera
+    near = z - rad
+    if near <= _EPS:
+        return None  # camera inside the bounding sphere
+    u = c[0] / z * cam.fx + cam.cx
+    v = c[1] / z * cam.fy + cam.cy
+    du = rad / near * cam.fx + 2
+    dv = rad / near * cam.fy + 2
+    u0 = max(int(u - du), 0)
+    u1 = min(int(u + du) + 1, cam.width)
+    v0 = max(int(v - dv), 0)
+    v1 = min(int(v + dv) + 1, cam.height)
+    if u0 >= u1 or v0 >= v1:
+        return np.empty(0, dtype=np.int64)
+    if (u1 - u0) * (v1 - v0) >= cam.width * cam.height:
+        return None
+    rows = np.arange(v0, v1, dtype=np.int64) * cam.width
+    cols = np.arange(u0, u1, dtype=np.int64)
+    return (rows[:, None] + cols[None, :]).ravel()
+
+
+def raycast_depth_per_solid(solids, cam: CameraModel):
+    """raycast_depth as it ran before it batched its kernels: one kernel
+    call per solid on that solid's candidate rays, merged in solid order
+    with a strict <."""
+    n = cam.width * cam.height
+    dirs_cam = pixel_rays(cam)
+    r = cam.pose.rotation()
+    dirs_w = dirs_cam @ r.T
+    origin_w = cam.pose.t
+
+    best_t = np.full(n, np.inf)
+    inst = np.full(n, NONE_ID, dtype=np.int32)
+    for pose, solid, instance_id in solids:
+        idx = candidate_pixels(pose, solid, cam)
+        if idx is not None and len(idx) == 0:
+            continue
+        rays = dirs_w if idx is None else dirs_w[idx]
+        inv = pose.inverse()
+        rot = inv.rotation()
+        o_l = np.broadcast_to(inv.apply(origin_w), rays.shape)
+        t = solid_hit(solid, o_l, rays @ rot.T)
+        if idx is None:
+            closer = t < best_t
+            best_t = np.where(closer, t, best_t)
+            inst[closer] = instance_id
+        else:
+            closer = t < best_t[idx]
+            sub = idx[closer]
+            best_t[sub] = t[closer]
+            inst[sub] = instance_id
+
+    depth = np.where(np.isfinite(best_t), best_t, 0.0)
+    shape = (cam.height, cam.width)
+    return depth.reshape(shape), inst.reshape(shape)
+
+
 def surface_distance(point, pose, solid) -> float:
     """Unsigned distance from a point to the surface of the solid at pose."""
     p = pose.inverse().apply(np.asarray(point, dtype=np.float64))
@@ -107,14 +240,91 @@ def voxel_frame(points, cells_per_axis):
     return lo, np.where(extent > 0, (extent + 1e-6) / n, 1e-6)
 
 
+# rim samples per circle of a cylinder's footprint hull: the hull of the
+# samples lies inside the true footprint by at most radius * (1 - cos(pi / n))
+RIM_SAMPLES = 1024
+# hull margins within this of zero, or of the rim's chord error, are
+# ambiguous: rounding may put the center on either side of the boundary
+HULL_SLACK = 1e-9
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Vertices of the 2-D convex hull of points, counter-clockwise
+    (Andrew's monotone chain)."""
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=np.float64).tolist())))
+
+    def half(seq):
+        out: list = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(reversed(pts))
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def hull_margin(hull: np.ndarray, d) -> float:
+    """Signed distance from d to the boundary of a counter-clockwise convex
+    polygon: positive inside, negative outside (to the nearest edge line,
+    which bounds the outside distance from below)."""
+    a, b = hull, np.roll(hull, -1, axis=0)
+    edge = b - a
+    cross = edge[:, 0] * (d[1] - a[:, 1]) - edge[:, 1] * (d[0] - a[:, 0])
+    return float(np.min(cross / np.hypot(edge[:, 0], edge[:, 1])))
+
+
+def footprint_hull(shape, r: np.ndarray):
+    """(hull, chord) of the xy footprint of a solid under rotation matrix r,
+    about its centre: the convex hull of a box's 8 rotated corners (chord
+    0), or of RIM_SAMPLES points on each of a cylinder's two rotated rims
+    (chord the most the samples' hull falls short of the footprint)."""
+    if isinstance(shape, Box):
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
+        return convex_hull((signs * shape.half_extents() @ r.T)[:, :2]), 0.0
+    ang = np.linspace(0.0, 2.0 * math.pi, RIM_SAMPLES, endpoint=False)
+    ring = np.stack([shape.radius * np.cos(ang), shape.radius * np.sin(ang)], axis=1)
+    rims = [np.column_stack([ring, np.full(len(ang), z)]) for z in (-shape.height / 2.0, shape.height / 2.0)]
+    chord = shape.radius * (1.0 - math.cos(math.pi / RIM_SAMPLES))
+    return convex_hull((np.vstack(rims) @ r.T)[:, :2]), chord
+
+
+_HULLS: dict = {}  # (id(shape), r bytes) -> (shape, hull, chord); the shape pins its id
+
+
+def footprint_holds(shape, r: np.ndarray, d):
+    """True, False or None (too close to call) for whether the xy footprint
+    hull of shape under rotation matrix r holds the xy offset d from its
+    centre."""
+    key = (id(shape), r.tobytes())
+    if key not in _HULLS:
+        if len(_HULLS) > 256:
+            _HULLS.clear()
+        _HULLS[key] = (shape, *footprint_hull(shape, r))
+    _, hull, chord = _HULLS[key]
+    margin = hull_margin(hull, np.asarray(d, dtype=np.float64))
+    if margin > HULL_SLACK:
+        return True
+    if margin < -(chord + HULL_SLACK):
+        return False
+    return None
+
+
 def settle_reference(state, oid):
-    """(rest z, in_bore) of Simulation.drop_to_support(oid) on `state`, from
-    the loop it ran before its vectorised pass: every other object that is
-    not held, in state order, through the per-object tests."""
+    """(lowest rest z, highest rest z, in_bore) of
+    Simulation.drop_to_support(oid) on `state`, from the loop it ran before
+    its vectorised pass: every other object that is not held, in state
+    order. A support is found from the object's own footprint hull
+    (footprint_hull), not from supports_xy. An object whose hull boundary
+    lies within rounding of the center may count or not, and the two rest
+    heights bound those choices; they are equal when none does."""
     obj = state.objects[oid]
     xy = obj.pose.t[:2]
     bottom = obj.pose.t[2] - obj.world_half_z()
-    best = 0.0
+    sure = maybe = 0.0
     inside_bore = False
     for other in state.objects.values():
         if other.oid == oid or other.oid in state.held:
@@ -122,14 +332,18 @@ def settle_reference(state, oid):
         if other.in_bore_xy(xy) and obj.lateral_half_extent() <= other.bore_radius:
             floor = float(other.pose.t[2]) + other.bore_floor_z
             if floor <= bottom + 1e-6:
-                best = max(best, floor)
+                sure = max(sure, floor)
+                maybe = max(maybe, floor)
                 inside_bore = True
             continue
-        if other.supports_xy(xy):
+        holds = footprint_holds(other.shape, other.pose.rotation(), xy - other.pose.t[:2])
+        if holds is not False:
             top = other.top_z()
             if top <= bottom + 1e-6:
-                best = max(best, top)
-    return best + obj.world_half_z(), inside_bore
+                maybe = max(maybe, top)
+                if holds:
+                    sure = max(sure, top)
+    return sure + obj.world_half_z(), maybe + obj.world_half_z(), inside_bore
 
 
 class ReferencePlanner:

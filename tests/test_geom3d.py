@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camlab.errors import DegenerateGeometry, DimensionMismatch, EmptyPointSet
+from camlab.geom3d import raycast as raycast_module
 from camlab.geom3d import (
     NOISE,
     NONE_ID,
@@ -32,7 +33,15 @@ from camlab.geom3d import (
     vec3,
     voxelize,
 )
-from oracles import project, surface_distance, unproject, unproject_pixels_divmod, voxel_frame
+from oracles import (
+    footprint_holds,
+    project,
+    raycast_depth_per_solid,
+    surface_distance,
+    unproject,
+    unproject_pixels_divmod,
+    voxel_frame,
+)
 
 
 def cam_identity(w=8, h=6, f=10.0):
@@ -546,6 +555,79 @@ def test_raycast_cylinder_side_depth():
     assert inst[6, 8] == 3
 
 
+@st.composite
+def render_scenes(draw):
+    """A camera and 0-9 posed solids, boxes and cylinders of random sizes.
+    Some cameras are axis-aligned with an integral principal point and some
+    solids unrotated, so rays run parallel to a slab face; some solids sit
+    behind the camera, one may hold the camera inside its bounding sphere
+    at any place in the order, and some repeat an earlier solid and its
+    pose under another id."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, h = draw(st.integers(4, 40)), draw(st.integers(3, 30))
+    f = float(rng.uniform(5.0, 60.0))
+    if draw(st.booleans()):
+        cam = CameraModel(fx=f, fy=f, cx=w // 2, cy=h // 2, width=w, height=h)
+    else:
+        eye = rng.uniform(-1.0, 1.0, size=3)
+        cam = CameraModel(fx=f, fy=f * float(rng.uniform(0.8, 1.25)), cx=float(rng.uniform(0.5, w - 0.5)),
+                          cy=float(rng.uniform(0.5, h - 0.5)), width=w, height=h,
+                          pose=look_at(eye, eye + rng.normal(size=3) + [0.0, 0.0, 1e-3], up=(0.3, -1.0, 0.2)))
+    scene = []
+    for i in range(draw(st.integers(0, 9))):
+        if scene and rng.random() < 0.2:
+            pose, solid, _ = scene[rng.integers(len(scene))]
+            scene.append((pose, solid, i))
+            continue
+        where = rng.choice(["front", "front", "front", "behind", "around"])
+        local = rng.uniform([-0.6, -0.6, 0.5], [0.6, 0.6, 3.0])
+        if where == "behind":
+            local[2] = -local[2]
+        elif where == "around":
+            local = rng.uniform(-0.05, 0.05, size=3)
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        if rng.random() < 0.5:
+            q = quat_from_axis_angle(rng.normal(size=3) + 1e-3, float(rng.uniform(0, math.pi)))
+        if rng.random() < 0.5:
+            solid = Box(rng.uniform(0.05, 0.6, size=3))
+        else:
+            solid = Cylinder(float(rng.uniform(0.03, 0.3)), float(rng.uniform(0.05, 0.6)))
+        scene.append((Pose(q, cam.pose.apply(local)), solid, i))
+    return scene, cam
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_scenes())
+def test_raycast_depth_matches_the_per_solid_loop_to_the_bit(case):
+    scene, cam = case
+    depth, inst = raycast_depth(scene, cam)
+    want_depth, want_inst = raycast_depth_per_solid(scene, cam)
+    assert depth.tobytes() == want_depth.tobytes()
+    assert inst.tobytes() == want_inst.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-4, 10.0), st.integers(1, 4)), min_size=1, max_size=12))
+@example([(0.18231512161212451, 3), (0.05, 1)])  # x * x is 0.03323880356844375, one ulp below
+def test_squares_keep_the_bits_of_a_float_power(runs):
+    """The cylinder kernel squares its per-row radius as radius**2 on a
+    float did, not as numpy's array square."""
+    x = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    want = np.array([v**2 for v in x.tolist()])
+    assert raycast_module._squares(x).tobytes() == want.tobytes()
+    assert raycast_module._squares(x[-1:].reshape(())).tobytes() == want[-1:].tobytes()
+
+
+def test_raycast_coincident_solids_show_the_earlier_id():
+    cam = cam_identity(w=16, h=12, f=20.0)
+    block = (Pose(t=vec3(0.05, 0, 1.0)), Box(vec3(0.2, 0.2, 0.2)), 1)
+    pen = (Pose(t=vec3(-0.1, 0, 1.2)), Cylinder(0.05, 0.3), 3)
+    scene = [block, pen, (block[0], block[1], 2), (pen[0], pen[1], 4)]
+    depth, inst = raycast_depth(scene, cam)
+    assert set(np.unique(inst).tolist()) == {NONE_ID, 1, 3}
+    assert depth.tobytes() == raycast_depth(scene[:2], cam)[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the solids: validation and their facts against geometry
 
@@ -596,6 +678,13 @@ def rotations(draw):
     return quat_to_mat(quat_from_axis_angle(axis, angle)), False
 
 
+def _meets_vertical(solid, r, d):
+    """solid.meets_line for the vertical line through the world xy offset d
+    from the centre of the solid under rotation matrix r: in the local
+    frame it passes through R^T (d, 0) along R^T z."""
+    return solid.meets_line((d[0] * r[0] + d[1] * r[1]).tolist(), r[2].tolist())
+
+
 def _box_corners(box):
     signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
     return signs * box.half_extents()
@@ -610,12 +699,12 @@ def test_box_facts_match_its_rotated_corners(extents, rotation, d):
     assert box.world_half_z(r) == pytest.approx(np.abs(corners[:, 2]).max(), rel=1e-12)
     assert box.lateral_half_extent(r) == pytest.approx(np.abs(corners[:, :2]).max(), rel=1e-12)
     assert box.bounding_radius == pytest.approx(np.linalg.norm(corners, axis=1).max(), rel=1e-12)
-    ex, ey, _ = box.extents
-    assert box.footprint == max(ex, ey) / 2.0
-    # the unrotated footprint test drop_to_support settles with
-    assert box.covers_xy(np.array(d)) == (abs(d[0]) <= ex / 2.0 and abs(d[1]) <= ey / 2.0)
-    for corner in _box_corners(box):  # the footprint's own corners are covered
-        assert box.covers_xy(corner[:2])
+    # the vertical line test drop_to_support settles with, against the
+    # convex hull of the rotated corners' xy
+    want = footprint_holds(box, r, d)  # None: too close to the boundary to call
+    assert want is None or _meets_vertical(box, r, d) is want
+    for corner in corners:  # a little inside the hull of the corners' xy
+        assert _meets_vertical(box, r, corner[:2] * (1.0 - 1e-6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,9 +727,11 @@ def test_cylinder_facts_match_its_rotated_rim(radius, height, rotation, d):
     if upright:
         assert lateral == pytest.approx(max(reach[0], reach[1]), rel=1e-12)
     assert cyl.bounding_radius == pytest.approx(math.sqrt(radius**2 + (height / 2.0) ** 2), rel=1e-12)
-    assert cyl.footprint == radius
     assert cyl.half_extents().tolist() == [radius, radius, height / 2.0]
-    assert cyl.covers_xy(np.array(d)) == (d[0] ** 2 + d[1] ** 2 <= radius**2)
+    # the vertical line test drop_to_support settles with, against the
+    # convex hull of dense samples of the rotated rims' xy
+    want = footprint_holds(cyl, r, d)  # None: too close to the boundary to call
+    assert want is None or _meets_vertical(cyl, r, d) is want
 
 
 def test_unproject_principal_point():

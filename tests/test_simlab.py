@@ -120,9 +120,11 @@ def test_lying_pen_cannot_enter_bore():
 @st.composite
 def settling_scenes(draw):
     """A Simulation with 2-12 objects scattered over a small patch, so
-    footprints overlap: boxes and cylinders, some stacked, some rotated,
-    some with a bore, some held by the end-effector. Some centers sit on
-    another object's footprint or bore edge, or one ulp either side of it."""
+    footprints overlap: boxes and cylinders, some stacked, some with a bore,
+    some held by the end-effector, some rotated (about z, lying on a side
+    and then turned about z, or about a random axis). Some centers sit on
+    another object's half-extent along x or y or bore edge, or one ulp
+    either side of it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     state = SimState()
     state.objects["table"] = SimObject("table", Box((0.6, 0.6, 0.04)), Pose(t=vec3(0, 0, -0.02)))
@@ -135,14 +137,20 @@ def settling_scenes(draw):
         others = list(state.objects.values())[1:]
         if others and rng.random() < 0.4:
             other = others[rng.integers(len(others))]
-            edge = other.bore_radius if other.bore_radius > 0 and rng.random() < 0.5 else other.shape.footprint
-            xy = other.pose.t[:2].copy()
             axis = rng.integers(2)
+            edge = other.bore_radius if other.bore_radius > 0 and rng.random() < 0.5 else other.shape.half_extents()[axis]
+            xy = other.pose.t[:2].copy()
             xy[axis] += rng.choice([-1.0, 1.0]) * edge
             if rng.random() < 0.5:
                 xy[axis] = np.nextafter(xy[axis], rng.choice([-np.inf, np.inf]))
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        if rng.random() < 0.3:
+        turn = rng.random()
+        if turn < 0.15:
+            q = quat_from_axis_angle([0.0, 0.0, 1.0], rng.uniform(-math.pi, math.pi))
+        elif turn < 0.3:
+            side = quat_from_axis_angle([1.0, 0.0, 0.0] if rng.random() < 0.5 else [0.0, 1.0, 0.0], math.pi / 2)
+            q = quat_mul(quat_from_axis_angle([0.0, 0.0, 1.0], rng.uniform(-math.pi, math.pi)), side)
+        elif turn < 0.5:
             q = quat_from_axis_angle(rng.normal(size=3), rng.uniform(0, math.pi))
         obj = SimObject(f"o{i}", shape, Pose(q, vec3(xy[0], xy[1], rng.uniform(0.0, 0.3))))
         if rng.random() < 0.3:
@@ -162,10 +170,29 @@ def test_drop_to_support_matches_the_loop_over_every_object(sim, data):
     for oid in data.draw(st.permutations(oids)):
         obj = state.objects[oid]
         x, y, _ = obj.pose.t.tolist()
-        rest, in_bore = settle_reference(state, oid)
+        low, high, in_bore = settle_reference(state, oid)
         sim.drop_to_support(oid)
+        rest = state.events[-1]["payload"]["z"]
         assert obj.pose.t.tobytes() == np.array([x, y, rest]).tobytes()
         assert state.events[-1] == {"tick": 0, "kind": "settled", "payload": {"oid": oid, "z": rest, "in_bore": in_bore}}
+        assert low <= rest <= high  # equal unless a hull boundary lies within rounding of the center
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.019, 0.021, 0.05, 0.1, -0.1])
+def test_a_block_rests_on_a_lying_book_along_its_whole_length(offset):
+    """The book lies on its side, its 0.22 m length along world x: every
+    drop point over it is supported, not only the 4 cm its unrotated
+    footprint would cover."""
+    state = SimState()
+    state.objects["table"] = SimObject("table", Box((0.6, 0.6, 0.04)), Pose(t=vec3(0, 0, -0.02)))
+    lying = quat_from_axis_angle([0.0, 1.0, 0.0], math.pi / 2)
+    state.objects["book"] = SimObject("book", Box((0.04, 0.15, 0.22)), Pose(lying, vec3(0.0, 0.0, 0.02)))
+    state.objects["blk"] = SimObject("blk", Box((0.02, 0.02, 0.02)), Pose(t=vec3(offset, 0.03, 0.3)))
+    sim = Simulation(state)
+    sim.drop_to_support("blk")
+    top = state.objects["book"].top_z()
+    assert top == pytest.approx(0.04)
+    assert state.objects["blk"].pose.t[2] == top + 0.01
 
 
 def test_policy_moves_and_grasps():
