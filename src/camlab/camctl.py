@@ -493,9 +493,9 @@ def validate_dsl(path, task: str = "stack_in_order") -> list:
         source = fh.read()
     state, scene = build_scene(task, np.random.default_rng(0))
     sg = Planner(task, scene.meta).plan_next(scene_summary(state, scene))
-    es, _ = extract_elements(sg, state, scene)
+    elements, _ = extract_elements(sg, state, scene)
     try:
-        load_program(source, None, PointRing(es.elements, state.tick))
+        load_program(source, None, PointRing(elements, state.tick))
     except CamlabError as err:
         return [str(err)]
     return []
@@ -510,8 +510,8 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
     protos = [end_effector_element([(0.0, 0.0, 0.1)])]
     for i in range(n_elements - 1):
         protos.append(end_effector_element(rng.uniform(-0.2, 0.2, size=(1, 3)), entity=f"obj{i}"))
-    es = make_element_set(protos, "bench")
-    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), 1, es.elements, 0)
+    elements = make_element_set(protos)
+    tracker = SimTracker(TrackerConfig(sigma=0.001, dropout=0.01), 1, elements, 0)
     programs = []
     for i in range(n_programs):
         a = i % n_elements
@@ -523,7 +523,7 @@ def bench_monitor(n_ticks: int = 10000, n_elements: int = 16, n_programs: int = 
         )
         programs.append(load_program(src, f"c{i}", tracker.ring))
     mon = RealTimeMonitor(programs, DebouncePolicy())
-    truth = tracker.ring.pack({e.eid: e.points for e in es.elements})
+    truth = tracker.ring.pack({e.eid: e.points for e in elements})
     samples = []
     for t in range(1, n_ticks + 1):
         tracker.step(truth, t)

@@ -18,7 +18,6 @@ from camlab.conlang.ast import (
     TolRef,
     Unary,
     Within,
-    pretty,
 )
 from camlab.conlang.check import TypeIssue, ValidationFailure, typecheck, whitebox_validate
 from camlab.conlang.evaluator import CompiledProgram, EvalError, evaluate, format_measured
@@ -55,7 +54,6 @@ __all__ = [
     "load_default_kb",
     "loads_kb",
     "parse",
-    "pretty",
     "typecheck",
     "whitebox_validate",
 ]

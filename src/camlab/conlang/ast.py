@@ -36,7 +36,6 @@ __all__ = [
     "BUILTINS",
     "AXES",
     "ELEMENT_KINDS",
-    "pretty",
 ]
 
 
@@ -243,18 +242,3 @@ def _print(node, parent_prec: int) -> str:
     if prec < parent_prec:
         return f"({text})"
     return text
-
-
-def _quote(text: str) -> str:
-    """text as a DSL string literal: `\\` and `"` escaped, `\\` first."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def pretty(program: MonitorProgram) -> str:
-    """Canonical source form; parse(pretty(p)) is structurally equal to p."""
-    lines = [f"constraint {_quote(program.name)} mode {program.mode.value}"]
-    for t in program.tolerances:
-        lines.append(f"tol {t.name} = {repr(t.value)} {CANONICAL_UNIT.get(t.dim, t.dim)}")
-    lines.append("{ " + _print(program.body, 0) + " }")
-    lines.append(f"fail {_quote(program.reason_template)}")
-    return "\n".join(lines)

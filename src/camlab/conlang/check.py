@@ -232,6 +232,7 @@ class _Checker:
                 return self.issue("within operands/tolerance have incompatible units", node)
         else:
             return self.issue("within needs two scalars or two vectors", node)
+        self.scalar_fns.add("within")
         return _BOOL, ev.within(lf, tf, rf, lt == _VEC, self.measured)
 
     def _call(self, node: Call):
@@ -322,7 +323,7 @@ def typecheck(program: MonitorProgram, ring) -> CompiledProgram:
         checker.issue("program body must evaluate to a boolean", program.body)
     if checker.reach >= ring.capacity:
         checker.issue(f"reaches {checker.reach} ticks back, ring capacity {ring.capacity}", program.body)
-    known = checker.scalar_fns | set(checker.tols) | {"within"}
+    known = checker.scalar_fns | set(checker.tols)
     for name in _PLACEHOLDER_RE.findall(program.reason_template):
         if name not in known:
             checker.issues.append(

@@ -50,10 +50,8 @@ __all__ = [
     "LabelIndex",
     "MaskBundle",
     "ConstraintElement",
-    "ElementSet",
     "fuse_views",
     "filter_outliers",
-    "element_from_cloud",
     "extract_element",
     "end_effector_element",
     "make_element_set",
@@ -145,24 +143,10 @@ class ConstraintElement:
                 raise ValueError(f"connection ({i}, {j}) out of range")
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    elements: tuple
-    subgoal_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        ids = [e.eid for e in self.elements]
-        if ids != list(range(len(ids))):
-            raise ValueError(f"element ids must be contiguous from 0, got {ids}")
-
-
-def make_element_set(protos, subgoal_id: str) -> ElementSet:
-    """Assign contiguous ids and palette colors to extracted elements."""
-    out = []
-    for i, proto in enumerate(protos):
-        out.append(replace(proto, eid=i, color=COLORS[i % len(COLORS)]))
-    return ElementSet(tuple(out), subgoal_id)
+def make_element_set(protos) -> tuple:
+    """The extracted elements as one tuple, with ids 0, 1, ... and palette
+    colors in order."""
+    return tuple(replace(p, eid=i, color=COLORS[i % len(COLORS)]) for i, p in enumerate(protos))
 
 
 # extraction constants: outlier filter, DBSCAN per cell (eps = EPS_FACTOR x
@@ -345,7 +329,7 @@ def _representatives(cells) -> np.ndarray:
             max(EPS_FACTOR * (_p90(row, size) if size > 1 else LONE_POINT_GAP), 1e-9)
             for row, size in zip(gaps, sizes)
         ]
-        labels = dbscan(points, eps, DBSCAN_MIN_PTS, sizes=sizes, d2=d2).labels
+        labels = dbscan(points, eps, DBSCAN_MIN_PTS, sizes=sizes, d2=d2)
         # per cell, each label's member count; the first maximum is the lowest label
         clustered = labels >= 0
         counts = np.bincount(
@@ -433,8 +417,8 @@ def _cells(cloud: np.ndarray, etype: ElementKind, entity: str, part: str):
         eye = np.eye(3)
         return [cloud @ eye.T], eye
     rot = _canonical_rotation(cloud, etype)
-    grid = voxelize(cloud @ rot.T, etype.cells)
-    bins = [grid.points[idx] for idx in grid.cells.values()]
+    local = cloud @ rot.T
+    bins = [local[idx] for idx in voxelize(local, etype.cells).values()]
 
     # grow: recursively split the most populated cell until enough bins exist
     while len(bins) < target:
@@ -485,23 +469,6 @@ def _elements_from_clouds(clouds, specs) -> list:
     return elements
 
 
-def element_from_cloud(
-    cloud,
-    etype: ElementKind,
-    entity: str = "",
-    part: str = "",
-    constraint: str = "",
-) -> ConstraintElement:
-    """Turn one already-fused, already-filtered cloud into an element (a
-    batch of one).
-
-    Raises DegenerateGeometry (e.g. a surface cloud that is collinear) or
-    IrreducibleCloud (cannot reach the kind's representative count even
-    after recursive cell splitting).
-    """
-    return _elements_from_clouds([cloud], [(etype, entity, part, constraint)])[0]
-
-
 def _subsample(cloud: np.ndarray) -> np.ndarray:
     """The cloud, evenly subsampled to MAX_CLOUD_POINTS rows when it is
     longer. The linspace step then exceeds 1, so the truncated indices
@@ -518,8 +485,10 @@ def extract_element(bundles, depths, cams) -> list:
     element per bundle.
 
     Raises the first failure in bundle order, as extracting them one by one
-    would: EmptyPointSet (nothing visible), DegenerateGeometry, or
-    IrreducibleCloud; see element_from_cloud.
+    would: EmptyPointSet (nothing visible), DegenerateGeometry (e.g. a
+    surface cloud that is collinear), or IrreducibleCloud (a cloud that
+    cannot reach its kind's representative count even after recursive cell
+    splitting).
     """
     clouds, failure = [], None
     for bundle in bundles:
@@ -556,13 +525,13 @@ def end_effector_element(fk_points, entity: str = "end_effector") -> ConstraintE
     )
 
 
-def element_set_fingerprint(element_set: ElementSet) -> str:
-    """Stable hex digest of the full element set (bit-exact points)."""
+def element_set_fingerprint(subgoal_id: str, elements) -> str:
+    """Stable hex digest of a subgoal's elements (bit-exact points)."""
     import hashlib
 
     h = hashlib.sha256()
-    h.update(element_set.subgoal_id.encode())
-    for el in element_set.elements:
+    h.update(subgoal_id.encode())
+    for el in elements:
         h.update(f"{el.eid}|{el.etype.value}|{el.entity}|{el.part}|{el.constraint}|{el.color}".encode())
         h.update(str(el.connections).encode())
         for p in el.points:

@@ -8,8 +8,6 @@ runs a per-point Python loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from camlab.errors import EmptyPointSet
@@ -18,9 +16,7 @@ from camlab.geom3d.core import as_points
 __all__ = [
     "NOISE",
     "ROW_BLOCK",
-    "VoxelGrid",
     "voxelize",
-    "ClusterLabeling",
     "pad_blocks",
     "squared_distances",
     "dbscan",
@@ -35,18 +31,13 @@ NOISE = -1
 ROW_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class VoxelGrid:
-    cells: dict  # (i, j, k) -> np.ndarray of point indices, keys sorted
-    points: np.ndarray  # the (n, 3) cloud the indices refer to
-
-
-def voxelize(points, cells_per_axis) -> VoxelGrid:
+def voxelize(points, cells_per_axis) -> dict:
     """Partition points into an axis-aligned grid over their bounding box.
 
-    The box is inflated by 1e-6 m so boundary points index inside the grid;
-    axes with zero extent get cell size 1e-6 m. Every point lands in exactly
-    one cell; each cell holds its point indices in ascending order.
+    Returns {(i, j, k): ascending point indices} with keys in sorted order,
+    one entry per occupied cell. The box is inflated by 1e-6 m so boundary
+    points index inside the grid; axes with zero extent get cell size 1e-6 m.
+    Every point lands in exactly one cell.
     """
     pts = as_points(points)
     if len(pts) == 0:
@@ -66,17 +57,7 @@ def voxelize(points, cells_per_axis) -> VoxelGrid:
     key = key[order]
     starts = np.flatnonzero(key[1:] != key[:-1]) + 1
     groups = np.split(order, starts)
-    cells = dict(zip(map(tuple, idx[order[np.r_[0, starts]]]), groups))
-    return VoxelGrid(cells=cells, points=pts)
-
-
-@dataclass(frozen=True)
-class ClusterLabeling:
-    labels: np.ndarray  # (n,) cluster id >= 0 or NOISE
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.labels.max()) + 1 if np.any(self.labels >= 0) else 0
+    return dict(zip(map(tuple, idx[order[np.r_[0, starts]]]), groups))
 
 
 def pad_blocks(rows, sizes, fill):
@@ -147,8 +128,10 @@ def _component_roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
             return parent
 
 
-def dbscan(points, eps, min_pts: int, sizes=None, d2=None) -> ClusterLabeling:
+def dbscan(points, eps, min_pts: int, sizes=None, d2=None) -> np.ndarray:
     """Standard DBSCAN with fixed tie-breaking, on a batch of blocks.
+
+    Returns the (n,) int64 labels: a cluster id >= 0, or NOISE.
 
     The points are the blocks' points one block after another (sizes: the
     block lengths; None: one block), eps is one radius or one per block, and
@@ -208,4 +191,4 @@ def dbscan(points, eps, min_pts: int, sizes=None, d2=None) -> ClusterLabeling:
         # rows ascend, so each border point's core neighbors are one run
         first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         labels[rows[first]] = np.minimum.reduceat(labels[cols], first)
-    return ClusterLabeling(labels=labels if full else labels[valid.ravel()])
+    return labels if full else labels[valid.ravel()]

@@ -98,8 +98,6 @@ class PointRing:
         n_points = offsets[-1]
         self.capacity = capacity
         self.n_points = n_points
-        self.order = [el.eid for el in order]
-        self.sizes = [len(el.points) for el in order]
         self.noisy_lo = offsets[sum(el.eid in fk_eids for el in order)]
         self.points = np.empty((capacity, n_points + 1, 3))
         self.points[:, n_points] = -0.0
@@ -123,8 +121,8 @@ class PointRing:
             unknown = truth.keys() - self.spans.keys()
             missing = self.spans.keys() - truth.keys()
             raise TrackError(f"unknown ids {sorted(unknown)}, missing ids {sorted(missing)}")
-        points = [truth[eid] for eid in self.order]
-        if [len(p) for p in points] != self.sizes:
+        points = [truth[eid] for eid in self.spans]
+        if any(len(p) != hi - lo for p, (lo, hi) in zip(points, self.spans.values())):
             raise TrackError("truth point counts differ from the registered elements")
         return TruthRow(np.concatenate(points, axis=0, dtype=np.float64), self)
 

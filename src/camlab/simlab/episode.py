@@ -28,7 +28,7 @@ from camlab.simlab.disturb import DisturbanceInjector
 from camlab.simlab.policy import build_script
 from camlab.simlab.scenes import TaskBookkeeper, build_scene, mask_bundle, oracle_success, render, scene_summary
 from camlab.simlab.world import Simulation
-from camlab.taskgen import MAX_RETRIES, FailureFeedback, Planner, Subgoal, TaskAbort, TaskDone
+from camlab.taskgen import MAX_RETRIES, Planner, Subgoal, TaskAbort, TaskDone
 
 __all__ = ["EpisodeConfig", "EpisodeResult", "run_episode", "extract_elements", "load_program", "MONITOR_MODES"]
 
@@ -158,9 +158,10 @@ def extract_elements(sg: Subgoal, state, scene, memo: ElementMemo | None = None)
     end-effector, e(i) binds sg.element_specs[i - 1]. memo is the episode's
     ElementMemo for this scene (None: a memo for this call only).
 
-    Returns the element set and, per element, (eid, oid-or-None, points in
-    the object's frame) for the ground truth. Raises CamlabError when an
-    element cannot be extracted: the first failure in spec order."""
+    Returns the elements as one tuple (ids 0, 1, ...) and, per element,
+    (eid, oid-or-None, points in the object's frame) for the ground truth.
+    Raises CamlabError when an element cannot be extracted: the first
+    failure in spec order."""
     if memo is None:
         memo = ElementMemo(scene.cameras)
     views = render(state, scene)
@@ -170,7 +171,7 @@ def extract_elements(sg: Subgoal, state, scene, memo: ElementMemo | None = None)
     truth_specs = [(0, None, None)]
     for eid, (spec, obj, el) in enumerate(zip(sg.element_specs, objs, els), 1):
         truth_specs.append((eid, spec.oid, obj.pose.inverse().apply(el.points)))
-    return make_element_set([end_effector_element([state.ee_pose.t]), *els], sg.sid), truth_specs
+    return make_element_set([end_effector_element([state.ee_pose.t]), *els]), truth_specs
 
 
 def load_program(source: str, cid: str | None, ring):
@@ -194,20 +195,20 @@ def _bind_monitor(sg: Subgoal, sim, scene, cfg: EpisodeConfig, tracker_seed, mem
     one relaxed retry before aborting the episode.
     """
     state = sim.state
-    es, truth_specs = extract_elements(sg, state, scene, memo)
+    elements, truth_specs = extract_elements(sg, state, scene, memo)
     state.log(
         "element_extract",
         sid=sg.sid,
-        ids=[e.eid for e in es.elements],
-        types=[e.etype.value for e in es.elements],
-        fingerprint=element_set_fingerprint(es),
+        ids=[e.eid for e in elements],
+        types=[e.etype.value for e in elements],
+        fingerprint=element_set_fingerprint(sg.sid, elements),
     )
 
     mode = cfg.monitor_mode
     specs = (sg.during if mode in ("proactive_only", "full") else ()) + (
         sg.completion if mode in ("reactive_only", "full") else ()
     )
-    tracker = SimTracker(cfg.tracker, tracker_seed, es.elements, state.tick, fk_eids=(0,))
+    tracker = SimTracker(cfg.tracker, tracker_seed, elements, state.tick, fk_eids=(0,))
     programs = [load_program(ps.source, ps.cid, tracker.ring) for ps in specs]
     state.log("programs", sid=sg.sid, sources=[ps.source for ps in specs])
 
@@ -219,7 +220,7 @@ def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
     """Tick until the subgoal resolves, asking the monitor for one verdict
     per tick.
 
-    Returns "complete", "budget", or a FailureFeedback."""
+    Returns "complete", "budget", or the violation Verdict."""
     state = sim.state
     while state.tick < cfg.budget_ticks:
         sim.step()
@@ -237,7 +238,7 @@ def _run_subgoal(sg: Subgoal, sim, bound, book, cfg):
             state.log("halt", sid=sg.sid)
         elif v.is_violation:
             state.log("verdict", outcome="violation", cid=v.cid, mode=v.mode.value, reason=v.reason)
-            return FailureFeedback(v.reason, v.cid, v.mode)
+            return v
         elif v.kind is VerdictKind.SUBGOAL_COMPLETE:
             if v.mode is None:  # no completion programs confirmed it
                 state.log("subgoal_complete", sid=sg.sid)

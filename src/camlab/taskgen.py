@@ -3,7 +3,7 @@
 Maps the five task templates to subgoal sequences. Each subgoal bundles a
 policy script reference, element specs (entity/part/type), and DSL monitor
 programs instantiated from the threshold knowledge base and the current
-scene summary. Failure feedback selects a recovery path from a declarative
+scene summary. A monitor violation selects a recovery path from a declarative
 rule table (retry, re-pick, re-level, abort); recovery never loops more than
 max_retries per subgoal.
 
@@ -20,13 +20,12 @@ from importlib import resources
 from camlab.elementizer import LINE, POINT, SURFACE, ElementKind
 from camlab.conlang import Mode, load_default_kb
 from camlab.conlang.kb import key_value_lines
-from camlab.monitor import INTERNAL_ERROR_REASON
+from camlab.monitor import INTERNAL_ERROR_REASON, Verdict
 
 __all__ = [
     "ElementSpec",
     "ProgramSpec",
     "Subgoal",
-    "FailureFeedback",
     "TaskDone",
     "TaskAbort",
     "Planner",
@@ -65,15 +64,6 @@ class Subgoal:
     @property
     def base_sid(self) -> str:
         return self.sid.split("#", 1)[0]
-
-
-@dataclass(frozen=True)
-class FailureFeedback:
-    """A violation of the current subgoal: the text, program and mode."""
-
-    reason: str
-    cid: str
-    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -512,13 +502,13 @@ class Planner:
 
     # -- the Eq.-style interface: next subgoal from observations + feedback
 
-    def plan_next(self, scene: dict, f_pre: FailureFeedback | None = None):
-        """Next subgoal given the scene summary and the current subgoal's
-        failure, if it failed.
+    def plan_next(self, scene: dict, f_pre: Verdict | None = None):
+        """Next subgoal given the scene summary and the monitor's violation
+        Verdict for the current subgoal, if it failed.
 
-        Without feedback the next queued subgoal is dispatched; failure
-        feedback consults the recovery rules and queues recovery work in
-        front. Returns a Subgoal, TaskDone, or TaskAbort."""
+        Without a violation the next queued subgoal is dispatched; a
+        violation consults the recovery rules on its cid, mode and reason and
+        queues recovery work in front. Returns a Subgoal, TaskDone, or TaskAbort."""
         if f_pre is not None:
             outcome = self._handle_failure(f_pre)
             if outcome is not None:
@@ -528,7 +518,7 @@ class Planner:
         base, builder = self._queue.pop(0)
         return self._build(base, builder, scene)
 
-    def _handle_failure(self, f_pre: FailureFeedback):
+    def _handle_failure(self, f_pre: Verdict):
         base, builder = self._current_builder
         n = self._retries[base] = self._retries.get(base, 0) + 1
         if n > self.max_retries:

@@ -1,11 +1,12 @@
-"""References that only tests use: pixel unprojection written with the
-per-call divmod arithmetic, mask unprojection, projection, rendering one
-solid at a time with the per-solid ray kernels, the distance from a point
-to a solid's surface, a voxel grid's frame, a solid's xy footprint as a
-convex hull and the settling loop that tests every object against it, the
-planner that resolved a failure from the failed sid and an episode-long
-kind map, and extraction one bundle, one cloud and one cell at a time, as
-it ran before it batched them.
+"""References that only tests use: the DSL's canonical printer, pixel
+unprojection written with the per-call divmod arithmetic, mask
+unprojection, projection, rendering one solid at a time with the per-solid
+ray kernels, the distance from a point to a solid's surface, a voxel grid's
+frame, brute-force DBSCAN, a solid's xy footprint as a convex hull and the
+settling loop that tests every object against it, the planner that resolved
+a failure from the failed sid and an episode-long kind map, extraction of
+one already-filtered cloud through the batched path, and extraction one
+bundle, one cloud and one cell at a time, as it ran before it batched them.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -16,6 +17,8 @@ import math
 import numpy as np
 
 from camlab import elementizer
+from camlab.conlang import MonitorProgram
+from camlab.conlang.ast import CANONICAL_UNIT, _print
 from camlab.elementizer import (
     DBSCAN_MIN_PTS,
     EPS_FACTOR,
@@ -30,6 +33,7 @@ from camlab.elementizer import (
 )
 from camlab.errors import DimensionMismatch, IrreducibleCloud
 from camlab.geom3d import (
+    NOISE,
     ROW_BLOCK,
     Box,
     NONE_ID,
@@ -46,6 +50,21 @@ from camlab.geom3d import (
 from camlab.monitor import INTERNAL_ERROR_REASON
 from camlab.taskgen import _BUILDERS, _GRASP_SID, _ORIENT_SID, _RELEVEL_PROGRAM, _ProgramFactory
 from camlab.taskgen import ElementSpec, Subgoal, TaskAbort, TaskDone, load_default_rules
+
+
+def _quote(text: str) -> str:
+    """text as a DSL string literal: `\\` and `"` escaped, `\\` first."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def pretty(program: MonitorProgram) -> str:
+    """Canonical source form; parse(pretty(p)) is structurally equal to p."""
+    lines = [f"constraint {_quote(program.name)} mode {program.mode.value}"]
+    for t in program.tolerances:
+        lines.append(f"tol {t.name} = {repr(t.value)} {CANONICAL_UNIT.get(t.dim, t.dim)}")
+    lines.append("{ " + _print(program.body, 0) + " }")
+    lines.append(f"fail {_quote(program.reason_template)}")
+    return "\n".join(lines)
 
 
 def unproject_pixels_divmod(depth, pixels, cam: CameraModel) -> np.ndarray:
@@ -240,6 +259,40 @@ def voxel_frame(points, cells_per_axis):
     return lo, np.where(extent > 0, (extent + 1e-6) / n, 1e-6)
 
 
+def oracle_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Independent oracle: transitive closure over the eps-neighbor graph
+    restricted to core points; border joins the lowest-id cluster with a core
+    neighbor (clusters ordered by minimum core index)."""
+    n = len(pts)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    nb = d <= eps
+    core = nb.sum(axis=1) >= min_pts
+    labels = np.full(n, NOISE, dtype=np.int64)
+    cluster = 0
+    for i in range(n):
+        if not core[i] or labels[i] != NOISE:
+            continue
+        # BFS over core-core edges
+        comp = {i}
+        frontier = [i]
+        while frontier:
+            j = frontier.pop()
+            for k in np.nonzero(nb[j] & core)[0]:
+                if k not in comp:
+                    comp.add(int(k))
+                    frontier.append(int(k))
+        for j in sorted(comp):
+            labels[j] = cluster
+        cluster += 1
+    for i in range(n):
+        if labels[i] != NOISE or core[i]:
+            continue
+        reach = [labels[j] for j in np.nonzero(nb[i])[0] if core[j]]
+        if reach:
+            labels[i] = min(reach)
+    return labels
+
+
 # rim samples per circle of a cylinder's footprint hull: the hull of the
 # samples lies inside the true footprint by at most radius * (1 - cos(pi / n))
 RIM_SAMPLES = 1024
@@ -248,17 +301,29 @@ RIM_SAMPLES = 1024
 HULL_SLACK = 1e-9
 
 
+def _exact(x: float) -> int:
+    """x * 2**1074 as an int: exact for every finite double."""
+    num, den = x.as_integer_ratio()
+    return num << (1074 - den.bit_length() + 1)
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Vertices of the 2-D convex hull of points, counter-clockwise
-    (Andrew's monotone chain)."""
+    (Andrew's monotone chain). The turn tests are exact, on the points
+    scaled to integers: a float test can keep a vertex that rounding put a
+    hair off a straight run of samples, such as a rim seen edge-on, and
+    the hull is then not convex there."""
     pts = sorted(set(map(tuple, np.asarray(points, dtype=np.float64).tolist())))
+    exact = {p: (_exact(p[0]), _exact(p[1])) for p in pts}
 
     def half(seq):
         out: list = []
         for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
+            (px, py) = exact[p]
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = exact[out[-2]], exact[out[-1]]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
@@ -497,16 +562,21 @@ def per_cell_representative(members: np.ndarray) -> np.ndarray:
     d2 = squared_distances(members)
     np.fill_diagonal(d2, np.inf)
     gap = p90_one(np.sqrt(d2.min(axis=1))) if len(members) > 1 else LONE_POINT_GAP
-    lab = dbscan(members, eps=max(EPS_FACTOR * gap, 1e-9), min_pts=DBSCAN_MIN_PTS, d2=d2)
-    if lab.n_clusters == 0:
+    labels = dbscan(members, eps=max(EPS_FACTOR * gap, 1e-9), min_pts=DBSCAN_MIN_PTS, d2=d2)
+    if labels.max() == NOISE:
         return members.mean(axis=0)
-    best = np.argmax(np.bincount(lab.labels + 1)[1:])
-    return members[lab.labels == best].mean(axis=0)
+    best = np.argmax(np.bincount(labels + 1)[1:])
+    return members[labels == best].mean(axis=0)
+
+
+def element_from_cloud(cloud, etype, entity="", part="", constraint="") -> ConstraintElement:
+    """One already-fused, already-filtered cloud through the batched
+    extraction path (a batch of one)."""
+    return elementizer._elements_from_clouds([cloud], [(etype, entity, part, constraint)])[0]
 
 
 def per_cloud_element(cloud, etype, entity="", part="", constraint="") -> ConstraintElement:
-    """element_from_cloud on one cloud, each cell's representative taken
-    alone."""
+    """One cloud's element, each cell's representative taken alone."""
     cloud = as_points(cloud)
     target = etype.target_points
     if len(cloud) < target:
@@ -516,8 +586,8 @@ def per_cloud_element(cloud, etype, entity="", part="", constraint="") -> Constr
         reps = per_cell_representative(cloud @ eye.T).reshape(1, 3) @ eye
     else:
         rot = elementizer._canonical_rotation(cloud, etype)
-        grid = voxelize(cloud @ rot.T, etype.cells)
-        bins = [grid.points[idx] for idx in grid.cells.values()]
+        local = cloud @ rot.T
+        bins = [local[idx] for idx in voxelize(local, etype.cells).values()]
         while len(bins) < target:
             order = sorted(range(len(bins)), key=lambda i: (-len(bins[i]), i))
             for i in order:

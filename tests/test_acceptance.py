@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from camlab.camctl import bench_monitor
-from camlab.conlang import evaluate, parse, pretty
-from camlab.geom3d import NOISE, dbscan, fit_line, fit_plane, angle_between, quat_from_axis_angle, quat_rotate, vec3
+from camlab.conlang import evaluate, parse
+from camlab.geom3d import dbscan, fit_line, fit_plane, angle_between, quat_from_axis_angle, quat_rotate, vec3
 from camlab.monitor import TrackerConfig, latency_report
 from camlab.simlab import EpisodeConfig, run_episode
 from camlab.simlab.disturb import standard_disturbances
+from oracles import oracle_dbscan, pretty
 
 SEEDS = {"A1": 1000, "A2": 2000, "A3": 3000, "A4": 4000, "A5": 5000, "P7": 7000}
 
@@ -169,35 +170,6 @@ def test_A6_execution_time_reduction(stack_p03):
 # P suites
 
 
-def _oracle_dbscan(pts, eps, min_pts):
-    n = len(pts)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    nb = d <= eps
-    core = nb.sum(axis=1) >= min_pts
-    labels = np.full(n, NOISE, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
-            continue
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for kk in np.nonzero(nb[j] & core)[0]:
-                if kk not in comp:
-                    comp.add(int(kk))
-                    frontier.append(int(kk))
-        for j in comp:
-            labels[j] = cluster
-        cluster += 1
-    for i in range(n):
-        if labels[i] == NOISE and not core[i]:
-            reach = [labels[j] for j in np.nonzero(nb[i])[0] if core[j]]
-            if reach:
-                labels[i] = min(reach)
-    return labels
-
-
 def test_P1_dbscan_oracle_500():
     rng = np.random.default_rng(101)
     for _ in range(500):
@@ -205,8 +177,8 @@ def test_P1_dbscan_oracle_500():
         pts = rng.uniform(0, 1, size=(n, 3)) * float(rng.uniform(0.5, 2.0))
         eps = float(rng.uniform(0.05, 0.5))
         min_pts = int(rng.integers(1, 6))
-        got = dbscan(pts, eps, min_pts).labels
-        want = _oracle_dbscan(pts, eps, min_pts)
+        got = dbscan(pts, eps, min_pts)
+        want = oracle_dbscan(pts, eps, min_pts)
         assert np.array_equal(got, want)
     print("\nP1 PASS: dbscan == brute-force oracle on 500 instances")
 
@@ -297,7 +269,7 @@ sg = planner.plan_next(scene_summary(state, scene))
 views = render(state, scene)
 bundles = [mask_bundle(scene, views, state.objects[spec.oid], spec.part, spec.etype) for spec in sg.element_specs]
 protos = [end_effector_element([state.ee_pose.t]), *extract_element(bundles, [v[0] for v in views], scene.cameras)]
-print(element_set_fingerprint(make_element_set(protos, sg.sid)))
+print(element_set_fingerprint(sg.sid, make_element_set(protos)))
 """
 
 

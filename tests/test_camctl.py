@@ -714,7 +714,7 @@ def validate_ring():
     state, scene = build_scene("stack_in_order", np.random.default_rng(0))
     sg = Planner("stack_in_order", scene.meta).plan_next(scene_summary(state, scene))
     es, _ = extract_elements(sg, state, scene)
-    return PointRing(es.elements, state.tick)
+    return PointRing(es, state.tick)
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,12 +28,12 @@ from camlab.conlang import (
     load_default_kb,
     loads_kb,
     parse,
-    pretty,
     typecheck,
     whitebox_validate,
 )
-from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement, ElementSet
+from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement
 from camlab.monitor import PointRing
+from oracles import pretty
 
 LEVEL_SRC = (
     'constraint "level" mode during\n'
@@ -62,17 +62,16 @@ def square(z=0.5, tilt=0.0, side=0.1):
 
 
 def level_elements(tilt=0.0):
-    els = (
+    return (
         element(0, POINT, [[0, 0, 0.4]]),
         element(1, LINE, [[0, 0, 0], [0.1, 0, 0]]),
         element(2, SURFACE, square(tilt=tilt)),
     )
-    return ElementSet(els, "sg")
 
 
-def ctx_for(es, tick=0):
-    """Evaluation context holding one snapshot of the element set."""
-    return PointRing(es.elements, tick)
+def ctx_for(elements, tick=0):
+    """Evaluation context holding one snapshot of the elements."""
+    return PointRing(elements, tick)
 
 
 def compiled(prog, ring):
@@ -343,6 +342,20 @@ def test_typecheck_bad_placeholder():
     assert any("placeholder" in str(i) for i in issues)
 
 
+def test_typecheck_within_placeholder_needs_a_within():
+    # {within} is the deviation a `within` measured: in a program with no
+    # `within` every violation would log the literal text "{within}"
+    src = (
+        'constraint "x" mode during tol lim = 1 m '
+        "{ dist(centroid(e(0)), centroid(e(2))) <= lim } "
+        'fail "off by {within} m"'
+    )
+    issues = typecheck(parse(src), ctx_for(level_elements())).issues
+    assert [i.message for i in issues] == ["reason placeholder {within} matches no measured builtin or tolerance"]
+    measured = src.replace("dist(centroid(e(0)), centroid(e(2))) <= lim", "centroid(e(0)) within lim of centroid(e(2))")
+    assert typecheck(parse(measured), ctx_for(level_elements())).issues == []
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -422,9 +435,9 @@ def test_evaluate_determinism_bytes():
 
 
 def test_evaluate_scale_consistency():
-    es = level_elements(tilt=math.radians(12))
-    base = ctx_for(es)
-    scaled = ctx_for(ElementSet(tuple(element(e.eid, e.etype, e.points * 3.0) for e in es.elements), "sg"))
+    els = level_elements(tilt=math.radians(12))
+    base = ctx_for(els)
+    scaled = ctx_for([element(e.eid, e.etype, e.points * 3.0) for e in els])
     dist_src = 'constraint "d" mode during { dist(centroid(e(0)), centroid(e(2))) < 1000 } fail "{dist}"'
     ang_src = 'constraint "a" mode during { angle(normal(e(2)), axis_z) < 0.01 } fail "{angle}"'
     _, d1 = evaluate(compiled(parse(dist_src.replace("< 1000", "< 0")), base))
@@ -444,25 +457,25 @@ def test_evaluate_monotone_level_crossing():
 
 
 def test_evaluate_inside_and_above():
-    es = level_elements()
+    els = level_elements()
     src = (
         'constraint "x" mode during '
         "{ inside(centroid(e(0)), box(-1, -1, 0, 1, 1, 1)) and "
         "above(centroid(e(2)), centroid(e(0)), 0.05) } "
         'fail "r"'
     )
-    ok, _ = evaluate(compiled(parse(src), ctx_for(es)))
+    ok, _ = evaluate(compiled(parse(src), ctx_for(els)))
     assert ok  # surface centroid z=0.5 is > point z=0.4 + 0.05
 
 
 def test_evaluate_count_within():
-    es = level_elements()
+    els = level_elements()
     src = (
         'constraint "x" mode during '
         "{ count_within([e(0), e(1), e(2)], box(-1, -1, 0.3, 1, 1, 1)) = 2 } "
         'fail "saw {count_within}"'
     )
-    ok, _ = evaluate(compiled(parse(src), ctx_for(es)))
+    ok, _ = evaluate(compiled(parse(src), ctx_for(els)))
     assert ok  # point at z=0.4 and surface at z=0.5; line at z=0 is outside
 
 
@@ -557,9 +570,9 @@ def test_whitebox_ok_implies_evaluate_never_raises():
 def test_max_history_ticks():
     # at() shifts add to displacement's ticks: 37 back needs 38 ring entries
     prog = parse('constraint "x" mode during { at(displacement(e(0), 30), 7) <= 1 m } fail "r"')
-    es = level_elements()
-    assert typecheck(prog, PointRing(es.elements, 0, capacity=38)).issues == []
-    issues = typecheck(prog, PointRing(es.elements, 0, capacity=37)).issues
+    els = level_elements()
+    assert typecheck(prog, PointRing(els, 0, capacity=38)).issues == []
+    issues = typecheck(prog, PointRing(els, 0, capacity=37)).issues
     assert [i.message for i in issues] == ["reaches 37 ticks back, ring capacity 37"]
 
 

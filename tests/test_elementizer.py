@@ -10,10 +10,8 @@ from camlab.elementizer import (
     LINE,
     POINT,
     SURFACE,
-    ConstraintElement,
     LabelIndex,
     MaskBundle,
-    element_from_cloud,
     element_set_fingerprint,
     end_effector_element,
     extract_element,
@@ -25,7 +23,7 @@ from camlab.errors import DegenerateGeometry, EmptyPointSet, IrreducibleCloud
 from camlab.geom3d import (
     Box,
     CameraModel,
-    ClusterLabeling,
+    NOISE,
     Pose,
     angle_between,
     dbscan,
@@ -41,6 +39,7 @@ from camlab.geom3d import (
 from camlab.simlab.scenes import Scene, View, mask_bundle
 from camlab.simlab.world import SimObject
 from oracles import (
+    element_from_cloud,
     per_cell_representative,
     per_cloud_filter_outliers,
     per_cloud_outlier_stat,
@@ -299,10 +298,10 @@ def dbscan_batches(cells):
     calls = []
 
     def spy(points, eps, min_pts, sizes=None, d2=None):
-        labels = dbscan(points, eps, min_pts, sizes=sizes, d2=d2).labels
+        labels = dbscan(points, eps, min_pts, sizes=sizes, d2=d2)
         ends = np.cumsum(sizes)
         calls.append((np.split(points, ends[:-1]), list(eps), np.split(labels, ends[:-1])))
-        return ClusterLabeling(labels)
+        return labels
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elementizer, "dbscan", spy)
@@ -340,7 +339,7 @@ def test_a_batch_filters_and_represents_each_cloud_as_it_would_alone(batch):
     for blocks, eps, labels in calls:
         for cell, e, lab in zip(blocks, eps, labels, strict=True):
             assert e == reference_eps(cell)
-            assert np.array_equal(lab, dbscan(cell, e, elementizer.DBSCAN_MIN_PTS).labels)
+            assert np.array_equal(lab, dbscan(cell, e, elementizer.DBSCAN_MIN_PTS))
 
 
 def test_batches_group_similar_small_sizes_and_leave_large_ones_alone():
@@ -404,12 +403,12 @@ def test_nn_scale_matches_the_full_root_form(pts):
 def reference_representative(pts):
     """The original pick: cluster sizes counted one cluster at a time, the
     largest kept, ties to the lowest label."""
-    lab = dbscan(pts, reference_eps(pts), elementizer.DBSCAN_MIN_PTS)
-    if lab.n_clusters == 0:
+    labels = dbscan(pts, reference_eps(pts), elementizer.DBSCAN_MIN_PTS)
+    if labels.max() == NOISE:
         return pts.mean(axis=0)
-    sizes = [(int(np.sum(lab.labels == c)), c) for c in range(lab.n_clusters)]
+    sizes = [(int(np.sum(labels == c)), c) for c in range(labels.max() + 1)]
     best = max(sizes, key=lambda sc: (sc[0], -sc[1]))[1]
-    return pts[lab.labels == best].mean(axis=0)
+    return pts[labels == best].mean(axis=0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -474,7 +473,7 @@ def test_cells_line():
 
 
 # ---------------------------------------------------------------------------
-# element_from_cloud on synthetic clouds
+# one cloud's element (oracles.element_from_cloud) on synthetic clouds
 
 
 def disc_cloud(n=400, radius=0.06, normal_axis=None, angle=0.0, center=(0, 0, 0.5), seed=0):
@@ -565,9 +564,7 @@ def test_pipeline_determinism():
     b = element_from_cloud(cloud.copy(), SURFACE, "x", "y")
     assert np.array_equal(a.points, b.points)
     assert a.connections == b.connections
-    sa = make_element_set([a], "sg")
-    sb = make_element_set([b], "sg")
-    assert element_set_fingerprint(sa) == element_set_fingerprint(sb)
+    assert element_set_fingerprint("sg", make_element_set([a])) == element_set_fingerprint("sg", make_element_set([b]))
 
 
 def reference_point_element(cloud):
@@ -575,8 +572,8 @@ def reference_point_element(cloud):
     general path's identity rotation, one (1, 1, 1) voxel cell, no growing,
     one representative, and back through the identity."""
     rot = np.eye(3)
-    grid = voxelize(cloud @ rot.T, POINT.cells)
-    bins = [grid.points[idx] for idx in grid.cells.values()]
+    local = cloud @ rot.T
+    bins = [local[idx] for idx in voxelize(local, POINT.cells).values()]
     assert len(bins) == POINT.target_points
     return np.vstack([per_cell_representative(b) for b in bins]) @ rot
 
@@ -728,18 +725,10 @@ def test_ee_rejects_two_points():
 
 
 def test_element_set_ids_contiguous():
-    es = make_element_set([end_effector_element([(0.01 * i, 0, 0.5)]) for i in range(3)], "sg0")
-    assert [e.eid for e in es.elements] == [0, 1, 2]
-    assert len({e.color for e in es.elements}) == 3
-    with pytest.raises(ValueError):
-        from camlab.elementizer import ElementSet
-
-        ElementSet(
-            (
-                ConstraintElement(1, POINT, np.zeros((1, 3)), (), "a", "b", ""),
-            ),
-            "sg",
-        )
+    els = make_element_set([end_effector_element([(0.01 * i, 0, 0.5)]) for i in range(3)])
+    assert isinstance(els, tuple)
+    assert [e.eid for e in els] == [0, 1, 2]
+    assert len({e.color for e in els}) == 3
 
 
 def test_extraction_invariants_random_clouds():

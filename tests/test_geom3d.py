@@ -35,6 +35,7 @@ from camlab.geom3d import (
 )
 from oracles import (
     footprint_holds,
+    oracle_dbscan,
     project,
     raycast_depth_per_solid,
     surface_distance,
@@ -214,31 +215,31 @@ def test_fit_line_identical_points_degenerate():
 
 
 def test_voxelize_single_point_single_cell():
-    grid = voxelize([(0.5, 0.5, 0.5)], (1, 1, 1))
-    assert list(grid.cells) == [(0, 0, 0)]
-    assert len(grid.cells[(0, 0, 0)]) == 1
+    cells = voxelize([(0.5, 0.5, 0.5)], (1, 1, 1))
+    assert list(cells) == [(0, 0, 0)]
+    assert len(cells[(0, 0, 0)]) == 1
 
 
 def test_voxelize_square_corners():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    grid = voxelize(pts, (2, 2, 1))
+    cells = voxelize(pts, (2, 2, 1))
     # hand assignment: each corner in its own quadrant
-    assert sorted(grid.cells) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
-    for members in grid.cells.values():
+    assert sorted(cells) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    for members in cells.values():
         assert len(members) == 1
 
 
 def test_voxelize_membership_and_partition():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 1, size=(100, 3))
-    grid = voxelize(pts, (2, 2, 1))
-    seen = np.concatenate([idx for idx in grid.cells.values()])
+    cells = voxelize(pts, (2, 2, 1))
+    seen = np.concatenate([idx for idx in cells.values()])
     assert sorted(seen) == list(range(100))
     origin, cell_size = voxel_frame(pts, (2, 2, 1))
-    for key, idx in grid.cells.items():
+    for key, idx in cells.items():
         lo = origin + np.array(key) * cell_size
         hi = lo + cell_size
-        member = grid.points[idx]
+        member = pts[idx]
         assert np.all(member >= lo - 1e-12) and np.all(member < hi + 1e-12)
 
 
@@ -247,12 +248,12 @@ def test_voxelize_empty_rejected():
         voxelize(np.zeros((0, 3)), (1, 1, 1))
 
 
-def reference_voxel_cells(grid, cells_per_axis) -> dict:
+def reference_voxel_cells(points, cells_per_axis) -> dict:
     """The original per-point loop over the same grid: one dict entry per
     occupied cell, keys sorted, indices ascending."""
     n = np.asarray(cells_per_axis, dtype=np.int64)
-    origin, cell_size = voxel_frame(grid.points, cells_per_axis)
-    idx = np.clip(np.floor((grid.points - origin) / cell_size).astype(np.int64), 0, n - 1)
+    origin, cell_size = voxel_frame(points, cells_per_axis)
+    idx = np.clip(np.floor((points - origin) / cell_size).astype(np.int64), 0, n - 1)
     cells: dict = {}
     for i, key in enumerate(map(tuple, idx)):
         cells.setdefault(key, []).append(i)
@@ -271,50 +272,16 @@ def test_voxelize_matches_reference_loop(seed, n, cells, quantised):
     pts = rng.normal(0, 1, size=(n, 3))
     if quantised:  # duplicates and points on cell boundaries
         pts = np.round(pts * 2) / 2
-    grid = voxelize(pts, cells)
-    want = reference_voxel_cells(grid, cells)
-    assert list(grid.cells) == list(want)
-    assert [tuple(map(type, k)) for k in grid.cells] == [tuple(map(type, k)) for k in want]
-    for key, members in grid.cells.items():
+    got = voxelize(pts, cells)
+    want = reference_voxel_cells(pts, cells)
+    assert list(got) == list(want)
+    assert [tuple(map(type, k)) for k in got] == [tuple(map(type, k)) for k in want]
+    for key, members in got.items():
         assert members.dtype == np.int64 and np.array_equal(members, want[key])
 
 
 # ---------------------------------------------------------------------------
-# dbscan vs brute-force density-connectivity oracle
-
-
-def oracle_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Independent oracle: transitive closure over the eps-neighbor graph
-    restricted to core points; border joins the lowest-id cluster with a core
-    neighbor (clusters ordered by minimum core index)."""
-    n = len(pts)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    nb = d <= eps
-    core = nb.sum(axis=1) >= min_pts
-    labels = np.full(n, NOISE, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
-            continue
-        # BFS over core-core edges
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in np.nonzero(nb[j] & core)[0]:
-                if k not in comp:
-                    comp.add(int(k))
-                    frontier.append(int(k))
-        for j in sorted(comp):
-            labels[j] = cluster
-        cluster += 1
-    for i in range(n):
-        if labels[i] != NOISE or core[i]:
-            continue
-        reach = [labels[j] for j in np.nonzero(nb[i])[0] if core[j]]
-        if reach:
-            labels[i] = min(reach)
-    return labels
+# dbscan vs brute-force density-connectivity oracle (oracles.oracle_dbscan)
 
 
 def reference_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -372,7 +339,7 @@ def dbscan_inputs(draw):
 @given(dbscan_inputs())
 def test_dbscan_labels_match_reference_bfs(case):
     pts, eps, min_pts = case
-    assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
+    assert np.array_equal(dbscan(pts, eps, min_pts), reference_dbscan(pts, eps, min_pts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -383,9 +350,9 @@ def test_dbscan_on_a_given_matrix_matches_its_own_and_the_bfs(case, diagonal):
     d2 = squared_distances(pts)
     np.fill_diagonal(d2, diagonal)
     given_d2 = d2.copy()
-    got = dbscan(pts, eps, min_pts, d2=d2).labels
+    got = dbscan(pts, eps, min_pts, d2=d2)
     assert np.array_equal(d2, given_d2)  # read only
-    assert np.array_equal(got, dbscan(pts, eps, min_pts).labels)
+    assert np.array_equal(got, dbscan(pts, eps, min_pts))
     assert np.array_equal(got, reference_dbscan(pts, eps, min_pts))
 
 
@@ -401,7 +368,7 @@ def test_dbscan_on_a_given_matrix_matches_its_own_and_the_bfs(case, diagonal):
     ids=["single-core", "single-noise", "all-noise", "min-pts-1", "ties"],
 )
 def test_dbscan_edge_cases_match_reference_bfs(pts, eps, min_pts):
-    assert np.array_equal(dbscan(pts, eps, min_pts).labels, reference_dbscan(pts, eps, min_pts))
+    assert np.array_equal(dbscan(pts, eps, min_pts), reference_dbscan(pts, eps, min_pts))
 
 
 def block_edge_case(n):
@@ -424,8 +391,8 @@ def test_a_batch_of_blocks_labels_each_block_as_it_would_alone(cases, min_pts, g
         d2 = np.zeros((len(blocks), max(sizes), max(sizes)))
         for stack, b in zip(d2, blocks):
             stack[: len(b), : len(b)] = squared_distances(b)
-    got = dbscan(np.concatenate(blocks), eps, min_pts, sizes=sizes, d2=d2).labels
-    want = np.concatenate([dbscan(b, e, min_pts).labels for b, e in zip(blocks, eps)])
+    got = dbscan(np.concatenate(blocks), eps, min_pts, sizes=sizes, d2=d2)
+    want = np.concatenate([dbscan(b, e, min_pts) for b, e in zip(blocks, eps)])
     assert np.array_equal(got, want)
 
 
@@ -488,21 +455,20 @@ def test_dbscan_keeps_at_most_two_square_temporaries():
 
 def test_dbscan_two_pairs():
     pts = np.array([(0, 0, 0), (1, 0, 0), (10, 0, 0), (11, 0, 0)], dtype=float)
-    lab = dbscan(pts, eps=1.0, min_pts=2)
-    assert lab.n_clusters == 2
-    assert np.array_equal(lab.labels, oracle_dbscan(pts, 1.0, 2))
+    labels = dbscan(pts, eps=1.0, min_pts=2)
+    assert labels.max() == 1  # two clusters
+    assert np.array_equal(labels, oracle_dbscan(pts, 1.0, 2))
 
 
 def test_dbscan_all_close_one_cluster():
     pts = np.random.default_rng(1).normal(0, 0.01, size=(12, 3))
-    lab = dbscan(pts, eps=1.0, min_pts=5)
-    assert lab.n_clusters == 1
-    assert np.all(lab.labels == 0)
+    labels = dbscan(pts, eps=1.0, min_pts=5)
+    assert np.all(labels == 0)
 
 
 def test_dbscan_isolated_point_noise():
-    lab = dbscan(np.array([[0.0, 0.0, 0.0]]), eps=0.5, min_pts=2)
-    assert lab.labels[0] == NOISE
+    labels = dbscan(np.array([[0.0, 0.0, 0.0]]), eps=0.5, min_pts=2)
+    assert labels.dtype == np.int64 and labels.tolist() == [NOISE]
 
 
 def test_dbscan_matches_oracle_randomized():
@@ -512,7 +478,7 @@ def test_dbscan_matches_oracle_randomized():
         pts = rng.uniform(0, 1, size=(n, 3)) * rng.uniform(0.5, 2.0)
         eps = float(rng.uniform(0.05, 0.5))
         min_pts = int(rng.integers(1, 6))
-        got = dbscan(pts, eps, min_pts).labels
+        got = dbscan(pts, eps, min_pts)
         want = oracle_dbscan(pts, eps, min_pts)
         assert np.array_equal(got, want), (n, eps, min_pts)
 
@@ -861,8 +827,7 @@ def test_voxelize_partition_property(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0, 1, size=(int(rng.integers(1, 40)), 3))
     n = tuple(int(x) for x in rng.integers(1, 4, size=3))
-    grid = voxelize(pts, n)
-    all_idx = np.concatenate([v for v in grid.cells.values()])
+    all_idx = np.concatenate(list(voxelize(pts, n).values()))
     assert sorted(all_idx.tolist()) == list(range(len(pts)))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from camlab.conlang import Mode, ValidationFailure, parse, typecheck
-from camlab.elementizer import POINT, ConstraintElement, ElementSet, end_effector_element, make_element_set
+from camlab.elementizer import end_effector_element, make_element_set
 from camlab.errors import TrackError
 from camlab.monitor import (
     INTERNAL_ERROR_REASON,
@@ -22,7 +22,7 @@ from camlab.simlab.episode import load_program
 def two_point_set(d=0.02):
     ee = end_effector_element([(0.0, 0.0, 0.1)])
     blk = end_effector_element([(0.0, 0.0, 0.1 - d)], entity="block")
-    return make_element_set([ee, blk], "sg")
+    return make_element_set([ee, blk])
 
 
 HOLD_SRC = (
@@ -39,7 +39,7 @@ DONE_SRC = (
 
 
 def tracker_for(es, cfg=None, fk=(0,), seed=1):
-    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed, es.elements, 0, fk_eids=fk)
+    tr = SimTracker(cfg or TrackerConfig(sigma=0.0, dropout=0.0), seed, es, 0, fk_eids=fk)
     return tr
 
 
@@ -52,7 +52,7 @@ def program(src, tr, cid=None):
 
 
 def truth_of(es):
-    return {e.eid: e.points for e in es.elements}
+    return {e.eid: e.points for e in es}
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +72,11 @@ def test_tracker_noiseless_identity():
 def test_tracker_full_dropout_holds_first_value():
     es = two_point_set()
     tr = tracker_for(es, TrackerConfig(sigma=0.001, dropout=0.999999, resync_interval=10**9), fk=(), seed=3)
-    first = {eid: tr.ring.points_at(eid, 0).copy() for eid in tr.ring.order}
+    first = {eid: tr.ring.points_at(eid, 0).copy() for eid in tr.ring.spans}
     moved = {eid: pts + 0.05 for eid, pts in truth_of(es).items()}
     for t in range(1, 8):
         tr.step(tr.ring.pack(moved), t)
-    for eid in tr.ring.order:
+    for eid in tr.ring.spans:
         assert np.array_equal(tr.ring.points_at(eid, 0), first[eid])
 
 
@@ -277,14 +277,14 @@ def test_completion_settle_then_hold():
 
 def test_history_capacity_enforced_at_load():
     es = two_point_set()
-    tr = SimTracker(TrackerConfig(), 0, es.elements, 0, fk_eids=(0, 1), capacity=16)
+    tr = SimTracker(TrackerConfig(), 0, es, 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during { displacement(e(1), 200) <= 1 m } fail "r"'
     with pytest.raises(ValidationFailure, match="reaches 200 ticks back, ring capacity 16"):
         load_program(src, "x", tr.ring)
 
 
 def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
-    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
+    tr = SimTracker(TrackerConfig(), 0, two_point_set(), 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during {{ at(displacement(e(1), 10), {}) <= 1 m }} fail "r"'
     assert load_program(src.format(5), "x", tr.ring).cid == "x"  # 15 ticks back
     with pytest.raises(ValidationFailure, match="reaches 16 ticks back, ring capacity 16"):
@@ -300,13 +300,13 @@ def test_history_reach_below_capacity_loads_and_at_capacity_is_rejected():
     ids=["elem", "elemlist"],
 )
 def test_at_around_element_reference_is_rejected_at_load(body):
-    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
+    tr = SimTracker(TrackerConfig(), 0, two_point_set(), 0, fk_eids=(0, 1), capacity=16)
     with pytest.raises(ValidationFailure, match=r"at\(\) cannot shift an element reference; wrap the builtin"):
         load_program(f'constraint "x" mode during {{ {body} }} fail "r"', "x", tr.ring)
 
 
 def test_at_around_builtin_loads():
-    tr = SimTracker(TrackerConfig(), 0, two_point_set().elements, 0, fk_eids=(0, 1), capacity=16)
+    tr = SimTracker(TrackerConfig(), 0, two_point_set(), 0, fk_eids=(0, 1), capacity=16)
     src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) <= 1 m } fail "r"'
     assert load_program(src, "x", tr.ring).cid == "x"
 
@@ -356,7 +356,7 @@ def test_noise_robustness_no_false_positives():
     for seed in range(20):
         cfg = TrackerConfig(sigma=0.002, dropout=0.01, resync_interval=20)
         es = two_point_set()
-        tr = SimTracker(cfg, seed, es.elements, 0, fk_eids=(0,))
+        tr = SimTracker(cfg, seed, es, 0, fk_eids=(0,))
         mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=3))
         truth = truth_of(es)
         for t in range(1, 501):

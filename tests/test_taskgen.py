@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlab.conlang import Mode, load_default_kb, parse
-from camlab.monitor import INTERNAL_ERROR_REASON, PointRing
+from camlab.monitor import INTERNAL_ERROR_REASON, PointRing, Verdict, VerdictKind
 from camlab.simlab import TEMPLATES, build_scene, extract_elements, scene_summary
 from camlab.simlab.episode import load_program
 from camlab.taskgen import (
     _BUILDERS,
     _RELEVEL_PROGRAM,
-    FailureFeedback,
     Planner,
     RecoveryRules,
     Subgoal,
@@ -22,6 +21,11 @@ from camlab.taskgen import (
     load_default_rules,
 )
 from oracles import ReferencePlanner
+
+
+def violation(reason, cid, mode):
+    """The monitor's verdict on a tick where program cid failed."""
+    return Verdict(0, VerdictKind.VIOLATION, cid, mode, reason)
 
 
 def planner_for(template, seed=0):
@@ -64,7 +68,7 @@ def test_drop_feedback_inserts_repick():
     s = summary_of(state, scene)
     planner.plan_next(s)  # pick_red
     planner.plan_next(s)  # place_red
-    fb = FailureFeedback("object left the gripper (0.15 m)", "place_red.hold", Mode.DURING)
+    fb = violation("object left the gripper (0.15 m)", "place_red.hold", Mode.DURING)
     rec = planner.plan_next(s, fb)
     assert rec.sid.startswith("pick_red")  # re-pick the dropped block first
     nxt = planner.plan_next(s)
@@ -77,7 +81,7 @@ def test_pour_tilt_feedback_inserts_relevel():
     planner.plan_next(s)  # reach
     planner.plan_next(s)  # lift
     planner.plan_next(s)  # move
-    fb = FailureFeedback("held surface tilted 0.3491 rad", "move_pot.level", Mode.DURING)
+    fb = violation("held surface tilted 0.3491 rad", "move_pot.level", Mode.DURING)
     rec = planner.plan_next(s, fb)
     assert rec.base_sid == "relevel"
     nxt = planner.plan_next(s)
@@ -91,7 +95,7 @@ def test_max_retries_aborts():
     sg = planner.plan_next(s)
     out = None
     for _ in range(5):
-        fb = FailureFeedback("grasp missed (0.1 m off the gripper axis)", f"{sg.sid}.grasp_hold", Mode.ON_COMPLETION)
+        fb = violation("grasp missed (0.1 m off the gripper axis)", f"{sg.sid}.grasp_hold", Mode.ON_COMPLETION)
         out = planner.plan_next(s, fb)
         if isinstance(out, TaskAbort):
             break
@@ -150,7 +154,7 @@ def drive_both(template, max_retries, steps):
             _, pick, internal, mode = step
             cids = [p.cid for p in out.during + out.completion]
             cid = "unknown.cid" if pick is None or not cids else cids[pick % len(cids)]
-            fb = FailureFeedback(INTERNAL_ERROR_REASON if internal else _REASON, cid, mode)
+            fb = violation(INTERNAL_ERROR_REASON if internal else _REASON, cid, mode)
             want, out = ref.plan_next(s, out.sid, fb), planner.plan_next(s, fb)
         # Subgoal equality covers sid, text, script id and params, element
         # specs and every program's cid, kind and source
@@ -264,7 +268,7 @@ def test_first_subgoal_programs_validate(template):
     planner, state, scene = planner_for(template, seed=4)
     sg = planner.plan_next(summary_of(state, scene))
     es, _ = extract_elements(sg, state, scene)
-    ring = PointRing(es.elements, state.tick)
+    ring = PointRing(es, state.tick)
     for ps, mode in [(ps, Mode.DURING) for ps in sg.during] + [(ps, Mode.ON_COMPLETION) for ps in sg.completion]:
         assert load_program(ps.source, ps.cid, ring).mode is mode  # the monitor splits programs by parsed mode
 

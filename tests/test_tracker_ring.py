@@ -52,8 +52,7 @@ class ReferenceTracker:
 
 def element_set(sizes, rng):
     eids = rng.permutation(3 * len(sizes))[: len(sizes)]  # registration order is not id order
-    els = [SimpleNamespace(eid=int(e), etype=None, points=rng.normal(0, 0.1, (k, 3))) for e, k in zip(eids, sizes)]
-    return SimpleNamespace(elements=els)
+    return [SimpleNamespace(eid=int(e), etype=None, points=rng.normal(0, 0.1, (k, 3))) for e, k in zip(eids, sizes)]
 
 
 def same_bytes(a, b):
@@ -75,12 +74,12 @@ def same_bytes(a, b):
 def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity, extra_ticks, seed):
     rng = np.random.default_rng(seed)
     es = element_set(sizes, rng)
-    eids = [el.eid for el in es.elements]
+    eids = [el.eid for el in es]
     fk = [e for i, e in enumerate(eids) if fk_mask >> i & 1]
     cfg = TrackerConfig(sigma=sigma, dropout=dropout, resync_interval=resync)
-    tracker = SimTracker(cfg, seed, es.elements, 3, fk_eids=fk, capacity=capacity)
-    ref = ReferenceTracker(cfg, seed, es.elements, 3, fk, capacity)
-    truth = {el.eid: el.points for el in es.elements}
+    tracker = SimTracker(cfg, seed, es, 3, fk_eids=fk, capacity=capacity)
+    ref = ReferenceTracker(cfg, seed, es, 3, fk, capacity)
+    truth = {el.eid: el.points for el in es}
     groups = [tuple(eids), tuple(eids[::-1]), tuple(eids[:1]), tuple(eids[1::2])]
     for tick in range(4, 4 + capacity + extra_ticks):
         truth = {eid: p + rng.normal(0, 0.01, p.shape) for eid, p in truth.items()}
@@ -99,15 +98,15 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
 def test_track_errors():
     rng = np.random.default_rng(0)
     es = element_set([1, 2], rng)
-    tr = SimTracker(TrackerConfig(), 1, es.elements, 5, capacity=4)
-    truth = {el.eid: el.points for el in es.elements}
+    tr = SimTracker(TrackerConfig(), 1, es, 5, capacity=4)
+    truth = {el.eid: el.points for el in es}
     with pytest.raises(TrackError):
         tr.step(tr.ring.pack({**truth, 99: np.zeros((1, 3))}), 6)  # unknown id
     with pytest.raises(TrackError):
-        tr.step(tr.ring.pack({es.elements[0].eid: es.elements[0].points}), 6)  # missing id
+        tr.step(tr.ring.pack({es[0].eid: es[0].points}), 6)  # missing id
     with pytest.raises(TrackError):
-        tr.step(tr.ring.pack({**truth, es.elements[0].eid: np.zeros((2, 3))}), 6)  # point count
-    other = SimTracker(TrackerConfig(), 1, es.elements, 5, capacity=4)
+        tr.step(tr.ring.pack({**truth, es[0].eid: np.zeros((2, 3))}), 6)  # point count
+    other = SimTracker(TrackerConfig(), 1, es, 5, capacity=4)
     with pytest.raises(TrackError):
         tr.step(other.ring.pack(truth), 6)  # a row of another ring
     for tick in (5, 4):  # ticks must increase
@@ -121,8 +120,8 @@ def test_track_errors():
 def test_sigma_zero_turns_negative_zero_into_positive_zero():
     # truth + zeros, as the reference adds: the noisy tick gives +0.0, a resync tick keeps the exact -0.0
     pts = np.array([[-0.0, 1.0, -0.0], [0.5, -0.0, 2.0]])
-    es = SimpleNamespace(elements=[SimpleNamespace(eid=0, etype=None, points=pts)])
-    tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), 0, es.elements, 3, capacity=4)
+    es = [SimpleNamespace(eid=0, etype=None, points=pts)]
+    tr = SimTracker(TrackerConfig(sigma=0.0, dropout=0.0, resync_interval=5), 0, es, 3, capacity=4)
     tr.step(tr.ring.pack({0: pts}), 4)
     noisy = tr.ring.points_at(0, 0)
     assert same_bytes(noisy, pts + 0.0)
