@@ -42,7 +42,7 @@ from camlab.conlang.ast import (
     Within,
     _print,
 )
-from camlab.conlang.evaluator import CompiledProgram, EvalError, evaluate, _PLACEHOLDER_RE
+from camlab.conlang.evaluator import CompiledProgram, EvalError, evaluate, fail_reason, _PLACEHOLDER_RE
 
 __all__ = ["TypeIssue", "typecheck", "ValidationFailure", "whitebox_validate"]
 
@@ -363,7 +363,5 @@ def whitebox_validate(program: CompiledProgram) -> None:
         program.body()
     except EvalError as err:
         raise ValidationFailure("branch coverage", err) from err
-    if program.mode is Mode.DURING:
-        ok, reason = evaluate(program)
-        if not ok:
-            raise ValidationFailure("during constraint false at subgoal start", reason)
+    if program.mode is Mode.DURING and not evaluate(program):
+        raise ValidationFailure("during constraint false at subgoal start", fail_reason(program))

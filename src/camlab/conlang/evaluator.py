@@ -5,11 +5,14 @@ node of a program into a zero-argument closure from the factories below,
 bound to the point ring the program was checked on (monitor.PointRing),
 with every static fact resolved then, the centroid gathers included. No
 closure looks at an AST node; an evaluation reads only the ring's current
-entries, through points_at and centroids. History access clamps to the
-oldest entry so programs stay total right after a subgoal starts. Only
-what depends on run-time values raises EvalError (division by zero,
-degenerate geometry); the monitor converts that into a fail-safe violation
-instead of skipping the tick.
+entries, through points_at, centroids and, for count_within over one-point
+elements whose spans follow each other, the ring rows themselves. History
+access clamps to the oldest entry so programs stay total right after a
+subgoal starts. Only what depends on run-time values raises EvalError
+(division by zero, degenerate geometry, NaN); the monitor converts that
+into a fail-safe violation instead of skipping the tick. An evaluation
+returns only whether the program holds; fail_reason formats the fail text
+from what it measured, for the one verdict that carries it.
 
 Both operands of and/or are always evaluated: reason placeholders record the
 last measured value of each builtin, and full evaluation keeps that record
@@ -28,7 +31,7 @@ from camlab.errors import CamlabError, DegenerateGeometry
 from camlab.conlang.ast import Mode
 from camlab.geom3d import angle_between, cross, fit_line, fit_plane
 
-__all__ = ["CompiledProgram", "EvalError", "evaluate", "format_measured"]
+__all__ = ["CompiledProgram", "EvalError", "evaluate", "fail_reason", "format_measured"]
 
 
 def frozen(value):
@@ -193,11 +196,20 @@ def _displacement(ring, back, eid, delta):
 
 def _count_within(ring, back, eids, box):
     gather = ring.gather(eids)
+    index, shape, _ = gather
+    # one point per element, read in place: a centroid differs from its ring
+    # row only in the sign of a zero, which >= and <= do not see
+    rows = isinstance(index, slice) and shape[1] == 1
 
     def count_within():
         lo, hi = box()
-        c = ring.centroids(gather, back)
-        return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
+        c = ring.view[ring.slot(back), index] if rows else ring.centroids(gather, back)
+        ge, le = c >= lo, c <= hi
+        n = np.count_nonzero((ge & le).all(axis=1))
+        # with lo <= hi every number compares >= lo or <= hi; only NaN fails both
+        if n < len(c) and np.count_nonzero(ge | le) < ge.size:
+            raise EvalError("count_within: operand holds NaN")
+        return float(n)
 
     return count_within
 
@@ -290,15 +302,20 @@ def format_measured(template: str, values: dict) -> str:
     return _PLACEHOLDER_RE.sub(sub, template)
 
 
-def evaluate(program: CompiledProgram):
-    """Evaluate a compiled program on its ring; returns (satisfied,
-    reason-or-None).
+def evaluate(program: CompiledProgram) -> bool:
+    """Evaluate a compiled program on its ring; returns whether it holds.
 
-    The reason string is the program's template with placeholders replaced by
-    the offending measured values. Raises EvalError on runtime failure; the
-    monitor treats that as a violation (fail-safe).
+    Raises EvalError on runtime failure; the monitor treats that as a
+    violation (fail-safe). fail_reason formats the fail text of an
+    evaluation that returned False.
     """
     program.measured.clear()
-    if program.body():
-        return True, None
-    return False, format_measured(program.reason_template, {**program.tolerances, **program.measured})
+    return bool(program.body())
+
+
+def fail_reason(program: CompiledProgram) -> str:
+    """The fail text of the program's last evaluation: its template with
+    placeholders replaced by the tolerances and the values that evaluation
+    measured. Call it after evaluate returned False, before the program is
+    evaluated again."""
+    return format_measured(program.reason_template, {**program.tolerances, **program.measured})

@@ -5,7 +5,8 @@ isotropic Gaussian noise, per-point dropout (hold the last value), and a
 periodic resync snap to truth that models re-detection. Elements sourced
 from forward kinematics are served noiselessly. All elements' point
 histories live in one packed ring (PointRing), so centroids of many
-elements are one gather and sum per tick. The ring is also what programs
+elements are one sum per tick, over the entry itself when their spans
+follow each other with one length. The ring is also what programs
 are evaluated on, both at white-box validation and on every tick.
 
 Ground truth reaches the tracker as one TruthRow: the (P, 3) points of every
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from camlab.conlang import EvalError, Mode, evaluate
+from camlab.conlang import EvalError, Mode, evaluate, fail_reason
 from camlab.errors import TrackError
 
 __all__ = [
@@ -147,30 +148,41 @@ class PointRing:
         return self.view[self.slot(back), span[0] : span[1]]
 
     def gather(self, eids) -> tuple:
-        """The gather that `centroids` reads the elements `eids` with: an
-        (len(eids), longest span) point index padded with the -0.0 column,
-        and the (len(eids), 1) point counts. Compiled programs build theirs
-        once, at compile time. Raises EvalError for an unknown id."""
+        """The gather that `centroids` reads the elements `eids` with, as
+        (index, shape, counts), chosen from their spans. When the spans follow
+        each other in ring order and all hold L points, index is the slice
+        of their points, shape is (len(eids), L, 3) and counts is L: the
+        entry is read in place. Any other layout gets an (len(eids), longest
+        span) point index padded with the -0.0 column, its shape with a
+        trailing 3, and the (len(eids), 1) point counts. Compiled programs
+        build theirs once, at compile time. Raises EvalError for an unknown
+        id."""
         for eid in eids:
             if eid not in self.spans:
                 raise EvalError(f"unknown element e({eid})")
         spans = [self.spans[eid] for eid in eids]
-        index = np.full((len(spans), max((hi - lo for lo, hi in spans), default=0)), self.n_points)
+        lengths = {hi - lo for lo, hi in spans}
+        if len(lengths) == 1 and all(prev[1] == lo for prev, (lo, _) in zip(spans, spans[1:])):
+            (n,) = lengths
+            return slice(spans[0][0], spans[-1][1]), (len(spans), n, 3), float(n)
+        index = np.full((len(spans), max(lengths, default=0)), self.n_points)
         for row, (lo, hi) in zip(index, spans):
             row[: hi - lo] = np.arange(lo, hi)
         counts = np.array([hi - lo for lo, hi in spans], dtype=np.float64).reshape(-1, 1)
-        return index, counts
+        return index, index.shape + (3,), counts
 
     def centroids(self, gather: tuple, back: int) -> np.ndarray:
         """(len(eids), 3) centroids of the elements of `gather` (from
         gather(eids)), `back` entries before the newest.
 
-        Each element's points are gathered into one row padded with -0.0 to
-        the longest element and summed along the row. That adds them in the
-        same order as points.mean(axis=0), so the result is bit-identical
-        to the per-element mean."""
-        index, counts = gather
-        return self.points[self.slot(back)][index].sum(axis=1) / counts
+        Each element's points form one row of a (len(eids), L, 3) array,
+        summed along the row: a view of the entry for a contiguous gather, a
+        copy padded with -0.0 to the longest element otherwise. Both hold
+        the points in the same layout and add them in the same order as
+        points.mean(axis=0), so the result is bit-identical to the
+        per-element mean."""
+        index, shape, counts = gather
+        return self.points[self.slot(back)][index].reshape(shape).sum(axis=1) / counts
 
     def kind_of(self, eid: int) -> str:
         et = self.types.get(eid)
@@ -284,13 +296,21 @@ class Verdict(NamedTuple):
         return self.kind is VerdictKind.VIOLATION
 
 
-def _fail_safe(program) -> tuple:
-    """evaluate(program), with an evaluation error read as a violation with
-    INTERNAL_ERROR_REASON (fail-safe) rather than a skipped tick."""
+def _fail_safe(program) -> bool | None:
+    """evaluate(program), with an evaluation error read as None: a false
+    tick (fail-safe) rather than a skipped one."""
     try:
         return evaluate(program)
     except EvalError:
-        return False, INTERNAL_ERROR_REASON
+        return None
+
+
+def _reason(program, ok: bool | None) -> str:
+    """The fail text of this tick's false evaluation of `program` (`ok` from
+    _fail_safe): INTERNAL_ERROR_REASON for an evaluation error, else the
+    program's template filled from what the evaluation measured. Only the
+    verdict that reports a program formats it."""
+    return INTERNAL_ERROR_REASON if ok is None else fail_reason(program)
 
 
 class RealTimeMonitor:
@@ -316,7 +336,7 @@ class RealTimeMonitor:
         per program over the monitor's life."""
         verdict = None
         for prog in self.during:
-            ok, reason = _fail_safe(prog)
+            ok = _fail_safe(prog)
             if ok:
                 self._false_streak[prog.cid] = 0
                 continue
@@ -326,7 +346,7 @@ class RealTimeMonitor:
                 and self._false_streak[prog.cid] >= self.policy.k
                 and prog.cid not in self._reported
             ):
-                verdict = Verdict(tick, VerdictKind.VIOLATION, prog.cid, Mode.DURING, reason)
+                verdict = Verdict(tick, VerdictKind.VIOLATION, prog.cid, Mode.DURING, _reason(prog, ok))
         if verdict is not None:
             self._reported.add(verdict.cid)
             return verdict
@@ -365,13 +385,13 @@ class RealTimeMonitor:
 
     def _hold_tick(self):
         """Evaluate every ON_COMPLETION program, extend or reset the held
-        streak, and return (cid, reason) of the first that does not hold (an
-        evaluation error counts as not holding), or None."""
+        streak, and return (program, ok) of the first that does not hold (an
+        evaluation error, ok None, counts as not holding), or None."""
         first_bad = None
         for prog in self.completion:
-            ok, reason = _fail_safe(prog)
+            ok = _fail_safe(prog)
             if not ok and first_bad is None:
-                first_bad = (prog.cid, reason)
+                first_bad = (prog, ok)
         self._held_streak = 0 if first_bad else self._held_streak + 1
         return first_bad
 
@@ -386,7 +406,8 @@ class RealTimeMonitor:
             if self._held_streak >= self.policy.h:
                 return Verdict(tick, VerdictKind.SUBGOAL_COMPLETE, mode=Mode.ON_COMPLETION)
         elif tick - self._motion_end >= 3 * self.policy.h:
-            return Verdict(tick, VerdictKind.VIOLATION, first_bad[0], Mode.ON_COMPLETION, first_bad[1])
+            prog, ok = first_bad
+            return Verdict(tick, VerdictKind.VIOLATION, prog.cid, Mode.ON_COMPLETION, _reason(prog, ok))
         return Verdict(tick, VerdictKind.NOT_YET)
 
 

@@ -1,12 +1,13 @@
-"""References that only tests use: the DSL's canonical printer, pixel
-unprojection written with the per-call divmod arithmetic, mask
-unprojection, projection, rendering one solid at a time with the per-solid
-ray kernels, the distance from a point to a solid's surface, a voxel grid's
-frame, brute-force DBSCAN, a solid's xy footprint as a convex hull and the
-settling loop that tests every object against it, the planner that resolved
-a failure from the failed sid and an episode-long kind map, extraction of
-one already-filtered cloud through the batched path, and extraction one
-bundle, one cloud and one cell at a time, as it ran before it batched them.
+"""References that only tests use: the DSL's canonical printer, the point
+ring's padded centroid gather, pixel unprojection written with the per-call
+divmod arithmetic, mask unprojection, projection, rendering one solid at a
+time with the per-solid ray kernels, the distance from a point to a solid's
+surface, a voxel grid's frame, brute-force DBSCAN, a solid's xy footprint
+as a convex hull and the settling loop that tests every object against it,
+the planner that resolved a failure from the failed sid and an episode-long
+kind map, extraction of one already-filtered cloud through the batched
+path, and extraction one bundle, one cloud and one cell at a time, as it
+ran before it batched them.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
@@ -65,6 +66,20 @@ def pretty(program: MonitorProgram) -> str:
     lines.append("{ " + _print(program.body, 0) + " }")
     lines.append(f"fail {_quote(program.reason_template)}")
     return "\n".join(lines)
+
+
+def padded_centroids(ring, eids, back: int) -> np.ndarray:
+    """(len(eids), 3) centroids of the elements `eids` on a PointRing, `back`
+    entries before the newest, as the ring computed them for every span
+    layout before it read contiguous ones in place: each element's points
+    gathered into one row padded with the ring's -0.0 column to the longest
+    span, summed along the row and divided by the point counts."""
+    spans = [ring.spans[eid] for eid in eids]
+    index = np.full((len(spans), max((hi - lo for lo, hi in spans), default=0)), ring.n_points)
+    for row, (lo, hi) in zip(index, spans):
+        row[: hi - lo] = np.arange(lo, hi)
+    counts = np.array([hi - lo for lo, hi in spans], dtype=np.float64).reshape(-1, 1)
+    return ring.points[ring.slot(back)][index].sum(axis=1) / counts
 
 
 def unproject_pixels_divmod(depth, pixels, cam: CameraModel) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from camlab.camctl import bench_monitor
-from camlab.conlang import evaluate, parse
+from camlab.conlang import evaluate, fail_reason, parse
 from camlab.geom3d import dbscan, fit_line, fit_plane, angle_between, quat_from_axis_angle, quat_rotate, vec3
 from camlab.monitor import TrackerConfig, latency_report
 from camlab.simlab import EpisodeConfig, run_episode
@@ -253,7 +253,7 @@ def test_P4_round_trip_and_eval_determinism():
         'fail "tilted {angle}"'
     )
     c = compiled(p, ctx_for(level_elements(tilt=math.radians(20))))
-    outs = {evaluate(c) for _ in range(5)}
+    outs = {(evaluate(c), fail_reason(c)) for _ in range(5)}
     assert len(outs) == 1
     print("\nP4 PASS: 1000 round trips structurally equal; evaluation byte-deterministic")
 

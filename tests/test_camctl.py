@@ -748,6 +748,11 @@ _NAN_PROGRAMS = {
     # inf - inf is NaN, which compares outside a box and below a height
     "not_inside": "tol big = 1e308 m\n{ not inside(vec(big * 10 - big * 10, 0, 0), box(-1, -1, -1, 1, 1, 1)) }\n",
     "not_above": "tol big = 1e308 m\n{ not above(vec(0, 0, big * 10 - big * 10), vec(0, 0, 0), 0 m) }\n",
+    # and a NaN box corner leaves every centroid outside the box
+    "count_within": (
+        "tol big = 1e308 m\ntol band = 0.5 count\n"
+        "{ count_within([e(1)], box(big * 10 - big * 10, -1, -1, 1, 1, 1)) within band of 0 }\n"
+    ),
 }
 
 

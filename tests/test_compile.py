@@ -35,6 +35,7 @@ from camlab.conlang import (
     ValidationFailure,
     Within,
     evaluate,
+    fail_reason,
     format_measured,
     typecheck,
     whitebox_validate,
@@ -45,6 +46,7 @@ from camlab.elementizer import LINE, POINT, SURFACE, ConstraintElement
 from camlab.errors import DegenerateGeometry
 from camlab.geom3d import angle_between, fit_line, fit_plane
 from camlab.monitor import PointRing
+from oracles import padded_centroids
 
 # ---------------------------------------------------------------------------
 # reference: the AST-walking evaluator
@@ -176,7 +178,7 @@ class ReferenceEvaluator:
                 raise EvalError(f"pos index {idx} out of range for e({eid})")
             return pts[idx]
         if fn == "centroid":
-            return ctx.centroids(ctx.gather((self.eval(args[0], back),)), back)[0]
+            return padded_centroids(ctx, (self.eval(args[0], back),), back)[0]
         if fn == "normal":
             eid, _ = self._typed_elem(fn, args[0], back)
             n, _, _ = fit_plane(ctx.points_at(eid, back))
@@ -197,8 +199,8 @@ class ReferenceEvaluator:
         if fn == "displacement":
             eid = self.eval(args[0], back)
             delta = int(self.eval(args[1], back))
-            now = ctx.centroids(ctx.gather((eid,)), back)[0]
-            then = ctx.centroids(ctx.gather((eid,)), back + delta)[0]
+            now = padded_centroids(ctx, (eid,), back)[0]
+            then = padded_centroids(ctx, (eid,), back + delta)[0]
             return float(np.linalg.norm(now - then))
         if fn == "rotation":
             eid, kind = self._typed_elem(fn, args[0], back)
@@ -210,7 +212,7 @@ class ReferenceEvaluator:
         if fn == "count_within":
             eids = self.eval(args[0], back)
             lo, hi = self.eval(args[1], back)
-            c = ctx.centroids(ctx.gather(eids), back)
+            c = padded_centroids(ctx, eids, back)
             return float(np.count_nonzero(((c >= lo) & (c <= hi)).all(axis=1)))
         if fn == "inside":
             p, (lo, hi) = self.eval(args[0], back), self.eval(args[1], back)
@@ -397,6 +399,12 @@ def _mentions(node, fn) -> bool:
                if hasattr(c, "__dict__"))
 
 
+def evaluated(compiled):
+    """(holds, fail text or None) of one evaluation of a compiled program."""
+    ok = evaluate(compiled)
+    return ok, None if ok else fail_reason(compiled)
+
+
 def _outcome(fn):
     try:
         ok, reason = fn()
@@ -423,10 +431,10 @@ def test_compiled_program_matches_reference_evaluator(ring_and_rest, program):
     compiled = typecheck(program, ring)
     assume(not compiled.issues)
     assert _accepts(compiled) == reference_whitebox_accepts(program, ring)
-    assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
+    assert _outcome(lambda: evaluated(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
     for tick, points in rest:
         ring.push(tick, np.concatenate(points))
-    assert _outcome(lambda: evaluate(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
+    assert _outcome(lambda: evaluated(compiled)) == _outcome(lambda: reference_evaluate(program, ring))
 
 
 # ---------------------------------------------------------------------------

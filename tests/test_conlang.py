@@ -25,6 +25,7 @@ from camlab.conlang import (
     ValidationFailure,
     Within,
     evaluate,
+    fail_reason,
     load_default_kb,
     loads_kb,
     parse,
@@ -88,6 +89,12 @@ def history_ctx(hist, etype):
     for tick, points in enumerate(hist[1:], 1):
         ring.push(tick, points)
     return ring
+
+
+def false_reason(program):
+    """The fail text of an evaluation of program, which must not hold."""
+    assert evaluate(program) is False
+    return fail_reason(program)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +389,13 @@ def test_typecheck_pos_index_range():
 
 def test_evaluate_level_flat():
     p = parse(LEVEL_SRC)
-    ok, reason = evaluate(compiled(p, ctx_for(level_elements(tilt=0.0))))
-    assert ok and reason is None
+    assert evaluate(compiled(p, ctx_for(level_elements(tilt=0.0)))) is True
 
 
 def test_evaluate_level_tilted_20deg_reason():
-    p = parse(LEVEL_SRC)
-    ok, reason = evaluate(compiled(p, ctx_for(level_elements(tilt=math.radians(20)))))
-    assert not ok
-    assert reason == "pan tilted 0.3491"  # 20 degrees = 0.34906... rad at 4 sig digits
+    c = compiled(parse(LEVEL_SRC), ctx_for(level_elements(tilt=math.radians(20))))
+    assert evaluate(c) is False
+    assert fail_reason(c) == "pan tilted 0.3491"  # 20 degrees = 0.34906... rad at 4 sig digits
 
 
 def test_evaluate_displacement_2cm():
@@ -398,11 +403,11 @@ def test_evaluate_displacement_2cm():
     hist = [np.array([[0.002 * i, 0.0, 0.1]]) for i in range(11)]
     ctx = history_ctx(hist, POINT)
     src = 'constraint "moved" mode during tol dmin = 2 cm { displacement(e(0), 10) >= dmin } fail "r"'
-    ok, _ = evaluate(compiled(parse(src), ctx))
+    ok = evaluate(compiled(parse(src), ctx))
     assert ok
     # exact value check
     src2 = 'constraint "m" mode during { displacement(e(0), 10) = 0.02 } fail "r {displacement}"'
-    ok2, _ = evaluate(compiled(parse(src2), ctx))
+    ok2 = evaluate(compiled(parse(src2), ctx))
     assert ok2
 
 
@@ -412,10 +417,10 @@ def test_evaluate_rotation_half_turn():
     b = np.array([[0.0, 0.0, 0.0], [-0.1, 0.0, 0.0]])
     ctx = history_ctx([a, b], LINE)
     src = 'constraint "turn" mode during { rotation(e(0), 1) >= 3.14 } fail "r"'
-    ok, _ = evaluate(compiled(parse(src), ctx))
+    ok = evaluate(compiled(parse(src), ctx))
     assert ok
     src_exact = 'constraint "turn" mode during { rotation(e(0), 1) <= 3.15 } fail "r"'
-    assert evaluate(compiled(parse(src_exact), ctx))[0]
+    assert evaluate(compiled(parse(src_exact), ctx))
 
 
 def test_evaluate_division_by_zero():
@@ -428,8 +433,8 @@ def test_evaluate_determinism_bytes():
     p = parse(LEVEL_SRC)
     ctx = ctx_for(level_elements(tilt=math.radians(20)))
     c = compiled(p, ctx)
-    r1 = evaluate(c)
-    r2 = evaluate(c)
+    r1 = evaluate(c), fail_reason(c)
+    r2 = evaluate(c), fail_reason(c)
     assert r1 == r2
     assert r1[1].encode() == r2[1].encode()
 
@@ -440,19 +445,19 @@ def test_evaluate_scale_consistency():
     scaled = ctx_for([element(e.eid, e.etype, e.points * 3.0) for e in els])
     dist_src = 'constraint "d" mode during { dist(centroid(e(0)), centroid(e(2))) < 1000 } fail "{dist}"'
     ang_src = 'constraint "a" mode during { angle(normal(e(2)), axis_z) < 0.01 } fail "{angle}"'
-    _, d1 = evaluate(compiled(parse(dist_src.replace("< 1000", "< 0")), base))
-    _, d3 = evaluate(compiled(parse(dist_src.replace("< 1000", "< 0")), scaled))
+    d1 = false_reason(compiled(parse(dist_src.replace("< 1000", "< 0")), base))
+    d3 = false_reason(compiled(parse(dist_src.replace("< 1000", "< 0")), scaled))
     assert float(d3) == pytest.approx(3.0 * float(d1), rel=1e-9)
-    _, a1 = evaluate(compiled(parse(ang_src), base))
-    _, a3 = evaluate(compiled(parse(ang_src), scaled))
+    a1 = false_reason(compiled(parse(ang_src), base))
+    a3 = false_reason(compiled(parse(ang_src), scaled))
     assert float(a1) == pytest.approx(float(a3), abs=1e-9)
 
 
 def test_evaluate_monotone_level_crossing():
     p = parse(LEVEL_SRC)
     tol = p.tolerances[0].value
-    ok_below, _ = evaluate(compiled(p, ctx_for(level_elements(tilt=tol - 0.01))))
-    ok_above, _ = evaluate(compiled(p, ctx_for(level_elements(tilt=tol + 0.01))))
+    ok_below = evaluate(compiled(p, ctx_for(level_elements(tilt=tol - 0.01))))
+    ok_above = evaluate(compiled(p, ctx_for(level_elements(tilt=tol + 0.01))))
     assert ok_below and not ok_above
 
 
@@ -464,7 +469,7 @@ def test_evaluate_inside_and_above():
         "above(centroid(e(2)), centroid(e(0)), 0.05) } "
         'fail "r"'
     )
-    ok, _ = evaluate(compiled(parse(src), ctx_for(els)))
+    ok = evaluate(compiled(parse(src), ctx_for(els)))
     assert ok  # surface centroid z=0.5 is > point z=0.4 + 0.05
 
 
@@ -475,7 +480,7 @@ def test_evaluate_count_within():
         "{ count_within([e(0), e(1), e(2)], box(-1, -1, 0.3, 1, 1, 1)) = 2 } "
         'fail "saw {count_within}"'
     )
-    ok, _ = evaluate(compiled(parse(src), ctx_for(els)))
+    ok = evaluate(compiled(parse(src), ctx_for(els)))
     assert ok  # point at z=0.4 and surface at z=0.5; line at z=0 is outside
 
 
@@ -506,11 +511,24 @@ def test_boolean_builtins_raise_on_a_nan_operand(source):
         evaluate(compiled(parse(source), ctx_for(level_elements())))
 
 
+@pytest.mark.parametrize("eids", ["e(0)", "e(2)", "e(0), e(2)", "e(2), e(1), e(0)"])
+def test_count_within_raises_on_a_nan_centroid(eids):
+    # a NaN ring point compares outside every box: read as a one-point row,
+    # summed in place into its element's centroid, or through the padded gather
+    _, line, surface = level_elements()
+    nan_surface = surface.points.copy()
+    nan_surface[1, 0] = math.nan
+    ring = ctx_for([element(0, POINT, [[0, math.nan, 0.4]]), line, element(2, SURFACE, nan_surface)])
+    src = f'constraint "nan" mode during {{ count_within([{eids}], box(-1, -1, -1, 1, 1, 1)) >= 0 }} fail "r"'
+    with pytest.raises(EvalError, match="count_within: operand holds NaN"):
+        evaluate(compiled(parse(src), ring))
+
+
 def test_evaluate_at_shifts_history():
     hist = [np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]])]
     ctx = history_ctx(hist, POINT)
     src = 'constraint "x" mode during { dist(at(centroid(e(0)), 1), centroid(e(0))) = 1.0 } fail "r"'
-    assert evaluate(compiled(parse(src), ctx))[0]
+    assert evaluate(compiled(parse(src), ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,43 @@ def test_monitor_internal_error_fail_safe():
     assert vs[1].reason == INTERNAL_ERROR_REASON
 
 
+# the hold program, and an angle that raises on the tick whose points coincide
+HOLD_OR_RAISE_SRC = HOLD_SRC.replace(
+    "<= near }", "<= near and angle(centroid(e(1)) - centroid(e(0)), axis_z) >= 0 rad }"
+)
+
+
+def fallen(good, z):
+    return {0: good[0], 1: good[1] - [0, 0, z]}
+
+
+def test_violation_reason_is_from_the_kth_false_tick():
+    # the block falls further every tick: the text carries the distance
+    # of the tick that reports it, not of the first false tick
+    es = two_point_set()
+    good = truth_of(es)
+    tr = tracker_for(es, fk=(0, 1))
+    mon = RealTimeMonitor([program(HOLD_SRC, tr)], DebouncePolicy(k=3))
+    vs = run_ticks(mon, tr, [good] + [fallen(good, z) for z in (0.1, 0.2, 0.3)])
+    assert [v.kind for v in vs[:3]] == [VerdictKind.OK] * 3
+    assert vs[3].is_violation and vs[3].reason == "block left the gripper (0.32 m)"
+
+
+def test_violation_reason_of_a_raising_kth_tick_is_internal_error():
+    es = two_point_set()
+    good = truth_of(es)
+    coincide = {0: good[0], 1: good[0]}
+    for seq, reason in (
+        ([fallen(good, 0.1), fallen(good, 0.2), coincide], INTERNAL_ERROR_REASON),
+        ([coincide, fallen(good, 0.1), fallen(good, 0.2)], "block left the gripper (0.22 m)"),
+    ):
+        tr = tracker_for(es, fk=(0, 1))
+        mon = RealTimeMonitor([program(HOLD_OR_RAISE_SRC, tr)], DebouncePolicy(k=3))
+        vs = run_ticks(mon, tr, seq)
+        assert [v.kind for v in vs] == [VerdictKind.OK] * 2 + [VerdictKind.VIOLATION]
+        assert vs[2].reason == reason
+
+
 def test_first_violation_wins_in_order():
     es = two_point_set()
     tr = tracker_for(es, fk=(0, 1))
@@ -251,6 +288,24 @@ def test_completion_timeout_violation():
     assert out.is_violation
     assert out.tick == 15  # 3H after motion end
     assert out.reason == "block not on target (0.0712 m)"
+
+
+def test_completion_timeout_reason_is_from_the_timeout_tick():
+    # the block falls 1 cm further every tick; the timeout at tick 15 (3H
+    # after motion end) carries tick 15's distance, 0.02 + 0.15 m, and a
+    # timeout tick that raises carries the internal-error text
+    es = two_point_set()
+    good = truth_of(es)
+    coincide = {0: good[0], 1: good[0]}
+    for raises_at, reason in ((None, "block left the gripper (0.17 m)"), (15, INTERNAL_ERROR_REASON)):
+        tr = tracker_for(es, fk=(0, 1))
+        mon = RealTimeMonitor([program(HOLD_OR_RAISE_SRC.replace("mode during", "mode on_completion"), tr)])
+        mon.note_motion_end(0)
+        for t in range(1, 16):
+            tr.step(tr.ring.pack(coincide if t == raises_at else fallen(good, 0.01 * t)), t)
+            out = mon.check_completion(t)
+        assert out.is_violation and out.tick == 15
+        assert out.reason == reason
 
 
 def test_completion_settle_then_hold():

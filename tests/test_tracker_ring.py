@@ -5,7 +5,11 @@ draws random(n_noisy) over all noisy points in element id order, then
 normal(0, sigma, (n_noisy, 3)) when sigma > 0, and gives each element its
 slice of both. The packed ring must give the same bytes for every history
 lookup and every centroid (the deque entry's mean(axis=0)), including
-lookups clamped to the oldest entry.
+lookups clamped to the oldest entry. The centroids of every span layout,
+read in place or through the padded gather, and count_within's comparison
+of one-point elements' ring rows, must match the padded gather of
+tests/oracles.py bit for bit, on values that include signed zeros, NaN and
+infinities.
 """
 
 from collections import deque
@@ -16,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camlab.conlang import EvalError, evaluator
 from camlab.errors import TrackError
-from camlab.monitor import SimTracker, TrackerConfig
+from camlab.monitor import PointRing, SimTracker, TrackerConfig
+from oracles import padded_centroids
 
 
 class ReferenceTracker:
@@ -93,6 +99,77 @@ def test_ring_matches_reference(sizes, fk_mask, sigma, dropout, resync, capacity
             for group in groups:
                 want = np.array([ref.points_at(eid, back).mean(axis=0) for eid in group]).reshape(-1, 3)
                 assert same_bytes(ring.centroids(ring.gather(group), back), want)
+
+
+_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308])
+# where a gather's spans sit in ring order: a run in order, the same run
+# reversed, every other span, id order (FK elements come first in the ring),
+# or any subset in any order
+_LAYOUTS = ("run", "reversed", "gaps", "id_order", "any")
+
+
+@st.composite
+def laid_out_rings(draw):
+    """(ring, group, box corner values): a PointRing of one to six elements,
+    all of one length (1 to 3 points) or of drawn lengths, some of them
+    FK, with 0 to capacity + 3 entries pushed after the first, values drawn
+    from a normal mixed with signed zeros, NaN, infinities and +-1e308 (two
+    of which overflow a sum), and a group of them in a drawn layout."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 3))] * n
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    fk_mask = draw(st.integers(0, 63))
+    capacity = draw(st.integers(1, 6))
+    special = draw(st.sampled_from([0.0, 0.2, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def values(shape):
+        v = rng.normal(0.0, 1.0, shape)
+        mask = rng.random(shape) < special
+        v[mask] = rng.choice(_SPECIALS, int(mask.sum()))
+        return v
+
+    es = [SimpleNamespace(eid=i, etype=None, points=values((k, 3))) for i, k in enumerate(sizes)]
+    ring = PointRing(es, 0, capacity, {i for i in range(n) if fk_mask >> i & 1})
+    for tick in range(1, draw(st.integers(0, capacity + 3)) + 1):
+        ring.push(tick, values((ring.n_points, 3)))
+    ring_order = sorted(ring.spans, key=ring.spans.get)
+    layout = draw(st.sampled_from(_LAYOUTS))
+    if layout in ("run", "reversed"):
+        lo = draw(st.integers(0, n - 1))
+        group = ring_order[lo : draw(st.integers(lo + 1, n))]
+        group = group[::-1] if layout == "reversed" else group
+    elif layout == "gaps":
+        group = ring_order[draw(st.integers(0, 1)) :: 2] or ring_order
+    elif layout == "id_order":
+        group = sorted(ring.spans)
+    else:
+        group = draw(st.permutations(ring_order))[: draw(st.integers(1, n))]
+    return ring, tuple(group), values(6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(laid_out_rings())
+def test_centroids_and_count_within_match_the_padded_gather(case):
+    ring, group, corners = case
+    spans = [ring.spans[eid] for eid in group]
+    in_place = len({hi - lo for lo, hi in spans}) == 1 and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    gather = ring.gather(group)
+    assert isinstance(gather[0], slice) is in_place
+    box = lo, hi = evaluator._as_box(corners)
+    with np.errstate(all="ignore"):
+        for back in range(ring.capacity + 3):
+            want = padded_centroids(ring, group, back)
+            assert same_bytes(ring.centroids(gather, back), want)
+            count_within = evaluator.call("count_within", ring, back, (group, lambda: box), None)
+            inside = np.count_nonzero(((want >= lo) & (want <= hi)).all(axis=1))
+            if inside < len(want) and (np.isnan(want).any() or np.isnan(corners).any()):
+                with pytest.raises(EvalError, match="count_within: operand holds NaN"):
+                    count_within()
+            else:
+                assert count_within() == inside
 
 
 def test_track_errors():
