@@ -14,7 +14,9 @@ results are independent of execution order. The CAM_SEED environment
 variable overrides seed_base.
 
 The run log is line-delimited JSON with a per-line chained checksum; replay
-verifies the chain and must reproduce the report byte for byte.
+verifies the chain and must reproduce the report byte for byte. A line's
+checksum covers the line's own bytes less its checksum member, so a line
+re-serialised to equal but differently written JSON fails it.
 """
 
 from __future__ import annotations
@@ -225,6 +227,8 @@ class JsonlLogWriter:
         self.lines = 0
 
     def write(self, record: dict):
+        if "checksum" in record:
+            raise ValueError("a log record may not carry the reserved key 'checksum'")
         core = _jsonable(record)
         chk = hashlib.sha256((self._prev + _canonical(core)).encode()).hexdigest()[:16]
         core["checksum"] = chk
@@ -251,7 +255,16 @@ def read_log(path) -> list:
     """Read and verify a JSONL run log; returns the records (without the eof
     marker). Raises LogChecksumError, or TruncatedLog for a missing eof
     marker or a line that cannot be decoded (a log cut off mid-line, or
-    nesting too deep for the decoder)."""
+    nesting too deep for the decoder).
+
+    Each line's checksum covers the previous line's checksum and the line's
+    own bytes with its `"checksum":"..."` member and one separating comma
+    cut out, which is the canonical text the writer hashed. A line
+    re-serialised to equal but differently written JSON (spaces, key
+    order, `1.0e0`) fails. Any other match of that text, a nested member
+    or a key that ends in an escaped `"checksum`, would hold the line's
+    checksum inside the text the checksum is taken over, so the first
+    match is the top-level member."""
     records = []
     prev = ""
     # invalid UTF-8 decodes to U+FFFD and then fails its checksum
@@ -267,7 +280,14 @@ def read_log(path) -> list:
             if not isinstance(rec, dict):
                 raise LogChecksumError(f"{path}:{lineno}: not a log record")
             chk = rec.pop("checksum", None)
-            want = hashlib.sha256((prev + _canonical(rec)).encode()).hexdigest()[:16]
+            head, member, tail = line.partition(f'"checksum":"{chk}"')
+            if not member or not isinstance(chk, str):
+                raise LogChecksumError(f"{path}:{lineno}: checksum mismatch")
+            if head.endswith(","):
+                head = head[:-1]
+            else:
+                tail = tail.removeprefix(",")
+            want = hashlib.sha256((prev + head + tail).encode()).hexdigest()[:16]
             if chk != want:
                 raise LogChecksumError(f"{path}:{lineno}: checksum mismatch")
             prev = chk

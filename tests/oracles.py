@@ -6,18 +6,22 @@ surface, a voxel grid's frame, brute-force DBSCAN, a solid's xy footprint
 as a convex hull and the settling loop that tests every object against it,
 the planner that resolved a failure from the failed sid and an episode-long
 kind map, extraction of one already-filtered cloud through the batched
-path, and extraction one bundle, one cloud and one cell at a time, as it
-ran before it batched them.
+path, extraction one bundle, one cloud and one cell at a time, as it
+ran before it batched them, and the run-log reader that re-serialises each
+decoded record to check its checksum.
 
 Test modules import this file by name (pytest puts tests/ on sys.path)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 
 from camlab import elementizer
+from camlab.camctl import _canonical
 from camlab.conlang import MonitorProgram
 from camlab.conlang.ast import CANONICAL_UNIT, _print
 from camlab.elementizer import (
@@ -32,7 +36,7 @@ from camlab.elementizer import (
     ConstraintElement,
     fuse_views,
 )
-from camlab.errors import DimensionMismatch, IrreducibleCloud
+from camlab.errors import DimensionMismatch, IrreducibleCloud, LogChecksumError, TruncatedLog
 from camlab.geom3d import (
     NOISE,
     ROW_BLOCK,
@@ -628,3 +632,33 @@ def per_bundle_extract(bundle, depths, cams) -> ConstraintElement:
         cloud = cloud[np.unique(np.linspace(0, len(cloud) - 1, MAX_CLOUD_POINTS).astype(np.int64))]
     cloud = per_cloud_filter_outliers(cloud)
     return per_cloud_element(cloud, bundle.element_type, bundle.entity, bundle.part, bundle.constraint)
+
+
+def read_log_reference(path) -> list:
+    """camctl.read_log as it checked each line before it hashed the line's
+    own bytes: decode, pop the checksum, hash prev + _canonical(rest)."""
+    records = []
+    prev = ""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as err:
+                raise TruncatedLog(f"{path}:{lineno}: undecodable line ({err})") from None
+            if not isinstance(rec, dict):
+                raise LogChecksumError(f"{path}:{lineno}: not a log record")
+            chk = rec.pop("checksum", None)
+            want = hashlib.sha256((prev + _canonical(rec)).encode()).hexdigest()[:16]
+            if chk != want:
+                raise LogChecksumError(f"{path}:{lineno}: checksum mismatch")
+            prev = chk
+            records.append(rec)
+    if not records or records[-1].get("kind") != "eof":
+        raise TruncatedLog(f"{path}: missing end-of-log marker")
+    eof = records.pop()
+    if eof.get("lines") != len(records):
+        raise TruncatedLog(f"{path}: line count mismatch")
+    return records

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from camlab.camctl import (
     _FIELDS,
     ExperimentSpec,
     JsonlLogWriter,
+    _canonical,
     _ci95,
     bench_monitor,
     main,
@@ -29,6 +31,7 @@ from camlab.monitor import DebouncePolicy, PointRing, TrackerConfig
 from camlab.simlab import MONITOR_MODES, TEMPLATES, build_scene, extract_elements, scene_summary
 from camlab.simlab.episode import load_program
 from camlab.taskgen import Planner
+from oracles import read_log_reference
 
 SPEC_TEXT = """
 task = stack_in_order
@@ -450,6 +453,119 @@ def test_inserted_event_detected(run_dir, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises((LogChecksumError, TruncatedLog)):
         read_log(bad)
+
+
+def test_reserialised_line_fails_checksum(run_dir, tmp_path, capsys):
+    # equal records, written with spaces: the old re-serialising check let it
+    # through, because its checksum is the one taken over the canonical text
+    out, _ = run_dir
+    lines = (out / "run.jsonl").read_text().splitlines()
+    prev = json.loads(lines[2])["checksum"]
+    rec = json.loads(lines[3])
+    rec.pop("checksum")
+    rec["checksum"] = hashlib.sha256((prev + _canonical(rec)).encode()).hexdigest()[:16]
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "spaced.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert len(read_log_reference(bad)) == len(lines) - 1
+    with pytest.raises(LogChecksumError, match=":4: checksum mismatch"):
+        read_log(bad)
+    assert main(["replay", str(bad)]) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_writer_refuses_a_record_with_its_own_checksum_key(tmp_path):
+    path = tmp_path / "run.jsonl"
+    with JsonlLogWriter(path) as w:
+        w.write({"kind": "meta"})
+        with pytest.raises(ValueError, match="'checksum'"):
+            w.write({"kind": "meta", "checksum": "x"})
+    assert path.read_text().count("\n") == 2  # the first record and the eof marker
+    assert read_log(path) == [{"kind": "meta"}]
+
+
+# ---------------------------------------------------------------------------
+# the log contract, against the re-serialising reader (oracles.read_log_reference)
+
+_TRICKY_TEXT = ['"', "\\", '\\"', "é", "雪", "\U0001f600", '"checksum":"0123456789abcdef"', "0123456789abcdef"]
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**63) - 1, 10**30])
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+    | st.text(max_size=6)
+    | st.sampled_from(_TRICKY_TEXT)
+)
+# nested keys include checksum itself and a key that ends in an escaped "checksum
+_nested_keys = st.sampled_from(["checksum", 'x"checksum', "a", "zz"]) | st.text(max_size=4)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_nested_keys, inner, max_size=3),
+    max_leaves=12,
+)
+# top-level keys that sort before and after checksum
+_log_records = st.dictionaries(
+    st.sampled_from(["aaa", "cell", "chair", "checksumz", "zzz", "kind"]), _json_values, max_size=6
+)
+
+
+def _damage(data, raw: bytes) -> tuple:
+    """(kind, damaged bytes): a flipped or deleted byte, two lines swapped,
+    the eof line dropped, or a line re-encoded as equal JSON."""
+    lines = raw.splitlines(keepends=True)
+    kinds = ["flip", "delete", "drop_eof", "reencode"] + (["swap"] if len(lines) > 1 else [])
+    kind = data.draw(st.sampled_from(kinds), label="damage")
+    if kind == "flip":
+        i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        return kind, raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[i + 1:]
+    if kind == "delete":
+        i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        return kind, raw[:i] + raw[i + 1:]
+    if kind == "swap":
+        i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True), label="lines")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "drop_eof":
+        lines.pop()
+    else:  # equal JSON, written with json.dumps defaults; the checksum is kept
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
+    return kind, b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=st.lists(_log_records, max_size=4), data=st.data())
+def test_read_log_agrees_with_the_reserialising_reference(contract_dir, records, data):
+    path = contract_dir / "run.jsonl"
+    with JsonlLogWriter(path) as w:
+        for rec in records:
+            w.write(rec)
+    got = read_log(path)
+    assert _canonical(got) == _canonical(read_log_reference(path)) == _canonical(records)
+    kind, damaged = _damage(data, path.read_bytes())
+    bad = contract_dir / "damaged.jsonl"
+    bad.write_bytes(damaged)
+    try:
+        want = read_log_reference(bad)
+    except (LogChecksumError, TruncatedLog) as err:
+        with pytest.raises(type(err)):
+            read_log(bad)
+        return
+    if kind == "reencode":  # the checksum covers the bytes, not the value
+        with pytest.raises(LogChecksumError):
+            read_log(bad)
+        return
+    try:
+        got = read_log(bad)
+    except LogChecksumError:
+        return  # stricter: the damage wrote a value another way, as 1e308 for 1e+308
+    assert _canonical(got) == _canonical(want)
 
 
 def test_log_completeness(run_dir):
